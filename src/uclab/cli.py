@@ -3,8 +3,9 @@
 Subcommands: scalar, lemma, families, theorem2, counterexample, coupling,
 all.  Each run emits one JSON (default) or CSV report to --out or stdout;
 progress and the pass/fail summary go to stderr.  Exit status is 0 when
-every asserted inequality held, 1 when a verification failed (the failing
-item is named in the report), and 2 on bad arguments.
+every asserted inequality held, 1 when a verification failed or an internal
+check tripped (the failing item is named in the report), and 2 on bad
+arguments or inputs.
 
 Reports are byte-stable for a fixed configuration and seed: floats are
 printed with 17 significant digits and nothing run-dependent (such as wall
@@ -352,38 +353,28 @@ class SystemExit2(SystemExit):
         super().__init__(2)
 
 
+# The compact suite run by `all`: each entry is parsed as that subcommand's
+# command line, so every flag it does not list keeps the subcommand default.
+_COMPACT_SUITE = {
+    "scalar": ["--grid", "20000"],
+    "lemma": ["--u-steps", "200", "--v-steps", "400", "--restarts", "120",
+              "--atom-grid", "400", "--search-points", "11"],
+    "families": [],
+    "theorem2": ["--trials", "200", "--max-n", "6"],
+    "counterexample": [],
+    "coupling": ["delta-search", "--delta-steps", "100", "--v-steps", "48",
+                 "--mean-steps", "32", "--search-points", "5", "--search-restarts", "40"],
+}
+
+
 def cmd_all(args, seed: int):
-    ns = argparse.Namespace
+    parser = build_parser()
     suites = {}
     failures = []
-
-    sc_args = ns(grid=20_000, tol=None)
-    suites["scalar"], f = cmd_scalar(sc_args, seed)
-    failures += f
-
-    lm_args = ns(u_steps=200, v_steps=400, restarts=120, atom_grid=400,
-                 search_points=11, inflate_bound=1.0, tol=None, jobs=args.jobs)
-    suites["lemma"], f = cmd_lemma(lm_args, seed)
-    failures += f
-
-    fam_args = ns(n=4)
-    suites["families"], f = cmd_families(fam_args, seed)
-    failures += f
-
-    t2_args = ns(trials=200, max_n=6, dist_file=None, mixture_file=None, tol=None)
-    suites["theorem2"], f = cmd_theorem2(t2_args, seed)
-    failures += f
-
-    ce_args = ns(ubar=0.2, u=0.25, d=1.35, theta=0.01, n=1_000_000, trunc=None)
-    suites["counterexample"], f = cmd_counterexample(ce_args, seed)
-    failures += f
-
-    cp_args = ns(action="delta-search", alpha=0.05, delta_max=0.02, delta_steps=100,
-                 v_steps=48, mean_steps=32, search_points=5, search_restarts=40,
-                 family=None, literal_rates=False, jobs=args.jobs)
-    suites["coupling"], f = cmd_coupling(cp_args, seed)
-    failures += f
-
+    for command, flags in _COMPACT_SUITE.items():
+        sub_args = parser.parse_args([command, *flags, f"--jobs={args.jobs}"])
+        suites[command], f = _HANDLERS[command](sub_args, seed)
+        failures += f
     return {"suites": suites}, failures
 
 
@@ -407,6 +398,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"uclab: error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        # an internal guard tripped: still write a report that names it
+        results, failures = {}, [f"{args.command}.internal: {exc}"]
     # jobs only distributes work and may not change a single output byte,
     # so it stays out of the config echo along with the output routing
     config = {

@@ -6,10 +6,18 @@ probabilities, so every quantity here - entropy, marginals, conditionals,
 the union of two independent samples, KL divergence, chain-rule profiles -
 is computed exactly up to floating point, with no sampling.
 
+Every table kernel reads the table through one view, `_split(probs, i)`:
+the reshape to (2^(n-i), 2, 2^(i-1)), indexed (higher elements, element i,
+lower elements).  Its last axis is the prefix mask on elements 1..i-1, so
+marginals, conditionals and chain profiles are slices and axis sums of it,
+and no mask array is ever built.
+
 The union of independent samples is a convolution under the union
 operation; it is evaluated in O(n 2^n) through the subset zeta transform
 (zeta(P * Q) = zeta(P) zeta(Q) pointwise) rather than the quadratic
-double sum.
+double sum.  Zeta and its inverse, the Moebius transform, are one pass over
+the elements that adds or subtracts the "element absent" half into the
+"element present" half.
 
 A ProductMixture is a convex combination of product (independent
 coordinate) distributions.  It stays symbolic, so entropy bounds remain
@@ -37,8 +45,16 @@ PROB_FLOOR = 1e-300
 NORMALIZATION_TOL = 1e-12
 
 
-def _masks(n: int) -> np.ndarray:
-    return np.arange(1 << n, dtype=np.int64)
+def _check_n(n) -> None:
+    if not isinstance(n, int) or n < 1:
+        raise ValueError("n must be a positive integer")
+    if n > MAX_EXPLICIT_N:
+        raise ValueError(f"explicit tables are limited to n <= {MAX_EXPLICIT_N}")
+
+
+def _split(probs: np.ndarray, i: int) -> np.ndarray:
+    """View of a 2^n table as (higher elements, element i, lower elements)."""
+    return probs.reshape(-1, 2, 1 << (i - 1))
 
 
 def _plogp(p: np.ndarray) -> np.ndarray:
@@ -56,10 +72,7 @@ class ExplicitSetDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError("n must be a positive integer")
-        if self.n > MAX_EXPLICIT_N:
-            raise ValueError(f"explicit tables are limited to n <= {MAX_EXPLICIT_N}")
+        _check_n(self.n)
         probs = np.asarray(self.probs, dtype=float)
         if probs.shape != (1 << self.n,):
             raise ValueError(f"probs must have length 2^{self.n}")
@@ -76,6 +89,7 @@ class ExplicitSetDistribution:
     @classmethod
     def from_mapping(cls, n: int, mapping) -> "ExplicitSetDistribution":
         """Build from {mask: probability}; omitted masks get probability 0."""
+        _check_n(n)
         probs = np.zeros(1 << n)
         for mask, p in mapping.items():
             if not 0 <= mask < (1 << n):
@@ -106,8 +120,7 @@ class ExplicitSetDistribution:
     def marginal(self, i: int) -> float:
         """Probability that element i (1-based) lies in the sampled set."""
         self._check_element(i)
-        bit = (_masks(self.n) >> (i - 1)) & 1
-        return float(self.probs[bit == 1].sum())
+        return float(_split(self.probs, i)[:, 1, :].ravel().sum())
 
     def marginals(self) -> np.ndarray:
         return np.array([self.marginal(i) for i in range(1, self.n + 1)])
@@ -118,12 +131,11 @@ class ExplicitSetDistribution:
         low = (1 << (i - 1)) - 1
         if not 0 <= prefix <= low:
             raise ValueError("prefix must be a mask on the first i-1 elements")
-        ms = _masks(self.n)
-        sel = (ms & low) == prefix
-        denom = float(self.probs[sel].sum())
+        sel = _split(self.probs, i)[:, :, prefix]
+        denom = float(sel.ravel().sum())
         if denom <= PROB_FLOOR:
             raise ValueError("prefix has zero probability")
-        num = float(self.probs[sel & (((ms >> (i - 1)) & 1) == 1)].sum())
+        num = float(sel[:, 1].ravel().sum())
         return min(max(num / denom, 0.0), 1.0)
 
     def chain_profile(self, order=None) -> np.ndarray:
@@ -137,14 +149,10 @@ class ExplicitSetDistribution:
         probs = self.probs
         if order is not None:
             probs = _permute_bits(probs, self.n, order)
-        ms = _masks(self.n)
         out = np.empty(self.n)
         for i in range(1, self.n + 1):
-            low = (1 << (i - 1)) - 1
-            pref = (ms & low).astype(np.int64)
-            has = ((ms >> (i - 1)) & 1).astype(float)
-            tot = np.bincount(pref, weights=probs, minlength=1 << (i - 1))
-            win = np.bincount(pref, weights=probs * has, minlength=1 << (i - 1))
+            lack, win = _split(probs, i).sum(axis=0)
+            tot = lack + win
             pos = tot > PROB_FLOOR
             rates = np.clip(win[pos] / tot[pos], 0.0, 1.0)
             out[i - 1] = float(np.dot(tot[pos], binary_entropy(rates)))
@@ -162,36 +170,20 @@ def _permute_bits(probs: np.ndarray, n: int, order) -> np.ndarray:
     order = list(order)
     if sorted(order) != list(range(1, n + 1)):
         raise ValueError("order must be a permutation of 1..n")
-    ms = _masks(n)
-    new_idx = np.zeros_like(ms)
-    for k, elem in enumerate(order):
-        new_idx |= ((ms >> (elem - 1)) & 1) << k
-    out = np.zeros_like(probs)
-    out[new_idx] = probs
-    return out
+    # on the (2,) * n view element e sits on axis n - e; new element k + 1
+    # is old element order[k]
+    axes = [n - elem for elem in reversed(order)]
+    return probs.reshape((2,) * n).transpose(axes).reshape(-1)
 
 
-def _subset_zeta(values: np.ndarray, n: int) -> np.ndarray:
-    """In-place-style subset-sum transform: out[S] = sum over T subset of S."""
-    t = values.copy().reshape((2,) * n)
-    for ax in range(n):
-        lo = [slice(None)] * n
-        hi = [slice(None)] * n
-        lo[ax] = 0
-        hi[ax] = 1
-        t[tuple(hi)] += t[tuple(lo)]
-    return t.reshape(-1)
-
-
-def _subset_mobius(values: np.ndarray, n: int) -> np.ndarray:
-    t = values.copy().reshape((2,) * n)
-    for ax in range(n):
-        lo = [slice(None)] * n
-        hi = [slice(None)] * n
-        lo[ax] = 0
-        hi[ax] = 1
-        t[tuple(hi)] -= t[tuple(lo)]
-    return t.reshape(-1)
+def _subset_transform(values: np.ndarray, n: int, op) -> np.ndarray:
+    """Subset zeta (op = np.add: out[S] = sum over T subset of S of values[T])
+    or its inverse, the Moebius transform (op = np.subtract)."""
+    t = values.copy()
+    for i in range(n, 0, -1):
+        v = _split(t, i)
+        op(v[:, 1, :], v[:, 0, :], out=v[:, 1, :])
+    return t
 
 
 def union_of_independent(
@@ -207,8 +199,8 @@ def union_of_independent(
     if d1.n != d2.n:
         raise ValueError("distributions must share the same ground set size")
     n = d1.n
-    z = _subset_zeta(d1.probs, n) * _subset_zeta(d2.probs, n)
-    out = _subset_mobius(z, n)
+    z = _subset_transform(d1.probs, n, np.add) * _subset_transform(d2.probs, n, np.add)
+    out = _subset_transform(z, n, np.subtract)
     if out.min() < -1e-9:
         raise RuntimeError("union convolution produced significantly negative mass")
     out = np.clip(out, 0.0, None)
@@ -314,8 +306,7 @@ def product_bernoulli(n: int, u: float) -> ExplicitSetDistribution:
     """
     if not 0.0 <= u <= 1.0:
         raise ValueError("u must lie in [0, 1]")
-    if n > MAX_EXPLICIT_N:
-        raise ValueError(f"explicit tables are limited to n <= {MAX_EXPLICIT_N}")
+    _check_n(n)
     return ExplicitSetDistribution(n, _product_table(n, u))
 
 

@@ -2,9 +2,13 @@
 
 The oracles here deliberately avoid the library's fast paths: the union
 convolution is the quadratic double loop over support pairs, entropies are
-summed directly, and union-closed families come from a plain fixpoint
-closure.  Anything the library computes cleverly is checked against these.
+summed directly, the table kernels (marginal, conditional, chain profile)
+are plain loops over every mask, and union-closed families come from a
+plain fixpoint closure.  Anything the library computes cleverly is checked
+against these.
 """
+
+import math
 
 import numpy as np
 
@@ -40,6 +44,54 @@ def entropy_direct(probs):
     probs = np.asarray(probs)
     pos = probs[probs > 0]
     return float(-(pos * np.log(pos)).sum())
+
+
+def _has(mask, elem):
+    return (mask >> (elem - 1)) & 1 == 1
+
+
+def _h(r):
+    return -sum(x * math.log(x) for x in (r, 1.0 - r) if x > 0.0)
+
+
+def product_table(rates):
+    """Table where element e enters independently with probability rates[e-1]."""
+    n = len(rates)
+    return np.array([
+        math.prod(r if _has(m, e) else 1.0 - r for e, r in enumerate(rates, start=1))
+        for m in range(1 << n)
+    ])
+
+
+def marginal_loop(d, i):
+    return sum(float(d.probs[m]) for m in range(1 << d.n) if _has(m, i))
+
+
+def conditional_loop(d, i, prefix):
+    """Pr[i in A | A restricted to [i-1] equals prefix], or None on a null prefix."""
+    low = (1 << (i - 1)) - 1
+    match = [m for m in range(1 << d.n) if m & low == prefix]
+    denom = sum(float(d.probs[m]) for m in match)
+    if denom == 0.0:
+        return None
+    return sum(float(d.probs[m]) for m in match if _has(m, i)) / denom
+
+
+def chain_profile_loop(d, order=None):
+    """Entry k: average over the values of the earlier elements of the
+    binary entropy of element order[k]'s conditional inclusion rate."""
+    order = list(order) if order is not None else list(range(1, d.n + 1))
+    out = []
+    for k, elem in enumerate(order):
+        groups = {}
+        for m in range(1 << d.n):
+            key = tuple(_has(m, e) for e in order[:k])
+            tot_win = groups.setdefault(key, [0.0, 0.0])
+            tot_win[0] += float(d.probs[m])
+            if _has(m, elem):
+                tot_win[1] += float(d.probs[m])
+        out.append(sum(tot * _h(win / tot) for tot, win in groups.values() if tot > 0.0))
+    return np.array(out)
 
 
 def random_union_closed(rng, n, max_generators=4):

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -42,6 +43,36 @@ class TestExitCodes:
         code = main(["counterexample", "--ubar", "0.5", "--u", "0.3",
                      "--out", str(tmp_path / "x.json")])
         assert code == 2
+
+    def test_oversized_table_file_exits_two_before_allocating(self, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text("n=40\n0 1.0\n")
+        out = tmp_path / "x.json"
+        code = main(["theorem2", "--trials", "2", "--max-n", "3", "--dist-file", str(path),
+                     "--out", str(out), "--jobs", "1"])
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["uclab: error: explicit tables are limited to n <= 24"]
+
+    def test_internal_failure_is_one_with_named_item(self, tmp_path, monkeypatch):
+        import uclab.coupling
+
+        def failing_linprog(*args, **kwargs):
+            return SimpleNamespace(status=4, message="stub solver failure", x=None)
+
+        monkeypatch.setattr(uclab.coupling, "linprog", failing_linprog)
+        code, out = run(
+            ["coupling", "delta-search", "--delta-steps", "10", "--v-steps", "8",
+             "--mean-steps", "8", "--search-points", "3", "--search-restarts", "2"],
+            tmp_path,
+        )
+        assert code == 1
+        report = json.loads(out.read_text())
+        assert report["passed"] is False
+        assert report["failures"] == [
+            "coupling.internal: transportation LP failed: stub solver failure"
+        ]
 
 
 class TestDeterminism:

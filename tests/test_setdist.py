@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from helpers import entropy_direct, naive_union_table, random_explicit
+from helpers import (
+    chain_profile_loop,
+    conditional_loop,
+    entropy_direct,
+    marginal_loop,
+    naive_union_table,
+    product_table,
+    random_explicit,
+)
 from uclab.scalars import GOLDEN_THRESHOLD, binary_entropy, union_prob
 from uclab.setdist import (
     ExplicitSetDistribution,
@@ -20,6 +28,7 @@ from uclab.setdist import (
     union_entropy_check,
     union_of_independent,
 )
+from uclab.setdist import _subset_transform
 
 
 class TestConstruction:
@@ -34,6 +43,10 @@ class TestConstruction:
     def test_rejects_oversized_n(self):
         with pytest.raises(ValueError):
             product_bernoulli(25, 0.5)
+
+    def test_from_mapping_rejects_oversized_n_before_allocating(self):
+        with pytest.raises(ValueError, match="limited to n <= 24"):
+            ExplicitSetDistribution.from_mapping(40, {0: 1.0})
 
     def test_from_mapping_rejects_out_of_range_mask(self):
         with pytest.raises(ValueError):
@@ -134,6 +147,18 @@ class TestUnionOfIndependent:
             union_of_independent(product_bernoulli(2, 0.5), product_bernoulli(3, 0.5))
 
 
+class TestSubsetTransform:
+    def test_zeta_is_subset_sum_and_mobius_inverts_it(self):
+        rng = np.random.default_rng(37)
+        for n in range(1, 7):
+            v = rng.normal(size=1 << n)
+            zeta = _subset_transform(v, n, np.add)
+            for s in range(1 << n):
+                expect = sum(v[t] for t in range(1 << n) if t & s == t)
+                assert zeta[s] == pytest.approx(expect, abs=1e-12)
+            assert np.abs(_subset_transform(zeta, n, np.subtract) - v).max() < 1e-12
+
+
 class TestKL:
     def test_self_is_zero(self):
         rng = np.random.default_rng(3)
@@ -206,6 +231,44 @@ class TestConditionalAndChain:
         d = random_explicit(rng, 5)
         order = [3, 1, 5, 2, 4]
         assert d.chain_profile(order).sum() == pytest.approx(d.entropy(), abs=1e-10)
+
+    def test_kernels_match_mask_loops(self):
+        rng = np.random.default_rng(43)
+        for n in range(1, 9):
+            for _ in range(3):
+                d = random_explicit(rng, n)
+                for i in range(1, n + 1):
+                    assert d.marginal(i) == pytest.approx(marginal_loop(d, i), abs=1e-12)
+                    for prefix in range(1 << (i - 1)):
+                        expect = conditional_loop(d, i, prefix)
+                        if expect is None:
+                            with pytest.raises(ValueError):
+                                d.conditional_prob(i, prefix)
+                        else:
+                            assert d.conditional_prob(i, prefix) == pytest.approx(
+                                expect, abs=1e-12
+                            )
+                order = [int(e) + 1 for e in rng.permutation(n)]
+                for o in (None, order):
+                    assert np.abs(d.chain_profile(o) - chain_profile_loop(d, o)).max() < 1e-12
+
+    def test_chain_permutation_entries_on_distinct_rates(self):
+        # a product table with a different rate per element: entry k of the
+        # profile must be the entropy of exactly element order[k]'s rate
+        rng = np.random.default_rng(47)
+        for n in range(1, 9):
+            rates = rng.uniform(0.02, 0.98, size=n)
+            d = ExplicitSetDistribution(n, product_table(rates))
+            for _ in range(3):
+                order = [int(e) + 1 for e in rng.permutation(n)]
+                expect = [binary_entropy(rates[e - 1]) for e in order]
+                assert np.abs(d.chain_profile(order) - expect).max() < 1e-12
+
+    def test_chain_rejects_non_permutation(self):
+        d = product_bernoulli(3, 0.4)
+        for order in ([1, 2], [1, 1, 3], [0, 1, 2]):
+            with pytest.raises(ValueError):
+                d.chain_profile(order)
 
     def test_data_processing_step(self):
         # conditioning the union on both prefixes can only lower the
