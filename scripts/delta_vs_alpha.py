@@ -23,7 +23,6 @@ def main():
     ap.add_argument("--v-steps", type=int, default=64)
     ap.add_argument("--mean-steps", type=int, default=48)
     ap.add_argument("--seed", type=int, default=1729)
-    ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--out", default=None)
     args = ap.parse_args()
 
@@ -39,7 +38,6 @@ def main():
             search_points=5,
             search_restarts=40,
             seed=args.seed,
-            jobs=args.jobs,
         )
         print(
             f"{alpha:.17g},{rep.delta:.17g},{rep.violations},"

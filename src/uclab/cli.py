@@ -335,7 +335,6 @@ def cmd_coupling(args, seed: int):
         search_points=args.search_points,
         search_restarts=args.search_restarts,
         seed=seed,
-        jobs=args.jobs,
     )
     failures = []
     if rep.failure_at_threshold:

@@ -8,14 +8,16 @@ combined map coupled_union_prob(p, r) = max(p, r, min(p + r, 1/2)) never
 falls below max(p, r), which is the entropy gain this construction buys.
 
 For a measure mu on [0, 1], the smallest possible expected union entropy
-over all couplings of two mu-samples is a transportation linear program
-(marginals both mu, cost -> H(coupled_union_prob)); its value enters the
-blended slack
+over all couplings of two mu-samples (marginals both mu, cost ->
+H(coupled_union_prob)) has a closed form for one or two atoms and is a
+transportation linear program for three up to MAX_LP_ATOMS; its value
+enters the blended slack
 
     (1 - alpha) E_{mu x mu}[H(p + q - pq)] + alpha * worst - E_mu[H(p)]
 
 whose positivity over measures with mean slightly above the golden
-threshold is what delta_search probes for.
+threshold is what delta_search probes for.  The search evaluates its whole
+two-atom class (mass at v, rest at 1) as one array expression.
 
 greedy_coupling_dp realizes the same coupling step by step on a concrete
 union-closed family as an exact dynamic program over prefix pairs, with
@@ -32,18 +34,13 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .families import Family, is_union_closed
-from .measures import (
-    DEFAULT_SEED,
-    DiscreteMeasure,
-    local_search_min,
-    objective,
-    parallel_map,
-)
-from .scalars import GOLDEN_THRESHOLD, binary_entropy
+from .measures import DEFAULT_SEED, DiscreteMeasure, local_search_min, objective
+from .scalars import GOLDEN_THRESHOLD, binary_entropy, union_prob
 from .setdist import ExplicitSetDistribution, union_of_independent
 
 MAX_LP_ATOMS = 200
 MARGINAL_TOL = 1e-12
+MAX_DELTA_GRID_CELLS = 1_000_000
 
 
 def coupled_union_prob(p, r):
@@ -117,10 +114,13 @@ def worst_coupling_value(mu: DiscreteMeasure) -> WorstCouplingReport:
     """Solve min_W sum_ij W_ij H(coupled_union_prob(x_i, x_j)) over couplings
     W with both marginals mu.
 
-    This is a dense transportation LP (at most MAX_LP_ATOMS atoms); the
-    optimal vertex is cleaned up by re-deriving its weights from the
-    marginals along the support forest, so the returned coupling satisfies
-    the marginal constraints to MARGINAL_TOL rather than solver tolerance.
+    Two atoms have a closed form: every coupling is [[w0-t, t], [t, w1-t]]
+    with t in [0, min(w0, w1)], and the cost is linear in t, so the optimum
+    sits at an endpoint.  Three or more atoms (at most MAX_LP_ATOMS) go to a
+    dense transportation LP; its optimal vertex is cleaned up by re-deriving
+    its weights from the marginals along the support forest, so the
+    returned coupling satisfies the marginal constraints to MARGINAL_TOL
+    rather than solver tolerance (repaired=False when that rebuild fails).
     The value can never exceed the independent coupling's, which is also
     reported.
     """
@@ -137,6 +137,15 @@ def worst_coupling_value(mu: DiscreteMeasure) -> WorstCouplingReport:
             coupling=coupling,
             independent_value=independent,
             repaired=False,
+        )
+    if m == 2:
+        t = min(w[0], w[1]) if 2.0 * cost[0, 1] < cost[0, 0] + cost[1, 1] else 0.0
+        weights = np.array([[w[0] - t, t], [t, w[1] - t]])
+        return WorstCouplingReport(
+            value=float((weights * cost).sum()),
+            coupling=JointMeasure(mu, mu, weights),
+            independent_value=independent,
+            repaired=True,
         )
     # presolve can hand back a non-vertex optimum on the ties in this cost
     # matrix; without it the simplex solution is basic, so its support is a
@@ -229,6 +238,16 @@ def _rebuild_from_support(raw: np.ndarray, w: np.ndarray):
     return out
 
 
+def _blended_slack(mu: DiscreteMeasure, alpha: float):
+    """improved_slack(mu, alpha) and the worst-coupling report it used
+    (None at alpha = 0, where no coupling enters)."""
+    rep = objective(mu, 1.0)
+    if alpha == 0.0:
+        return rep.value, None
+    worst = worst_coupling_value(mu)
+    return (1.0 - alpha) * rep.quadratic + alpha * worst.value - rep.linear, worst
+
+
 def improved_slack(mu: DiscreteMeasure, alpha: float) -> float:
     """Blended slack (1-alpha) * quadratic + alpha * worst_coupling - linear.
 
@@ -239,22 +258,50 @@ def improved_slack(mu: DiscreteMeasure, alpha: float) -> float:
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    rep = objective(mu, 1.0)
+    return _blended_slack(mu, alpha)[0]
+
+
+def _two_atom_class(v: np.ndarray, w: np.ndarray, alpha: float):
+    """Mean, linear part and blended slack of every mu = w delta_v + (1-w) delta_1.
+
+    Each entry is bit-equal to mu.mean(), objective(mu, 1).linear and
+    improved_slack(mu, alpha) for DiscreteMeasure.two_atom(v, w): the
+    batched matmuls run the same BLAS dot/gemv per measure as the 1-d
+    products there, over the full 2x2 union-entropy matrix (union_prob(v, 1)
+    is not always exactly 1).  The cost row and column of the atom at 1 are
+    exactly 0, so the worst coupling is
+    max(0, 2w - 1) * H(coupled_union_prob(v, v)).
+    """
+    x = np.stack([v, np.ones_like(v)], axis=1)
+    wt = np.stack([w, 1.0 - w], axis=1)
+    row, col = wt[:, None, :], wt[:, :, None]
+    mean = (x[:, None, :] @ col)[:, 0, 0]
+    lin = (row @ binary_entropy(x)[:, :, None])[:, 0, 0]
+    quad = (row @ binary_entropy(union_prob(x[:, :, None], x[:, None, :])) @ col)[:, 0, 0]
     if alpha == 0.0:
-        return rep.value
-    worst = worst_coupling_value(mu).value
-    return (1.0 - alpha) * rep.quadratic + alpha * worst - rep.linear
+        return mean, lin, quad - lin
+    worst = np.maximum(0.0, 2.0 * w - 1.0) * binary_entropy(coupled_union_prob(v, v))
+    return mean, lin, (1.0 - alpha) * quad + alpha * worst - lin
 
 
 @dataclass(frozen=True)
 class DeltaSearchReport:
-    """Largest mean excess over the golden threshold that survives the scan."""
+    """Largest mean excess over the golden threshold that survives the scan.
+
+    closed_form_couplings counts worst couplings evaluated without the LP
+    (measures with one or two atoms), lp_solves the transportation LPs, and
+    lp_fallbacks the LP couplings whose exact marginal rebuild failed, so
+    that their marginals hold only to solver tolerance.
+    """
 
     alpha: float
     delta: float
     delta_max: float
     delta_steps: int
     measures_scanned: int
+    closed_form_couplings: int
+    lp_solves: int
+    lp_fallbacks: int
     violations: int
     failure_at_threshold: bool
     binding_measure: dict | None
@@ -272,11 +319,6 @@ def _measure_summary(mu: DiscreteMeasure, slack: float) -> dict:
     }
 
 
-def _improved_slack_task(args):
-    locs, ws, alpha = args
-    return improved_slack(DiscreteMeasure(np.array(locs), np.array(ws)), alpha)
-
-
 def delta_search(
     alpha: float,
     u_cap_steps: int = 200,
@@ -288,7 +330,6 @@ def delta_search(
     search_restarts: int = 112,
     atom_grid: int = 400,
     seed: int = DEFAULT_SEED,
-    jobs: int = 1,
 ) -> DeltaSearchReport:
     """Estimate how far above the golden threshold the blended inequality
     keeps holding, over a scanned class of measures.
@@ -304,19 +345,31 @@ def delta_search(
     the threshold with nonpositive slack force delta = 0 and raise the
     failure flag.  This certifies only the scanned class - it is a numeric
     estimate, not a proof over all measures.
+
+    The (mean, v) grid is limited to MAX_DELTA_GRID_CELLS cells, checked
+    before anything is allocated.  Two-atom candidates are evaluated as one
+    array expression; only the point at the threshold and the local-search
+    measures are built one at a time.
     """
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     if u_cap_steps < 1:
         raise ValueError("u_cap_steps must be positive")
+    # the band just above the threshold holds at most u_cap_steps + 1 means
+    cells = (mean_steps + u_cap_steps + 1) * (v_steps + 1)
+    if cells > MAX_DELTA_GRID_CELLS:
+        raise ValueError(
+            f"delta-search grid of up to {cells} (mean, v) cells exceeds {MAX_DELTA_GRID_CELLS}"
+        )
+    step = delta_max / u_cap_steps
+    if not 0.0 < step < np.inf:
+        raise ValueError("delta_max / u_cap_steps must be a positive finite step")
     u_star = GOLDEN_THRESHOLD
-    candidates = []
+    band = min(0.006, delta_max)
 
     vs = np.linspace(0.005, 0.995, v_steps)
     vs = np.unique(np.append(vs, u_star))
-    step = delta_max / u_cap_steps
-    band = min(0.006, delta_max)
     means = np.unique(
         np.concatenate(
             [
@@ -325,65 +378,83 @@ def delta_search(
             ]
         )
     )
-    for mean in means:
-        for v in vs:
-            if v >= mean:
-                continue
-            w = (1.0 - mean) / (1.0 - v)
-            if not 0.0 < w <= 1.0:
-                continue
-            candidates.append(DiscreteMeasure.two_atom(float(v), float(w)))
-    candidates.append(DiscreteMeasure.point(u_star))
+    # candidates in (mean, v) row-major order; the argmin tie-break depends on it
+    v_grid, mean_grid = np.meshgrid(vs, means)
+    w_grid = (1.0 - mean_grid) / (1.0 - v_grid)
+    on = (v_grid < mean_grid) & (0.0 < w_grid) & (w_grid <= 1.0)
+    v, w = v_grid[on], w_grid[on]
+    two_means, two_lin, two_slacks = _two_atom_class(v, w, alpha)
 
+    extras = [DiscreteMeasure.point(u_star)]
     search_us = np.linspace(u_star - 0.01, u_star + delta_max, search_points)
     per = max(1, search_restarts // search_points)
     for k, su in enumerate(search_us):
         rep = local_search_min(
             float(su), 1.0, atom_grid=atom_grid, restarts=per, seed=seed + 7919 * k
         )
-        candidates.append(rep.best_measure)
+        extras.append(rep.best_measure)
 
     # measures supported on {0, 1} make every entropy in the blended
     # inequality vanish, so their slack is identically zero at any alpha;
     # the strict inequality is vacuous for that degenerate class and it is
     # excluded from the scan rather than reported as a violation
-    candidates = [
+    scanned = two_lin > 1e-12
+    v, w = v[scanned], w[scanned]
+    extras = [
         mu
-        for mu in candidates
+        for mu in extras
         if float(np.dot(mu.weights, binary_entropy(mu.locations))) > 1e-12
     ]
+    closed_form = v.size if alpha > 0.0 else 0
+    lp_solves = lp_fallbacks = 0
+    extra_slacks = []
+    for mu in extras:
+        slack, worst = _blended_slack(mu, alpha)
+        extra_slacks.append(slack)
+        if worst is None:
+            continue
+        if mu.size() <= 2:
+            closed_form += 1
+        else:
+            lp_solves += 1
+            lp_fallbacks += not worst.repaired
 
-    args = [
-        (tuple(float(v) for v in mu.locations), tuple(float(v) for v in mu.weights), alpha)
-        for mu in candidates
-    ]
-    slacks = parallel_map(_improved_slack_task, args, jobs)
+    def measure(i):
+        if i < v.size:
+            return DiscreteMeasure.two_atom(float(v[i]), float(w[i]))
+        return extras[i - v.size]
 
+    scanned_means = np.concatenate([two_means[scanned], [mu.mean() for mu in extras]])
+    slacks = np.concatenate([two_slacks[scanned], extra_slacks])
     cutoff = 1e-12
-    violating = [(mu, s) for mu, s in zip(candidates, slacks) if s <= cutoff]
+    violating = np.flatnonzero(slacks <= cutoff)
     min_idx = int(np.argmin(slacks))
-    failure = any(mu.mean() <= u_star + cutoff for mu, _ in violating)
+    failure = bool(np.any(scanned_means[violating] <= u_star + cutoff))
     if failure:
         delta = 0.0
-    elif violating:
-        excess = min(mu.mean() - u_star for mu, _ in violating)
+    elif violating.size:
+        excess = np.min(scanned_means[violating] - u_star)
         delta = max(0.0, step * int(np.floor((excess - 1e-15) / step)))
     else:
         delta = delta_max
     binding = None
-    if violating:
-        binding = _measure_summary(*min(violating, key=lambda t: t[0].mean()))
+    if violating.size:
+        first = int(violating[np.argmin(scanned_means[violating])])
+        binding = _measure_summary(measure(first), slacks[first])
     return DeltaSearchReport(
         alpha=alpha,
         delta=float(delta),
         delta_max=float(delta_max),
         delta_steps=int(u_cap_steps),
-        measures_scanned=len(candidates),
-        violations=len(violating),
+        measures_scanned=int(slacks.size),
+        closed_form_couplings=closed_form,
+        lp_solves=lp_solves,
+        lp_fallbacks=lp_fallbacks,
+        violations=int(violating.size),
         failure_at_threshold=failure,
         binding_measure=binding,
         min_slack=float(slacks[min_idx]),
-        min_slack_measure=_measure_summary(candidates[min_idx], slacks[min_idx]),
+        min_slack_measure=_measure_summary(measure(min_idx), slacks[min_idx]),
         seed=seed,
     )
 

@@ -23,6 +23,7 @@ is what pushes optimal mass onto two atoms.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -501,9 +502,10 @@ def _search_task(args):
 
 def parallel_map(fn, items, jobs: int):
     """Map preserving order; with jobs > 1 the items are distributed over a
-    process pool, and the per-item results are merged by index so the output
-    never depends on scheduling."""
+    process pool of at most os.cpu_count() workers, and the per-item results
+    are merged by index so the output never depends on scheduling."""
     items = list(items)
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or len(items) < 4:
         return [fn(it) for it in items]
     from concurrent.futures import ProcessPoolExecutor

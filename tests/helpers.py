@@ -3,16 +3,24 @@
 The oracles here deliberately avoid the library's fast paths: the union
 convolution is the quadratic double loop over support pairs, entropies are
 summed directly, the table kernels (marginal, conditional, chain profile)
-are plain loops over every mask, and union-closed families come from a
-plain fixpoint closure.  Anything the library computes cleverly is checked
-against these.
+are plain loops over every mask, union-closed families come from a
+plain fixpoint closure, and the delta search is the one-measure-at-a-time
+loop.  Anything the library computes cleverly is checked against these.
 """
 
 import math
 
 import numpy as np
 
+from uclab.coupling import (
+    DeltaSearchReport,
+    _measure_summary,
+    improved_slack,
+    worst_coupling_value,
+)
 from uclab.families import Family, union_closure
+from uclab.measures import DiscreteMeasure, local_search_min
+from uclab.scalars import GOLDEN_THRESHOLD, binary_entropy
 from uclab.setdist import ExplicitSetDistribution
 
 
@@ -111,3 +119,72 @@ def brute_force_union_closed_count(n):
         if ok:
             count += 1
     return count
+
+
+def delta_search_loop(alpha, u_cap_steps=200, delta_max=0.02, v_steps=96, mean_steps=64,
+                      mean_margin=0.03, search_points=7, search_restarts=112,
+                      atom_grid=400, seed=1729):
+    """delta_search as a loop: one DiscreteMeasure and one improved_slack
+    call per candidate, and one worst_coupling_value call per LP-sized
+    measure for the counters."""
+    u_star = GOLDEN_THRESHOLD
+    candidates = []
+    vs = np.unique(np.append(np.linspace(0.005, 0.995, v_steps), u_star))
+    step = delta_max / u_cap_steps
+    band = min(0.006, delta_max)
+    means = np.unique(np.concatenate([
+        np.linspace(u_star - mean_margin, u_star + delta_max, mean_steps),
+        u_star + np.arange(0.0, band + 0.5 * step, step),
+    ]))
+    for mean in means:
+        for v in vs:
+            if v >= mean:
+                continue
+            w = (1.0 - mean) / (1.0 - v)
+            if not 0.0 < w <= 1.0:
+                continue
+            candidates.append(DiscreteMeasure.two_atom(float(v), float(w)))
+    candidates.append(DiscreteMeasure.point(u_star))
+    search_us = np.linspace(u_star - 0.01, u_star + delta_max, search_points)
+    per = max(1, search_restarts // search_points)
+    for k, su in enumerate(search_us):
+        rep = local_search_min(float(su), 1.0, atom_grid=atom_grid, restarts=per,
+                               seed=seed + 7919 * k)
+        candidates.append(rep.best_measure)
+    candidates = [
+        mu for mu in candidates
+        if float(np.dot(mu.weights, binary_entropy(mu.locations))) > 1e-12
+    ]
+    slacks = [improved_slack(mu, alpha) for mu in candidates]
+    lp = [mu for mu in candidates if mu.size() > 2] if alpha > 0.0 else []
+
+    cutoff = 1e-12
+    violating = [(mu, s) for mu, s in zip(candidates, slacks) if s <= cutoff]
+    min_idx = int(np.argmin(slacks))
+    failure = any(mu.mean() <= u_star + cutoff for mu, _ in violating)
+    if failure:
+        delta = 0.0
+    elif violating:
+        excess = min(mu.mean() - u_star for mu, _ in violating)
+        delta = max(0.0, step * int(np.floor((excess - 1e-15) / step)))
+    else:
+        delta = delta_max
+    binding = None
+    if violating:
+        binding = _measure_summary(*min(violating, key=lambda t: t[0].mean()))
+    return DeltaSearchReport(
+        alpha=float(alpha),
+        delta=float(delta),
+        delta_max=float(delta_max),
+        delta_steps=int(u_cap_steps),
+        measures_scanned=len(candidates),
+        closed_form_couplings=len(candidates) - len(lp) if alpha > 0.0 else 0,
+        lp_solves=len(lp),
+        lp_fallbacks=sum(not worst_coupling_value(mu).repaired for mu in lp),
+        violations=len(violating),
+        failure_at_threshold=failure,
+        binding_measure=binding,
+        min_slack=float(slacks[min_idx]),
+        min_slack_measure=_measure_summary(candidates[min_idx], slacks[min_idx]),
+        seed=seed,
+    )

@@ -227,6 +227,15 @@ class TestCouplingCommand:
         res = json.loads(out.read_text())["results"]
         assert res["delta"] > 0.0
 
+    def test_delta_search_grid_bounded(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        code = main(["coupling", "delta-search", "--delta-steps", "1000000000000",
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("uclab: error: delta-search grid")
+        assert not out.exists()
+
     def test_stdout_when_no_out(self, capsys):
         code = main(["families", "--n", "2", "--jobs", "1"])
         assert code == 0

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_union_closed
+import uclab.coupling
+from helpers import delta_search_loop, random_union_closed
 from uclab.coupling import (
+    MAX_DELTA_GRID_CELLS,
     JointMeasure,
     coupled_union_prob,
     delta_search,
@@ -194,6 +196,41 @@ class TestWorstCoupling:
             assert np.abs(w.sum(axis=1) - mu.weights).max() <= 1e-12
             assert np.abs(w.sum(axis=0) - mu.weights).max() <= 1e-12
 
+    def _check_closed_form(self, mu):
+        rep = worst_coupling_value(mu)
+        w = rep.coupling.weights
+        assert rep.repaired
+        assert np.abs(w.sum(axis=1) - mu.weights).max() <= 1e-12
+        assert np.abs(w.sum(axis=0) - mu.weights).max() <= 1e-12
+        assert abs(rep.value - brute_force_worst_coupling(mu)) <= 1e-12
+
+    def test_two_atom_closed_form_general(self, monkeypatch):
+        # two interior atoms, so neither cost row vanishes; the LP must not run
+        monkeypatch.setattr(uclab.coupling, "linprog", None)
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            locs = np.sort(rng.uniform(0.001, 0.999, size=2))
+            w0 = float(rng.uniform(0.01, 0.99))
+            self._check_closed_form(
+                DiscreteMeasure(locs, np.array([w0, 1.0 - w0])))
+
+    def test_two_atom_closed_form_equal_weights(self):
+        rng = np.random.default_rng(29)
+        for _ in range(50):
+            locs = np.sort(rng.uniform(0.001, 0.999, size=2))
+            self._check_closed_form(
+                DiscreteMeasure(locs, np.array([0.5, 0.5])))
+
+    @pytest.mark.parametrize("locs", [(0.25, 0.3), (0.3, 0.45), (0.26, 0.5), (0.4, 0.5)])
+    def test_two_atom_closed_form_exact_ties(self, locs):
+        # both rates in [1/4, 1/2], so every coupled union rate is 1/2
+        x = np.array(locs)
+        cost = binary_entropy(coupled_union_prob(x[:, None], x[None, :]))
+        assert 2.0 * cost[0, 1] == cost[0, 0] + cost[1, 1]
+        for w0 in (0.2, 0.5, 0.7):
+            self._check_closed_form(
+                DiscreteMeasure(x, np.array([w0, 1.0 - w0])))
+
     def test_atom_cap(self):
         locs = np.linspace(0.001, 0.999, 201)
         mu = DiscreteMeasure(locs, np.full(201, 1.0 / 201))
@@ -245,12 +282,45 @@ class TestDeltaSearch:
         assert rep.failure_at_threshold
         assert rep.binding_measure is not None
 
-    def test_deterministic_and_parallel_safe(self):
+    def test_deterministic(self):
         kw = dict(u_cap_steps=40, delta_max=0.02, v_steps=24, mean_steps=16,
                   search_points=3, search_restarts=12, seed=59)
-        a = delta_search(0.05, jobs=1, **kw)
-        b = delta_search(0.05, jobs=2, **kw)
-        assert a == b
+        assert delta_search(0.05, **kw) == delta_search(0.05, **kw)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.05, 0.5, 1.0])
+    @pytest.mark.parametrize("seed", [1, 43])
+    def test_matches_per_measure_loop(self, alpha, seed):
+        kw = dict(u_cap_steps=60, delta_max=0.02, v_steps=24, mean_steps=16,
+                  search_points=3, search_restarts=12, seed=seed)
+        assert delta_search(alpha, **kw) == delta_search_loop(alpha, **kw)
+
+    def test_work_counters(self):
+        kw = dict(u_cap_steps=10, v_steps=8, mean_steps=8, search_points=3,
+                  search_restarts=2, seed=43)
+        rep = delta_search(0.05, **kw)
+        assert rep.lp_solves > 0
+        assert rep.closed_form_couplings + rep.lp_solves == rep.measures_scanned
+        assert rep.lp_fallbacks == 0
+        plain = delta_search(0.0, **kw)
+        assert (plain.closed_form_couplings, plain.lp_solves) == (0, 0)
+
+    def test_counts_lp_fallbacks(self, monkeypatch):
+        monkeypatch.setattr(uclab.coupling, "_rebuild_from_support", lambda raw, w: None)
+        rep = delta_search(0.05, u_cap_steps=10, v_steps=8, mean_steps=8, search_points=3,
+                           search_restarts=2, seed=43)
+        assert rep.lp_solves > 0
+        assert rep.lp_fallbacks == rep.lp_solves
+
+    @pytest.mark.parametrize("kw", [dict(u_cap_steps=10**12), dict(v_steps=10**9),
+                                    dict(mean_steps=10**9)])
+    def test_grid_bounded_before_allocation(self, kw):
+        with pytest.raises(ValueError, match=str(MAX_DELTA_GRID_CELLS)):
+            delta_search(0.05, **kw)
+
+    @pytest.mark.parametrize("delta_max", [0.0, -0.01, 5e-324, math.inf, math.nan])
+    def test_rejects_bad_delta_max(self, delta_max):
+        with pytest.raises(ValueError):
+            delta_search(0.05, delta_max=delta_max)
 
 
 class TestGreedyCouplingDP:

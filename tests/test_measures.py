@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import os
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from uclab.measures import (
     linearized_objective,
     local_search_min,
     objective,
+    parallel_map,
     two_atom_min_scan,
     two_atom_objective,
 )
@@ -326,6 +329,27 @@ class TestLemmaCertificate:
         )
         assert not cert.scan_ok
         assert cert.worst_slack < -1e-3
+
+    def test_jobs_clamped_to_cpu_count(self, monkeypatch):
+        seen = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                return map(fn, items)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        assert parallel_map(abs, range(-5, 5), 10**6) == [abs(i) for i in range(-5, 5)]
+        assert seen == [3]
 
     def test_parallel_matches_serial(self):
         kw = dict(u_steps=30, v_steps=60, restarts=8, atom_grid=200,
