@@ -54,6 +54,8 @@ from .setdist import (
     union_entropy_check,
 )
 
+MAX_SCALAR_GRID = 1_000_000
+
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write the report here instead of stdout")
@@ -132,13 +134,18 @@ def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("UCLAB_SEED")
-    if env is not None:
+    if env is None:
+        return DEFAULT_SEED
+    try:
         return int(env)
-    return DEFAULT_SEED
+    except ValueError:
+        raise ValueError(f"UCLAB_SEED must be an integer, got {env!r}") from None
 
 
 def cmd_scalar(args, seed: int):
     grid = args.grid
+    if not 0 < grid <= MAX_SCALAR_GRID:
+        raise ValueError(f"--grid must be a positive integer of at most {MAX_SCALAR_GRID}")
     tol_sym = 1e-14
     rows = []
     failures = []
@@ -390,9 +397,9 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    seed = _resolve_seed(args)
     t0 = time.perf_counter()
     try:
+        seed = _resolve_seed(args)
         results, failures = _HANDLERS[args.command](args, seed)
     except (ValueError, OSError) as exc:
         print(f"uclab: error: {exc}", file=sys.stderr)

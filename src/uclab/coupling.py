@@ -10,8 +10,9 @@ falls below max(p, r), which is the entropy gain this construction buys.
 For a measure mu on [0, 1], the smallest possible expected union entropy
 over all couplings of two mu-samples (marginals both mu, cost ->
 H(coupled_union_prob)) has a closed form for one or two atoms and is a
-transportation linear program for three up to MAX_LP_ATOMS; its value
-enters the blended slack
+transportation linear program for three up to MAX_LP_ATOMS, solved exactly
+by the in-package transportation simplex `linprog`; its value enters the
+blended slack
 
     (1 - alpha) E_{mu x mu}[H(p + q - pq)] + alpha * worst - E_mu[H(p)]
 
@@ -27,11 +28,8 @@ both one-sided marginals provably uniform.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .families import Family, is_union_closed
 from .measures import DEFAULT_SEED, DiscreteMeasure, local_search_min, objective
@@ -39,6 +37,7 @@ from .scalars import GOLDEN_THRESHOLD, binary_entropy, union_prob
 from .setdist import ExplicitSetDistribution, union_of_independent
 
 MAX_LP_ATOMS = 200
+MAX_PIVOTS_PER_CELL = 10
 MARGINAL_TOL = 1e-12
 MAX_DELTA_GRID_CELLS = 1_000_000
 
@@ -91,15 +90,6 @@ class JointMeasure:
         object.__setattr__(self, "weights", w)
 
 
-@lru_cache(maxsize=32)
-def _transport_constraints(m: int):
-    ones = np.ones(m)
-    eye = sparse.eye(m, format="csr")
-    rows = sparse.kron(eye, ones.reshape(1, m), format="csr")
-    cols = sparse.kron(ones.reshape(1, m), eye, format="csr")
-    return sparse.vstack([rows, cols], format="csr")
-
-
 @dataclass(frozen=True)
 class WorstCouplingReport:
     """Minimum expected coupled-union entropy over all couplings of mu."""
@@ -116,11 +106,12 @@ def worst_coupling_value(mu: DiscreteMeasure) -> WorstCouplingReport:
 
     Two atoms have a closed form: every coupling is [[w0-t, t], [t, w1-t]]
     with t in [0, min(w0, w1)], and the cost is linear in t, so the optimum
-    sits at an endpoint.  Three or more atoms (at most MAX_LP_ATOMS) go to a
-    dense transportation LP; its optimal vertex is cleaned up by re-deriving
-    its weights from the marginals along the support forest, so the
-    returned coupling satisfies the marginal constraints to MARGINAL_TOL
-    rather than solver tolerance (repaired=False when that rebuild fails).
+    sits at an endpoint.  Three or more atoms (at most MAX_LP_ATOMS) go to
+    the exact transportation simplex `linprog`; its optimal vertex is
+    cleaned up by re-deriving its weights from the marginals along the
+    support forest, so the returned coupling satisfies the marginal
+    constraints to MARGINAL_TOL rather than to the rounding the pivots
+    accumulate (repaired=False when that rebuild fails).
     The value can never exceed the independent coupling's, which is also
     reported.
     """
@@ -147,20 +138,9 @@ def worst_coupling_value(mu: DiscreteMeasure) -> WorstCouplingReport:
             independent_value=independent,
             repaired=True,
         )
-    # presolve can hand back a non-vertex optimum on the ties in this cost
-    # matrix; without it the simplex solution is basic, so its support is a
-    # forest and the marginal-exact rebuild below goes through
-    res = linprog(
-        cost.ravel(),
-        A_eq=_transport_constraints(m),
-        b_eq=np.concatenate([w, w]),
-        bounds=(0.0, None),
-        method="highs",
-        options={"presolve": False},
-    )
-    if res.status != 0:
-        raise RuntimeError(f"transportation LP failed: {res.message}")
-    raw = res.x.reshape(m, m)
+    # the simplex solution is basic, so its support is a forest and the
+    # marginal-exact rebuild below goes through
+    raw = linprog(cost, w)
     repaired_w = _rebuild_from_support(raw, w)
     if repaired_w is not None:
         coupling = JointMeasure(mu, mu, repaired_w)
@@ -168,13 +148,113 @@ def worst_coupling_value(mu: DiscreteMeasure) -> WorstCouplingReport:
         repaired = True
     else:
         coupling = JointMeasure(mu, mu, raw, tol=1e-8)
-        value = float(res.fun)
+        value = float((raw * cost).sum())
         repaired = False
     return WorstCouplingReport(
         value=value,
         coupling=coupling,
         independent_value=independent,
         repaired=repaired,
+    )
+
+
+def linprog(cost: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Optimal basic solution of min sum_ij W_ij cost_ij over W >= 0 with
+    row and column sums both w, as an (m, m) array.
+
+    A transportation simplex.  The basis is a spanning tree of 2m - 1 cells
+    on the row/column graph, started from the north-west-corner staircase,
+    with potentials u_i + v_j = cost_ij on every tree cell.  Each pivot
+    enters the cell of most negative reduced cost (below -1e-12 max|cost|)
+    and pushes flow around the cycle it closes; the leaving cell is the
+    decreasing cell of smallest flow, ties going to the lowest basis index,
+    and only the subtree it cuts off gets new potentials.  Raises
+    RuntimeError after MAX_PIVOTS_PER_CELL * m * m pivots.
+
+    The name is kept from the general LP solver this replaced:
+    bench/tracer.py wraps uclab.coupling.linprog by that name to count the
+    transport solves (coupling.linprog.calls).
+    """
+    m = w.size
+    c = cost.tolist()
+    basis, flow = [], []
+    row_res, col_res = w.tolist(), w.tolist()
+    i = j = 0
+    while True:
+        f = max(min(row_res[i], col_res[j]), 0.0)
+        basis.append((i, j))
+        flow.append(f)
+        row_res[i] -= f
+        col_res[j] -= f
+        if i == m - 1 and j == m - 1:
+            break
+        if j == m - 1 or (i < m - 1 and row_res[i] <= col_res[j]):
+            i += 1
+        else:
+            j += 1
+    enter_below = -1e-12 * float(np.abs(cost).max())
+    # tree nodes: rows 0..m-1, columns m..2m-1, rooted at row 0;
+    # adj[a][b] is the basis index of the tree edge a-b, up[a] that of the
+    # edge from a to its parent
+    adj = [{} for _ in range(2 * m)]
+    for k, (r, s) in enumerate(basis):
+        adj[r][m + s] = adj[m + s][r] = k
+    pot = [0.0] * (2 * m)
+    parent, up, depth = [-1] * (2 * m), [-1] * (2 * m), [0] * (2 * m)
+
+    def hang(root):
+        # parents, depths and potentials of the subtree below root
+        stack = [root]
+        while stack:
+            a = stack.pop()
+            for b, k in adj[a].items():
+                if b != parent[a]:
+                    r, s = basis[k]
+                    pot[b] = c[r][s] - pot[a]
+                    parent[b], up[b], depth[b] = a, k, depth[a] + 1
+                    stack.append(b)
+
+    hang(0)
+    for _ in range(MAX_PIVOTS_PER_CELL * m * m):
+        pot_arr = np.array(pot)
+        reduced = cost - pot_arr[:m, None] - pot_arr[None, m:]
+        e = int(np.argmin(reduced))
+        if reduced.flat[e] >= enter_below:
+            out = np.zeros((m, m))
+            rows, cols = zip(*basis)
+            out[rows, cols] = flow
+            return out
+        i, j = divmod(e, m)
+        # the tree path from row i to column j closes the cycle; its edges
+        # alternate -theta (first, at row i) and +theta
+        a, b = i, m + j
+        from_row, from_col = [], []
+        while a != b:
+            if depth[a] >= depth[b]:
+                from_row.append(up[a])
+                a = parent[a]
+            else:
+                from_col.append(up[b])
+                b = parent[b]
+        path = from_row + from_col[::-1]
+        theta, leave = min((flow[k], k) for k in path[0::2])
+        for k in path[0::2]:
+            flow[k] -= theta
+        for k in path[1::2]:
+            flow[k] += theta
+        r, s = basis[leave]
+        del adj[r][m + s], adj[m + s][r]
+        adj[i][m + j] = adj[m + j][i] = leave
+        basis[leave] = (i, j)
+        flow[leave] = theta
+        # the leaving edge cut off the subtree holding row i or column j;
+        # hang it from the entering edge and re-derive it
+        a, b = (i, m + j) if leave in from_row else (m + j, i)
+        pot[a] = c[i][j] - pot[b]
+        parent[a], up[a], depth[a] = b, leave, depth[b] + 1
+        hang(a)
+    raise RuntimeError(
+        f"transportation LP failed: no optimum within {MAX_PIVOTS_PER_CELL * m * m} pivots"
     )
 
 

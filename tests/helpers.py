@@ -4,8 +4,9 @@ The oracles here deliberately avoid the library's fast paths: the union
 convolution is the quadratic double loop over support pairs, entropies are
 summed directly, the table kernels (marginal, conditional, chain profile)
 are plain loops over every mask, union-closed families come from a
-plain fixpoint closure, and the delta search is the one-measure-at-a-time
-loop.  Anything the library computes cleverly is checked against these.
+plain fixpoint closure, the transport LP is scipy's general HiGHS solver,
+and the delta search is the one-measure-at-a-time loop.  Anything the
+library computes cleverly is checked against these.
 """
 
 import math
@@ -119,6 +120,33 @@ def brute_force_union_closed_count(n):
         if ok:
             count += 1
     return count
+
+
+def highs_transport_value(cost, w):
+    """Optimal value of min sum_ij W_ij cost_ij over W >= 0 with both
+    marginals w, from scipy's HiGHS (a test-only dependency): the general
+    LP solver the in-package transportation simplex is checked against.
+
+    HiGHS stops at an absolute feasibility tolerance of about 1e-7, so on
+    marginals summing to 1 its objective can sit that far below the exact
+    optimum.  The LP is homogeneous in the marginals, so it is solved for
+    w scaled by 1e6 and the value scaled back, which shrinks that error
+    below 1e-12.
+    """
+    from scipy.optimize import linprog
+
+    m = w.size
+    scale = 1e6
+    eye, ones = np.eye(m), np.ones((1, m))
+    res = linprog(
+        cost.ravel(),
+        A_eq=np.vstack([np.kron(eye, ones), np.kron(ones, eye)]),
+        b_eq=scale * np.concatenate([w, w]),
+        bounds=(0.0, None),
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return float(res.fun) / scale
 
 
 def delta_search_loop(alpha, u_cap_steps=200, delta_max=0.02, v_steps=96, mean_steps=64,

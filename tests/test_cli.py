@@ -1,10 +1,14 @@
 import json
-from types import SimpleNamespace
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from uclab.cli import main
+import uclab
+from uclab.cli import MAX_SCALAR_GRID, main
 from uclab.families import Family, save_family
 from uclab.setdist import golden_threshold_mixture, product_bernoulli, save_distribution, save_mixture
 
@@ -59,7 +63,7 @@ class TestExitCodes:
         import uclab.coupling
 
         def failing_linprog(*args, **kwargs):
-            return SimpleNamespace(status=4, message="stub solver failure", x=None)
+            raise RuntimeError("transportation LP failed: stub solver failure")
 
         monkeypatch.setattr(uclab.coupling, "linprog", failing_linprog)
         code, out = run(
@@ -99,6 +103,14 @@ class TestDeterminism:
         )
         assert json.loads(out2.read_text())["config"]["seed"] == 5
 
+    def test_bad_env_seed_exits_two(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("UCLAB_SEED", "abc")
+        out = tmp_path / "x.json"
+        assert main(["families", "--n", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["uclab: error: UCLAB_SEED must be an integer, got 'abc'"]
+        assert not out.exists()
+
     def test_report_round_trips(self, tmp_path):
         _, out = run(FAST_LEMMA, tmp_path)
         report = json.loads(out.read_text())
@@ -124,6 +136,25 @@ class TestScalarCommand:
         assert all(r["ok"] for r in rows)
         names = {r["check"] for r in rows}
         assert "third_derivative_match" in names
+
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_non_positive_grid_exits_two(self, grid, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert main(["scalar", f"--grid={grid}", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"uclab: error: --grid must be a positive integer of at most {MAX_SCALAR_GRID}"]
+        assert not out.exists()
+
+    def test_huge_grid_exits_two_before_allocating(self, tmp_path, monkeypatch, capsys):
+        def no_arange(*args, **kwargs):
+            raise AssertionError("np.arange ran before the grid was bounded")
+
+        monkeypatch.setattr(np, "arange", no_arange)
+        out = tmp_path / "x.json"
+        assert main(["scalar", "--grid", "1000000000000", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("uclab: error: --grid must be")
+        assert not out.exists()
 
 
 class TestFamiliesCommand:
@@ -242,3 +273,27 @@ class TestCouplingCommand:
         captured = capsys.readouterr()
         report = json.loads(captured.out)
         assert report["passed"] is True
+
+
+def test_runtime_never_imports_scipy(tmp_path):
+    # a fresh interpreter: scipy may already sit in this one's sys.modules
+    script = f"""
+import json, sys
+from uclab.cli import main
+assert main(["coupling", "delta-search", "--delta-steps", "100", "--v-steps", "32",
+             "--mean-steps", "24", "--search-points", "3", "--search-restarts", "12",
+             "--out", {str(tmp_path / "delta.json")!r}]) == 0
+assert main(["all", "--jobs", "1", "--out", {str(tmp_path / "all.json")!r}]) == 0
+print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))
+"""
+    env = dict(os.environ)
+    env.pop("UCLAB_SEED", None)
+    src = str(Path(uclab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+    delta = json.loads((tmp_path / "delta.json").read_text())["results"]
+    suite = json.loads((tmp_path / "all.json").read_text())["results"]["suites"]["coupling"]
+    assert delta["lp_solves"] > 0 and suite["lp_solves"] > 0

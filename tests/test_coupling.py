@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import uclab.coupling
-from helpers import delta_search_loop, random_union_closed
+from helpers import delta_search_loop, highs_transport_value, random_union_closed
 from uclab.coupling import (
     MAX_DELTA_GRID_CELLS,
     JointMeasure,
@@ -235,6 +237,77 @@ class TestWorstCoupling:
         locs = np.linspace(0.001, 0.999, 201)
         mu = DiscreteMeasure(locs, np.full(201, 1.0 / 201))
         with pytest.raises(ValueError):
+            worst_coupling_value(mu)
+
+
+def _lp_cost(mu):
+    x = mu.locations
+    return binary_entropy(coupled_union_prob(x[:, None], x[None, :]))
+
+
+def _check_against_highs(mu):
+    # the simplex's own basic solution: feasible before any rebuild, on a
+    # support of at most 2m - 1 cells
+    cost, m = _lp_cost(mu), mu.size()
+    raw = uclab.coupling.linprog(cost, mu.weights)
+    assert raw.min() >= 0.0 and np.count_nonzero(raw) <= 2 * m - 1
+    assert np.abs(raw.sum(axis=1) - mu.weights).max() <= 1e-12
+    assert np.abs(raw.sum(axis=0) - mu.weights).max() <= 1e-12
+    rep = worst_coupling_value(mu)
+    w = rep.coupling.weights
+    assert rep.repaired
+    assert np.abs(w.sum(axis=1) - mu.weights).max() <= 1e-12
+    assert np.abs(w.sum(axis=0) - mu.weights).max() <= 1e-12
+    assert abs(rep.value - float((raw * cost).sum())) <= 1e-12
+    assert rep.value <= highs_transport_value(cost, mu.weights) + 1e-12
+    assert rep.value <= rep.independent_value + 1e-12
+
+
+class TestTransportSimplex:
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_matches_vertex_enumeration(self, m):
+        rng = np.random.default_rng(31 + m)
+        for trial in range(12 if m == 3 else 6):
+            # every other measure sits in the flat region: all atoms in
+            # [1/4, 1/2), where every coupled union rate is 1/2
+            lo, hi = (0.25, 0.5) if trial % 2 else (0.01, 0.99)
+            locs = np.sort(rng.choice(np.arange(lo, hi, 0.01), size=m, replace=False))
+            mu = DiscreteMeasure(locs, rng.dirichlet(np.ones(m)))
+            if trial % 2:
+                assert np.all(_lp_cost(mu) == math.log(2.0))
+            rep = worst_coupling_value(mu)
+            assert rep.repaired
+            assert abs(rep.value - brute_force_worst_coupling(mu)) <= 1e-12
+
+    def test_matches_highs_with_ties(self):
+        # locations rounded to a coarse grid repeat cost values, so the
+        # optimum is degenerate and often not unique
+        rng = np.random.default_rng(37)
+        for m in (3, 5, 8, 13, 21, 34, 60):
+            for decimals, concentration in ((1, 0.3), (2, 1.0), (3, 3.0)):
+                locs = np.unique(np.round(rng.uniform(0.0, 1.0, size=m), decimals))
+                if locs.size < 3:
+                    continue
+                weights = rng.dirichlet(np.full(locs.size, concentration))
+                _check_against_highs(DiscreteMeasure(locs, weights))
+        locs = np.linspace(0.001, 0.999, 60)
+        _check_against_highs(DiscreteMeasure(locs, np.full(60, 1.0 / 60)))
+
+    @given(
+        st.lists(st.integers(0, 40), min_size=3, max_size=12, unique=True),
+        st.lists(st.integers(0, 20), min_size=12, max_size=12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_measures_property(self, grid_points, masses):
+        locs = np.array(sorted(grid_points)) / 40.0
+        weights = np.array(masses[: locs.size], dtype=float)
+        assume(weights.sum() > 0.0)
+        _check_against_highs(DiscreteMeasure(locs, weights / weights.sum()))
+
+    def test_pivot_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(uclab.coupling, "MAX_PIVOTS_PER_CELL", 0)
+        mu = DiscreteMeasure(np.array([0.1, 0.3, 0.7]), np.array([0.2, 0.3, 0.5]))
+        with pytest.raises(RuntimeError, match="transportation LP failed"):
             worst_coupling_value(mu)
 
 
