@@ -434,8 +434,10 @@ def delta_search(
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    if u_cap_steps < 1:
-        raise ValueError("u_cap_steps must be positive")
+    if min(u_cap_steps, search_points, search_restarts) < 1:
+        raise ValueError("u_cap_steps, search_points and search_restarts must be positive")
+    if min(v_steps, mean_steps) < 0:
+        raise ValueError("v_steps and mean_steps must be nonnegative")
     # the band just above the threshold holds at most u_cap_steps + 1 means
     cells = (mean_steps + u_cap_steps + 1) * (v_steps + 1)
     if cells > MAX_DELTA_GRID_CELLS:

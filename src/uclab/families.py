@@ -115,8 +115,8 @@ def max_element_frequency(f: Family) -> FrequencyReport:
 
 def _union_closed_family_codes(n: int) -> np.ndarray:
     """All nonempty union-closed families on [n], as increasing bit codes."""
-    if n > MAX_ENUMERATION_N:
-        raise ValueError(f"exhaustive enumeration is limited to n <= {MAX_ENUMERATION_N}")
+    if not 1 <= n <= MAX_ENUMERATION_N:
+        raise ValueError(f"exhaustive enumeration needs 1 <= n <= {MAX_ENUMERATION_N}, got {n}")
     p = 1 << n
     codes = np.arange(1, 1 << p, dtype=np.uint32)
     ok = np.ones(codes.size, dtype=bool)

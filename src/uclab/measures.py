@@ -173,6 +173,7 @@ def two_atom_min_scan(u: float, v_steps: int = 1000, lam: float | None = None) -
     u and the golden threshold exactly so the analytic equality cases land
     on grid points; among slacks tied within 1e-12 the largest v is
     reported, since the trivial zero at v = 0 would otherwise mask them.
+    This is the one-row case of _two_atom_scan_rows.
     """
     u = float(u)
     if not 0.0 < u < 1.0:
@@ -181,20 +182,50 @@ def two_atom_min_scan(u: float, v_steps: int = 1000, lam: float | None = None) -
         raise ValueError("v_steps must be at least 2")
     if lam is None:
         lam = entropy_ratio_bound(u)
-    vs = np.linspace(0.0, u, v_steps)
-    if GOLDEN_THRESHOLD < u:
-        vs = np.unique(np.append(vs, GOLDEN_THRESHOLD))
-    w = (1.0 - u) / (1.0 - vs)
-    slack = w * w * binary_entropy(union_prob(vs, vs)) - lam * w * binary_entropy(vs)
-    lo = float(slack.min())
-    near = np.nonzero(slack <= lo + 1e-12)[0]
+    sizes, slacks, argmins = _two_atom_scan_rows(np.array([u]), np.array([float(lam)]), v_steps)
     return TwoAtomScanReport(
         u=u,
         lam=float(lam),
-        v_steps=int(vs.size),
-        min_slack=lo,
-        argmin_v=float(vs[near[-1]]),
+        v_steps=int(sizes[0]),
+        min_slack=float(slacks[0]),
+        argmin_v=float(argmins[0]),
     )
+
+
+def _two_atom_scan_rows(us: np.ndarray, lams: np.ndarray, v_steps: int, cells: int = 1 << 14):
+    """two_atom_min_scan for every u of `us` (with factor lams[k] at us[k]),
+    as arrays: grid sizes, minimum slacks and tie-broken argmin v.
+
+    Row k scans the grid linspace(0, us[k], v_steps), plus the golden
+    threshold when it lies below us[k]: the threshold is one more column,
+    kept out of the minimum (infinite slack) in the other rows, and the
+    largest-v tie-break is a max over values, so the column order does not
+    matter.  Rows go through in blocks of about `cells` grid points so peak
+    memory does not grow with the number of rows.
+    """
+    sizes = np.full(us.size, v_steps, dtype=np.int64)
+    slacks = np.empty(us.size)
+    argmins = np.empty(us.size)
+    block = max(1, cells // v_steps)
+    for lo in range(0, us.size, block):
+        u = us[lo : lo + block, None]
+        lam = lams[lo : lo + block, None]
+        vs = np.linspace(0.0, u[:, 0], v_steps, axis=1)
+        golden = u > GOLDEN_THRESHOLD
+        sizes[lo : lo + block] += golden[:, 0] & ~(vs == GOLDEN_THRESHOLD).any(axis=1)
+        gold = np.where(golden, _two_atom_slack(u, GOLDEN_THRESHOLD, lam), np.inf)
+        slack = np.hstack([_two_atom_slack(u, vs, lam), gold])
+        vs = np.hstack([vs, np.full_like(u, GOLDEN_THRESHOLD)])
+        low = slack.min(axis=1, keepdims=True)
+        slacks[lo : lo + block] = low[:, 0]
+        argmins[lo : lo + block] = np.where(slack <= low + 1e-12, vs, -np.inf).max(axis=1)
+    return sizes, slacks, argmins
+
+
+def _two_atom_slack(u, vs, lam):
+    """J(w delta_v + (1 - w) delta_1) with w = (1 - u)/(1 - v), elementwise."""
+    w = (1.0 - u) / (1.0 - vs)
+    return w * w * binary_entropy(union_prob(vs, vs)) - lam * w * binary_entropy(vs)
 
 
 def f_mu(mu: DiscreteMeasure, lam: float, q) -> float | np.ndarray:
@@ -305,13 +336,13 @@ def local_search_min(
         rng = np.random.default_rng(seed + r)
         picks = rng.choice(grid, size=min(pool_size, grid.size), replace=False)
         x = np.unique(np.concatenate([picks, specials]))
-        m = x.size
-        big_h = _union_entropy_matrix(x, x)
-        h = binary_entropy(x)
+        # one entropy call: the union-entropy matrix on top, H(x) below it
+        ent = binary_entropy(np.vstack([union_prob(x[:, None], x[None, :]), x]))
+        big_h, h = ent[:-1], ent[-1]
+        terms = _exchange_terms(x, big_h, h, lam)
         w = _random_feasible_start(rng, x, u)
-        val = float(w @ big_h @ w - lam * np.dot(w, h))
         for _ in range(max_rounds):
-            move = _best_exchange_move(x, w, big_h, h, lam, u)
+            move = _best_exchange_move(x, w, big_h, terms, u)
             if move is None:
                 break
             a, b, delta = move
@@ -319,7 +350,7 @@ def local_search_min(
             w[b] += delta
             if w[a] < 0.0:
                 w[a] = 0.0
-            val = float(w @ big_h @ w - lam * np.dot(w, h))
+        val = float(w @ big_h @ w - lam * np.dot(w, h))
         if val < best_val:
             best_val = val
             keep = w > 0.0
@@ -355,39 +386,49 @@ def _random_feasible_start(rng, x: np.ndarray, u: float) -> np.ndarray:
     return w
 
 
-def _best_exchange_move(x, w, big_h, h, lam, u):
+def _exchange_terms(x, big_h, h, lam):
+    """The parts of an exchange move's change in J that do not depend on the
+    weights: the curvature H_aa - 2 H_ab + H_bb, lam times the change in the
+    linear term, and the change in location."""
+    diag = np.diag(big_h)
+    curvature = diag[:, None] - 2.0 * big_h + diag[None, :]
+    lam_d_lin = lam * (h[None, :] - h[:, None])
+    d_mean = x[None, :] - x[:, None]
+    return curvature, lam_d_lin, d_mean
+
+
+def _best_exchange_move(x, w, big_h, terms, u):
     """Best value-decreasing transfer of mass between two locations.
 
     Move deltas are the full or half mass of the source atom; the change in
-    J is evaluated in closed form from the cached entropy matrix.  Returns
-    (source, target, delta) or None when no move improves by more than
-    1e-14.  Near-ties are resolved toward the largest target location,
-    mirroring the push-to-the-boundary structure of the minimizers.
+    J is evaluated in closed form from the cached entropy matrix and the
+    weight-free terms of _exchange_terms.  Returns (source, target, delta)
+    or None when no move improves by more than 1e-14.  Near-ties are
+    resolved toward the largest target location, mirroring the
+    push-to-the-boundary structure of the minimizers.
     """
-    m = x.size
+    curvature, lam_d_lin, d_mean = terms
     mw = big_h @ w
     mean = float(np.dot(x, w))
-    diag = np.diag(big_h)
-    d_cross = mw[None, :] - mw[:, None]
-    d_quad_curv = diag[:, None] - 2.0 * big_h + diag[None, :]
-    d_lin = h[None, :] - h[:, None]
-    d_mean = x[None, :] - x[:, None]
+    slope = 2.0 * (mw[None, :] - mw[:, None]) - lam_d_lin
     best = None
     best_val = -1e-14
     for frac in (1.0, 0.5):
         delta = frac * w[:, None]
-        dval = delta * (2.0 * d_cross - lam * d_lin) + delta * delta * d_quad_curv
+        dval = delta * slope + delta * delta * curvature
+        # a move onto its own location changes J by exactly 0, so the
+        # diagonal never passes the -1e-14 bar and needs no mask
         feasible = (delta > 0.0) & (mean + delta * d_mean <= u + MEAN_SLACK)
-        np.fill_diagonal(feasible, False)
         if not feasible.any():
             continue
         masked = np.where(feasible, dval, np.inf)
         lo = float(masked.min())
         if lo >= best_val:
             continue
-        near = np.argwhere(masked <= lo + 1e-15)
-        a, b = max(near, key=lambda ab: x[ab[1]])
-        best = (int(a), int(b), float(delta[a, 0]))
+        # among near-ties the first (row-major) with the largest target location
+        rows, cols = np.nonzero(masked <= lo + 1e-15)
+        k = int(np.argmax(x[cols]))
+        best = (int(rows[k]), int(cols[k]), float(delta[rows[k], 0]))
         best_val = lo
     return best
 
@@ -443,13 +484,15 @@ def lemma_certificate(
     multiplies the bound factor and exists so a deliberately inflated
     factor can be seen to fail.
     """
+    if min(u_steps, restarts, atom_grid, search_points) < 1:
+        raise ValueError("u_steps, restarts, atom_grid and search_points must be positive")
+    if v_steps < 2:
+        raise ValueError("v_steps must be at least 2")
     us = np.arange(1, u_steps + 1) / (u_steps + 1.0)
     us = np.unique(np.append(us, GOLDEN_THRESHOLD))
     lams = np.array([entropy_ratio_bound(float(u)) * lam_scale for u in us])
 
-    scan_args = [(float(u), v_steps, float(lam)) for u, lam in zip(us, lams)]
-    scans = parallel_map(_scan_task, scan_args, jobs)
-    slacks = np.array([s.min_slack for s in scans])
+    _, slacks, argmins = _two_atom_scan_rows(us, lams, v_steps)
     worst_idx = int(np.argmin(slacks))
 
     pick = np.unique(np.linspace(0, us.size - 1, min(search_points, us.size)).astype(int))
@@ -461,24 +504,24 @@ def lemma_certificate(
         for k in pick
     ]
     searches = parallel_map(_search_task, search_args, jobs)
-    margins = [scans[k].min_slack - s.best_value for k, s in zip(pick, searches)]
+    margins = [slacks[k] - s.best_value for k, s in zip(pick, searches)]
     worst_margin = float(max(margins))
 
     rows = tuple(
         {
             "u": float(u),
             "ratio_bound": float(lam),
-            "min_slack": float(s.min_slack),
-            "argmin_v": float(s.argmin_v),
+            "min_slack": float(slack),
+            "argmin_v": float(v),
         }
-        for u, lam, s in zip(us, lams, scans)
+        for u, lam, slack, v in zip(us, lams, slacks, argmins)
     )
     return LemmaCertificate(
         u_steps=int(us.size),
         v_steps=v_steps,
         worst_slack=float(slacks[worst_idx]),
         worst_u=float(us[worst_idx]),
-        argmin_v_at_worst=float(scans[worst_idx].argmin_v),
+        argmin_v_at_worst=float(argmins[worst_idx]),
         scan_ok=bool(slacks[worst_idx] >= -scan_tol),
         search_points=int(pick.size),
         search_restarts=per * int(pick.size),
@@ -488,11 +531,6 @@ def lemma_certificate(
         lam_scale=float(lam_scale),
         rows=rows,
     )
-
-
-def _scan_task(args):
-    u, v_steps, lam = args
-    return two_atom_min_scan(u, v_steps, lam=lam)
 
 
 def _search_task(args):

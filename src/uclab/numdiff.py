@@ -8,13 +8,21 @@ the whole stencil stays inside the domain of functions that blow up there.
 
 from __future__ import annotations
 
+import numpy as np
 
-def scaled_step(x: float, base: float = 1e-4) -> float:
-    """Step size base * min(1, d/0.05) where d is the distance to {0, 1}."""
-    d = min(x, 1.0 - x)
-    if d <= 0.0:
+
+def scaled_step(x, base: float = 1e-4):
+    """Step size base * min(1, d/0.05) where d is the distance to {0, 1}.
+
+    Accepts a float or an ndarray (one step per point); any point outside
+    the open interval (0, 1) is rejected.
+    """
+    arr = np.asarray(x, dtype=float)
+    d = np.minimum(arr, 1.0 - arr)
+    if not np.all(d > 0.0):
         raise ValueError("x must lie strictly inside (0, 1)")
-    return base * min(1.0, d / 0.05)
+    step = base * np.minimum(1.0, d / 0.05)
+    return float(step) if arr.ndim == 0 else step
 
 
 def second_derivative(f, x: float, h: float) -> float:
@@ -24,8 +32,9 @@ def second_derivative(f, x: float, h: float) -> float:
     ) / (12.0 * h * h)
 
 
-def third_derivative(f, x: float, h: float) -> float:
-    """Five-point central estimate of f'''(x), O(h^2) truncation error."""
+def third_derivative(f, x, h):
+    """Five-point central estimate of f'''(x), O(h^2) truncation error;
+    elementwise over arrays x and h when f is."""
     return (-f(x - 2 * h) + 2 * f(x - h) - 2 * f(x + h) + f(x + 2 * h)) / (
         2.0 * h ** 3
     )

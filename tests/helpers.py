@@ -5,8 +5,10 @@ convolution is the quadratic double loop over support pairs, entropies are
 summed directly, the table kernels (marginal, conditional, chain profile)
 are plain loops over every mask, union-closed families come from a
 plain fixpoint closure, the transport LP is scipy's general HiGHS solver,
-and the delta search is the one-measure-at-a-time loop.  Anything the
-library computes cleverly is checked against these.
+the delta search is the one-measure-at-a-time loop, the two-atom lemma
+scan is one grid per u, the exchange-move search recomputes every term
+each round, and the third-derivative check runs one point at a time.
+Anything the library computes cleverly is checked against these.
 """
 
 import math
@@ -20,8 +22,22 @@ from uclab.coupling import (
     worst_coupling_value,
 )
 from uclab.families import Family, union_closure
-from uclab.measures import DiscreteMeasure, local_search_min
-from uclab.scalars import GOLDEN_THRESHOLD, binary_entropy
+from uclab.measures import (
+    MEAN_SLACK,
+    DiscreteMeasure,
+    LocalSearchReport,
+    _is_two_point_with_top,
+    _random_feasible_start,
+    local_search_min,
+)
+from uclab.numdiff import third_derivative
+from uclab.scalars import (
+    GOLDEN_THRESHOLD,
+    binary_entropy,
+    d3_entropy_of_square,
+    d3_s_entropy,
+    union_prob,
+)
 from uclab.setdist import ExplicitSetDistribution
 
 
@@ -216,3 +232,102 @@ def delta_search_loop(alpha, u_cap_steps=200, delta_max=0.02, v_steps=96, mean_s
         min_slack_measure=_measure_summary(candidates[min_idx], slacks[min_idx]),
         seed=seed,
     )
+
+
+def two_atom_scan_loop(u, v_steps, lam):
+    """(grid size, min slack, argmin v) of the two-atom scan at one u: the
+    golden threshold inserted into the sorted grid, ties to the largest v."""
+    vs = np.linspace(0.0, u, v_steps)
+    if GOLDEN_THRESHOLD < u:
+        vs = np.unique(np.append(vs, GOLDEN_THRESHOLD))
+    w = (1.0 - u) / (1.0 - vs)
+    slack = w * w * binary_entropy(union_prob(vs, vs)) - lam * w * binary_entropy(vs)
+    lo = float(slack.min())
+    near = np.nonzero(slack <= lo + 1e-12)[0]
+    return int(vs.size), lo, float(vs[near[-1]])
+
+
+def local_search_loop(u, lam, atom_grid=1000, restarts=100, seed=1729, pool_size=24,
+                      max_rounds=200):
+    """local_search_min with every move term recomputed each round and J
+    evaluated after every move."""
+    grid = np.linspace(0.0, 1.0, atom_grid + 1)
+    specials = np.array([0.0, u, GOLDEN_THRESHOLD, 1.0])
+    best_val = np.inf
+    best_x = best_w = None
+    for r in range(restarts):
+        rng = np.random.default_rng(seed + r)
+        picks = rng.choice(grid, size=min(pool_size, grid.size), replace=False)
+        x = np.unique(np.concatenate([picks, specials]))
+        big_h = binary_entropy(union_prob(x[:, None], x[None, :]))
+        h = binary_entropy(x)
+        w = _random_feasible_start(rng, x, u)
+        val = float(w @ big_h @ w - lam * np.dot(w, h))
+        for _ in range(max_rounds):
+            move = _exchange_move_loop(x, w, big_h, h, lam, u)
+            if move is None:
+                break
+            a, b, delta = move
+            w[a] -= delta
+            w[b] += delta
+            if w[a] < 0.0:
+                w[a] = 0.0
+            val = float(w @ big_h @ w - lam * np.dot(w, h))
+        if val < best_val:
+            best_val = val
+            keep = w > 0.0
+            best_x, best_w = x[keep], w[keep]
+    measure = DiscreteMeasure.from_pairs(zip(best_x, best_w / best_w.sum()))
+    return LocalSearchReport(
+        best_value=float(best_val),
+        best_measure=measure,
+        mean_cap=u,
+        two_point_with_top=_is_two_point_with_top(measure),
+        restarts=restarts,
+        seed=seed,
+    )
+
+
+def _exchange_move_loop(x, w, big_h, h, lam, u):
+    mw = big_h @ w
+    mean = float(np.dot(x, w))
+    diag = np.diag(big_h)
+    d_cross = mw[None, :] - mw[:, None]
+    d_quad_curv = diag[:, None] - 2.0 * big_h + diag[None, :]
+    d_lin = h[None, :] - h[:, None]
+    d_mean = x[None, :] - x[:, None]
+    best = None
+    best_val = -1e-14
+    for frac in (1.0, 0.5):
+        delta = frac * w[:, None]
+        dval = delta * (2.0 * d_cross - lam * d_lin) + delta * delta * d_quad_curv
+        feasible = (delta > 0.0) & (mean + delta * d_mean <= u + MEAN_SLACK)
+        np.fill_diagonal(feasible, False)
+        if not feasible.any():
+            continue
+        masked = np.where(feasible, dval, np.inf)
+        lo = float(masked.min())
+        if lo >= best_val:
+            continue
+        near = np.argwhere(masked <= lo + 1e-15)
+        a, b = max(near, key=lambda ab: x[ab[1]])
+        best = (int(a), int(b), float(delta[a, 0]))
+        best_val = lo
+    return best
+
+
+def third_derivative_worst_loop(points=181):
+    """Worst relative error of the five-point third derivatives of H(s^2)
+    and s H(s) against their closed forms, one point of [0.05, 0.95] at a
+    time with the step 1e-4 * min(1, d/0.05), d the distance to {0, 1}."""
+    worst_rel = 0.0
+    for s in np.linspace(0.05, 0.95, points):
+        h = 1e-4 * min(1.0, min(s, 1.0 - s) / 0.05)
+        fd1 = third_derivative(lambda t: binary_entropy(t * t), s, h)
+        fd2 = third_derivative(lambda t: t * binary_entropy(t), s, h)
+        worst_rel = max(
+            worst_rel,
+            abs(fd1 - d3_entropy_of_square(s)) / abs(d3_entropy_of_square(s)),
+            abs(fd2 - d3_s_entropy(s)) / abs(d3_s_entropy(s)),
+        )
+    return worst_rel

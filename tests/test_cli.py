@@ -1,15 +1,23 @@
+import concurrent.futures
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import uclab
-from uclab.cli import MAX_SCALAR_GRID, main
-from uclab.families import Family, save_family
+import uclab.measures
+from helpers import third_derivative_worst_loop
+from uclab.cli import MAX_RANDOM_TABLE_N, MAX_SCALAR_GRID, main
+from uclab.families import Family, count_union_closed, save_family
 from uclab.setdist import golden_threshold_mixture, product_bernoulli, save_distribution, save_mixture
 
 FAST_LEMMA = ["lemma", "--u-steps", "30", "--v-steps", "60", "--restarts", "8",
@@ -111,12 +119,47 @@ class TestDeterminism:
         assert err == ["uclab: error: UCLAB_SEED must be an integer, got 'abc'"]
         assert not out.exists()
 
+    def test_all_runs_in_one_process(self, tmp_path, monkeypatch):
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("all started a process pool")
+
+        out1 = tmp_path / "j1.json"
+        out2 = tmp_path / "j2.json"
+        assert main(["all", "--jobs", "1", "--out", str(out1)]) == 0
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        assert main(["all", "--jobs", "2", "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
     def test_report_round_trips(self, tmp_path):
         _, out = run(FAST_LEMMA, tmp_path)
         report = json.loads(out.read_text())
         from uclab.reportio import dumps_json
 
         assert json.loads(dumps_json(report)) == report
+
+
+class TestLemmaCommand:
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--u-steps", "0"], "u_steps, restarts, atom_grid and search_points must be positive"),
+            (["--search-points", "0"], "u_steps, restarts, atom_grid and search_points must be positive"),
+            (["--v-steps", "1"], "v_steps must be at least 2"),
+        ],
+    )
+    def test_empty_grids_exit_two_before_any_work(self, flags, message, tmp_path, monkeypatch,
+                                                  capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("lemma started work before its flags were bounded")
+
+        monkeypatch.setattr(uclab.measures, "entropy_ratio_bound", no_work)
+        monkeypatch.setattr(uclab.measures, "parallel_map", no_work)
+        out = tmp_path / "x.json"
+        assert main(["lemma", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"uclab: error: {message}"]
+        assert not out.exists()
 
 
 class TestCsvOutput:
@@ -136,6 +179,13 @@ class TestScalarCommand:
         assert all(r["ok"] for r in rows)
         names = {r["check"] for r in rows}
         assert "third_derivative_match" in names
+
+    def test_third_derivative_worst_matches_point_loop(self, tmp_path):
+        # bit identity: one ulp in a stencil value moves this worst by ~1e-4
+        code, out = run(["scalar", "--grid", "1000"], tmp_path)
+        assert code == 0
+        rows = {r["check"]: r for r in json.loads(out.read_text())["results"]["rows"]}
+        assert rows["third_derivative_match"]["worst"] == third_derivative_worst_loop()
 
     @pytest.mark.parametrize("grid", ["0", "-3"])
     def test_non_positive_grid_exits_two(self, grid, tmp_path, capsys):
@@ -170,6 +220,20 @@ class TestFamiliesCommand:
         code, _ = run(["families", "--n", "2"], tmp_path)
         assert code == 0
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_count_is_the_scanned_families(self, n, tmp_path):
+        code, out = run(["families", "--n", str(n)], tmp_path)
+        assert code == 0
+        assert json.loads(out.read_text())["results"]["union_closed_count"] == count_union_closed(n)
+
+    @pytest.mark.parametrize("n", ["0", "-2", "5"])
+    def test_n_bounded(self, n, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert main(["families", "--n", n, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"uclab: error: exhaustive enumeration needs 1 <= n <= 4, got {n}"]
+        assert not out.exists()
+
 
 class TestTheorem2Command:
     def test_random_tables_pass(self, tmp_path):
@@ -178,6 +242,30 @@ class TestTheorem2Command:
         res = json.loads(out.read_text())["results"]
         assert res["worst_slack"] >= -1e-10
         assert res["product_sharpness_worst"] <= 1e-10
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--trials", "0"], "--trials must be a positive integer"),
+            (["--trials", "-1"], "--trials must be a positive integer"),
+            (["--max-n", "1"], f"--max-n must lie in 2..{MAX_RANDOM_TABLE_N}"),
+            (["--max-n", str(MAX_RANDOM_TABLE_N + 1)], f"--max-n must lie in 2..{MAX_RANDOM_TABLE_N}"),
+        ],
+    )
+    def test_flags_bounded(self, flags, message, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert main(["theorem2", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"uclab: error: {message}"]
+        assert not out.exists()
+
+    def test_no_table_checked_fails(self, tmp_path):
+        # at this seed the one table drawn has an element in every set, so it is skipped
+        code, out = run(["theorem2", "--trials", "1", "--max-n", "2", "--seed", "14"], tmp_path)
+        assert code == 1
+        report = json.loads(out.read_text())
+        assert report["failures"] == ["theorem2.random_tables: no table checked"]
+        assert report["results"]["worst_slack"] is None
+        assert report["results"]["worst_case"] is None
 
     def test_dist_file(self, tmp_path):
         path = tmp_path / "dist.txt"
@@ -267,6 +355,14 @@ class TestCouplingCommand:
         assert len(err) == 1 and err[0].startswith("uclab: error: delta-search grid")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--search-points", "--search-restarts"])
+    def test_delta_search_empty_search_exits_two(self, flag, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert main(["coupling", "delta-search", flag, "0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["uclab: error: u_cap_steps, search_points and search_restarts must be positive"]
+        assert not out.exists()
+
     def test_stdout_when_no_out(self, capsys):
         code = main(["families", "--n", "2", "--jobs", "1"])
         assert code == 0
@@ -297,3 +393,51 @@ print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "s
     delta = json.loads((tmp_path / "delta.json").read_text())["results"]
     suite = json.loads((tmp_path / "all.json").read_text())["results"]["suites"]["coupling"]
     assert delta["lp_solves"] > 0 and suite["lp_solves"] > 0
+
+
+def _small(lo=-1, hi=4):
+    return st.integers(min_value=lo, max_value=hi).map(str)
+
+
+# every integer flag at small values, zero and negatives included, so each
+# run is quick and the lower bounds are crossed from both sides
+_FUZZ_ARGV = st.one_of(
+    st.tuples(st.just("scalar"), st.just("--grid"), _small(-2, 50)),
+    st.tuples(st.just("families"), st.just("--n"), _small(-1, 5)),
+    st.tuples(st.just("theorem2"), st.just("--trials"), _small(-1, 3),
+              st.just("--max-n"), _small(-1, MAX_RANDOM_TABLE_N + 1)),
+    st.tuples(st.just("lemma"), st.just("--u-steps"), _small(), st.just("--v-steps"), _small(),
+              st.just("--restarts"), _small(), st.just("--atom-grid"), _small(-1, 20),
+              st.just("--search-points"), _small()),
+    st.tuples(st.just("coupling"), st.just("delta-search"), st.just("--delta-steps"), _small(),
+              st.just("--v-steps"), _small(), st.just("--mean-steps"), _small(),
+              st.just("--search-points"), _small(-1, 2), st.just("--search-restarts"), _small()),
+    st.tuples(st.just("counterexample"), st.just("--n"), _small(-1, 8),
+              st.just("--trunc"), _small(-1, 12)),
+)
+
+
+def _finite_only(name):
+    raise ValueError(f"non-finite float {name} in a report")
+
+
+class _NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+
+@given(argv=_FUZZ_ARGV, seed=st.integers(min_value=0, max_value=3))
+@settings(max_examples=60, deadline=None, database=None)
+def test_fuzz_small_flags_exit_cleanly(argv, seed):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.object(concurrent.futures, "ProcessPoolExecutor", _NoPool):
+        code = main([*argv, "--seed", str(seed), "--jobs", "1"])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("uclab: error: "), lines
+    else:
+        report = json.loads(out.getvalue(), parse_constant=_finite_only)
+        assert report["passed"] is (code == 0)

@@ -390,6 +390,21 @@ class TestDeltaSearch:
         with pytest.raises(ValueError, match=str(MAX_DELTA_GRID_CELLS)):
             delta_search(0.05, **kw)
 
+    @pytest.mark.parametrize("kw", [dict(search_points=0), dict(search_restarts=0),
+                                    dict(search_points=-3), dict(u_cap_steps=0)])
+    def test_rejects_empty_search(self, kw, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("local search ran before the flags were bounded")
+
+        monkeypatch.setattr(uclab.coupling, "local_search_min", no_search)
+        with pytest.raises(ValueError, match="must be positive"):
+            delta_search(0.05, **kw)
+
+    @pytest.mark.parametrize("kw", [dict(v_steps=-1), dict(mean_steps=-1)])
+    def test_rejects_negative_grid_steps(self, kw):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            delta_search(0.05, **kw)
+
     @pytest.mark.parametrize("delta_max", [0.0, -0.01, 5e-324, math.inf, math.nan])
     def test_rejects_bad_delta_max(self, delta_max):
         with pytest.raises(ValueError):

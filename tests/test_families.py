@@ -139,6 +139,11 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             list(enumerate_union_closed(5))
 
+    @pytest.mark.parametrize("n", [-1, 0, 5])
+    def test_scan_bounds_n(self, n):
+        with pytest.raises(ValueError, match=f"needs 1 <= n <= 4, got {n}"):
+            verify_frequency_threshold(n)
+
 
 class TestFrequencyScan:
     def test_n2(self):

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import local_search_loop, two_atom_scan_loop
 from uclab.measures import (
     DiscreteMeasure,
     _curvature_indicator,
+    _two_atom_scan_rows,
     f_mu,
     f_mu_structure_check,
     lemma_certificate,
@@ -201,6 +203,29 @@ class TestTwoAtomScan:
         rep = two_atom_min_scan(0.3, 500, lam=1.05 * entropy_ratio_bound(0.3))
         assert rep.min_slack < -1e-4
 
+    @pytest.mark.parametrize("v_steps", [2, 3, 7, 41, 400])
+    def test_rows_match_per_u_loop(self, v_steps):
+        # u = 2G puts the golden threshold on the grid for every odd v_steps
+        # here, so it is merged with an equal grid point rather than inserted
+        rng = np.random.default_rng(v_steps)
+        us = np.concatenate([[2.0 * GOLDEN_THRESHOLD, GOLDEN_THRESHOLD, 0.5, 1e-3, 0.999],
+                             rng.uniform(0.01, 0.99, 40)])
+        for scale in (1.0, 1.05, 0.9):
+            lams = scale * np.array([entropy_ratio_bound(float(u)) for u in us])
+            rows = _two_atom_scan_rows(us, lams, v_steps, cells=3 * v_steps + 1)
+            for k, (u, lam) in enumerate(zip(us, lams)):
+                assert tuple(r[k] for r in rows) == two_atom_scan_loop(u, v_steps, lam)
+                rep = two_atom_min_scan(u, v_steps, lam=lam)
+                assert (rep.v_steps, rep.min_slack, rep.argmin_v) == two_atom_scan_loop(u, v_steps, lam)
+
+    def test_golden_on_and_off_the_grid(self):
+        on_grid = np.linspace(0.0, 2.0 * GOLDEN_THRESHOLD, 7)
+        assert GOLDEN_THRESHOLD in on_grid
+        assert two_atom_min_scan(2.0 * GOLDEN_THRESHOLD, 7).v_steps == 7
+        assert GOLDEN_THRESHOLD not in np.linspace(0.0, 0.5, 7)
+        assert two_atom_min_scan(0.5, 7).v_steps == 8
+        assert two_atom_min_scan(0.3, 7).v_steps == 7
+
 
 class TestFMu:
     def test_point_at_zero(self):
@@ -294,6 +319,18 @@ class TestLocalSearch:
         rep = local_search_min(0.5, entropy_ratio_bound(0.5), restarts=40, seed=19)
         assert rep.two_point_with_top
 
+    @pytest.mark.parametrize("u", [0.1, 0.3, GOLDEN_THRESHOLD, 0.5, 0.8])
+    def test_matches_exchange_move_loop(self, u):
+        for seed in (1, 23, 1729):
+            for lam in (entropy_ratio_bound(u), 1.0, 1.05 * entropy_ratio_bound(u)):
+                kw = dict(atom_grid=300, restarts=6, seed=seed)
+                fast = local_search_min(u, lam, **kw)
+                slow = local_search_loop(u, lam, **kw)
+                assert fast.best_value == slow.best_value
+                assert np.array_equal(fast.best_measure.locations, slow.best_measure.locations)
+                assert np.array_equal(fast.best_measure.weights, slow.best_measure.weights)
+                assert fast.two_point_with_top == slow.two_point_with_top
+
     def test_deterministic_given_seed(self):
         a = local_search_min(0.4, 1.0, restarts=10, seed=23)
         b = local_search_min(0.4, 1.0, restarts=10, seed=23)
@@ -321,6 +358,33 @@ class TestLemmaCertificate:
         at_star = [r for r in cert.rows if r["u"] == GOLDEN_THRESHOLD]
         assert len(at_star) == 1
         assert abs(at_star[0]["min_slack"]) < 1e-9
+
+    @pytest.mark.parametrize("lam_scale", [1.0, 1.05])
+    def test_rows_match_per_u_loop(self, lam_scale):
+        cert = lemma_certificate(
+            u_steps=45, v_steps=90, restarts=4, atom_grid=200,
+            search_points=2, seed=3, lam_scale=lam_scale,
+        )
+        assert len(cert.rows) == 46
+        for row in cert.rows:
+            _, slack, v = two_atom_scan_loop(row["u"], 90, row["ratio_bound"])
+            assert (row["min_slack"], row["argmin_v"]) == (slack, v)
+        worst = min(cert.rows, key=lambda r: r["min_slack"])
+        assert (cert.worst_u, cert.argmin_v_at_worst) == (worst["u"], worst["argmin_v"])
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            (dict(u_steps=0), "must be positive"),
+            (dict(restarts=0), "must be positive"),
+            (dict(atom_grid=-1), "must be positive"),
+            (dict(search_points=0), "must be positive"),
+            (dict(v_steps=1), "v_steps must be at least 2"),
+        ],
+    )
+    def test_rejects_empty_grids(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            lemma_certificate(**kw)
 
     def test_inflated_factor_fails(self):
         cert = lemma_certificate(

@@ -217,6 +217,32 @@ class TestThirdDerivatives:
             assert abs(fd2 - d3_s_entropy(s)) < 1e-4 * abs(d3_s_entropy(s))
 
 
+class TestScaledStep:
+    def test_array_matches_each_scalar(self):
+        from uclab.numdiff import scaled_step
+
+        rng = np.random.default_rng(5)
+        xs = np.concatenate([[1e-9, 0.01, 0.05, 0.5, 0.95, 0.99, 1.0 - 1e-9],
+                             rng.uniform(0.0, 1.0, 200)])
+        steps = scaled_step(xs)
+        assert steps.shape == xs.shape
+        assert [float(h) for h in steps] == [scaled_step(float(x)) for x in xs]
+        assert np.array_equal(scaled_step(xs.reshape(3, -1)), steps.reshape(3, -1))
+        assert isinstance(scaled_step(0.3), float)
+        assert scaled_step(0.01) == pytest.approx(2e-5, rel=1e-12)
+        assert scaled_step(0.99) == pytest.approx(2e-5, rel=1e-12)
+        assert scaled_step(0.05) == scaled_step(0.5) == 1e-4
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.5, math.nan])
+    def test_rejects_points_off_the_open_interval(self, bad):
+        from uclab.numdiff import scaled_step
+
+        with pytest.raises(ValueError, match="strictly inside"):
+            scaled_step(bad)
+        with pytest.raises(ValueError, match="strictly inside"):
+            scaled_step(np.array([0.2, bad, 0.7]))
+
+
 class TestThirdDerivNumerator:
     @given(st.floats(min_value=0.0, max_value=2.0))
     def test_constant_term(self, beta):
