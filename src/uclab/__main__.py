@@ -1,6 +1,6 @@
 import sys
 
-from .cli import main
+from .cli import console_main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

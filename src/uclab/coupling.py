@@ -28,13 +28,22 @@ both one-sided marginals provably uniform.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .families import Family, is_union_closed
-from .measures import DEFAULT_SEED, DiscreteMeasure, local_search_min, objective
+from . import DEFAULT_SEED
+from .measures import (
+    MAX_SEARCH_RESTARTS,
+    DiscreteMeasure,
+    local_search_min,
+    objective,
+    sorted_unique,
+)
 from .scalars import GOLDEN_THRESHOLD, binary_entropy, union_prob
-from .setdist import ExplicitSetDistribution, union_of_independent
+
+if TYPE_CHECKING:
+    from .families import Family
 
 MAX_LP_ATOMS = 200
 MAX_PIVOTS_PER_CELL = 10
@@ -426,7 +435,8 @@ def delta_search(
     failure flag.  This certifies only the scanned class - it is a numeric
     estimate, not a proof over all measures.
 
-    The (mean, v) grid is limited to MAX_DELTA_GRID_CELLS cells, checked
+    The (mean, v) grid is limited to MAX_DELTA_GRID_CELLS cells and
+    search_points and search_restarts to MAX_SEARCH_RESTARTS each, checked
     before anything is allocated.  Two-atom candidates are evaluated as one
     array expression; only the point at the threshold and the local-search
     measures are built one at a time.
@@ -438,6 +448,10 @@ def delta_search(
         raise ValueError("u_cap_steps, search_points and search_restarts must be positive")
     if min(v_steps, mean_steps) < 0:
         raise ValueError("v_steps and mean_steps must be nonnegative")
+    # at most MAX_SEARCH_RESTARTS local-search restarts in all
+    for name, value in (("search_points", search_points), ("search_restarts", search_restarts)):
+        if value > MAX_SEARCH_RESTARTS:
+            raise ValueError(f"{name} must be at most {MAX_SEARCH_RESTARTS}, got {value}")
     # the band just above the threshold holds at most u_cap_steps + 1 means
     cells = (mean_steps + u_cap_steps + 1) * (v_steps + 1)
     if cells > MAX_DELTA_GRID_CELLS:
@@ -451,8 +465,8 @@ def delta_search(
     band = min(0.006, delta_max)
 
     vs = np.linspace(0.005, 0.995, v_steps)
-    vs = np.unique(np.append(vs, u_star))
-    means = np.unique(
+    vs = sorted_unique(np.append(vs, u_star))
+    means = sorted_unique(
         np.concatenate(
             [
                 np.linspace(u_star - mean_margin, u_star + delta_max, mean_steps),
@@ -572,6 +586,10 @@ def greedy_coupling_dp(f: Family, literal_rates: bool = False) -> CouplingProces
     and the exact entropy of the coupled union next to the independent
     convolution's.
     """
+    # imported here so that delta-search loads neither module
+    from .families import is_union_closed
+    from .setdist import ExplicitSetDistribution, union_of_independent
+
     if f.n > 10 or f.size() > 64:
         raise ValueError("coupling DP is limited to n <= 10 and at most 64 sets")
     if not is_union_closed(f):

@@ -28,12 +28,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scalars import GOLDEN_THRESHOLD, binary_entropy, entropy_ratio_bound, union_prob
-
-DEFAULT_SEED = 1729
+from . import DEFAULT_SEED
+from .scalars import (
+    GOLDEN_THRESHOLD,
+    binary_entropy,
+    entropy_ratio_bound,
+    entropy_ratio_bound_array,
+    union_prob,
+)
 
 WEIGHT_TOL = 1e-12
 MEAN_SLACK = 1e-12
+# restarts descend together in stacks of at most this many (per pool size);
+# at 112 in one stack delta-search's peak memory grew by about 5 MiB
+SEARCH_STACK = 16
+# lemma_certificate bounds, checked before any work: the u grid becomes one
+# report row per u, and the v grid and restart count set the work
+MAX_LEMMA_U_STEPS = 100_000
+MAX_LEMMA_V_STEPS = 100_000
+MAX_SEARCH_RESTARTS = 100_000
+MAX_ATOM_GRID = 1_000_000
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a 1-d array, as np.unique returns them.
+
+    np.unique is avoided at run time because in numpy 2.4 its first call
+    imports numpy.ma (about 15-19 ms of a fresh process)."""
+    out = np.sort(values)
+    keep = np.empty(out.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]
 
 
 @dataclass(frozen=True)
@@ -319,6 +345,11 @@ def local_search_min(
     improves the value.  Restart r uses seed + r, so runs are reproducible
     and independent of how restarts are distributed over workers.
 
+    The draws run one restart at a time; the descent runs on stacks of at
+    most SEARCH_STACK restarts with the same pool size (_exchange_descent),
+    and every restart ends with the measure a restart-by-restart loop would
+    reach.  Among equal final values the first restart wins.
+
     The report flags whether the best measure concentrates at least
     1 - 1e-3 of its mass on at most two locations, one of them 1, which is
     the structure the two-atom analysis predicts for minimizers.
@@ -330,34 +361,28 @@ def local_search_min(
         raise ValueError("restarts and atom_grid must be positive")
     grid = np.linspace(0.0, 1.0, atom_grid + 1)
     specials = np.array([0.0, u, GOLDEN_THRESHOLD, 1.0])
-    best_val = np.inf
-    best_x = best_w = None
+    pools, starts, by_size = [], [], {}
     for r in range(restarts):
         rng = np.random.default_rng(seed + r)
         picks = rng.choice(grid, size=min(pool_size, grid.size), replace=False)
-        x = np.unique(np.concatenate([picks, specials]))
-        # one entropy call: the union-entropy matrix on top, H(x) below it
-        ent = binary_entropy(np.vstack([union_prob(x[:, None], x[None, :]), x]))
-        big_h, h = ent[:-1], ent[-1]
-        terms = _exchange_terms(x, big_h, h, lam)
-        w = _random_feasible_start(rng, x, u)
-        for _ in range(max_rounds):
-            move = _best_exchange_move(x, w, big_h, terms, u)
-            if move is None:
-                break
-            a, b, delta = move
-            w[a] -= delta
-            w[b] += delta
-            if w[a] < 0.0:
-                w[a] = 0.0
-        val = float(w @ big_h @ w - lam * np.dot(w, h))
-        if val < best_val:
-            best_val = val
-            keep = w > 0.0
-            best_x, best_w = x[keep], w[keep]
+        x = sorted_unique(np.concatenate([picks, specials]))
+        pools.append(x)
+        starts.append(_random_feasible_start(rng, x, u))
+        by_size.setdefault(x.size, []).append(r)
+    vals = np.empty(restarts)
+    for group in by_size.values():
+        for lo in range(0, len(group), SEARCH_STACK):
+            idx = group[lo : lo + SEARCH_STACK]
+            w = np.stack([starts[r] for r in idx])
+            vals[idx] = _exchange_descent(np.stack([pools[r] for r in idx]), w, lam, u, max_rounds)
+            for r, row in zip(idx, w):
+                starts[r] = row
+    best = int(np.argmin(vals))
+    keep = starts[best] > 0.0
+    best_x, best_w = pools[best][keep], starts[best][keep]
     measure = DiscreteMeasure.from_pairs(zip(best_x, best_w / best_w.sum()))
     return LocalSearchReport(
-        best_value=float(best_val),
+        best_value=float(vals[best]),
         best_measure=measure,
         mean_cap=u,
         two_point_with_top=_is_two_point_with_top(measure),
@@ -386,51 +411,76 @@ def _random_feasible_start(rng, x: np.ndarray, u: float) -> np.ndarray:
     return w
 
 
-def _exchange_terms(x, big_h, h, lam):
-    """The parts of an exchange move's change in J that do not depend on the
-    weights: the curvature H_aa - 2 H_ab + H_bb, lam times the change in the
-    linear term, and the change in location."""
-    diag = np.diag(big_h)
-    curvature = diag[:, None] - 2.0 * big_h + diag[None, :]
-    lam_d_lin = lam * (h[None, :] - h[:, None])
-    d_mean = x[None, :] - x[:, None]
-    return curvature, lam_d_lin, d_mean
+def _exchange_descent(x, w, lam, u, max_rounds):
+    """Exchange-move descent of local_search_min on a stack of restarts.
 
+    x and w are (R, m): each row is one restart's sorted pool and start
+    weights, and w is moved to the final weights in place.  Returns J of
+    each final measure.
 
-def _best_exchange_move(x, w, big_h, terms, u):
-    """Best value-decreasing transfer of mass between two locations.
+    Each round, every restart that still moves takes its best
+    value-decreasing transfer of the full or half mass of one atom onto
+    another location, with the change in J evaluated in closed form from
+    the union-entropy matrix and the weight-free terms (the curvature
+    H_aa - 2 H_ab + H_bb, lam times the change in the linear term, the
+    change in location).  A restart stops when no move improves J by more
+    than 1e-14.  Near-ties (within 1e-15) go to the largest target location,
+    mirroring the push-to-the-boundary structure of the minimizers, and
+    among those to the first in row-major order.
 
-    Move deltas are the full or half mass of the source atom; the change in
-    J is evaluated in closed form from the cached entropy matrix and the
-    weight-free terms of _exchange_terms.  Returns (source, target, delta)
-    or None when no move improves by more than 1e-14.  Near-ties are
-    resolved toward the largest target location, mirroring the
-    push-to-the-boundary structure of the minimizers.
+    Only atoms of positive weight can give mass away, so each round works on
+    those rows, gathered in ascending order and padded with zero-weight
+    rows, which are never feasible.  The stacked matmuls run the same BLAS
+    gemv/dot per restart as the 1-d products of a one-restart loop, and a
+    move onto its own location changes J by exactly 0, so the result is
+    bit-identical to that loop (tests/helpers.local_search_loop).
     """
-    curvature, lam_d_lin, d_mean = terms
-    mw = big_h @ w
-    mean = float(np.dot(x, w))
-    slope = 2.0 * (mw[None, :] - mw[:, None]) - lam_d_lin
-    best = None
-    best_val = -1e-14
-    for frac in (1.0, 0.5):
-        delta = frac * w[:, None]
-        dval = delta * slope + delta * delta * curvature
-        # a move onto its own location changes J by exactly 0, so the
-        # diagonal never passes the -1e-14 bar and needs no mask
-        feasible = (delta > 0.0) & (mean + delta * d_mean <= u + MEAN_SLACK)
-        if not feasible.any():
-            continue
-        masked = np.where(feasible, dval, np.inf)
-        lo = float(masked.min())
-        if lo >= best_val:
-            continue
-        # among near-ties the first (row-major) with the largest target location
-        rows, cols = np.nonzero(masked <= lo + 1e-15)
-        k = int(np.argmax(x[cols]))
-        best = (int(rows[k]), int(cols[k]), float(delta[rows[k], 0]))
-        best_val = lo
-    return best
+    stack, m = x.shape
+    # one entropy call: each restart's union-entropy matrix on top, H(x) below it
+    ent = binary_entropy(
+        np.concatenate([union_prob(x[:, :, None], x[:, None, :]), x[:, None, :]], axis=1)
+    )
+    big_h, h = ent[:, :-1], ent[:, -1]
+    diag = np.diagonal(big_h, axis1=1, axis2=2)
+    curvature = diag[:, :, None] - 2.0 * big_h + diag[:, None, :]
+    lam_d_lin = lam * (h[:, None, :] - h[:, :, None])
+    d_mean = x[:, None, :] - x[:, :, None]
+    active = np.arange(stack)
+    for _ in range(max_rounds):
+        wa, xa = w[active], x[active]
+        mw = (big_h[active] @ wa[:, :, None])[:, :, 0]
+        mean = (xa[:, None, :] @ wa[:, :, None])[:, 0, 0]
+        # the source rows: positive weights first, each part in ascending order
+        pos = wa > 0.0
+        rows = np.argsort(~pos, axis=1, kind="stable")[:, : int(pos.sum(axis=1).max())]
+        i = np.arange(active.size)
+        at = active[:, None], rows
+        slope = 2.0 * (mw[:, None, :] - mw[i[:, None], rows][:, :, None]) - lam_d_lin[at]
+        curv, shift, source_w = curvature[at], d_mean[at], wa[i[:, None], rows][:, :, None]
+        lows, picks = [], []
+        for frac in (1.0, 0.5):
+            delta = frac * source_w
+            dval = delta * slope + delta * delta * curv
+            feasible = (delta > 0.0) & (mean[:, None, None] + delta * shift <= u + MEAN_SLACK)
+            masked = np.where(feasible, dval, np.inf)
+            low = masked.min(axis=(1, 2))
+            near = masked <= low[:, None, None] + 1e-15
+            # argmax returns the first (row-major) of the largest targets
+            k = np.argmax(np.where(near, xa[:, None, :], -np.inf).reshape(active.size, -1), axis=1)
+            row, col = np.divmod(k, m)
+            lows.append(low)
+            picks.append((rows[i, row], col, delta[i, row, 0]))
+        # the half move replaces the full one only when it is strictly better
+        half = lows[1] < np.minimum(lows[0], -1e-14)
+        moved = half | (lows[0] < -1e-14)
+        if not moved.any():
+            break
+        src, dst, amount = (np.where(half, b, a)[moved] for a, b in zip(*picks))
+        active = active[moved]
+        w[active, src] = np.maximum(w[active, src] - amount, 0.0)
+        w[active, dst] += amount
+    quad = ((w[:, None, :] @ big_h) @ w[:, :, None])[:, 0, 0]
+    return quad - lam * (w[:, None, :] @ h[:, :, None])[:, 0, 0]
 
 
 def _is_two_point_with_top(mu: DiscreteMeasure) -> bool:
@@ -488,16 +538,27 @@ def lemma_certificate(
         raise ValueError("u_steps, restarts, atom_grid and search_points must be positive")
     if v_steps < 2:
         raise ValueError("v_steps must be at least 2")
+    for name, value, cap in (
+        ("u_steps", u_steps, MAX_LEMMA_U_STEPS),
+        ("v_steps", v_steps, MAX_LEMMA_V_STEPS),
+        ("restarts", restarts, MAX_SEARCH_RESTARTS),
+        ("atom_grid", atom_grid, MAX_ATOM_GRID),
+    ):
+        if value > cap:
+            raise ValueError(f"{name} must be at most {cap}, got {value}")
+    for name, tol in (("scan_tol", scan_tol), ("search_tol", search_tol)):
+        if not 0.0 <= tol < np.inf:
+            raise ValueError(f"{name} must be finite and nonnegative, got {tol}")
     us = np.arange(1, u_steps + 1) / (u_steps + 1.0)
-    us = np.unique(np.append(us, GOLDEN_THRESHOLD))
-    lams = np.array([entropy_ratio_bound(float(u)) * lam_scale for u in us])
+    us = sorted_unique(np.append(us, GOLDEN_THRESHOLD))
+    lams = entropy_ratio_bound_array(us) * lam_scale
 
     _, slacks, argmins = _two_atom_scan_rows(us, lams, v_steps)
     worst_idx = int(np.argmin(slacks))
 
-    pick = np.unique(np.linspace(0, us.size - 1, min(search_points, us.size)).astype(int))
+    pick = np.linspace(0, us.size - 1, min(search_points, us.size)).astype(int)
     star = int(np.argmin(np.abs(us - GOLDEN_THRESHOLD)))
-    pick = np.unique(np.append(pick, star))
+    pick = sorted_unique(np.append(pick, star))
     per = max(1, restarts // pick.size)
     search_args = [
         (float(us[k]), float(lams[k]), atom_grid, per, seed + 1_000_003 * int(k))

@@ -105,6 +105,19 @@ def entropy_ratio_bound(u, limit: bool = False) -> float:
     return (1.0 - u) * PHI
 
 
+def entropy_ratio_bound_array(us: np.ndarray) -> np.ndarray:
+    """entropy_ratio_bound at every u of an array strictly inside (0, 1).
+
+    Each entry is bit-equal to the scalar call: the same two branches, split
+    at the golden threshold, evaluated elementwise."""
+    arr = _check_open_unit_interval(us, "u")
+    out = (1.0 - arr) * PHI
+    low = arr <= GOLDEN_THRESHOLD
+    u = arr[low]
+    out[low] = binary_entropy(union_prob(u, u)) / binary_entropy(u)
+    return out
+
+
 def entropy_square_ratio(s):
     """The ratio F(s) = H(s^2) / (s H(s)) on (0, 1).
 

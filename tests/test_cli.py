@@ -14,9 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uclab
+import uclab.cli
 import uclab.measures
 from helpers import third_derivative_worst_loop
 from uclab.cli import MAX_RANDOM_TABLE_N, MAX_SCALAR_GRID, main
+from uclab.measures import MAX_ATOM_GRID, MAX_LEMMA_U_STEPS, MAX_LEMMA_V_STEPS, MAX_SEARCH_RESTARTS
 from uclab.families import Family, count_union_closed, save_family
 from uclab.setdist import golden_threshold_mixture, product_bernoulli, save_distribution, save_mixture
 
@@ -155,11 +157,62 @@ class TestLemmaCommand:
             raise AssertionError("lemma started work before its flags were bounded")
 
         monkeypatch.setattr(uclab.measures, "entropy_ratio_bound", no_work)
+        monkeypatch.setattr(uclab.measures, "entropy_ratio_bound_array", no_work)
         monkeypatch.setattr(uclab.measures, "parallel_map", no_work)
         out = tmp_path / "x.json"
         assert main(["lemma", *flags, "--out", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == [f"uclab: error: {message}"]
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, name, cap",
+        [
+            ("--u-steps", "u_steps", MAX_LEMMA_U_STEPS),
+            ("--v-steps", "v_steps", MAX_LEMMA_V_STEPS),
+            ("--restarts", "restarts", MAX_SEARCH_RESTARTS),
+            ("--atom-grid", "atom_grid", MAX_ATOM_GRID),
+        ],
+    )
+    def test_huge_flags_exit_two_before_any_work(self, flag, name, cap, tmp_path, monkeypatch,
+                                                 capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("lemma started work before its flags were bounded")
+
+        # the u grid is the first allocation; the rest would follow it
+        monkeypatch.setattr(np, "arange", no_work)
+        monkeypatch.setattr(uclab.measures, "entropy_ratio_bound_array", no_work)
+        monkeypatch.setattr(uclab.measures, "local_search_min", no_work)
+        monkeypatch.setattr(uclab.measures, "parallel_map", no_work)
+        out = tmp_path / "x.json"
+        huge = 10**12
+        assert main(["lemma", flag, str(huge), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"uclab: error: {name} must be at most {cap}, got {huge}"
+        ]
+        assert not out.exists()
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("command", [["lemma"], ["theorem2"]])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-9"])
+    def test_bad_tol_exits_two_before_any_work(self, command, tol, tmp_path, monkeypatch,
+                                               capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before --tol was checked")
+
+        monkeypatch.setattr(uclab.measures, "lemma_certificate", no_work)
+        monkeypatch.setattr(np.random, "default_rng", no_work)
+        out = tmp_path / "x.json"
+        assert main([*command, f"--tol={tol}", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"uclab: error: --tol must be finite and nonnegative, got {float(tol)}"
+        ]
+        assert not out.exists()
+
+    def test_zero_tol_is_allowed(self, tmp_path):
+        code, out = run(["theorem2", "--trials", "5", "--max-n", "4", "--tol", "0"], tmp_path)
+        assert code in (0, 1)
+        assert json.loads(out.read_text())["config"]["tol"] == 0.0
 
 
 class TestCsvOutput:
@@ -363,12 +416,43 @@ class TestCouplingCommand:
         assert err == ["uclab: error: u_cap_steps, search_points and search_restarts must be positive"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, name", [("--search-restarts", "search_restarts"),
+                                            ("--search-points", "search_points")])
+    def test_delta_search_huge_search_exits_two_before_any_work(self, flag, name, tmp_path,
+                                                                 monkeypatch, capsys):
+        import uclab.coupling
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("delta-search started work before its flags were bounded")
+
+        monkeypatch.setattr(np, "linspace", no_work)
+        monkeypatch.setattr(uclab.coupling, "local_search_min", no_work)
+        out = tmp_path / "x.json"
+        huge = 10**12
+        assert main(["coupling", "delta-search", flag, str(huge), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"uclab: error: {name} must be at most {MAX_SEARCH_RESTARTS}, got {huge}"
+        ]
+        assert not out.exists()
+
     def test_stdout_when_no_out(self, capsys):
         code = main(["families", "--n", "2", "--jobs", "1"])
         assert code == 0
         captured = capsys.readouterr()
         report = json.loads(captured.out)
         assert report["passed"] is True
+
+
+def _fresh_python(*args):
+    """Run `python *args` in a fresh interpreter with this checkout's uclab."""
+    env = dict(os.environ)
+    env.pop("UCLAB_SEED", None)
+    src = str(Path(uclab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def test_runtime_never_imports_scipy(tmp_path):
@@ -382,17 +466,54 @@ assert main(["coupling", "delta-search", "--delta-steps", "100", "--v-steps", "3
 assert main(["all", "--jobs", "1", "--out", {str(tmp_path / "all.json")!r}]) == 0
 print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))
 """
-    env = dict(os.environ)
-    env.pop("UCLAB_SEED", None)
-    src = str(Path(uclab.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == []
+    assert json.loads(_fresh_python("-c", script)) == []
     delta = json.loads((tmp_path / "delta.json").read_text())["results"]
     suite = json.loads((tmp_path / "all.json").read_text())["results"]["suites"]["coupling"]
     assert delta["lp_solves"] > 0 and suite["lp_solves"] > 0
+
+
+def test_delta_search_loads_only_the_modules_it_needs(tmp_path):
+    # a fresh interpreter, as above; numpy.ma is what np.unique pulls in
+    script = f"""
+import json, sys
+from uclab.cli import main
+loaded = sorted(name for name in sys.modules if name.startswith("uclab"))
+assert main(["coupling", "delta-search", "--delta-steps", "100", "--v-steps", "32",
+             "--mean-steps", "24", "--search-points", "3", "--search-restarts", "12",
+             "--out", {str(tmp_path / "delta.json")!r}]) == 0
+print(json.dumps([loaded, sorted(sys.modules)]))
+"""
+    at_import, after = json.loads(_fresh_python("-c", script))
+    assert at_import == ["uclab", "uclab.cli", "uclab.reportio"]
+    for name in ("numpy.ma", "uclab.setdist", "uclab.families", "uclab.counterexample"):
+        assert name not in after
+    assert json.loads((tmp_path / "delta.json").read_text())["results"]["lp_solves"] > 0
+
+
+def test_module_entry_point_writes_the_in_process_report(tmp_path):
+    argv = ["families", "--n", "2", "--seed", "3"]
+    _fresh_python("-m", "uclab", *argv, "--out", str(tmp_path / "fresh.json"))
+    assert main([*argv, "--out", str(tmp_path / "here.json")]) == 0
+    assert (tmp_path / "fresh.json").read_bytes() == (tmp_path / "here.json").read_bytes()
+
+
+def test_console_main_freezes_the_heap_after_main_only(tmp_path, monkeypatch):
+    calls = []
+    real_emit = uclab.cli.emit_report
+
+    def emit(*args, **kwargs):
+        calls.append("emit")
+        return real_emit(*args, **kwargs)
+
+    monkeypatch.setattr(uclab.cli, "emit_report", emit)
+    monkeypatch.setattr(uclab.cli.gc, "freeze", lambda: calls.append("freeze"))
+    out = tmp_path / "x.json"
+    monkeypatch.setattr(sys, "argv", ["uclab", "families", "--n", "2", "--out", str(out)])
+    assert uclab.cli.console_main() == 0
+    assert calls == ["emit", "freeze"]
+    calls.clear()
+    assert main(["families", "--n", "2", "--out", str(out)]) == 0
+    assert calls == ["emit"]
 
 
 def _small(lo=-1, hi=4):

@@ -18,7 +18,7 @@ from uclab.coupling import (
     worst_coupling_value,
 )
 from uclab.families import Family
-from uclab.measures import DiscreteMeasure, objective
+from uclab.measures import MAX_SEARCH_RESTARTS, DiscreteMeasure, objective
 from uclab.scalars import GOLDEN_THRESHOLD, binary_entropy
 
 H_GOLDEN = 0.6650183864440036
@@ -399,6 +399,17 @@ class TestDeltaSearch:
         monkeypatch.setattr(uclab.coupling, "local_search_min", no_search)
         with pytest.raises(ValueError, match="must be positive"):
             delta_search(0.05, **kw)
+
+    @pytest.mark.parametrize("name", ["search_points", "search_restarts"])
+    def test_search_bounded_before_any_work(self, name, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("delta_search started work before bounding its search")
+
+        monkeypatch.setattr(np, "linspace", no_work)
+        monkeypatch.setattr(uclab.coupling, "local_search_min", no_work)
+        cap = MAX_SEARCH_RESTARTS
+        with pytest.raises(ValueError, match=f"^{name} must be at most {cap}, got {cap + 1}$"):
+            delta_search(0.05, **{name: cap + 1})
 
     @pytest.mark.parametrize("kw", [dict(v_steps=-1), dict(mean_steps=-1)])
     def test_rejects_negative_grid_steps(self, kw):

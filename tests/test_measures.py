@@ -7,8 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import uclab.measures
 from helpers import local_search_loop, two_atom_scan_loop
 from uclab.measures import (
+    MAX_ATOM_GRID,
+    MAX_LEMMA_U_STEPS,
+    MAX_LEMMA_V_STEPS,
+    MAX_SEARCH_RESTARTS,
     DiscreteMeasure,
     _curvature_indicator,
     _two_atom_scan_rows,
@@ -19,6 +24,7 @@ from uclab.measures import (
     local_search_min,
     objective,
     parallel_map,
+    sorted_unique,
     two_atom_min_scan,
     two_atom_objective,
 )
@@ -299,6 +305,32 @@ class TestCurvature:
             f_mu_structure_check(mu, 1.0)
 
 
+def _pool_sizes(u, atom_grid, restarts, seed, pool_size=24):
+    """The distinct location-pool sizes local_search_min draws."""
+    grid = np.linspace(0.0, 1.0, atom_grid + 1)
+    specials = [0.0, u, GOLDEN_THRESHOLD, 1.0]
+    return {
+        np.unique(np.concatenate([
+            np.random.default_rng(seed + r).choice(grid, size=pool_size, replace=False), specials
+        ])).size
+        for r in range(restarts)
+    }
+
+
+class TestSortedUnique:
+    def test_matches_np_unique(self):
+        rng = np.random.default_rng(3)
+        for size in (1, 2, 5, 40):
+            for values in (rng.integers(0, 6, size).astype(float), rng.uniform(size=size),
+                           np.append(rng.uniform(size=size), [0.0, -0.0, 1.0, 1.0]),
+                           rng.integers(-3, 3, size)):
+                got = sorted_unique(values)
+                want = np.unique(values)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 class TestLocalSearch:
     def test_respects_mean_cap(self):
         for u in (0.2, 0.4, 0.6):
@@ -330,6 +362,37 @@ class TestLocalSearch:
                 assert np.array_equal(fast.best_measure.locations, slow.best_measure.locations)
                 assert np.array_equal(fast.best_measure.weights, slow.best_measure.weights)
                 assert fast.two_point_with_top == slow.two_point_with_top
+
+    @pytest.mark.parametrize("stack", [1, 2, 3, 16])
+    def test_batched_descent_matches_exchange_move_loop(self, stack, monkeypatch):
+        # restarts descend in stacks grouped by pool size; on a 41-point grid
+        # the pools collide with 0, u and 1 at random, so one call spans
+        # several pool sizes and, at small stacks, several stacks per size
+        monkeypatch.setattr(uclab.measures, "SEARCH_STACK", stack)
+        sizes_seen = set()
+        for u in (0.2, GOLDEN_THRESHOLD, 0.45):
+            for lam in (entropy_ratio_bound(u), 1.0):
+                for seed in (5, 1729):
+                    for atom_grid in (40, 400):
+                        kw = dict(atom_grid=atom_grid, restarts=7, seed=seed)
+                        sizes = _pool_sizes(u, **kw)
+                        sizes_seen.add(len(sizes))
+                        fast = local_search_min(u, lam, **kw)
+                        slow = local_search_loop(u, lam, **kw)
+                        assert fast.best_value == slow.best_value
+                        assert np.array_equal(fast.best_measure.locations,
+                                              slow.best_measure.locations)
+                        assert np.array_equal(fast.best_measure.weights,
+                                              slow.best_measure.weights)
+        assert max(sizes_seen) >= 3
+
+    def test_round_cap_matches_loop(self):
+        for rounds in (1, 2, 3):
+            kw = dict(atom_grid=200, restarts=9, seed=7, max_rounds=rounds)
+            fast = local_search_min(0.3, 1.0, **kw)
+            slow = local_search_loop(0.3, 1.0, **kw)
+            assert fast.best_value == slow.best_value
+            assert np.array_equal(fast.best_measure.weights, slow.best_measure.weights)
 
     def test_deterministic_given_seed(self):
         a = local_search_min(0.4, 1.0, restarts=10, seed=23)
@@ -385,6 +448,39 @@ class TestLemmaCertificate:
     def test_rejects_empty_grids(self, kw, message):
         with pytest.raises(ValueError, match=message):
             lemma_certificate(**kw)
+
+    @pytest.mark.parametrize(
+        "name, cap",
+        [("u_steps", MAX_LEMMA_U_STEPS), ("v_steps", MAX_LEMMA_V_STEPS),
+         ("restarts", MAX_SEARCH_RESTARTS), ("atom_grid", MAX_ATOM_GRID)],
+    )
+    def test_rejects_huge_grids_before_any_work(self, name, cap, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("lemma_certificate started work before bounding its grids")
+
+        monkeypatch.setattr(np, "arange", no_work)
+        monkeypatch.setattr(uclab.measures, "entropy_ratio_bound_array", no_work)
+        with pytest.raises(ValueError, match=f"^{name} must be at most {cap}, got {cap + 1}$"):
+            lemma_certificate(**{name: cap + 1})
+
+    def test_grids_at_their_caps_pass_the_bounds(self, monkeypatch):
+        class Started(Exception):
+            pass
+
+        def started(*args, **kwargs):
+            raise Started
+
+        monkeypatch.setattr(np, "arange", started)
+        with pytest.raises(Started):
+            lemma_certificate(u_steps=MAX_LEMMA_U_STEPS, v_steps=MAX_LEMMA_V_STEPS,
+                              restarts=MAX_SEARCH_RESTARTS, atom_grid=MAX_ATOM_GRID)
+
+    @pytest.mark.parametrize("kw", [dict(scan_tol=math.nan), dict(scan_tol=-1e-9),
+                                    dict(search_tol=math.inf), dict(search_tol=math.nan)])
+    def test_rejects_bad_tolerances(self, kw):
+        with pytest.raises(ValueError, match="must be finite and nonnegative"):
+            lemma_certificate(u_steps=3, v_steps=4, restarts=1, atom_grid=10,
+                              search_points=1, **kw)
 
     def test_inflated_factor_fails(self):
         cert = lemma_certificate(

@@ -12,6 +12,7 @@ from uclab.scalars import (
     d3_entropy_of_square,
     d3_s_entropy,
     entropy_ratio_bound,
+    entropy_ratio_bound_array,
     entropy_square_gap,
     entropy_square_ratio,
     golden_threshold,
@@ -134,6 +135,24 @@ class TestEntropyRatioBound:
         for u in (0.0, 1.0):
             with pytest.raises(ValueError):
                 entropy_ratio_bound(u)
+
+    def test_array_matches_scalar_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        us = np.concatenate([
+            np.arange(1, 1001) / 1001.0,  # the lemma's default grid
+            [GOLDEN_THRESHOLD, np.nextafter(GOLDEN_THRESHOLD, 0.0),
+             np.nextafter(GOLDEN_THRESHOLD, 1.0), 5e-324, 1e-300, np.nextafter(1.0, 0.0)],
+            rng.uniform(size=3000),
+            rng.uniform(0.0, 1e-6, size=500),
+        ])
+        got = entropy_ratio_bound_array(us)
+        want = np.array([entropy_ratio_bound(float(u)) for u in us])
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, math.nan, -0.5])
+    def test_array_rejects_the_closed_ends(self, bad):
+        with pytest.raises(ValueError):
+            entropy_ratio_bound_array(np.array([0.3, bad]))
 
     def test_continuous_near_threshold(self):
         eps = 1e-9
