@@ -43,6 +43,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="RNG seed (default 1729, or UCLAB_SEED)")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                    help="parallel worker processes for sweeps")
+
+
+def _add_tol(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=None,
                    help="override the subcommand's main failure tolerance")
 
@@ -68,6 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--atom-grid", type=int, default=1000)
     p.add_argument("--search-points", type=int, default=21)
     p.add_argument("--inflate-bound", type=float, default=1.0, help=argparse.SUPPRESS)
+    _add_tol(p)
     _add_common(p)
 
     p = sub.add_parser("families", help="exhaustive union-closed family verification")
@@ -81,6 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"largest ground set of the random tables, 2..{MAX_RANDOM_TABLE_N}")
     p.add_argument("--dist-file", help="also check the distribution in this file")
     p.add_argument("--mixture-file", help="also check the expanded mixture in this file")
+    _add_tol(p)
     _add_common(p)
 
     p = sub.add_parser("counterexample", help="geometric mixture with bounded KL divergence")
@@ -437,13 +442,13 @@ def main(argv=None) -> int:
         # an internal guard tripped: still write a report that names it
         results, failures = {}, [f"{args.command}.internal: {exc}"]
     # jobs only distributes work and may not change a single output byte,
-    # so it stays out of the config echo along with the output routing
+    # so it stays out of the config echo along with the output routing; the
+    # resolved seed takes its sorted place however it was given
     config = {
         k: v
-        for k, v in sorted(vars(args).items())
+        for k, v in sorted({**vars(args), "seed": seed}.items())
         if k not in ("out", "format", "jobs") and v is not None
     }
-    config["seed"] = seed
     report = {
         "version": __version__,
         "command": args.command,

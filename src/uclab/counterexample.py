@@ -33,10 +33,19 @@ from .setdist import (
 
 TAIL_TOL = 1e-12
 PMF_TAIL_TOL = 1e-14
+# the level arrays hold trunc + 1 entries and the union's level pmf about
+# 1.2 (trunc + 1), so a few MB at this cap
+MAX_TRUNC = 1_000_000
+
+
+def _check_theta(theta: float) -> None:
+    if not 0.0 < theta < 1.0:
+        raise ValueError("theta must lie strictly inside (0, 1)")
 
 
 def default_truncation(theta: float) -> int:
     """Truncation level K with geometric tail mass theta^(K+1) below 1e-12."""
+    _check_theta(theta)
     return max(2, math.ceil(30.0 / -math.log(theta)))
 
 
@@ -60,19 +69,20 @@ class CounterexampleParams:
     def __post_init__(self):
         if not 0.0 < self.ubar < self.u < 1.0:
             raise ValueError("need 0 < ubar < u < 1")
-        if not 0.0 < self.theta < 1.0:
-            raise ValueError("theta must lie strictly inside (0, 1)")
+        _check_theta(self.theta)
         base_ratio = binary_entropy(union_prob(self.ubar, self.ubar)) / binary_entropy(
             self.ubar
         )
-        if not self.d > base_ratio:
+        if not base_ratio < self.d < math.inf:
             raise ValueError(
-                f"d must exceed the base entropy ratio {base_ratio:.6f} at ubar"
+                f"d must be finite and exceed the base entropy ratio {base_ratio:.6f} at ubar"
             )
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError("n must be a positive integer")
         if not isinstance(self.trunc, int) or self.trunc < 1:
             raise ValueError("trunc must be a positive integer")
+        if self.trunc > MAX_TRUNC:
+            raise ValueError(f"trunc must be at most {MAX_TRUNC}, got {self.trunc}")
         if self.theta ** (self.trunc + 1) >= TAIL_TOL:
             raise ValueError(
                 f"trunc={self.trunc} leaves geometric tail mass >= {TAIL_TOL}"

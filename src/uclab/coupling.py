@@ -78,7 +78,6 @@ class JointMeasure:
     row_marginal: DiscreteMeasure
     col_marginal: DiscreteMeasure
     weights: np.ndarray
-    tol: float = MARGINAL_TOL
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -90,9 +89,9 @@ class JointMeasure:
         w = np.clip(w, 0.0, None)
         row_err = np.abs(w.sum(axis=1) - self.row_marginal.weights).max()
         col_err = np.abs(w.sum(axis=0) - self.col_marginal.weights).max()
-        if max(row_err, col_err) > self.tol:
+        if max(row_err, col_err) > MARGINAL_TOL:
             raise ValueError(
-                f"coupling marginals deviate by {max(row_err, col_err):.3e} (> {self.tol:.0e})"
+                f"coupling marginals deviate by {max(row_err, col_err):.3e} (> {MARGINAL_TOL:.0e})"
             )
         w = w.copy()
         w.setflags(write=False)
@@ -101,7 +100,12 @@ class JointMeasure:
 
 @dataclass(frozen=True)
 class WorstCouplingReport:
-    """Minimum expected coupled-union entropy over all couplings of mu."""
+    """Minimum expected coupled-union entropy over all couplings of mu.
+
+    repaired is always True for two or more atoms and False for one;
+    bench/tracer.py reads it for coupling.repaired_ratio, and it is to be
+    removed together with that metric.
+    """
 
     value: float
     coupling: JointMeasure
@@ -116,11 +120,9 @@ def worst_coupling_value(mu: DiscreteMeasure) -> WorstCouplingReport:
     Two atoms have a closed form: every coupling is [[w0-t, t], [t, w1-t]]
     with t in [0, min(w0, w1)], and the cost is linear in t, so the optimum
     sits at an endpoint.  Three or more atoms (at most MAX_LP_ATOMS) go to
-    the exact transportation simplex `linprog`; its optimal vertex is
-    cleaned up by re-deriving its weights from the marginals along the
-    support forest, so the returned coupling satisfies the marginal
-    constraints to MARGINAL_TOL rather than to the rounding the pivots
-    accumulate (repaired=False when that rebuild fails).
+    the exact transportation simplex `linprog`, whose optimal vertex is
+    returned as it is.  A vertex that misses the marginals by more than
+    MARGINAL_TOL is an internal fault and raises RuntimeError.
     The value can never exceed the independent coupling's, which is also
     reported.
     """
@@ -147,23 +149,16 @@ def worst_coupling_value(mu: DiscreteMeasure) -> WorstCouplingReport:
             independent_value=independent,
             repaired=True,
         )
-    # the simplex solution is basic, so its support is a forest and the
-    # marginal-exact rebuild below goes through
-    raw = linprog(cost, w)
-    repaired_w = _rebuild_from_support(raw, w)
-    if repaired_w is not None:
-        coupling = JointMeasure(mu, mu, repaired_w)
-        value = float((repaired_w * cost).sum())
-        repaired = True
-    else:
-        coupling = JointMeasure(mu, mu, raw, tol=1e-8)
-        value = float((raw * cost).sum())
-        repaired = False
+    weights = linprog(cost, w)
+    try:
+        coupling = JointMeasure(mu, mu, weights)
+    except ValueError as exc:
+        raise RuntimeError(f"transportation simplex vertex is not a coupling: {exc}") from exc
     return WorstCouplingReport(
-        value=value,
+        value=float((weights * cost).sum()),
         coupling=coupling,
         independent_value=independent,
-        repaired=repaired,
+        repaired=True,
     )
 
 
@@ -267,66 +262,6 @@ def linprog(cost: np.ndarray, w: np.ndarray) -> np.ndarray:
     )
 
 
-def _rebuild_from_support(raw: np.ndarray, w: np.ndarray):
-    """Re-derive vertex weights exactly from the marginals.
-
-    The support of a basic transportation solution is a forest on the
-    bipartite row/column graph, so peeling degree-one nodes determines
-    every weight as a signed sum of marginal weights.  Returns None if the
-    support is not a forest (then the raw solution is kept).
-    """
-    m = raw.shape[0]
-    keep = raw > 1e-13
-    for i in range(m):  # never strand a positive marginal
-        if not keep[i, :].any():
-            keep[i, np.argmax(raw[i, :])] = True
-        if not keep[:, i].any():
-            keep[np.argmax(raw[:, i]), i] = True
-    out = np.zeros_like(raw)
-    row_res = w.copy()
-    col_res = w.copy()
-    row_deg = keep.sum(axis=1)
-    col_deg = keep.sum(axis=0)
-    queue = [("r", i) for i in range(m) if row_deg[i] == 1]
-    queue += [("c", j) for j in range(m) if col_deg[j] == 1]
-    remaining = int(keep.sum())
-    while queue:
-        side, k = queue.pop()
-        if side == "r":
-            if row_deg[k] != 1:
-                continue
-            j = int(np.nonzero(keep[k, :])[0][0])
-            val = max(row_res[k], 0.0)
-            out[k, j] = val
-            keep[k, j] = False
-            remaining -= 1
-            row_deg[k] = 0
-            row_res[k] = 0.0
-            col_res[j] -= val
-            col_deg[j] -= 1
-            if col_deg[j] == 1:
-                queue.append(("c", j))
-        else:
-            if col_deg[k] != 1:
-                continue
-            i = int(np.nonzero(keep[:, k])[0][0])
-            val = max(col_res[k], 0.0)
-            out[i, k] = val
-            keep[i, k] = False
-            remaining -= 1
-            col_deg[k] = 0
-            col_res[k] = 0.0
-            row_res[i] -= val
-            row_deg[i] -= 1
-            if row_deg[i] == 1:
-                queue.append(("r", i))
-    if remaining != 0:
-        return None
-    if max(np.abs(out.sum(axis=1) - w).max(), np.abs(out.sum(axis=0) - w).max()) > MARGINAL_TOL:
-        return None
-    return out
-
-
 def _blended_slack(mu: DiscreteMeasure, alpha: float):
     """improved_slack(mu, alpha) and the worst-coupling report it used
     (None at alpha = 0, where no coupling enters)."""
@@ -378,9 +313,7 @@ class DeltaSearchReport:
     """Largest mean excess over the golden threshold that survives the scan.
 
     closed_form_couplings counts worst couplings evaluated without the LP
-    (measures with one or two atoms), lp_solves the transportation LPs, and
-    lp_fallbacks the LP couplings whose exact marginal rebuild failed, so
-    that their marginals hold only to solver tolerance.
+    (measures with one or two atoms) and lp_solves the transportation LPs.
     """
 
     alpha: float
@@ -390,7 +323,6 @@ class DeltaSearchReport:
     measures_scanned: int
     closed_form_couplings: int
     lp_solves: int
-    lp_fallbacks: int
     violations: int
     failure_at_threshold: bool
     binding_measure: dict | None
@@ -502,7 +434,7 @@ def delta_search(
         if float(np.dot(mu.weights, binary_entropy(mu.locations))) > 1e-12
     ]
     closed_form = v.size if alpha > 0.0 else 0
-    lp_solves = lp_fallbacks = 0
+    lp_solves = 0
     extra_slacks = []
     for mu in extras:
         slack, worst = _blended_slack(mu, alpha)
@@ -513,7 +445,6 @@ def delta_search(
             closed_form += 1
         else:
             lp_solves += 1
-            lp_fallbacks += not worst.repaired
 
     def measure(i):
         if i < v.size:
@@ -545,7 +476,6 @@ def delta_search(
         measures_scanned=int(slacks.size),
         closed_form_couplings=closed_form,
         lp_solves=lp_solves,
-        lp_fallbacks=lp_fallbacks,
         violations=int(violating.size),
         failure_at_threshold=failure,
         binding_measure=binding,

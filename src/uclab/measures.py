@@ -549,7 +549,9 @@ def lemma_certificate(
     for name, tol in (("scan_tol", scan_tol), ("search_tol", search_tol)):
         if not 0.0 <= tol < np.inf:
             raise ValueError(f"{name} must be finite and nonnegative, got {tol}")
-    us = np.arange(1, u_steps + 1) / (u_steps + 1.0)
+    if not 0.0 < lam_scale < np.inf:
+        raise ValueError(f"lam_scale must be finite and positive, got {lam_scale}")
+    us =np.arange(1, u_steps + 1) / (u_steps + 1.0)
     us = sorted_unique(np.append(us, GOLDEN_THRESHOLD))
     lams = entropy_ratio_bound_array(us) * lam_scale
 

@@ -147,16 +147,18 @@ def highs_transport_value(cost, w):
     marginals summing to 1 its objective can sit that far below the exact
     optimum.  The LP is homogeneous in the marginals, so it is solved for
     w scaled by 1e6 and the value scaled back, which shrinks that error
-    below 1e-12.
+    below 1e-12.  The constraint matrix is sparse: a dense one takes
+    128 MB at MAX_LP_ATOMS = 200 atoms.
     """
+    from scipy import sparse
     from scipy.optimize import linprog
 
     m = w.size
     scale = 1e6
-    eye, ones = np.eye(m), np.ones((1, m))
+    eye, ones = sparse.identity(m), sparse.csr_matrix(np.ones((1, m)))
     res = linprog(
         cost.ravel(),
-        A_eq=np.vstack([np.kron(eye, ones), np.kron(ones, eye)]),
+        A_eq=sparse.vstack([sparse.kron(eye, ones), sparse.kron(ones, eye)], format="csr"),
         b_eq=scale * np.concatenate([w, w]),
         bounds=(0.0, None),
         method="highs",
@@ -224,7 +226,6 @@ def delta_search_loop(alpha, u_cap_steps=200, delta_max=0.02, v_steps=96, mean_s
         measures_scanned=len(candidates),
         closed_form_couplings=len(candidates) - len(lp) if alpha > 0.0 else 0,
         lp_solves=len(lp),
-        lp_fallbacks=sum(not worst_coupling_value(mu).repaired for mu in lp),
         violations=len(violating),
         failure_at_threshold=failure,
         binding_measure=binding,

@@ -88,6 +88,27 @@ class TestExitCodes:
             "coupling.internal: transportation LP failed: stub solver failure"
         ]
 
+    def test_vertex_off_its_marginals_is_one_naming_coupling_internal(self, tmp_path,
+                                                                     monkeypatch):
+        import uclab.coupling
+
+        real = uclab.coupling.linprog
+
+        def off_by_1e9(cost, w):
+            out = real(cost, w)
+            out[0, 0] += 1e-9
+            return out
+
+        monkeypatch.setattr(uclab.coupling, "linprog", off_by_1e9)
+        code, out = run(
+            ["coupling", "delta-search", "--delta-steps", "10", "--v-steps", "8",
+             "--mean-steps", "8", "--search-points", "3", "--search-restarts", "2"],
+            tmp_path,
+        )
+        assert code == 1
+        (item,) = json.loads(out.read_text())["failures"]
+        assert item.startswith("coupling.internal: transportation simplex vertex is not a coupling")
+
 
 class TestDeterminism:
     def test_same_config_same_bytes(self, tmp_path):
@@ -112,6 +133,18 @@ class TestDeterminism:
             "flag.json",
         )
         assert json.loads(out2.read_text())["config"]["seed"] == 5
+
+    def test_seed_echo_does_not_depend_on_how_it_was_given(self, tmp_path, monkeypatch):
+        argv = ["theorem2", "--trials", "5", "--max-n", "4"]
+        monkeypatch.delenv("UCLAB_SEED", raising=False)
+        _, default = run(argv, tmp_path, "default.json")
+        _, flag = run(argv + ["--seed", "1729"], tmp_path, "flag.json")
+        monkeypatch.setenv("UCLAB_SEED", "1729")
+        _, env = run(argv, tmp_path, "env.json")
+        assert default.read_bytes() == flag.read_bytes() == env.read_bytes()
+        assert list(json.loads(default.read_text())["config"]) == [
+            "command", "max_n", "seed", "trials"
+        ]
 
     def test_bad_env_seed_exits_two(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("UCLAB_SEED", "abc")
@@ -192,6 +225,23 @@ class TestLemmaCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "0", "-1"])
+    def test_bad_inflate_bound_exits_two_before_any_work(self, scale, tmp_path, monkeypatch,
+                                                        capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("lemma started work before --inflate-bound was checked")
+
+        monkeypatch.setattr(np, "arange", no_work)
+        monkeypatch.setattr(uclab.measures, "entropy_ratio_bound_array", no_work)
+        monkeypatch.setattr(uclab.measures, "parallel_map", no_work)
+        out = tmp_path / "x.json"
+        assert main(["lemma", f"--inflate-bound={scale}", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"uclab: error: lam_scale must be finite and positive, got {float(scale)}"
+        ]
+        assert not out.exists()
+
+
 class TestTolerance:
     @pytest.mark.parametrize("command", [["lemma"], ["theorem2"]])
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-9"])
@@ -207,6 +257,16 @@ class TestTolerance:
         assert capsys.readouterr().err.splitlines() == [
             f"uclab: error: --tol must be finite and nonnegative, got {float(tol)}"
         ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["scalar"], ["families"], ["counterexample"],
+                                         ["coupling", "delta-search"], ["all"]])
+    def test_tol_is_not_accepted_where_it_is_not_read(self, command, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--tol=1e-9", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol=1e-9" in capsys.readouterr().err
         assert not out.exists()
 
     def test_zero_tol_is_allowed(self, tmp_path):
@@ -362,6 +422,41 @@ class TestCounterexampleCommand:
         assert code == 0
         res = json.loads(out.read_text())["results"]
         assert res["exact_within_bounds"] is True
+
+
+    @pytest.mark.parametrize("theta", ["0", "-0.5", "nan", "1", "inf"])
+    def test_bad_theta_exits_two_before_any_work(self, theta, tmp_path, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("counterexample started work before theta was checked")
+
+        monkeypatch.setattr(np, "arange", no_work)
+        out = tmp_path / "x.json"
+        assert main(["counterexample", f"--theta={theta}", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "uclab: error: theta must lie strictly inside (0, 1)"
+        ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, trunc",
+        [(["--trunc", "100000000000"], 100_000_000_000),
+         # derived from theta: ceil(30 / -log(theta))
+         (["--theta", "0.99999"], 2_999_985)],
+    )
+    def test_huge_trunc_exits_two_before_allocating(self, flags, trunc, tmp_path, monkeypatch,
+                                                    capsys):
+        from uclab.counterexample import MAX_TRUNC
+
+        def no_arange(*args, **kwargs):
+            raise AssertionError("np.arange ran before trunc was bounded")
+
+        monkeypatch.setattr(np, "arange", no_arange)
+        out = tmp_path / "x.json"
+        assert main(["counterexample", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"uclab: error: trunc must be at most {MAX_TRUNC}, got {trunc}"
+        ]
+        assert not out.exists()
 
 
 class TestCouplingCommand:
@@ -547,9 +642,32 @@ class _NoPool:
         raise AssertionError("a process pool was started")
 
 
-@given(argv=_FUZZ_ARGV, seed=st.integers(min_value=0, max_value=3))
-@settings(max_examples=60, deadline=None, database=None)
-def test_fuzz_small_flags_exit_cleanly(argv, seed):
+def _float(flag, valid):
+    """`flag=value` for a bad float or the valid one; the = form lets
+    argparse take values such as -inf that start with a dash."""
+    values = st.sampled_from(["nan", "inf", "-inf", "0", "-1", valid])
+    return values.map(lambda value: f"{flag}={value}")
+
+
+# every float flag at bad values and a valid one, on small sizes
+_FUZZ_FLOAT_ARGV = st.one_of(
+    st.tuples(st.just("lemma"), st.just("--u-steps=3"), st.just("--v-steps=4"),
+              st.just("--restarts=2"), st.just("--atom-grid=10"), st.just("--search-points=2"),
+              _float("--tol", "1e-9"), _float("--inflate-bound", "1.0")),
+    st.tuples(st.just("theorem2"), st.just("--trials=2"), st.just("--max-n=3"),
+              _float("--tol", "1e-10")),
+    st.tuples(st.just("coupling"), st.just("delta-search"), st.just("--delta-steps=4"),
+              st.just("--v-steps=4"), st.just("--mean-steps=4"), st.just("--search-points=1"),
+              st.just("--search-restarts=1"), _float("--alpha", "0.05"),
+              _float("--delta-max", "0.02")),
+    st.tuples(st.just("counterexample"), _float("--ubar", "0.2"), _float("--u", "0.25"),
+              _float("--d", "1.35"), _float("--theta", "0.01")),
+)
+
+
+def _assert_clean_exit(argv, seed):
+    """The exit contract: 0, 1 or 2; exit 2 prints exactly one
+    `uclab: error:` line and no report; every report float is finite."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             mock.patch.object(concurrent.futures, "ProcessPoolExecutor", _NoPool):
@@ -562,3 +680,15 @@ def test_fuzz_small_flags_exit_cleanly(argv, seed):
     else:
         report = json.loads(out.getvalue(), parse_constant=_finite_only)
         assert report["passed"] is (code == 0)
+
+
+@given(argv=_FUZZ_ARGV, seed=st.integers(min_value=0, max_value=3))
+@settings(max_examples=60, deadline=None, database=None)
+def test_fuzz_small_flags_exit_cleanly(argv, seed):
+    _assert_clean_exit(argv, seed)
+
+
+@given(argv=_FUZZ_FLOAT_ARGV, seed=st.integers(min_value=0, max_value=3))
+@settings(max_examples=100, deadline=None, database=None)
+def test_fuzz_float_flags_exit_cleanly(argv, seed):
+    _assert_clean_exit(argv, seed)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from uclab.counterexample import (
+    MAX_TRUNC,
     CounterexampleParams,
     _union_level_pmf,
     bounds_report,
@@ -39,6 +40,22 @@ class TestParams:
     def test_rejects_d_at_or_below_base_ratio(self):
         with pytest.raises(ValueError):
             params(d=1.30)  # below H(0.36)/H(0.2)
+
+    @pytest.mark.parametrize("d", [math.inf, math.nan])
+    def test_rejects_non_finite_d(self, d):
+        with pytest.raises(ValueError, match="d must be finite"):
+            params(d=d)
+
+    @pytest.mark.parametrize("theta", [0.0, -0.5, math.nan, 1.0])
+    def test_rejects_theta_before_deriving_truncation(self, theta):
+        with pytest.raises(ValueError, match=r"theta must lie strictly inside \(0, 1\)"):
+            params(theta=theta)
+
+    def test_truncation_capped(self):
+        p = params(trunc=MAX_TRUNC)
+        assert p.trunc == MAX_TRUNC
+        with pytest.raises(ValueError, match=f"trunc must be at most {MAX_TRUNC}"):
+            params(trunc=MAX_TRUNC + 1)
 
     def test_rejects_insufficient_truncation(self):
         with pytest.raises(ValueError):

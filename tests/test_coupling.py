@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 import uclab.coupling
 from helpers import delta_search_loop, highs_transport_value, random_union_closed
 from uclab.coupling import (
+    MARGINAL_TOL,
     MAX_DELTA_GRID_CELLS,
+    MAX_LP_ATOMS,
     JointMeasure,
     coupled_union_prob,
     delta_search,
@@ -132,7 +134,7 @@ class TestJointMeasure:
         mu = DiscreteMeasure.two_atom(0.3, 0.6)
         w = np.array([[0.5, 0.2], [0.1, 0.2]])
         with pytest.raises(ValueError):
-            JointMeasure(mu, mu, w, tol=1e-12)
+            JointMeasure(mu, mu, w)
 
     def test_rejects_negative_mass(self):
         mu = DiscreteMeasure.two_atom(0.3, 0.6)
@@ -246,8 +248,8 @@ def _lp_cost(mu):
 
 
 def _check_against_highs(mu):
-    # the simplex's own basic solution: feasible before any rebuild, on a
-    # support of at most 2m - 1 cells
+    # the simplex's own basic solution, which worst_coupling_value returns
+    # as it is: feasible on a support of at most 2m - 1 cells
     cost, m = _lp_cost(mu), mu.size()
     raw = uclab.coupling.linprog(cost, mu.weights)
     assert raw.min() >= 0.0 and np.count_nonzero(raw) <= 2 * m - 1
@@ -303,6 +305,33 @@ class TestTransportSimplex:
         weights = np.array(masses[: locs.size], dtype=float)
         assume(weights.sum() > 0.0)
         _check_against_highs(DiscreteMeasure(locs, weights / weights.sum()))
+
+    def test_largest_tied_measures_match_highs(self):
+        # MAX_LP_ATOMS atoms on a 1e-3 grid, so cost values repeat; in the
+        # first measure every atom lies in [1/4, 1/2), where all costs tie
+        rng = np.random.default_rng(41)
+        m = MAX_LP_ATOMS
+        for lo, hi, concentration in ((0.25, 0.5, 1.0), (0.0, 1.0, 0.3), (0.1, 0.6, 3.0)):
+            locs = np.sort(rng.choice(np.arange(lo, hi, 0.001), size=m, replace=False))
+            mu = DiscreteMeasure(locs, rng.dirichlet(np.full(m, concentration)))
+            rep = worst_coupling_value(mu)
+            w = rep.coupling.weights
+            assert np.abs(w.sum(axis=1) - mu.weights).max() <= MARGINAL_TOL
+            assert np.abs(w.sum(axis=0) - mu.weights).max() <= MARGINAL_TOL
+            assert rep.value <= highs_transport_value(_lp_cost(mu), mu.weights) + 1e-12
+
+    def test_vertex_off_its_marginals_is_an_internal_fault(self, monkeypatch):
+        real = uclab.coupling.linprog
+
+        def off_by_1e9(cost, w):
+            out = real(cost, w)
+            out[0, 0] += 1e-9
+            return out
+
+        monkeypatch.setattr(uclab.coupling, "linprog", off_by_1e9)
+        mu = DiscreteMeasure(np.array([0.1, 0.3, 0.7]), np.array([0.2, 0.3, 0.5]))
+        with pytest.raises(RuntimeError, match="simplex vertex is not a coupling"):
+            worst_coupling_value(mu)
 
     def test_pivot_cap_raises(self, monkeypatch):
         monkeypatch.setattr(uclab.coupling, "MAX_PIVOTS_PER_CELL", 0)
@@ -373,16 +402,8 @@ class TestDeltaSearch:
         rep = delta_search(0.05, **kw)
         assert rep.lp_solves > 0
         assert rep.closed_form_couplings + rep.lp_solves == rep.measures_scanned
-        assert rep.lp_fallbacks == 0
         plain = delta_search(0.0, **kw)
         assert (plain.closed_form_couplings, plain.lp_solves) == (0, 0)
-
-    def test_counts_lp_fallbacks(self, monkeypatch):
-        monkeypatch.setattr(uclab.coupling, "_rebuild_from_support", lambda raw, w: None)
-        rep = delta_search(0.05, u_cap_steps=10, v_steps=8, mean_steps=8, search_points=3,
-                           search_restarts=2, seed=43)
-        assert rep.lp_solves > 0
-        assert rep.lp_fallbacks == rep.lp_solves
 
     @pytest.mark.parametrize("kw", [dict(u_cap_steps=10**12), dict(v_steps=10**9),
                                     dict(mean_steps=10**9)])

@@ -482,6 +482,12 @@ class TestLemmaCertificate:
             lemma_certificate(u_steps=3, v_steps=4, restarts=1, atom_grid=10,
                               search_points=1, **kw)
 
+    @pytest.mark.parametrize("lam_scale", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rejects_bad_lam_scale(self, lam_scale):
+        with pytest.raises(ValueError, match="lam_scale must be finite and positive"):
+            lemma_certificate(u_steps=3, v_steps=4, restarts=1, atom_grid=10,
+                              search_points=1, lam_scale=lam_scale)
+
     def test_inflated_factor_fails(self):
         cert = lemma_certificate(
             u_steps=40, v_steps=80, restarts=8, atom_grid=200,
