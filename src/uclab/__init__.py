@@ -21,7 +21,6 @@ _EXPORTS = {
         "entropy_ratio_bound",
         "entropy_square_gap",
         "entropy_square_ratio",
-        "golden_threshold",
         "third_deriv_numerator",
         "union_prob",
     ),

@@ -41,8 +41,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (default 1729, or UCLAB_SEED)")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="parallel worker processes for sweeps")
 
 
 def _add_tol(p: argparse.ArgumentParser) -> None:
@@ -71,6 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--atom-grid", type=int, default=1000)
     p.add_argument("--search-points", type=int, default=21)
     p.add_argument("--inflate-bound", type=float, default=1.0, help=argparse.SUPPRESS)
+    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                   help="worker processes for the local search")
     _add_tol(p)
     _add_common(p)
 
@@ -393,12 +393,11 @@ class SystemExit2(SystemExit):
 
 # The compact suite run by `all`: each entry is parsed as that subcommand's
 # command line, so every flag it does not list keeps the subcommand default.
-# Every suite runs with --jobs=1: at these sizes the work takes about 0.1 s,
-# less than starting a process pool costs.
+# lemma runs with --jobs 1: its 0.1 s search costs less than starting a pool.
 _COMPACT_SUITE = {
     "scalar": ["--grid", "20000"],
     "lemma": ["--u-steps", "200", "--v-steps", "400", "--restarts", "120",
-              "--atom-grid", "400", "--search-points", "11"],
+              "--atom-grid", "400", "--search-points", "11", "--jobs", "1"],
     "families": [],
     "theorem2": ["--trials", "200", "--max-n", "6"],
     "counterexample": [],
@@ -412,7 +411,7 @@ def cmd_all(args, seed: int):
     suites = {}
     failures = []
     for command, flags in _COMPACT_SUITE.items():
-        sub_args = parser.parse_args([command, *flags, "--jobs=1"])
+        sub_args = parser.parse_args([command, *flags])
         suites[command], f = _HANDLERS[command](sub_args, seed)
         failures += f
     return {"suites": suites}, failures
@@ -457,7 +456,11 @@ def main(argv=None) -> int:
         "failures": failures,
         "results": results,
     }
-    emit_report(report, fmt=args.format, path=args.out)
+    try:
+        emit_report(report, fmt=args.format, path=args.out)
+    except OSError as exc:
+        print(f"uclab: error: {exc}", file=sys.stderr)
+        return 2
     elapsed = time.perf_counter() - t0
     status = "passed" if not failures else "FAILED"
     print(f"[uclab] {args.command}: {status} in {elapsed:.2f} s", file=sys.stderr)

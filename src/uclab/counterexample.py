@@ -18,13 +18,14 @@ and confirms the exact entropies and divergence sit inside every bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .scalars import binary_entropy, union_prob
 from .setdist import (
     ProductMixture,
+    _plogp,
     expand_mixture,
     kl_divergence,
     mixture_entropy_bounds,
@@ -36,6 +37,8 @@ PMF_TAIL_TOL = 1e-14
 # the level arrays hold trunc + 1 entries and the union's level pmf about
 # 1.2 (trunc + 1), so a few MB at this cap
 MAX_TRUNC = 1_000_000
+# the bounds multiply by n as a float, which is exact for every n up to 2^53
+MAX_N = 2**53
 
 
 def _check_theta(theta: float) -> None:
@@ -77,8 +80,8 @@ class CounterexampleParams:
             raise ValueError(
                 f"d must be finite and exceed the base entropy ratio {base_ratio:.6f} at ubar"
             )
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError("n must be a positive integer")
+        if not isinstance(self.n, int) or not 1 <= self.n <= MAX_N:
+            raise ValueError(f"n must be a positive integer of at most {MAX_N}")
         if not isinstance(self.trunc, int) or self.trunc < 1:
             raise ValueError("trunc must be a positive integer")
         if self.trunc > MAX_TRUNC:
@@ -159,7 +162,7 @@ def union_entropy_upper_bound(params: CounterexampleParams) -> float:
     """Level entropy plus average conditional entropy of the union:
     H(law of k') + n * sum_{k'} Pr[k'] H((1-ubar)^(k'+1))."""
     kp, pmf = _union_level_pmf(params)
-    level_entropy = float(-np.sum(pmf * np.log(pmf)))
+    level_entropy = float(-_plogp(pmf).sum())
     cond = binary_entropy((1.0 - params.ubar) ** (kp + 1))
     return level_entropy + float(params.n * np.dot(pmf, cond))
 
@@ -249,14 +252,8 @@ def exact_small_n_check(params: CounterexampleParams) -> CounterexampleReport:
         and kl <= base.kl_upper + 1e-10
         and dist.marginal(1) <= params.u + 1e-12
     )
-    return CounterexampleReport(
-        marginal=base.marginal,
-        marginal_admissible=base.marginal_admissible,
-        entropy_lower=base.entropy_lower,
-        union_entropy_upper=base.union_entropy_upper,
-        ratio_upper=base.ratio_upper,
-        ratio_below_d=base.ratio_below_d,
-        kl_upper=base.kl_upper,
+    return replace(
+        base,
         exact_entropy=h_a,
         exact_union_entropy=h_u,
         exact_kl=kl,

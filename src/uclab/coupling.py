@@ -40,7 +40,7 @@ from .measures import (
     objective,
     sorted_unique,
 )
-from .scalars import GOLDEN_THRESHOLD, binary_entropy, union_prob
+from .scalars import GOLDEN_THRESHOLD, _check_unit_interval, binary_entropy, union_prob
 
 if TYPE_CHECKING:
     from .families import Family
@@ -57,12 +57,8 @@ def coupled_union_prob(p, r):
     max(p, r) when either rate is at least 1/2, else min(p + r, 1/2);
     symmetric, and equal to max(p, r, min(p + r, 1/2)) in every case.
     """
-    a = np.asarray(p, dtype=float)
-    b = np.asarray(r, dtype=float)
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValueError("rates must be finite")
-    if np.any(a < 0.0) or np.any(a > 1.0) or np.any(b < 0.0) or np.any(b > 1.0):
-        raise ValueError("rates must lie in [0, 1]")
+    a = _check_unit_interval(p, "rates")
+    b = _check_unit_interval(r, "rates")
     both_small = (a < 0.5) & (b < 0.5)
     out = np.where(both_small, np.minimum(a + b, 0.5), np.maximum(a, b))
     if np.ndim(p) == 0 and np.ndim(r) == 0:
@@ -133,23 +129,12 @@ def worst_coupling_value(mu: DiscreteMeasure) -> WorstCouplingReport:
     cost = binary_entropy(coupled_union_prob(x[:, None], x[None, :]))
     independent = float(w @ cost @ w)
     if m == 1:
-        coupling = JointMeasure(mu, mu, np.array([[1.0]]))
-        return WorstCouplingReport(
-            value=float(cost[0, 0]),
-            coupling=coupling,
-            independent_value=independent,
-            repaired=False,
-        )
-    if m == 2:
+        weights = np.ones((1, 1))
+    elif m == 2:
         t = min(w[0], w[1]) if 2.0 * cost[0, 1] < cost[0, 0] + cost[1, 1] else 0.0
         weights = np.array([[w[0] - t, t], [t, w[1] - t]])
-        return WorstCouplingReport(
-            value=float((weights * cost).sum()),
-            coupling=JointMeasure(mu, mu, weights),
-            independent_value=independent,
-            repaired=True,
-        )
-    weights = linprog(cost, w)
+    else:
+        weights = linprog(cost, w)
     try:
         coupling = JointMeasure(mu, mu, weights)
     except ValueError as exc:
@@ -158,7 +143,7 @@ def worst_coupling_value(mu: DiscreteMeasure) -> WorstCouplingReport:
         value=float((weights * cost).sum()),
         coupling=coupling,
         independent_value=independent,
-        repaired=True,
+        repaired=m > 1,
     )
 
 

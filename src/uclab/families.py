@@ -21,7 +21,7 @@ from typing import Iterator
 import numpy as np
 
 from .scalars import GOLDEN_THRESHOLD, entropy_ratio_bound
-from .setdist import ExplicitSetDistribution, union_of_independent
+from .setdist import ExplicitSetDistribution, _read_records, _write_records, union_of_independent
 
 MAX_ENUMERATION_N = 4
 MARGINAL_ONE_TOL = 1e-12
@@ -40,7 +40,8 @@ class Family:
         sets = tuple(int(s) for s in self.sets)
         if not sets:
             raise ValueError("family must be nonempty")
-        if any(not 0 <= s < (1 << self.n) for s in sets):
+        # a shift right, not 1 << n: a file header may carry any n
+        if any(s < 0 or s >> self.n for s in sets):
             raise ValueError("set masks out of range")
         if any(a >= b for a, b in zip(sets, sets[1:])):
             raise ValueError("set masks must be strictly increasing")
@@ -52,9 +53,6 @@ class Family:
 
     def size(self) -> int:
         return len(self.sets)
-
-    def save(self, path) -> None:
-        save_family(self, path)
 
 
 def is_union_closed(f: Family) -> bool:
@@ -256,16 +254,12 @@ def entropy_chain_diagnostics(f: Family, tol: float = 1e-9) -> EntropyDiagnostic
 
 def save_family(f: Family, path) -> None:
     """Write `n=<int>` then one hex mask per line."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"n={f.n}\n")
-        for s in f.sets:
-            fh.write(f"{s:x}\n")
+    _write_records(path, f.n, (f"{s:x}" for s in f.sets))
 
 
 def load_family(path) -> Family:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("n="):
-        raise ValueError("family file must start with an n=<int> header")
-    n = int(lines[0][2:])
-    return Family.of(n, (int(ln, 16) for ln in lines[1:]))
+    n, records = _read_records(path, "family", 1)
+    masks = [int(s, 16) for (s,) in records]
+    if len(set(masks)) < len(masks):
+        raise ValueError("bad family line: a mask is listed twice")
+    return Family.of(n, masks)

@@ -53,8 +53,10 @@ def _escape(s: str) -> str:
             out.append('\\"')
         elif ch == "\\":
             out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
+        elif not " " <= ch <= "\x7f":
+            # \uXXXX (a surrogate pair beyond the BMP): every report is ASCII
+            units = ch.encode("utf-16-be", "surrogatepass")
+            out.extend(f"\\u{units[k]:02x}{units[k + 1]:02x}" for k in range(0, len(units), 2))
         else:
             out.append(ch)
     return "".join(out)

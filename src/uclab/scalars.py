@@ -79,27 +79,17 @@ def union_prob(p, q):
     return r
 
 
-def golden_threshold() -> float:
-    """The constant (3 - sqrt(5))/2, approximately 0.382."""
-    return GOLDEN_THRESHOLD
-
-
-def entropy_ratio_bound(u, limit: bool = False) -> float:
+def entropy_ratio_bound(u) -> float:
     """Sharp lower-bound factor for union entropy relative to single-sample entropy.
 
     For a maximal inclusion probability u this is H(2u - u^2)/H(u) at or
     below the golden threshold and (1 - u) * PHI above it; both branches
-    equal 1 exactly at the threshold.  Plain calls reject u in {0, 1}; with
-    limit=True the documented limit values are returned instead (2.0 as
-    u -> 0, and 0.0 at u = 1).
+    equal 1 exactly at the threshold.  u in {0, 1} is rejected: the factor
+    degenerates there (it tends to 2 as u -> 0 and is 0 at u = 1).
     """
     u = float(u)
-    if not math.isfinite(u) or u < 0.0 or u > 1.0:
-        raise ValueError("u must lie in [0, 1]")
-    if u == 0.0 or u == 1.0:
-        if limit:
-            return 2.0 if u == 0.0 else 0.0
-        raise ValueError("u must lie strictly inside (0, 1); pass limit=True for the limit value")
+    if not 0.0 < u < 1.0:
+        raise ValueError("u must lie strictly inside (0, 1)")
     if u <= GOLDEN_THRESHOLD:
         return binary_entropy(union_prob(u, u)) / binary_entropy(u)
     return (1.0 - u) * PHI

@@ -158,9 +158,6 @@ class ExplicitSetDistribution:
             out[i - 1] = float(np.dot(tot[pos], binary_entropy(rates)))
         return out
 
-    def save(self, path) -> None:
-        save_distribution(self, path)
-
     def _check_element(self, i: int) -> None:
         if not 1 <= i <= self.n:
             raise ValueError(f"element index must be in 1..{self.n}")
@@ -263,9 +260,6 @@ class ProductMixture:
         """Inclusion probability of any single element (all elements alike)."""
         return float(np.dot(self.weights(), self.inclusions()))
 
-    def save(self, path) -> None:
-        save_mixture(self, path)
-
 
 def mixture_entropy_bounds(m: ProductMixture) -> tuple:
     """(lower, upper) bracket on the exact entropy of the mixture.
@@ -357,47 +351,46 @@ def union_entropy_check(d: ExplicitSetDistribution) -> UnionBoundReport:
     )
 
 
-def save_distribution(d: ExplicitSetDistribution, path) -> None:
-    """Write `n=<int>` then one `mask_hex probability` line per nonzero mask."""
+def _write_records(path, n: int, lines) -> None:
+    """Write the `n=<int>` header, then each line of `lines`."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"n={d.n}\n")
-        for mask in d.support():
-            fh.write(f"{int(mask):x} {d.probs[mask]:.17g}\n")
+        fh.write(f"n={n}\n")
+        fh.writelines(f"{ln}\n" for ln in lines)
 
 
-def load_distribution(path) -> ExplicitSetDistribution:
+def _read_records(path, kind: str, width: int) -> tuple:
+    """(n, records) of an `n=<int>` file: every later nonblank line split
+    into exactly `width` whitespace-separated tokens."""
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or not lines[0].startswith("n="):
-        raise ValueError("distribution file must start with an n=<int> header")
+        raise ValueError(f"{kind} file must start with an n=<int> header")
     n = int(lines[0][2:])
-    mapping = {}
-    for ln in lines[1:]:
-        tok = ln.split()
-        if len(tok) != 2:
-            raise ValueError(f"bad distribution line: {ln!r}")
-        mapping[int(tok[0], 16)] = float(tok[1])
+    records = [ln.split() for ln in lines[1:]]
+    for ln, tok in zip(lines[1:], records):
+        if len(tok) != width:
+            raise ValueError(f"bad {kind} line: {ln!r}")
+    return n, records
+
+
+def save_distribution(d: ExplicitSetDistribution, path) -> None:
+    """Write `n=<int>` then one `mask_hex probability` line per nonzero mask."""
+    _write_records(path, d.n, (f"{int(m):x} {d.probs[m]:.17g}" for m in d.support()))
+
+
+def load_distribution(path) -> ExplicitSetDistribution:
+    n, records = _read_records(path, "distribution", 2)
+    mapping = {int(mask, 16): float(p) for mask, p in records}
+    if len(mapping) < len(records):
+        raise ValueError("bad distribution line: a mask is listed twice")
     return ExplicitSetDistribution.from_mapping(n, mapping)
 
 
 def save_mixture(m: ProductMixture, path) -> None:
     """Write `n=<int>` then one `weight inclusion` line per component."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"n={m.n}\n")
-        for w, r in m.components:
-            fh.write(f"{w:.17g} {r:.17g}\n")
+    _write_records(path, m.n, (f"{w:.17g} {r:.17g}" for w, r in m.components))
 
 
 def load_mixture(path) -> ProductMixture:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("n="):
-        raise ValueError("mixture file must start with an n=<int> header")
-    n = int(lines[0][2:])
-    comps = []
-    for ln in lines[1:]:
-        tok = ln.split()
-        if len(tok) != 2:
-            raise ValueError(f"bad mixture line: {ln!r}")
-        comps.append((float(tok[0]), float(tok[1])))
-    return ProductMixture(n, tuple(comps))
+    n, records = _read_records(path, "mixture", 2)
+    return ProductMixture(n, tuple((float(w), float(r)) for w, r in records))

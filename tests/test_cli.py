@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -23,12 +25,12 @@ from uclab.families import Family, count_union_closed, save_family
 from uclab.setdist import golden_threshold_mixture, product_bernoulli, save_distribution, save_mixture
 
 FAST_LEMMA = ["lemma", "--u-steps", "30", "--v-steps", "60", "--restarts", "8",
-              "--atom-grid", "200", "--search-points", "3"]
+              "--atom-grid", "200", "--search-points", "3", "--jobs", "1"]
 
 
 def run(args, tmp_path, name="out.json", fmt=None):
     out = tmp_path / name
-    argv = list(args) + ["--out", str(out), "--jobs", "1"]
+    argv = list(args) + ["--out", str(out)]
     if fmt:
         argv += ["--format", fmt]
     code = main(argv)
@@ -63,7 +65,7 @@ class TestExitCodes:
         path.write_text("n=40\n0 1.0\n")
         out = tmp_path / "x.json"
         code = main(["theorem2", "--trials", "2", "--max-n", "3", "--dist-file", str(path),
-                     "--out", str(out), "--jobs", "1"])
+                     "--out", str(out)])
         assert code == 2
         assert not out.exists()
         err = capsys.readouterr().err.strip().splitlines()
@@ -161,10 +163,10 @@ class TestDeterminism:
 
         out1 = tmp_path / "j1.json"
         out2 = tmp_path / "j2.json"
-        assert main(["all", "--jobs", "1", "--out", str(out1)]) == 0
+        assert main(["all", "--out", str(out1)]) == 0
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
-        assert main(["all", "--jobs", "2", "--out", str(out2)]) == 0
+        assert main(["all", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_report_round_trips(self, tmp_path):
@@ -273,6 +275,39 @@ class TestTolerance:
         code, out = run(["theorem2", "--trials", "5", "--max-n", "4", "--tol", "0"], tmp_path)
         assert code in (0, 1)
         assert json.loads(out.read_text())["config"]["tol"] == 0.0
+
+
+class TestJobs:
+    @pytest.mark.parametrize("command", [["scalar"], ["families"], ["theorem2"],
+                                         ["counterexample"], ["coupling"], ["all"]])
+    def test_jobs_is_not_accepted_where_it_is_not_read(self, command, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--jobs=1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs=1" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestReportWrite:
+    def test_missing_out_directory_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        assert main(["families", "--n", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("uclab: error: "), err
+        assert str(out) in err[0]
+        assert not out.exists()
+
+    def test_non_ascii_path_is_escaped_into_an_ascii_report(self, tmp_path):
+        path = tmp_path / "caf\u00e9-\U0001d4b3.txt"
+        save_distribution(product_bernoulli(3, 0.3), path)
+        code, out = run(["theorem2", "--trials", "2", "--max-n", "3", "--dist-file", str(path)],
+                        tmp_path)
+        assert code == 0
+        text = out.read_bytes().decode("ascii")
+        assert "\\u00e9-\\ud835\\udcb3" in text
+        report = json.loads(text)
+        assert report["config"]["dist_file"] == report["results"]["dist_file"]["path"] == str(path)
 
 
 class TestCsvOutput:
@@ -391,6 +426,18 @@ class TestTheorem2Command:
         res = json.loads(out.read_text())["results"]["dist_file"]
         assert abs(res["slack"]) < 1e-10
 
+    def test_repeated_mask_exits_two(self, tmp_path, capsys):
+        # the two lines for mask 0 bring the mass to 1.5
+        path = tmp_path / "dist.txt"
+        path.write_text("n=2\n0 0.5\n0 0.5\n1 0.5\n", encoding="ascii")
+        out = tmp_path / "x.json"
+        assert main(["theorem2", "--trials", "2", "--max-n", "3", "--dist-file", str(path),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "uclab: error: bad distribution line: a mask is listed twice"
+        ]
+        assert not out.exists()
+
     def test_mixture_file(self, tmp_path):
         path = tmp_path / "mix.txt"
         save_mixture(golden_threshold_mixture(0.5, 8), path)
@@ -423,6 +470,39 @@ class TestCounterexampleCommand:
         res = json.loads(out.read_text())["results"]
         assert res["exact_within_bounds"] is True
 
+
+    def test_tiny_theta_reports_finite_bounds(self, tmp_path):
+        # the union's level pmf underflows to exact zeros at this theta
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(["counterexample", "--theta", "1e-200"], tmp_path)
+        assert code == 0
+        res = json.loads(out.read_text(), parse_constant=_finite_only)["results"]
+        # the large-n, small-theta limit H(0.36) / H(0.2)
+        assert res["ratio_upper"] == pytest.approx(1.3057854320000842, rel=1e-12)
+        assert res["ratio_below_d"] is True
+
+    def test_huge_n_exits_two_before_any_work(self, tmp_path, monkeypatch, capsys):
+        from uclab.counterexample import MAX_N
+
+        def no_arange(*args, **kwargs):
+            raise AssertionError("np.arange ran before n was bounded")
+
+        monkeypatch.setattr(np, "arange", no_arange)
+        out = tmp_path / "x.json"
+        for n in (MAX_N + 1, 10**330):
+            assert main(["counterexample", "--n", str(n), "--out", str(out)]) == 2
+            assert capsys.readouterr().err.splitlines() == [
+                f"uclab: error: n must be a positive integer of at most {MAX_N}"
+            ]
+            assert not out.exists()
+
+    def test_largest_n_runs(self, tmp_path):
+        from uclab.counterexample import MAX_N
+
+        code, out = run(["counterexample", "--n", str(MAX_N)], tmp_path)
+        assert code == 0
+        assert json.loads(out.read_text())["config"]["n"] == MAX_N
 
     @pytest.mark.parametrize("theta", ["0", "-0.5", "nan", "1", "inf"])
     def test_bad_theta_exits_two_before_any_work(self, theta, tmp_path, monkeypatch, capsys):
@@ -531,7 +611,7 @@ class TestCouplingCommand:
         assert not out.exists()
 
     def test_stdout_when_no_out(self, capsys):
-        code = main(["families", "--n", "2", "--jobs", "1"])
+        code = main(["families", "--n", "2"])
         assert code == 0
         captured = capsys.readouterr()
         report = json.loads(captured.out)
@@ -558,7 +638,7 @@ from uclab.cli import main
 assert main(["coupling", "delta-search", "--delta-steps", "100", "--v-steps", "32",
              "--mean-steps", "24", "--search-points", "3", "--search-restarts", "12",
              "--out", {str(tmp_path / "delta.json")!r}]) == 0
-assert main(["all", "--jobs", "1", "--out", {str(tmp_path / "all.json")!r}]) == 0
+assert main(["all", "--out", {str(tmp_path / "all.json")!r}]) == 0
 print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))
 """
     assert json.loads(_fresh_python("-c", script)) == []
@@ -671,7 +751,8 @@ def _assert_clean_exit(argv, seed):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             mock.patch.object(concurrent.futures, "ProcessPoolExecutor", _NoPool):
-        code = main([*argv, "--seed", str(seed), "--jobs", "1"])
+        jobs = ["--jobs", "1"] if argv[0] == "lemma" else []
+        code = main([*argv, "--seed", str(seed), *jobs])
     assert code in (0, 1, 2)
     if code == 2:
         assert out.getvalue() == ""
@@ -692,3 +773,53 @@ def test_fuzz_small_flags_exit_cleanly(argv, seed):
 @settings(max_examples=100, deadline=None, database=None)
 def test_fuzz_float_flags_exit_cleanly(argv, seed):
     _assert_clean_exit(argv, seed)
+
+
+# a file that each loader reads well: masks {0, 1, 3} (union-closed), a
+# distribution summing to 1, a mixture whose weights sum to 1
+_GOOD_HEADER = b"n=2"
+_LOADERS = (
+    (("theorem2", "--trials=1", "--max-n=2", "--dist-file"), (b"0 0.25", b"1 0.25", b"3 0.5"),
+     (b"2 nan", b"2 inf", b"0 0.25", b"3 0.5", b"4 0.5", b"-1 0.5", b"2", b"2 0.5 1",
+      b"zz 0.5", b"2 O.5", b"2 0.5\xc3\xa9", b"\xff 0.5")),
+    (("theorem2", "--trials=1", "--max-n=2", "--mixture-file"), (b"0.5 0.25", b"0.5 0.75"),
+     (b"nan 0.5", b"0.5 nan", b"inf 0.5", b"0.5 -inf", b"0.5", b"0.5 0.5 0.5", b"x 0.5",
+      b"0 1.5", b"0.5 0.5\xe9")),
+    (("coupling", "dp", "--family"), (b"0", b"1", b"3"),
+     (b"1", b"3", b"4", b"-1", b"1 3", b"zz", b"g", b"\xe9")),
+)
+_BAD_HEADERS = (b"", b"n=", b"n=abc", b"n=0", b"n=-1", b"n=2.5", b"x=2", b"N=2", b"n=40",
+                b"n=" + b"9" * 30)
+
+
+@st.composite
+def _bad_record_file(draw):
+    """(argv prefix, file bytes) with at least one defect: a bad header, a
+    bad record among good ones, no records, or no bytes at all."""
+    argv, good, bad = draw(st.sampled_from(_LOADERS))
+    header = draw(st.one_of(st.just(_GOOD_HEADER), st.sampled_from(_BAD_HEADERS)))
+    lines = list(good)
+    defect = draw(st.sampled_from((None, *bad)))
+    if defect is not None:
+        lines.insert(draw(st.integers(0, len(lines))), defect)
+    elif header == _GOOD_HEADER or draw(st.booleans()):
+        lines = []
+    if header:
+        lines.insert(0, header)
+    return argv, b"".join(ln + b"\n" for ln in lines)
+
+
+@given(case=_bad_record_file())
+@settings(max_examples=80, deadline=None, database=None)
+def test_fuzz_bad_record_files_exit_two(case):
+    argv, content = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.txt"
+        path.write_bytes(content)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, str(path)])
+    assert code == 2, (content, err.getvalue())
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("uclab: error: "), lines

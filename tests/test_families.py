@@ -212,6 +212,17 @@ class TestFamilyIO:
         save_family(f, path)
         assert load_family(path).sets == f.sets
 
+    def test_huge_header_n_is_range_checked_without_building_2_to_the_n(self, tmp_path):
+        # 1 << n for this n raises OverflowError; the check shifts the masks right
+        n = 10**30
+        path = tmp_path / "fam.txt"
+        path.write_text(f"n={n}\n0\nff\n", encoding="ascii")
+        assert load_family(path) == Family(n, (0, 0xFF))
+        with pytest.raises(ValueError, match="out of range"):
+            Family(3, (0, 8))
+        with pytest.raises(ValueError, match="out of range"):
+            Family(3, (-1, 0))
+
     def test_format(self, tmp_path):
         path = tmp_path / "fam.txt"
         save_family(Family.of(4, [0xA, 0x1]), path)

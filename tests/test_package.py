@@ -8,8 +8,8 @@ import uclab
 # by defining module
 EXPORTED = {
     "scalars": """GOLDEN_THRESHOLD PHI binary_entropy d3_entropy_of_square d3_s_entropy
-        entropy_ratio_bound entropy_square_gap entropy_square_ratio golden_threshold
-        third_deriv_numerator union_prob""",
+        entropy_ratio_bound entropy_square_gap entropy_square_ratio third_deriv_numerator
+        union_prob""",
     "setdist": """ExplicitSetDistribution ProductMixture UnionBoundReport expand_mixture
         golden_threshold_mixture kl_divergence load_distribution load_mixture
         mixture_entropy_bounds product_bernoulli save_distribution save_mixture

@@ -49,6 +49,14 @@ class TestJson:
         text = dumps_json({"msg": 'say "hi"\n'})
         assert json.loads(text) == {"msg": 'say "hi"\n'}
 
+    def test_non_ascii_escaped_as_utf16_units(self):
+        # a path from argv may hold any code point, a lone surrogate included
+        msg = "caf\u00e9/\U0001d4b3\udcff\x01.txt"
+        text = dumps_json({"path": msg})
+        assert text.isascii()
+        assert "\\u00e9" in text and "\\ud835\\udcb3" in text and "\\u0001" in text
+        assert json.loads(text) == {"path": msg}
+
 
 class TestCsv:
     def test_rows_render_one_line_each(self):

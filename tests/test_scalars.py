@@ -15,7 +15,6 @@ from uclab.scalars import (
     entropy_ratio_bound_array,
     entropy_square_gap,
     entropy_square_ratio,
-    golden_threshold,
     third_deriv_numerator,
     union_prob,
 )
@@ -94,20 +93,20 @@ class TestUnionProb:
 
 class TestGoldenThreshold:
     def test_value(self):
-        assert golden_threshold() == pytest.approx(0.3819660112501051, abs=1e-15)
+        assert GOLDEN_THRESHOLD == pytest.approx(0.3819660112501051, abs=1e-15)
 
     def test_complement(self):
-        assert 1.0 - golden_threshold() == pytest.approx(
+        assert 1.0 - GOLDEN_THRESHOLD == pytest.approx(
             (math.sqrt(5.0) - 1.0) / 2.0, abs=1e-15
         )
 
     def test_union_identity(self):
         # 2t - t^2 = 1 - t at the threshold: the golden-ratio fixed point
-        t = golden_threshold()
+        t = GOLDEN_THRESHOLD
         assert union_prob(t, t) == pytest.approx(1.0 - t, abs=1e-12)
 
     def test_entropy_symmetry_at_threshold(self):
-        t = golden_threshold()
+        t = GOLDEN_THRESHOLD
         assert binary_entropy(t) == pytest.approx(binary_entropy(1.0 - t), abs=1e-12)
         assert binary_entropy(t) == pytest.approx(H_GOLDEN, abs=1e-15)
 
@@ -130,8 +129,6 @@ class TestEntropyRatioBound:
         assert entropy_ratio_bound(u) == pytest.approx(expected, abs=1e-14)
 
     def test_limits(self):
-        assert entropy_ratio_bound(0.0, limit=True) == 2.0
-        assert entropy_ratio_bound(1.0, limit=True) == 0.0
         for u in (0.0, 1.0):
             with pytest.raises(ValueError):
                 entropy_ratio_bound(u)

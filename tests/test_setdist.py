@@ -12,6 +12,7 @@ from helpers import (
     product_table,
     random_explicit,
 )
+from uclab.families import Family, load_family, save_family
 from uclab.scalars import GOLDEN_THRESHOLD, binary_entropy, union_prob
 from uclab.setdist import (
     ExplicitSetDistribution,
@@ -423,6 +424,50 @@ class TestSerialization:
         assert lines[0] == "n=4"
         assert lines[1].split() == ["0", "0.75"]
         assert lines[2].split()[0] == "a"
+
+    # the bytes each format had when every format had its own writer
+    @pytest.mark.parametrize(
+        "save, load, obj, text",
+        [
+            (save_distribution, load_distribution,
+             ExplicitSetDistribution.from_mapping(5, {0x13: 0.25, 0x0: 0.125, 0x1F: 0.625}),
+             "n=5\n0 0.125\n13 0.25\n1f 0.625\n"),
+            (save_mixture, load_mixture, ProductMixture(3, ((0.1, 0.5), (0.9, 1.0))),
+             "n=3\n0.10000000000000001 0.5\n0.90000000000000002 1\n"),
+            (save_family, load_family, Family.of(4, [0xA, 0x1, 0x0]), "n=4\n0\n1\na\n"),
+        ],
+    )
+    def test_each_format_round_trips_with_its_bytes(self, save, load, obj, text, tmp_path):
+        path = tmp_path / "records.txt"
+        save(obj, path)
+        assert path.read_bytes() == text.encode("ascii")
+        back = load(path)
+        if isinstance(obj, ExplicitSetDistribution):
+            assert back.n == obj.n and np.array_equal(back.probs, obj.probs)
+        else:
+            assert back == obj
+        save(back, path)
+        assert path.read_bytes() == text.encode("ascii")
+
+    @pytest.mark.parametrize(
+        "load, text, message",
+        [
+            (load_distribution, "n=2\n0 0.5\n1 0.25\n0 0.25\n",
+             "bad distribution line: a mask is listed twice"),
+            (load_family, "n=2\n1\n3\n1\n", "bad family line: a mask is listed twice"),
+            (load_distribution, "n=2\n0 0.5 1\n", "bad distribution line: '0 0.5 1'"),
+            (load_mixture, "n=2\n1.0\n", "bad mixture line: '1.0'"),
+            (load_family, "n=2\n1 3\n", "bad family line: '1 3'"),
+            (load_mixture, "\n\n", "mixture file must start with an n=<int> header"),
+            (load_family, "1\n", "family file must start with an n=<int> header"),
+        ],
+    )
+    def test_load_names_the_bad_line(self, load, text, message, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text(text, encoding="ascii")
+        with pytest.raises(ValueError) as exc:
+            load(path)
+        assert str(exc.value) == message
 
     def test_load_rejects_missing_header(self, tmp_path):
         path = tmp_path / "bad.txt"
