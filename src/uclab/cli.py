@@ -32,9 +32,13 @@ from .reportio import emit_report, to_jsonable
 # `coupling delta-search` never imports setdist, families or counterexample.
 
 MAX_SCALAR_GRID = 1_000_000
-# theorem2 draws tables on up to 2^max_n masks through a Python dict; a
-# full table at n = 16 takes about 0.06 s, one at n = 24 about 20 s and GBs
+# theorem2 draws tables on up to 2^max_n masks; a full table at n = 16
+# takes about 0.06 s to draw, one at n = 24 about 20 s and GBs
 MAX_RANDOM_TABLE_N = 16
+# theorem2 checks its random tables in stacks of at most this many table
+# cells in all, so its memory does not grow with --trials; at least
+# 2^MAX_RANDOM_TABLE_N, so a stack can always take one more table
+TABLE_STACK_CELLS = 1 << 16
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -263,12 +267,12 @@ def cmd_families(args, seed: int):
 def cmd_theorem2(args, seed: int):
     from .scalars import GOLDEN_THRESHOLD
     from .setdist import (
-        ExplicitSetDistribution,
         expand_mixture,
         load_distribution,
         load_mixture,
-        product_bernoulli,
+        product_tables,
         union_entropy_check,
+        union_entropy_rows,
     )
 
     if args.trials < 1:
@@ -276,8 +280,19 @@ def cmd_theorem2(args, seed: int):
     if not 2 <= args.max_n <= MAX_RANDOM_TABLE_N:
         raise ValueError(f"--max-n must lie in 2..{MAX_RANDOM_TABLE_N}")
     tol = _tol(args, 1e-10)
+    # the input files are read and checked first, so a bad one exits 2
+    # before any random table is drawn
+    file_checks = {}
+    for label, path, load in (
+        ("dist_file", args.dist_file, load_distribution),
+        ("mixture_file", args.mixture_file, lambda p: expand_mixture(load_mixture(p))),
+    ):
+        if path:
+            file_checks[label] = (path, union_entropy_check(load(path)))
+
     rng = np.random.default_rng(seed)
-    worst = np.inf
+    drawn = []  # (trial, n, masks, probs) of the tables not yet checked
+    cells = 0
     worst_case = None
     for t in range(args.trials):
         n = int(rng.integers(2, args.max_n + 1))
@@ -285,45 +300,58 @@ def cmd_theorem2(args, seed: int):
         k = int(rng.integers(2, support + 1))
         masks = rng.choice(support, size=k, replace=False)
         probs = rng.dirichlet(np.ones(k))
-        d = ExplicitSetDistribution.from_mapping(
-            n, {int(m): float(p) for m, p in zip(masks, probs)}
-        )
-        marg = d.marginals().max()
-        if not 0.0 < marg < 1.0:
-            continue
-        rep = union_entropy_check(d)
-        if rep.slack < worst:
-            worst = rep.slack
-            worst_case = {"trial": t, "n": n, "support": k, "slack": rep.slack,
-                          "max_marginal": rep.max_marginal}
-    sharp_worst = 0.0
-    for u in np.linspace(0.02, GOLDEN_THRESHOLD, 50):
-        rep = union_entropy_check(product_bernoulli(6, float(u)))
-        sharp_worst = max(sharp_worst, abs(rep.slack))
+        if drawn and cells + support > TABLE_STACK_CELLS:
+            worst_case = _check_random_tables(drawn, worst_case)
+            drawn, cells = [], 0
+        drawn.append((t, n, masks, probs))
+        cells += support
+    worst_case = _check_random_tables(drawn, worst_case)
+
+    us = np.linspace(0.02, GOLDEN_THRESHOLD, 50)
+    sharp_worst = float(np.abs(union_entropy_rows(product_tables(6, us), 6)[3]).max())
     failures = []
     if worst_case is None:
         failures.append("theorem2.random_tables: no table checked")
-    elif worst < -tol:
-        failures.append(f"theorem2.random_tables: slack {worst:.3e} < -{tol:.0e}")
+    elif worst_case["slack"] < -tol:
+        failures.append(f"theorem2.random_tables: slack {worst_case['slack']:.3e} < -{tol:.0e}")
     if sharp_worst > 1e-10:
         failures.append(f"theorem2.product_sharpness: |slack| {sharp_worst:.3e} > 1e-10")
     report = {
         "trials": args.trials,
         "max_n": args.max_n,
-        "worst_slack": None if worst_case is None else float(worst),
+        "worst_slack": None if worst_case is None else worst_case["slack"],
         "worst_case": worst_case,
-        "product_sharpness_worst": float(sharp_worst),
+        "product_sharpness_worst": sharp_worst,
         "seed": seed,
     }
-    for label, path in (("dist_file", args.dist_file), ("mixture_file", args.mixture_file)):
-        if not path:
-            continue
-        d = load_distribution(path) if label == "dist_file" else expand_mixture(load_mixture(path))
-        rep = union_entropy_check(d)
+    for label, (path, rep) in file_checks.items():
         report[label] = {"path": path, **to_jsonable(rep)}
         if rep.slack < -tol:
             failures.append(f"theorem2.{label}: slack {rep.slack:.3e} < -{tol:.0e}")
     return report, failures
+
+
+def _check_random_tables(drawn, worst_case):
+    """Check the drawn tables (trial, n, masks, probs), one stack per n, and
+    return the worst case so far: the smallest slack, ties to the earliest
+    trial, or None while every table was skipped for a 0/1 marginal."""
+    from .setdist import union_entropy_rows
+
+    for n in sorted({row[1] for row in drawn}):
+        rows = [row for row in drawn if row[1] == n]
+        tabs = np.zeros((len(rows), 1 << n))
+        for j, (_, _, masks, probs) in enumerate(rows):
+            tabs[j, masks] = probs
+        u, _, _, slack, _ = union_entropy_rows(tabs, n)
+        live = np.flatnonzero((u > 0.0) & (u < 1.0))
+        if live.size == 0:
+            continue
+        j = int(live[np.argmin(slack[live])])
+        t, _, masks, _ = rows[j]
+        if worst_case is None or (slack[j], t) < (worst_case["slack"], worst_case["trial"]):
+            worst_case = {"trial": t, "n": n, "support": int(masks.size),
+                          "slack": float(slack[j]), "max_marginal": float(u[j])}
+    return worst_case
 
 
 def cmd_counterexample(args, seed: int):
@@ -356,7 +384,7 @@ def cmd_coupling(args, seed: int):
         from .families import load_family
 
         if not args.family:
-            raise SystemExit2("coupling dp requires --family")
+            raise ValueError("coupling dp requires --family")
         fam = load_family(args.family)
         rep = greedy_coupling_dp(fam, literal_rates=args.literal_rates)
         failures = []
@@ -383,12 +411,6 @@ def cmd_coupling(args, seed: int):
     elif rep.delta <= 0.0:
         failures.append("coupling.delta_search: no positive margin certified")
     return to_jsonable(rep), failures
-
-
-class SystemExit2(SystemExit):
-    def __init__(self, msg: str):
-        print(f"uclab: error: {msg}", file=sys.stderr)
-        super().__init__(2)
 
 
 # The compact suite run by `all`: each entry is parsed as that subcommand's

@@ -7,10 +7,13 @@ the union of two independent samples, KL divergence, chain-rule profiles -
 is computed exactly up to floating point, with no sampling.
 
 Every table kernel reads the table through one view, `_split(probs, i)`:
-the reshape to (2^(n-i), 2, 2^(i-1)), indexed (higher elements, element i,
-lower elements).  Its last axis is the prefix mask on elements 1..i-1, so
-marginals, conditionals and chain profiles are slices and axis sums of it,
-and no mask array is ever built.
+the reshape to (..., 2^(n-i), 2, 2^(i-1)), indexed (tables, higher
+elements, element i, lower elements).  Its last axis is the prefix mask on
+elements 1..i-1, so marginals, conditionals and chain profiles are slices
+and axis sums of it, and no mask array is ever built.  The leading axes
+hold a stack of tables: the union-entropy check and the marginals run on a
+(T, 2^n) stack with the same arithmetic per row as on one table, so a row
+of the stack gives the same bits as the table alone.
 
 The union of independent samples is a convolution under the union
 operation; it is evaluated in O(n 2^n) through the subset zeta transform
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scalars import GOLDEN_THRESHOLD, PHI, binary_entropy, entropy_ratio_bound
+from .scalars import GOLDEN_THRESHOLD, PHI, binary_entropy, entropy_ratio_bound_array
 
 # Explicit tables are capped here; beyond it only mixture bound arithmetic
 # stays exact, and pretending otherwise would be dishonest about memory.
@@ -53,8 +56,35 @@ def _check_n(n) -> None:
 
 
 def _split(probs: np.ndarray, i: int) -> np.ndarray:
-    """View of a 2^n table as (higher elements, element i, lower elements)."""
-    return probs.reshape(-1, 2, 1 << (i - 1))
+    """View of a stack of 2^n tables as (..., higher elements, element i,
+    lower elements)."""
+    return probs.reshape(*probs.shape[:-1], -1, 2, 1 << (i - 1))
+
+
+def _check_tables(probs: np.ndarray) -> None:
+    """Raise ValueError unless each table along the last axis is finite,
+    nonnegative and sums to 1 within NORMALIZATION_TOL."""
+    if not np.all(np.isfinite(probs)):
+        raise ValueError("probabilities must be finite")
+    if np.any(probs < 0.0):
+        raise ValueError("probabilities must be nonnegative")
+    if np.any(np.abs(probs.sum(axis=-1) - 1.0) > NORMALIZATION_TOL):
+        raise ValueError("probabilities must sum to 1")
+
+
+def _marginal_rows(probs: np.ndarray, n: int) -> np.ndarray:
+    """(..., n) inclusion probabilities of a stack of 2^n tables.  Entry
+    i - 1 sums the row's element-i-present half, copied out in mask order,
+    so each entry has the bits of `marginal(i)` on that row alone."""
+    lead = probs.shape[:-1]
+    out = np.empty((*lead, n))
+    for i in range(1, n + 1):
+        out[..., i - 1] = _split(probs, i)[..., 1, :].reshape(*lead, -1).sum(axis=-1)
+    return out
+
+
+def _entropy_rows(probs: np.ndarray) -> np.ndarray:
+    return -_plogp(probs).sum(axis=-1)
 
 
 def _plogp(p: np.ndarray) -> np.ndarray:
@@ -76,12 +106,7 @@ class ExplicitSetDistribution:
         probs = np.asarray(self.probs, dtype=float)
         if probs.shape != (1 << self.n,):
             raise ValueError(f"probs must have length 2^{self.n}")
-        if not np.all(np.isfinite(probs)):
-            raise ValueError("probabilities must be finite")
-        if np.any(probs < 0.0):
-            raise ValueError("probabilities must be nonnegative")
-        if abs(probs.sum() - 1.0) > NORMALIZATION_TOL:
-            raise ValueError("probabilities must sum to 1")
+        _check_tables(probs)
         probs = probs.copy()
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
@@ -115,7 +140,7 @@ class ExplicitSetDistribution:
 
     def entropy(self) -> float:
         """Shannon entropy -sum p log p in nats."""
-        return float(-_plogp(self.probs).sum())
+        return float(_entropy_rows(self.probs))
 
     def marginal(self, i: int) -> float:
         """Probability that element i (1-based) lies in the sampled set."""
@@ -123,7 +148,8 @@ class ExplicitSetDistribution:
         return float(_split(self.probs, i)[:, 1, :].ravel().sum())
 
     def marginals(self) -> np.ndarray:
-        return np.array([self.marginal(i) for i in range(1, self.n + 1)])
+        """Inclusion probability of every element, each equal to marginal(i)."""
+        return _marginal_rows(self.probs, self.n)
 
     def conditional_prob(self, i: int, prefix: int) -> float:
         """Pr[i in A | the restriction of A to [i-1] equals prefix]."""
@@ -179,8 +205,19 @@ def _subset_transform(values: np.ndarray, n: int, op) -> np.ndarray:
     t = values.copy()
     for i in range(n, 0, -1):
         v = _split(t, i)
-        op(v[:, 1, :], v[:, 0, :], out=v[:, 1, :])
+        op(v[..., 1, :], v[..., 0, :], out=v[..., 1, :])
     return t
+
+
+def _union_tables(z: np.ndarray, n: int) -> np.ndarray:
+    """Union tables from the pointwise product z of two zeta transforms:
+    the Moebius transform of each row, clipped and renormalized."""
+    out = _subset_transform(z, n, np.subtract)
+    if out.min() < -1e-9:
+        raise RuntimeError("union convolution produced significantly negative mass")
+    out = np.clip(out, 0.0, None)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def union_of_independent(
@@ -197,12 +234,7 @@ def union_of_independent(
         raise ValueError("distributions must share the same ground set size")
     n = d1.n
     z = _subset_transform(d1.probs, n, np.add) * _subset_transform(d2.probs, n, np.add)
-    out = _subset_transform(z, n, np.subtract)
-    if out.min() < -1e-9:
-        raise RuntimeError("union convolution produced significantly negative mass")
-    out = np.clip(out, 0.0, None)
-    out /= out.sum()
-    return ExplicitSetDistribution(n, out)
+    return ExplicitSetDistribution(n, _union_tables(z, n))
 
 
 def kl_divergence(p: ExplicitSetDistribution, q: ExplicitSetDistribution) -> float:
@@ -280,15 +312,18 @@ def expand_mixture(m: ProductMixture) -> ExplicitSetDistribution:
         raise ValueError(f"cannot expand a mixture beyond n = {MAX_EXPLICIT_N}")
     probs = np.zeros(1 << m.n)
     for w, r in m.components:
-        probs += w * _product_table(m.n, r)
+        probs += w * product_tables(m.n, r)
     probs /= probs.sum()
     return ExplicitSetDistribution(m.n, probs)
 
 
-def _product_table(n: int, u: float) -> np.ndarray:
-    table = np.ones(1)
+def product_tables(n: int, u) -> np.ndarray:
+    """Product-Bernoulli table on 2^n masks for a float u, or a (len(u), 2^n)
+    stack with one table per entry of an array u; u is not range-checked."""
+    u = np.asarray(u, dtype=float)[..., None]
+    table = np.ones(u.shape)
     for _ in range(n):
-        table = np.concatenate([table * (1.0 - u), table * u])
+        table = np.concatenate([table * (1.0 - u), table * u], axis=-1)
     return table
 
 
@@ -301,7 +336,7 @@ def product_bernoulli(n: int, u: float) -> ExplicitSetDistribution:
     if not 0.0 <= u <= 1.0:
         raise ValueError("u must lie in [0, 1]")
     _check_n(n)
-    return ExplicitSetDistribution(n, _product_table(n, u))
+    return ExplicitSetDistribution(n, product_tables(n, u))
 
 
 def golden_threshold_mixture(u: float, n: int) -> ProductMixture:
@@ -332,6 +367,31 @@ class UnionBoundReport:
     ratio_bound: float
 
 
+def union_entropy_rows(probs: np.ndarray, n: int) -> tuple:
+    """The union-entropy bound on every table of a (T, 2^n) stack, as the
+    UnionBoundReport fields (max_marginal, lhs, rhs, slack, ratio_bound),
+    each an array over the T rows.
+
+    Every row must pass the ExplicitSetDistribution checks.  A row whose
+    maximum marginal is 0 or 1 is not checked, since the bound factor
+    degenerates there: its lhs, rhs, slack and ratio bound are NaN.  Each
+    checked row gets the bits union_entropy_check gives its table alone.
+    """
+    _check_tables(probs)
+    u = _marginal_rows(probs, n).max(axis=-1)
+    lhs, rhs, lam = (np.full(u.shape, np.nan) for _ in range(3))
+    live = (u > 0.0) & (u < 1.0)
+    if live.any():
+        p = probs if live.all() else probs[live]
+        z = _subset_transform(p, n, np.add)
+        union = _union_tables(z * z, n)
+        _check_tables(union)
+        lam[live] = entropy_ratio_bound_array(u[live])
+        lhs[live] = _entropy_rows(union)
+        rhs[live] = lam[live] * _entropy_rows(p)
+    return u, lhs, rhs, lhs - rhs, lam
+
+
 def union_entropy_check(d: ExplicitSetDistribution) -> UnionBoundReport:
     """Evaluate the union-entropy lower bound for two independent samples of d.
 
@@ -340,15 +400,10 @@ def union_entropy_check(d: ExplicitSetDistribution) -> UnionBoundReport:
     Distributions whose maximum marginal is 0 or 1 are rejected: the bound
     factor degenerates there and the statement is vacuous.
     """
-    u = float(d.marginals().max())
-    if u <= 0.0 or u >= 1.0:
+    u, lhs, rhs, slack, lam = (float(col[0]) for col in union_entropy_rows(d.probs[None], d.n))
+    if not 0.0 < u < 1.0:
         raise ValueError("maximum marginal must lie strictly inside (0, 1)")
-    lam = entropy_ratio_bound(u)
-    lhs = union_of_independent(d, d).entropy()
-    rhs = lam * d.entropy()
-    return UnionBoundReport(
-        max_marginal=u, lhs=lhs, rhs=rhs, slack=lhs - rhs, ratio_bound=lam
-    )
+    return UnionBoundReport(max_marginal=u, lhs=lhs, rhs=rhs, slack=slack, ratio_bound=lam)
 
 
 def _write_records(path, n: int, lines) -> None:

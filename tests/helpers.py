@@ -7,7 +7,9 @@ are plain loops over every mask, union-closed families come from a
 plain fixpoint closure, the transport LP is scipy's general HiGHS solver,
 the delta search is the one-measure-at-a-time loop, the two-atom lemma
 scan is one grid per u, the exchange-move search recomputes every term
-each round, and the third-derivative check runs one point at a time.
+each round, the third-derivative check runs one point at a time, the
+theorem2 random tables are checked one dict-built table at a time, and the
+union-closed families are filtered out of every membership code.
 Anything the library computes cleverly is checked against these.
 """
 
@@ -36,9 +38,15 @@ from uclab.scalars import (
     binary_entropy,
     d3_entropy_of_square,
     d3_s_entropy,
+    entropy_ratio_bound,
     union_prob,
 )
-from uclab.setdist import ExplicitSetDistribution
+from uclab.setdist import (
+    ExplicitSetDistribution,
+    UnionBoundReport,
+    product_bernoulli,
+    union_of_independent,
+)
 
 
 def random_explicit(rng, n, support=None):
@@ -136,6 +144,64 @@ def brute_force_union_closed_count(n):
         if ok:
             count += 1
     return count
+
+
+def filter_union_closed_codes(n):
+    """Every nonempty union-closed family on [n] as a uint32 membership
+    code, kept by filtering all 2^(2^n) - 1 nonempty codes pair by pair."""
+    p = 1 << n
+    codes = np.arange(1, 1 << p, dtype=np.uint32)
+    ok = np.ones(codes.size, dtype=bool)
+    for a in range(p):
+        for b in range(a + 1, p):
+            u = a | b
+            if u == a or u == b:
+                continue
+            both = ((codes >> a) & (codes >> b) & 1).astype(bool)
+            missing = ((codes >> u) & 1) == 0
+            ok &= ~(both & missing)
+    return codes[ok]
+
+
+def union_check_loop(d):
+    """union_entropy_check on one table from its parts: the largest
+    marginal(i), the scalar bound factor, the entropy of
+    union_of_independent(d, d) and of d; None when the largest marginal is
+    0 or 1."""
+    u = max(d.marginal(i) for i in range(1, d.n + 1))
+    if not 0.0 < u < 1.0:
+        return None
+    lam = entropy_ratio_bound(u)
+    lhs = union_of_independent(d, d).entropy()
+    rhs = lam * d.entropy()
+    return UnionBoundReport(max_marginal=u, lhs=lhs, rhs=rhs, slack=lhs - rhs, ratio_bound=lam)
+
+
+def theorem2_loop(trials, max_n, seed):
+    """(rows, product sharpness) of `theorem2` one table at a time: the
+    same draws per trial, a from_mapping dict per table and
+    union_check_loop on it.  rows holds one worst-case record per checked
+    trial, in trial order; the 50 product tables are checked one by one."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for t in range(trials):
+        n = int(rng.integers(2, max_n + 1))
+        support = 1 << n
+        k = int(rng.integers(2, support + 1))
+        masks = rng.choice(support, size=k, replace=False)
+        probs = rng.dirichlet(np.ones(k))
+        d = ExplicitSetDistribution.from_mapping(
+            n, {int(m): float(p) for m, p in zip(masks, probs)}
+        )
+        rep = union_check_loop(d)
+        if rep is not None:
+            rows.append({"trial": t, "n": n, "support": k, "slack": rep.slack,
+                         "max_marginal": rep.max_marginal})
+    sharp_worst = 0.0
+    for u in np.linspace(0.02, GOLDEN_THRESHOLD, 50):
+        rep = union_check_loop(product_bernoulli(6, float(u)))
+        sharp_worst = max(sharp_worst, abs(rep.slack))
+    return rows, sharp_worst
 
 
 def highs_transport_value(cost, w):

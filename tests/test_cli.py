@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 import uclab
 import uclab.cli
 import uclab.measures
-from helpers import third_derivative_worst_loop
+import uclab.setdist
+from helpers import theorem2_loop, third_derivative_worst_loop
 from uclab.cli import MAX_RANDOM_TABLE_N, MAX_SCALAR_GRID, main
 from uclab.measures import MAX_ATOM_GRID, MAX_LEMMA_U_STEPS, MAX_LEMMA_V_STEPS, MAX_SEARCH_RESTARTS
 from uclab.families import Family, count_union_closed, save_family
@@ -449,6 +450,92 @@ class TestTheorem2Command:
         res = json.loads(out.read_text())["results"]["mixture_file"]
         assert res["slack"] >= -1e-10
 
+    def test_bad_file_exits_two_before_any_table_is_drawn(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a random table was drawn or checked")
+
+        monkeypatch.setattr(uclab.setdist, "union_entropy_rows", refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        path = tmp_path / "dist.txt"
+        path.write_text("n=2\n0 nan\n3 1.0\n", encoding="ascii")
+        out = tmp_path / "x.json"
+        assert main(["theorem2", "--dist-file", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "uclab: error: probabilities must be finite"
+        ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "seed, max_n, trials",
+        [(1729, 2, 60), (1, 3, 60), (2, 4, 60), (3, 5, 50), (4, 6, 50), (5, 7, 40),
+         (6, 8, 40), (7, 9, 30), (8, 10, 20)],
+    )
+    def test_random_tables_equal_the_per_table_loop(self, seed, max_n, trials):
+        rows, sharp = theorem2_loop(trials, max_n, seed)
+        report = _theorem2_report(trials, max_n, seed)
+        assert report["worst_case"] == min(rows, key=lambda row: row["slack"])
+        assert report["worst_slack"] == report["worst_case"]["slack"]
+        assert report["product_sharpness_worst"] == sharp
+
+    def test_skipped_tables_equal_the_per_table_loop(self):
+        # at this seed some n = 2 tables have an element in every set
+        rows, _ = theorem2_loop(40, 2, 14)
+        assert 0 < len(rows) < 40
+        assert _theorem2_report(40, 2, 14)["worst_case"] == min(rows, key=lambda row: row["slack"])
+
+    @pytest.mark.parametrize("cap", [64, 300, 1 << 10])
+    def test_chunk_boundaries_do_not_change_the_worst_case(self, cap, monkeypatch):
+        rows, sharp = theorem2_loop(60, 8, 21)
+        monkeypatch.setattr(uclab.cli, "TABLE_STACK_CELLS", cap)
+        report = _theorem2_report(60, 8, 21)
+        assert report["worst_case"] == min(rows, key=lambda row: row["slack"])
+        assert report["product_sharpness_worst"] == sharp
+
+    def test_tied_minimum_goes_to_the_first_trial(self, monkeypatch):
+        rows, _ = theorem2_loop(80, 6, 11)
+        floor = sorted(row["slack"] for row in rows)[len(rows) // 3]
+        real = uclab.setdist.union_entropy_rows
+
+        def tied(probs, n):
+            u, lhs, rhs, slack, lam = real(probs, n)
+            return u, lhs, rhs, np.maximum(slack, floor), lam
+
+        monkeypatch.setattr(uclab.setdist, "union_entropy_rows", tied)
+        monkeypatch.setattr(uclab.cli, "TABLE_STACK_CELLS", 256)
+        first = next(row for row in rows if row["slack"] <= floor)
+        assert first is not rows[0]
+        assert _theorem2_report(80, 6, 11)["worst_case"] == {**first, "slack": floor}
+
+    @pytest.mark.parametrize(
+        "cap, flags",
+        [(1 << 16, ["--max-n", "16", "--trials", "40"]),
+         (1 << 12, ["--max-n", "5", "--trials", "600"])],
+    )
+    def test_stacks_stay_within_the_cell_cap(self, cap, flags, tmp_path, monkeypatch):
+        shapes = []
+        real = uclab.setdist.union_entropy_rows
+
+        def recording(probs, n):
+            shapes.append(probs.shape)
+            return real(probs, n)
+
+        monkeypatch.setattr(uclab.setdist, "union_entropy_rows", recording)
+        monkeypatch.setattr(uclab.cli, "TABLE_STACK_CELLS", cap)
+        code, _ = run(["theorem2", *flags], tmp_path)
+        assert code == 0
+        assert max(rows * cells for rows, cells in shapes) <= cap
+        # the random tables (every stack but the last, the product tables)
+        # hold more cells than one stack may: the cap split them
+        assert sum(rows * cells for rows, cells in shapes[:-1]) > cap
+
+
+def _theorem2_report(trials, max_n, seed):
+    args = uclab.cli.build_parser().parse_args(
+        ["theorem2", "--trials", str(trials), "--max-n", str(max_n)]
+    )
+    report, _ = uclab.cli.cmd_theorem2(args, seed)
+    return report
+
 
 class TestCounterexampleCommand:
     def test_default_run(self, tmp_path):
@@ -558,10 +645,13 @@ class TestCouplingCommand:
         res = json.loads(out.read_text())["results"]
         assert res["max_marginal_deviation"] > 1e-3
 
-    def test_dp_requires_family(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["coupling", "dp", "--out", str(tmp_path / "x.json")])
-        assert exc.value.code == 2
+    def test_dp_requires_family(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert main(["coupling", "dp", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "uclab: error: coupling dp requires --family"
+        ]
+        assert not out.exists()
 
     def test_delta_search_small(self, tmp_path):
         code, out = run(

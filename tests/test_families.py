@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from helpers import brute_force_union_closed_count, random_union_closed
+from helpers import brute_force_union_closed_count, filter_union_closed_codes, random_union_closed
 from uclab.families import (
+    MAX_ENUMERATION_N,
     Family,
+    _union_closed_family_codes,
     count_union_closed,
     entropy_chain_diagnostics,
     enumerate_union_closed,
@@ -134,6 +136,22 @@ class TestEnumeration:
         for f in enumerate_union_closed(3):
             codes.append(sum(1 << s for s in f.sets))
         assert codes == sorted(codes)
+
+    def test_counts_are_twice_the_moore_families_less_one(self):
+        # complements turn the union-closed families that hold the empty set
+        # into the Moore families (intersection-closed, holding [n]): 2, 7,
+        # 61, 2480; dropping the empty set from each but {empty set} gives
+        # every nonempty union-closed family without it
+        moore = {1: 2, 2: 7, 3: 61, 4: 2480}
+        counts = {n: count_union_closed(n) for n in range(1, MAX_ENUMERATION_N + 1)}
+        assert counts == {1: 3, 2: 13, 3: 121, 4: 4959}
+        assert counts == {n: 2 * m - 1 for n, m in moore.items()}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_constructed_codes_equal_the_filter(self, n):
+        codes = _union_closed_family_codes(n)
+        assert codes.dtype == np.uint32
+        assert codes.tolist() == filter_union_closed_codes(n).tolist()
 
     def test_rejects_large_n(self):
         with pytest.raises(ValueError):

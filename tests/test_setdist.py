@@ -11,6 +11,7 @@ from helpers import (
     naive_union_table,
     product_table,
     random_explicit,
+    union_check_loop,
 )
 from uclab.families import Family, load_family, save_family
 from uclab.scalars import GOLDEN_THRESHOLD, binary_entropy, union_prob
@@ -24,12 +25,14 @@ from uclab.setdist import (
     load_mixture,
     mixture_entropy_bounds,
     product_bernoulli,
+    product_tables,
     save_distribution,
     save_mixture,
     union_entropy_check,
+    union_entropy_rows,
     union_of_independent,
 )
-from uclab.setdist import _subset_transform
+from uclab.setdist import _marginal_rows, _subset_transform
 
 
 class TestConstruction:
@@ -96,6 +99,17 @@ class TestMarginals:
         for i in (0, 3):
             with pytest.raises(ValueError):
                 d.marginal(i)
+
+    def test_marginals_have_the_bits_of_marginal(self):
+        # up to n = 16: rows of 2^15 entries, past numpy's 8192-element buffers
+        rng = np.random.default_rng(47)
+        for n in (1, 2, 3, 5, 8, 11, 16):
+            ds = [random_explicit(rng, n) for _ in range(3)]
+            rows = _marginal_rows(np.stack([d.probs for d in ds]), n)
+            for d, row in zip(ds, rows):
+                each = [d.marginal(i) for i in range(1, n + 1)]
+                assert d.marginals().tolist() == each
+                assert row.tolist() == each
 
 
 class TestUnionOfIndependent:
@@ -396,6 +410,39 @@ class TestUnionEntropyCheck:
             union_entropy_check(ExplicitSetDistribution.point_mass(2, 0b11))
         with pytest.raises(ValueError):
             union_entropy_check(ExplicitSetDistribution.point_mass(2, 0))
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 7, 10])
+    def test_stack_rows_have_the_bits_of_each_table(self, n):
+        rng = np.random.default_rng(53 + n)
+        ds = [random_explicit(rng, n) for _ in range(6)]
+        ds.insert(2, ExplicitSetDistribution.point_mass(n, (1 << n) - 1))
+        ds.append(ExplicitSetDistribution.point_mass(n, 0))
+        cols = union_entropy_rows(np.stack([d.probs for d in ds]), n)
+        for j, d in enumerate(ds):
+            got = [float(col[j]) for col in cols]
+            expect = union_check_loop(d)
+            if expect is None:
+                assert got[0] == max(d.marginal(i) for i in range(1, n + 1))
+                assert all(math.isnan(x) for x in got[1:])
+            else:
+                assert got == [expect.max_marginal, expect.lhs, expect.rhs, expect.slack,
+                               expect.ratio_bound]
+                assert union_entropy_check(d) == expect
+
+    def test_stack_rows_are_checked_like_tables(self):
+        good = product_bernoulli(3, 0.3).probs
+        for bad, message in ((np.nan, "finite"), (-0.25, "nonnegative"), (0.5, "sum to 1")):
+            stack = np.stack([good, good])
+            stack[1, 0] = bad
+            with pytest.raises(ValueError, match=message):
+                union_entropy_rows(stack, 3)
+
+    def test_product_tables_stack_the_product_tables(self):
+        us = np.linspace(0.0, 1.0, 9)
+        stack = product_tables(5, us)
+        assert stack.shape == (9, 32)
+        for u, row in zip(us, stack):
+            assert row.tolist() == product_bernoulli(5, float(u)).probs.tolist()
 
 
 class TestSerialization:
