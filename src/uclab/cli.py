@@ -23,10 +23,17 @@ import os
 import sys
 import time
 
-import numpy as np
+# Every BLAS call uclab makes is small (matrix-vector products of at most
+# 200 rows), so OpenBLAS's worker threads never speed one up; at numpy's
+# import they start anyway and spin on a second core (about 0.1 s of CPU
+# per process).  Set before numpy is loaded, here or through reportio, so
+# it takes effect; a value the user set still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import DEFAULT_SEED, __version__
-from .reportio import emit_report, to_jsonable
+import numpy as np  # noqa: E402
+
+from . import DEFAULT_SEED, __version__  # noqa: E402
+from .reportio import emit_report, to_jsonable  # noqa: E402
 
 # Each handler imports the modules it uses, so a command loads only those:
 # `coupling delta-search` never imports setdist, families or counterexample.
@@ -291,7 +298,11 @@ def cmd_theorem2(args, seed: int):
             file_checks[label] = (path, union_entropy_check(load(path)))
 
     rng = np.random.default_rng(seed)
-    drawn = []  # (trial, n, masks, probs) of the tables not yet checked
+    # each drawn table goes straight into row used[n] of a zero-filled stack
+    # for its n, next to its trial and support size; the stacks hold at most
+    # TABLE_STACK_CELLS table cells in all before they are checked
+    stacks = {}  # n -> (tables, trials, supports)
+    used = [0] * (args.max_n + 1)
     cells = 0
     worst_case = None
     for t in range(args.trials):
@@ -300,12 +311,20 @@ def cmd_theorem2(args, seed: int):
         k = int(rng.integers(2, support + 1))
         masks = rng.choice(support, size=k, replace=False)
         probs = rng.dirichlet(np.ones(k))
-        if drawn and cells + support > TABLE_STACK_CELLS:
-            worst_case = _check_random_tables(drawn, worst_case)
-            drawn, cells = [], 0
-        drawn.append((t, n, masks, probs))
+        if cells + support > TABLE_STACK_CELLS:
+            worst_case = _check_random_tables(stacks, used, worst_case)
+            cells = 0
+        if n not in stacks:
+            rows = min(max(1, TABLE_STACK_CELLS >> n), args.trials)
+            stacks[n] = (np.zeros((rows, support)), np.empty(rows, dtype=np.int64),
+                         np.empty(rows, dtype=np.int64))
+        tabs, trials, supports = stacks[n]
+        j = used[n]
+        tabs[j, masks] = probs
+        trials[j], supports[j] = t, k
+        used[n] = j + 1
         cells += support
-    worst_case = _check_random_tables(drawn, worst_case)
+    worst_case = _check_random_tables(stacks, used, worst_case)
 
     us = np.linspace(0.02, GOLDEN_THRESHOLD, 50)
     sharp_worst = float(np.abs(union_entropy_rows(product_tables(6, us), 6)[3]).max())
@@ -331,25 +350,26 @@ def cmd_theorem2(args, seed: int):
     return report, failures
 
 
-def _check_random_tables(drawn, worst_case):
-    """Check the drawn tables (trial, n, masks, probs), one stack per n, and
-    return the worst case so far: the smallest slack, ties to the earliest
-    trial, or None while every table was skipped for a 0/1 marginal."""
+def _check_random_tables(stacks, used, worst_case):
+    """Check the first used[n] tables of each n's stack (see cmd_theorem2),
+    empty the stacks, and return the worst case so far: the smallest slack,
+    ties to the earliest trial, or None while every table was skipped for a
+    0/1 marginal."""
     from .setdist import union_entropy_rows
 
-    for n in sorted({row[1] for row in drawn}):
-        rows = [row for row in drawn if row[1] == n]
-        tabs = np.zeros((len(rows), 1 << n))
-        for j, (_, _, masks, probs) in enumerate(rows):
-            tabs[j, masks] = probs
-        u, _, _, slack, _ = union_entropy_rows(tabs, n)
+    for n, (tabs, trials, supports) in sorted(stacks.items()):
+        count, used[n] = used[n], 0
+        if count == 0:
+            continue
+        u, _, _, slack, _ = union_entropy_rows(tabs[:count], n)
+        tabs[:count] = 0.0
         live = np.flatnonzero((u > 0.0) & (u < 1.0))
         if live.size == 0:
             continue
         j = int(live[np.argmin(slack[live])])
-        t, _, masks, _ = rows[j]
+        t = int(trials[j])
         if worst_case is None or (slack[j], t) < (worst_case["slack"], worst_case["trial"]):
-            worst_case = {"trial": t, "n": n, "support": int(masks.size),
+            worst_case = {"trial": t, "n": n, "support": int(supports[j]),
                           "slack": float(slack[j]), "max_marginal": float(u[j])}
     return worst_case
 

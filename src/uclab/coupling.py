@@ -379,6 +379,12 @@ def delta_search(
     if not 0.0 < step < np.inf:
         raise ValueError("delta_max / u_cap_steps must be a positive finite step")
     u_star = GOLDEN_THRESHOLD
+    # the local search runs at mean caps up to u_star + delta_max, which
+    # must stay below 1
+    if not u_star + delta_max < 1.0:
+        raise ValueError(
+            f"delta_max must keep GOLDEN_THRESHOLD + delta_max below 1, got {delta_max}"
+        )
     band = min(0.006, delta_max)
 
     vs = np.linspace(0.005, 0.995, v_steps)
@@ -503,7 +509,7 @@ def greedy_coupling_dp(f: Family, literal_rates: bool = False) -> CouplingProces
     """
     # imported here so that delta-search loads neither module
     from .families import is_union_closed
-    from .setdist import ExplicitSetDistribution, union_of_independent
+    from .setdist import ExplicitSetDistribution, _plogp, union_of_independent
 
     if f.n > 10 or f.size() > 64:
         raise ValueError("coupling DP is limited to n <= 10 and at most 64 sets")
@@ -573,7 +579,7 @@ def greedy_coupling_dp(f: Family, literal_rates: bool = False) -> CouplingProces
     union_law = {}
     for (a, c), p in states.items():
         union_law[a | c] = union_law.get(a | c, 0.0) + p
-    h_union = float(-sum(p * np.log(p) for p in union_law.values() if p > 0.0)) + 0.0
+    h_union = float(-_plogp(np.fromiter(union_law.values(), float)).sum()) + 0.0
     d = ExplicitSetDistribution.uniform_on(n, sets)
     h_indep = union_of_independent(d, d).entropy()
     joint = tuple(

@@ -398,17 +398,20 @@ def _random_feasible_start(rng, x: np.ndarray, u: float) -> np.ndarray:
     w = np.zeros(m)
     w[idx] = rng.dirichlet(np.ones(idx.size))
     mean = float(np.dot(x, w))
-    # drain mass into the lowest location (0 is always in the pool)
-    for a in np.argsort(x)[::-1]:
+    # drain mass into the lowest location, x[0] = 0 (0 is always in the
+    # sorted pool), from the top down; plain floats, as numpy scalars cost
+    # more per step than the arithmetic
+    xs, ws = x.tolist(), w.tolist()
+    for a in range(m - 1, 0, -1):
         if mean <= u:
             break
-        if x[a] <= 0.0 or w[a] <= 0.0:
+        if xs[a] <= 0.0 or ws[a] <= 0.0:
             continue
-        delta = min(w[a], (mean - u) / (x[a] - x[0]))
-        w[a] -= delta
-        w[0] += delta
-        mean -= delta * (x[a] - x[0])
-    return w
+        delta = min(ws[a], (mean - u) / (xs[a] - xs[0]))
+        ws[a] -= delta
+        ws[0] += delta
+        mean -= delta * (xs[a] - xs[0])
+    return np.array(ws)
 
 
 def _exchange_descent(x, w, lam, u, max_rounds):
@@ -551,7 +554,7 @@ def lemma_certificate(
             raise ValueError(f"{name} must be finite and nonnegative, got {tol}")
     if not 0.0 < lam_scale < np.inf:
         raise ValueError(f"lam_scale must be finite and positive, got {lam_scale}")
-    us =np.arange(1, u_steps + 1) / (u_steps + 1.0)
+    us = np.arange(1, u_steps + 1) / (u_steps + 1.0)
     us = sorted_unique(np.append(us, GOLDEN_THRESHOLD))
     lams = entropy_ratio_bound_array(us) * lam_scale
 

@@ -29,7 +29,6 @@ from uclab.measures import (
     DiscreteMeasure,
     LocalSearchReport,
     _is_two_point_with_top,
-    _random_feasible_start,
     local_search_min,
 )
 from uclab.numdiff import third_derivative
@@ -326,20 +325,8 @@ def local_search_loop(u, lam, atom_grid=1000, restarts=100, seed=1729, pool_size
         rng = np.random.default_rng(seed + r)
         picks = rng.choice(grid, size=min(pool_size, grid.size), replace=False)
         x = np.unique(np.concatenate([picks, specials]))
-        big_h = binary_entropy(union_prob(x[:, None], x[None, :]))
-        h = binary_entropy(x)
-        w = _random_feasible_start(rng, x, u)
-        val = float(w @ big_h @ w - lam * np.dot(w, h))
-        for _ in range(max_rounds):
-            move = _exchange_move_loop(x, w, big_h, h, lam, u)
-            if move is None:
-                break
-            a, b, delta = move
-            w[a] -= delta
-            w[b] += delta
-            if w[a] < 0.0:
-                w[a] = 0.0
-            val = float(w @ big_h @ w - lam * np.dot(w, h))
+        w = random_feasible_start_loop(rng, x, u)
+        val = exchange_descent_loop(x, w, lam, u, max_rounds)
         if val < best_val:
             best_val = val
             keep = w > 0.0
@@ -353,6 +340,47 @@ def local_search_loop(u, lam, atom_grid=1000, restarts=100, seed=1729, pool_size
         restarts=restarts,
         seed=seed,
     )
+
+
+def random_feasible_start_loop(rng, x, u):
+    """The start draw of local_search_min, draining over numpy scalars."""
+    m = x.size
+    k = int(rng.integers(2, 6))
+    idx = rng.choice(m, size=min(k, m), replace=False)
+    w = np.zeros(m)
+    w[idx] = rng.dirichlet(np.ones(idx.size))
+    mean = float(np.dot(x, w))
+    # drain mass into the lowest location (0 is always in the pool)
+    for a in np.argsort(x)[::-1]:
+        if mean <= u:
+            break
+        if x[a] <= 0.0 or w[a] <= 0.0:
+            continue
+        delta = min(w[a], (mean - u) / (x[a] - x[0]))
+        w[a] -= delta
+        w[0] += delta
+        mean -= delta * (x[a] - x[0])
+    return w
+
+
+def exchange_descent_loop(x, w, lam, u, max_rounds=200):
+    """One restart of the exchange-move descent from the pool x and the
+    start weights w: w is moved to the final weights in place, and J of
+    the final measure is returned."""
+    big_h = binary_entropy(union_prob(x[:, None], x[None, :]))
+    h = binary_entropy(x)
+    val = float(w @ big_h @ w - lam * np.dot(w, h))
+    for _ in range(max_rounds):
+        move = _exchange_move_loop(x, w, big_h, h, lam, u)
+        if move is None:
+            break
+        a, b, delta = move
+        w[a] -= delta
+        w[b] += delta
+        if w[a] < 0.0:
+            w[a] = 0.0
+        val = float(w @ big_h @ w - lam * np.dot(w, h))
+    return val
 
 
 def _exchange_move_loop(x, w, big_h, h, lam, u):

@@ -653,6 +653,14 @@ class TestCouplingCommand:
         ]
         assert not out.exists()
 
+    def test_delta_search_delta_max_past_one_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert main(["coupling", "delta-search", "--delta-max", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "uclab: error: delta_max must keep GOLDEN_THRESHOLD + delta_max below 1, got 1.0"
+        ]
+        assert not out.exists()
+
     def test_delta_search_small(self, tmp_path):
         code, out = run(
             ["coupling", "delta-search", "--alpha", "0.05", "--delta-steps", "100",
@@ -708,16 +716,35 @@ class TestCouplingCommand:
         assert report["passed"] is True
 
 
-def _fresh_python(*args):
-    """Run `python *args` in a fresh interpreter with this checkout's uclab."""
+def _fresh_python(*args, env_vars=None):
+    """Run `python *args` in a fresh interpreter with this checkout's uclab,
+    with neither UCLAB_SEED nor OPENBLAS_NUM_THREADS set unless env_vars
+    sets them (importing uclab.cli in this process sets the latter)."""
     env = dict(os.environ)
     env.pop("UCLAB_SEED", None)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.update(env_vars or {})
     src = str(Path(uclab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def test_single_threaded_blas_is_set_before_numpy_loads():
+    # OpenBLAS reads the variable once, when numpy loads it: `import uclab`
+    # must not load numpy, and uclab.cli sets it before its own numpy import
+    script = """
+import json, os, sys
+import uclab
+numpy_at_import = "numpy" in sys.modules
+import uclab.cli
+print(json.dumps([numpy_at_import, os.environ.get("OPENBLAS_NUM_THREADS")]))
+"""
+    assert json.loads(_fresh_python("-c", script)) == [False, "1"]
+    preset = _fresh_python("-c", script, env_vars={"OPENBLAS_NUM_THREADS": "3"})
+    assert json.loads(preset) == [False, "3"]
 
 
 def test_runtime_never_imports_scipy(tmp_path):

@@ -442,6 +442,19 @@ class TestDeltaSearch:
         with pytest.raises(ValueError):
             delta_search(0.05, delta_max=delta_max)
 
+    @pytest.mark.parametrize("delta_max", [1.0, 1.0 - GOLDEN_THRESHOLD, 0.7])
+    def test_rejects_delta_max_past_one_before_any_work(self, delta_max, monkeypatch):
+        # the search would run at u = GOLDEN_THRESHOLD + delta_max >= 1 and
+        # fail there naming u, a value the caller never passed
+        def no_work(*args, **kwargs):
+            raise AssertionError("delta_search started work before bounding delta_max")
+
+        monkeypatch.setattr(np, "linspace", no_work)
+        monkeypatch.setattr(uclab.coupling, "local_search_min", no_work)
+        message = f"^delta_max must keep GOLDEN_THRESHOLD \\+ delta_max below 1, got {delta_max}$"
+        with pytest.raises(ValueError, match=message):
+            delta_search(0.05, delta_max=delta_max)
+
 
 class TestGreedyCouplingDP:
     def test_single_full_set(self):

@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uclab.measures
-from helpers import local_search_loop, two_atom_scan_loop
+from helpers import (
+    exchange_descent_loop,
+    local_search_loop,
+    random_feasible_start_loop,
+    two_atom_scan_loop,
+)
 from uclab.measures import (
     MAX_ATOM_GRID,
     MAX_LEMMA_U_STEPS,
@@ -16,6 +21,8 @@ from uclab.measures import (
     MAX_SEARCH_RESTARTS,
     DiscreteMeasure,
     _curvature_indicator,
+    _exchange_descent,
+    _random_feasible_start,
     _two_atom_scan_rows,
     f_mu,
     f_mu_structure_check,
@@ -331,6 +338,19 @@ class TestSortedUnique:
                 assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+# Exact ties, which random pools never produce: a location listed twice
+# gives two bit-identical rows of every move term.  In the first pool,
+# weights 0.2 and 0.1 there make a half move of one atom tie the full move
+# of the other (the full move must win); in the second and third, equal
+# weights make two source rows tie (the first must win).  All three
+# descend at lam = 1 under the mean cap 0.62.
+_TIE_CASES = [
+    ([0.0, 0.5, 0.5, 0.6, 0.85, 1.0], [0.0, 0.2, 0.1, 0.7, 0.0, 0.0]),
+    ([0.0, 0.1, 0.2, 0.2, 0.6, 0.75, 1.0], [0.0, 0.0, 0.125, 0.125, 0.75, 0.0, 0.0]),
+    ([0.0, 0.5, 0.5, 0.55, 0.9, 1.0], [0.3, 0.1, 0.1, 0.0, 0.0, 0.5]),
+]
+
+
 class TestLocalSearch:
     def test_respects_mean_cap(self):
         for u in (0.2, 0.4, 0.6):
@@ -393,6 +413,33 @@ class TestLocalSearch:
             slow = local_search_loop(0.3, 1.0, **kw)
             assert fast.best_value == slow.best_value
             assert np.array_equal(fast.best_measure.weights, slow.best_measure.weights)
+
+    @pytest.mark.parametrize("rounds", [1, 2, 3, 200])
+    def test_descent_matches_loop_on_exact_ties(self, rounds):
+        # each pool alone, then the two pools of six locations as one stack
+        for group in ([0], [1], [2], [0, 2]):
+            x = np.array([_TIE_CASES[k][0] for k in group])
+            w = np.array([_TIE_CASES[k][1] for k in group])
+            got = _exchange_descent(x, w, 1.0, 0.62, rounds)
+            for row, k in enumerate(group):
+                want = np.array(_TIE_CASES[k][1])
+                assert got[row] == exchange_descent_loop(x[row], want, 1.0, 0.62, rounds)
+                assert np.array_equal(w[row], want)
+
+    def test_start_draw_matches_the_numpy_scalar_drain(self):
+        drained = 0
+        for seed in range(60):
+            for u in (0.02, 0.1, 0.3, GOLDEN_THRESHOLD, 0.6):
+                x = sorted_unique(np.concatenate(
+                    [np.random.default_rng(seed).uniform(size=20), [0.0, u, 1.0]]))
+                fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = _random_feasible_start(fast, x, u)
+                assert np.array_equal(got, random_feasible_start_loop(slow, x, u))
+                # the same draws: both generators are left in the same state
+                assert fast.random() == slow.random()
+                # a drained start ends with its mean at the cap
+                drained += abs(float(x @ got) - u) < 1e-12
+        assert drained > 100
 
     def test_deterministic_given_seed(self):
         a = local_search_min(0.4, 1.0, restarts=10, seed=23)
