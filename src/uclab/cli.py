@@ -128,15 +128,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_seed(args) -> int:
+    """--seed, else UCLAB_SEED, else DEFAULT_SEED; numpy's generators take
+    only non-negative seeds, so a negative one is refused before any work."""
     if args.seed is not None:
-        return args.seed
-    env = os.environ.get("UCLAB_SEED")
-    if env is None:
-        return DEFAULT_SEED
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"UCLAB_SEED must be an integer, got {env!r}") from None
+        seed, source = args.seed, "--seed"
+    else:
+        env = os.environ.get("UCLAB_SEED")
+        if env is None:
+            return DEFAULT_SEED
+        try:
+            seed, source = int(env), "UCLAB_SEED"
+        except ValueError:
+            raise ValueError(f"UCLAB_SEED must be an integer, got {env!r}") from None
+    if seed < 0:
+        raise ValueError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _tol(args, default: float) -> float:

@@ -1,31 +1,27 @@
 """Union-closed families of subsets of a small ground set.
 
 A family is a nonempty collection of distinct subset masks.  This module
-checks union-closedness, computes union closures, enumerates every
-union-closed family on ground sets of up to four elements (4,959 of them
-at n = 4), finds the most frequent element, and runs the entropy
-diagnostics that connect families to set distributions: for A, B
-independent uniform samples from a union-closed F, the union A u B stays
-inside F, so H(A u B) <= log|F| = H(A).
+checks union-closedness, counts every union-closed family on ground sets
+of up to four elements (4,959 of them at n = 4), scans them for the most
+frequent element against the golden threshold, and reads and writes the
+family files that `coupling dp` takes.
 
-Enumeration encodes a family as an integer whose bit s indicates that
-subset-mask s is a member; families are produced in increasing order of
-that encoding, which fixes a canonical, reproducible stream.  They are
-built mask by mask rather than filtered out of all 2^(2^n) codes.
+The scan encodes a family as an integer whose bit s indicates that
+subset-mask s is a member; families come in increasing order of that
+encoding, which fixes a canonical, reproducible order.  They are built
+mask by mask rather than filtered out of all 2^(2^n) codes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from .scalars import GOLDEN_THRESHOLD, entropy_ratio_bound
-from .setdist import ExplicitSetDistribution, _read_records, _write_records, union_of_independent
+from .scalars import GOLDEN_THRESHOLD
+from .setdist import _read_records, _write_records
 
 MAX_ENUMERATION_N = 4
-MARGINAL_ONE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -65,22 +61,6 @@ def is_union_closed(f: Family) -> bool:
             if (a | b) not in members:
                 return False
     return True
-
-
-def union_closure(f: Family) -> Family:
-    """Smallest union-closed family containing f (idempotent, monotone)."""
-    closed = set(f.sets)
-    frontier = list(closed)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in closed.copy():
-                u = a | b
-                if u not in closed:
-                    closed.add(u)
-                    fresh.append(u)
-        frontier = fresh
-    return Family.of(f.n, closed)
 
 
 @dataclass(frozen=True)
@@ -133,14 +113,6 @@ def _union_closed_family_codes(n: int) -> np.ndarray:
     return np.sort(codes[1:])
 
 
-def enumerate_union_closed(n: int) -> Iterator[Family]:
-    """Yield every nonempty union-closed family on [n] exactly once,
-    ordered by the integer encoding of the membership bit vector."""
-    for code in _union_closed_family_codes(n):
-        masks = [s for s in range(1 << n) if (int(code) >> s) & 1]
-        yield Family(n, tuple(masks))
-
-
 def count_union_closed(n: int) -> int:
     return int(_union_closed_family_codes(n).size)
 
@@ -189,70 +161,6 @@ def verify_frequency_threshold(n: int) -> FrequencyScanReport:
         witness=witness,
         threshold=GOLDEN_THRESHOLD,
         passed=min_prop >= GOLDEN_THRESHOLD,
-    )
-
-
-@dataclass(frozen=True)
-class EntropyDiagnostics:
-    """Entropy comparison for uniform independent samples from a
-    union-closed family, with the per-element chain decomposition."""
-
-    family_size: int
-    entropy: float
-    union_entropy: float
-    entropy_drop_ok: bool
-    max_marginal: float
-    ratio_bound: float
-    step_slacks: tuple
-    skipped_elements: tuple
-    min_step_slack: float
-
-
-def entropy_chain_diagnostics(f: Family, tol: float = 1e-9) -> EntropyDiagnostics:
-    """Exact entropy diagnostics for a union-closed family (n <= 12).
-
-    Builds the uniform distribution on f, checks that the union of two
-    independent samples cannot beat the uniform entropy log|F|, and
-    decomposes both entropies element by element, reporting the slack of
-    the per-step inequality
-
-        H(union chain step) >= bound(u) * H(single-sample chain step)
-
-    with u the largest marginal below 1.  Elements contained in every
-    member are skipped: both chain entries vanish there and the bound
-    factor degenerates.
-    """
-    if f.n > 12:
-        raise ValueError("entropy diagnostics are limited to n <= 12")
-    if not is_union_closed(f):
-        raise ValueError("family is not union-closed")
-    d = ExplicitSetDistribution.uniform_on(f.n, f.sets)
-    u_dist = union_of_independent(d, d)
-    h_a = d.entropy()
-    h_u = u_dist.entropy()
-    marg = d.marginals()
-    active = [i for i in range(f.n) if marg[i] < 1.0 - MARGINAL_ONE_TOL]
-    skipped = tuple(i + 1 for i in range(f.n) if i not in active)
-    if active and max(marg[active]) > 0.0:
-        u = float(max(marg[active]))
-        lam = entropy_ratio_bound(u)
-        chain_a = d.chain_profile()
-        chain_u = u_dist.chain_profile()
-        slacks = tuple(float(chain_u[i] - lam * chain_a[i]) for i in active)
-    else:
-        u = 0.0 if not active else float(max(marg[active]))
-        lam = float("nan")
-        slacks = ()
-    return EntropyDiagnostics(
-        family_size=f.size(),
-        entropy=h_a,
-        union_entropy=h_u,
-        entropy_drop_ok=h_u <= h_a + 1e-12,
-        max_marginal=u if active else 1.0,
-        ratio_bound=lam,
-        step_slacks=slacks,
-        skipped_elements=skipped,
-        min_step_slack=min(slacks) if slacks else 0.0,
     )
 
 

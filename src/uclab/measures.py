@@ -10,15 +10,6 @@ supported on at most two atoms, one of them at 1, so certification splits
 into (a) an exact scan of that two-atom family and (b) an independent local
 search over measures on a location grid that must not find anything
 materially below the scan.
-
-The second-variation diagnostic works with
-
-    F_mu(q) = 2 E_{p ~ mu}[H(p + q - pq)] - lam * H(q),
-
-whose curvature signature is read off from G(q) = q(1-q) F_mu''(q):
-G is strictly decreasing (outside measures supported on {0, 1}), so F_mu
-is convex on an initial interval and concave after the sign change, which
-is what pushes optimal mass onto two atoms.
 """
 
 from __future__ import annotations
@@ -132,10 +123,6 @@ class ObjectiveReport:
     mean: float
 
 
-def _union_entropy_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return binary_entropy(union_prob(x[:, None], y[None, :]))
-
-
 def objective(mu: DiscreteMeasure, lam: float) -> ObjectiveReport:
     """Evaluate J(mu; lam) together with its two parts.
 
@@ -144,7 +131,7 @@ def objective(mu: DiscreteMeasure, lam: float) -> ObjectiveReport:
     value     = quadratic - lam * linear.
     """
     x, w = mu.locations, mu.weights
-    quad = float(w @ _union_entropy_matrix(x, x) @ w)
+    quad = float(w @ binary_entropy(union_prob(x[:, None], x[None, :])) @ w)
     lin = float(np.dot(w, binary_entropy(x)))
     return ObjectiveReport(
         quadratic=quad,
@@ -153,30 +140,6 @@ def objective(mu: DiscreteMeasure, lam: float) -> ObjectiveReport:
         value=quad - float(lam) * lin,
         mean=mu.mean(),
     )
-
-
-def linearized_objective(mu: DiscreteMeasure, nu: DiscreteMeasure, lam: float) -> float:
-    """The bilinear probe 2 E_{mu x nu}[H(p + q - pq)] - lam * E_nu[H(q)].
-
-    At nu = mu this equals objective(mu, lam).value plus the quadratic part
-    of mu; minimizing it over feasible nu at a minimizer mu is the
-    first-order stationarity test for J.
-    """
-    cross = float(mu.weights @ _union_entropy_matrix(mu.locations, nu.locations) @ nu.weights)
-    lin = float(np.dot(nu.weights, binary_entropy(nu.locations)))
-    return 2.0 * cross - float(lam) * lin
-
-
-def two_atom_objective(v: float, w: float, lam: float) -> float:
-    """J at the measure with mass w on v and 1 - w on 1:
-    w^2 H(2v - v^2) - lam * w * H(v)."""
-    v = float(v)
-    w = float(w)
-    if not 0.0 < v < 1.0:
-        raise ValueError("v must lie strictly inside (0, 1)")
-    if not 0.0 <= w <= 1.0:
-        raise ValueError("w must lie in [0, 1]")
-    return w * w * binary_entropy(union_prob(v, v)) - float(lam) * w * binary_entropy(v)
 
 
 @dataclass(frozen=True)
@@ -252,66 +215,6 @@ def _two_atom_slack(u, vs, lam):
     """J(w delta_v + (1 - w) delta_1) with w = (1 - u)/(1 - v), elementwise."""
     w = (1.0 - u) / (1.0 - vs)
     return w * w * binary_entropy(union_prob(vs, vs)) - lam * w * binary_entropy(vs)
-
-
-def f_mu(mu: DiscreteMeasure, lam: float, q) -> float | np.ndarray:
-    """F_mu(q) = 2 E_{p ~ mu}[H(p + q - pq)] - lam * H(q) for q in (0, 1)."""
-    arr = np.asarray(q, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0) or not np.all(np.isfinite(arr)):
-        raise ValueError("q must lie strictly inside (0, 1)")
-    flat = np.atleast_1d(arr)
-    u_mat = union_prob(mu.locations[:, None], flat[None, :])
-    val = 2.0 * (mu.weights @ binary_entropy(u_mat)) - float(lam) * binary_entropy(flat)
-    if np.ndim(q) == 0:
-        return float(val[0])
-    return val.reshape(arr.shape)
-
-
-def _curvature_indicator(mu: DiscreteMeasure, lam: float, q: np.ndarray) -> np.ndarray:
-    """G(q) = q(1-q) F_mu''(q) = -2 E_p[(1-p) q / (p + q - pq)] + lam."""
-    x, w = mu.locations[:, None], mu.weights[:, None]
-    qq = q[None, :]
-    frac = (1.0 - x) * qq / (x + qq - x * qq)
-    return -2.0 * np.sum(w * frac, axis=0) + float(lam)
-
-
-@dataclass(frozen=True)
-class CurvatureReport:
-    """Shape of F_mu read from the sign pattern of q(1-q) F_mu''(q)."""
-
-    strictly_decreasing: bool
-    inflection: float | None
-    convex_then_concave: bool
-    grid: int
-
-
-def f_mu_structure_check(mu: DiscreteMeasure, lam: float, grid: int = 10000) -> CurvatureReport:
-    """Verify the curvature signature of F_mu on a grid of (0, 1).
-
-    Evaluates G(q) = q(1-q) F_mu''(q) in closed form, checks it is strictly
-    decreasing, and estimates the sign-change location (the boundary between
-    the convex and concave regions of F_mu) by linear interpolation.
-    Measures supported entirely on {0, 1} are rejected: G is constant there.
-    """
-    if np.all((mu.locations <= 0.0) | (mu.locations >= 1.0)):
-        raise ValueError("measure supported on {0, 1} has no curvature signature")
-    qs = np.arange(1, grid + 1) / (grid + 1.0)
-    g = _curvature_indicator(mu, lam, qs)
-    decreasing = bool(np.all(np.diff(g) < 0.0))
-    inflection = None
-    sign_change = np.nonzero((g[:-1] > 0.0) & (g[1:] <= 0.0))[0]
-    if sign_change.size:
-        k = sign_change[0]
-        # linear interpolation of the zero crossing
-        t = g[k] / (g[k] - g[k + 1])
-        inflection = float(qs[k] + t * (qs[k + 1] - qs[k]))
-    convex_then_concave = decreasing and inflection is not None
-    return CurvatureReport(
-        strictly_decreasing=decreasing,
-        inflection=inflection,
-        convex_then_concave=convex_then_concave,
-        grid=grid,
-    )
 
 
 @dataclass(frozen=True)

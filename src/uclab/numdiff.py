@@ -1,9 +1,10 @@
-"""Five-point central finite-difference stencils for derivative cross-checks.
+"""Five-point central finite-difference stencil for derivative cross-checks.
 
-Used to confirm closed-form derivative expressions against direct numerical
-differentiation of the underlying function.  The default step is 1e-4,
-shrunk in proportion to the distance from the nearest endpoint of [0, 1] so
-the whole stencil stays inside the domain of functions that blow up there.
+`uclab scalar` uses it to confirm the closed-form third derivatives in
+uclab.scalars against direct numerical differentiation.  The default step
+is 1e-4, shrunk in proportion to the distance from the nearest endpoint of
+[0, 1] so the whole stencil stays inside the domain of functions that blow
+up there.
 """
 
 from __future__ import annotations
@@ -23,13 +24,6 @@ def scaled_step(x, base: float = 1e-4):
         raise ValueError("x must lie strictly inside (0, 1)")
     step = base * np.minimum(1.0, d / 0.05)
     return float(step) if arr.ndim == 0 else step
-
-
-def second_derivative(f, x: float, h: float) -> float:
-    """Five-point central estimate of f''(x), O(h^4) truncation error."""
-    return (
-        -f(x - 2 * h) + 16 * f(x - h) - 30 * f(x) + 16 * f(x + h) - f(x + 2 * h)
-    ) / (12.0 * h * h)
 
 
 def third_derivative(f, x, h):

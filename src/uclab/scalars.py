@@ -152,21 +152,3 @@ def d3_s_entropy(s):
     if _scalar_in(s):
         return float(val)
     return val
-
-
-def third_deriv_numerator(s, beta):
-    """The cubic -4 - 4 s^2 - beta (s - 2)(1 + s)^2.
-
-    Numerator of the third derivative of H(s^2) - beta * s H(s) over the
-    common denominator s (1 - s^2)^2.  Defined for all real s; equals
-    2 beta - 4 at s = 0, so it is negative there whenever beta < 2, which
-    caps its number of roots in [0, 1] at two.
-    """
-    a = np.asarray(s, dtype=float)
-    b = np.asarray(beta, dtype=float)
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValueError("s and beta must be finite")
-    val = -4.0 - 4.0 * a * a - b * (a - 2.0) * (1.0 + a) ** 2
-    if _scalar_in(s) and _scalar_in(beta):
-        return float(val)
-    return val

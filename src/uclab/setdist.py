@@ -2,15 +2,15 @@
 
 Subsets are n-bit masks (bit i-1 set iff element i is in the set, elements
 numbered 1..n).  An ExplicitSetDistribution stores the full table of 2^n
-probabilities, so every quantity here - entropy, marginals, conditionals,
-the union of two independent samples, KL divergence, chain-rule profiles -
-is computed exactly up to floating point, with no sampling.
+probabilities, so every quantity here - entropy, marginals, the union of
+two independent samples, KL divergence - is computed exactly up to
+floating point, with no sampling.
 
 Every table kernel reads the table through one view, `_split(probs, i)`:
 the reshape to (..., 2^(n-i), 2, 2^(i-1)), indexed (tables, higher
 elements, element i, lower elements).  Its last axis is the prefix mask on
-elements 1..i-1, so marginals, conditionals and chain profiles are slices
-and axis sums of it, and no mask array is ever built.  The leading axes
+elements 1..i-1, so marginals and the zeta transform are slices and axis
+sums of it, and no mask array is ever built.  The leading axes
 hold a stack of tables: the union-entropy check and the marginals run on a
 (T, 2^n) stack with the same arithmetic per row as on one table, so a row
 of the stack gives the same bits as the table alone.
@@ -144,59 +144,13 @@ class ExplicitSetDistribution:
 
     def marginal(self, i: int) -> float:
         """Probability that element i (1-based) lies in the sampled set."""
-        self._check_element(i)
+        if not 1 <= i <= self.n:
+            raise ValueError(f"element index must be in 1..{self.n}")
         return float(_split(self.probs, i)[:, 1, :].ravel().sum())
 
     def marginals(self) -> np.ndarray:
         """Inclusion probability of every element, each equal to marginal(i)."""
         return _marginal_rows(self.probs, self.n)
-
-    def conditional_prob(self, i: int, prefix: int) -> float:
-        """Pr[i in A | the restriction of A to [i-1] equals prefix]."""
-        self._check_element(i)
-        low = (1 << (i - 1)) - 1
-        if not 0 <= prefix <= low:
-            raise ValueError("prefix must be a mask on the first i-1 elements")
-        sel = _split(self.probs, i)[:, :, prefix]
-        denom = float(sel.ravel().sum())
-        if denom <= PROB_FLOOR:
-            raise ValueError("prefix has zero probability")
-        num = float(sel[:, 1].ravel().sum())
-        return min(max(num / denom, 0.0), 1.0)
-
-    def chain_profile(self, order=None) -> np.ndarray:
-        """Expected conditional entropy contributed by each element in turn.
-
-        Entry k is the average of H(Pr[element in A | prefix]) over prefixes
-        on the earlier elements; the entries sum to the total entropy by the
-        chain rule.  `order` permutes the elements before decomposing
-        (default: natural order 1..n).
-        """
-        probs = self.probs
-        if order is not None:
-            probs = _permute_bits(probs, self.n, order)
-        out = np.empty(self.n)
-        for i in range(1, self.n + 1):
-            lack, win = _split(probs, i).sum(axis=0)
-            tot = lack + win
-            pos = tot > PROB_FLOOR
-            rates = np.clip(win[pos] / tot[pos], 0.0, 1.0)
-            out[i - 1] = float(np.dot(tot[pos], binary_entropy(rates)))
-        return out
-
-    def _check_element(self, i: int) -> None:
-        if not 1 <= i <= self.n:
-            raise ValueError(f"element index must be in 1..{self.n}")
-
-
-def _permute_bits(probs: np.ndarray, n: int, order) -> np.ndarray:
-    order = list(order)
-    if sorted(order) != list(range(1, n + 1)):
-        raise ValueError("order must be a permutation of 1..n")
-    # on the (2,) * n view element e sits on axis n - e; new element k + 1
-    # is old element order[k]
-    axes = [n - elem for elem in reversed(order)]
-    return probs.reshape((2,) * n).transpose(axes).reshape(-1)
 
 
 def _subset_transform(values: np.ndarray, n: int, op) -> np.ndarray:

@@ -11,9 +11,16 @@ each round, the third-derivative check runs one point at a time, the
 theorem2 random tables are checked one dict-built table at a time, and the
 union-closed families are filtered out of every membership code.
 Anything the library computes cleverly is checked against these.
+
+The last part holds checks of statements of the paper that no CLI command
+runs: the convex-then-concave shape of F_mu behind the sharp estimate,
+stationarity at the sharp measure, the sign pattern of the third-derivative
+numerator, and the per-element chain-rule step of Gilmer's argument on
+uniform union-closed families.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +30,7 @@ from uclab.coupling import (
     improved_slack,
     worst_coupling_value,
 )
-from uclab.families import Family, union_closure
+from uclab.families import Family, is_union_closed
 from uclab.measures import (
     MEAN_SLACK,
     DiscreteMeasure,
@@ -34,6 +41,7 @@ from uclab.measures import (
 from uclab.numdiff import third_derivative
 from uclab.scalars import (
     GOLDEN_THRESHOLD,
+    _scalar_in,
     binary_entropy,
     d3_entropy_of_square,
     d3_s_entropy,
@@ -41,8 +49,10 @@ from uclab.scalars import (
     union_prob,
 )
 from uclab.setdist import (
+    PROB_FLOOR,
     ExplicitSetDistribution,
     UnionBoundReport,
+    _split,
     product_bernoulli,
     union_of_independent,
 )
@@ -86,15 +96,6 @@ def _h(r):
     return -sum(x * math.log(x) for x in (r, 1.0 - r) if x > 0.0)
 
 
-def product_table(rates):
-    """Table where element e enters independently with probability rates[e-1]."""
-    n = len(rates)
-    return np.array([
-        math.prod(r if _has(m, e) else 1.0 - r for e, r in enumerate(rates, start=1))
-        for m in range(1 << n)
-    ])
-
-
 def marginal_loop(d, i):
     return sum(float(d.probs[m]) for m in range(1 << d.n) if _has(m, i))
 
@@ -109,21 +110,36 @@ def conditional_loop(d, i, prefix):
     return sum(float(d.probs[m]) for m in match if _has(m, i)) / denom
 
 
-def chain_profile_loop(d, order=None):
-    """Entry k: average over the values of the earlier elements of the
-    binary entropy of element order[k]'s conditional inclusion rate."""
-    order = list(order) if order is not None else list(range(1, d.n + 1))
+def chain_profile_loop(d):
+    """Entry k - 1: average over the values of elements 1..k-1 of the
+    binary entropy of element k's conditional inclusion rate."""
     out = []
-    for k, elem in enumerate(order):
+    for elem in range(1, d.n + 1):
         groups = {}
         for m in range(1 << d.n):
-            key = tuple(_has(m, e) for e in order[:k])
+            key = tuple(_has(m, e) for e in range(1, elem))
             tot_win = groups.setdefault(key, [0.0, 0.0])
             tot_win[0] += float(d.probs[m])
             if _has(m, elem):
                 tot_win[1] += float(d.probs[m])
         out.append(sum(tot * _h(win / tot) for tot, win in groups.values() if tot > 0.0))
     return np.array(out)
+
+
+def union_closure(f):
+    """Smallest union-closed family containing f (idempotent, monotone)."""
+    closed = set(f.sets)
+    frontier = list(closed)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for b in closed.copy():
+                u = a | b
+                if u not in closed:
+                    closed.add(u)
+                    fresh.append(u)
+        frontier = fresh
+    return Family.of(f.n, closed)
 
 
 def random_union_closed(rng, n, max_generators=4):
@@ -208,28 +224,31 @@ def highs_transport_value(cost, w):
     marginals w, from scipy's HiGHS (a test-only dependency): the general
     LP solver the in-package transportation simplex is checked against.
 
-    HiGHS stops at an absolute feasibility tolerance of about 1e-7, so on
-    marginals summing to 1 its objective can sit that far below the exact
-    optimum.  The LP is homogeneous in the marginals, so it is solved for
-    w scaled by 1e6 and the value scaled back, which shrinks that error
-    below 1e-12.  The constraint matrix is sparse: a dense one takes
-    128 MB at MAX_LP_ATOMS = 200 atoms.
+    HiGHS solves the dual LP: maximise w.a + w.b over free a, b subject to
+    a_i + b_j <= cost_ij, with 2m variables instead of m^2, which HiGHS
+    solves several times faster at MAX_LP_ATOMS = 200 atoms.
+    HiGHS stops at absolute feasibility and optimality tolerances of about
+    1e-7, so on costs and marginals of order 1 its objective can sit that
+    far off the exact optimum.  The LP is homogeneous in the costs (through
+    a and b) and in the objective weights w, so both are scaled by 1e6 and
+    the value scaled back, which shrinks that error below 1e-12.  The
+    constraint matrix is sparse.
     """
     from scipy import sparse
     from scipy.optimize import linprog
 
     m = w.size
     scale = 1e6
-    eye, ones = sparse.identity(m), sparse.csr_matrix(np.ones((1, m)))
+    eye, ones = sparse.identity(m), sparse.csr_matrix(np.ones((m, 1)))
     res = linprog(
-        cost.ravel(),
-        A_eq=sparse.vstack([sparse.kron(eye, ones), sparse.kron(ones, eye)], format="csr"),
-        b_eq=scale * np.concatenate([w, w]),
-        bounds=(0.0, None),
+        -scale * np.concatenate([w, w]),
+        A_ub=sparse.hstack([sparse.kron(eye, ones), sparse.kron(ones, eye)], format="csr"),
+        b_ub=scale * cost.ravel(),
+        bounds=(None, None),
         method="highs",
     )
     assert res.status == 0, res.message
-    return float(res.fun) / scale
+    return -float(res.fun) / (scale * scale)
 
 
 def delta_search_loop(alpha, u_cap_steps=200, delta_max=0.02, v_steps=96, mean_steps=64,
@@ -426,3 +445,192 @@ def third_derivative_worst_loop(points=181):
             abs(fd2 - d3_s_entropy(s)) / abs(d3_s_entropy(s)),
         )
     return worst_rel
+
+
+def f_mu(mu, lam, q):
+    """F_mu(q) = 2 E_{p ~ mu}[H(p + q - pq)] - lam * H(q) for q in (0, 1).
+
+    The second variation of J at mu: its curvature signature is read off
+    from G(q) = q(1-q) F_mu''(q) (curvature_indicator).  G is strictly
+    decreasing (outside measures supported on {0, 1}), so F_mu is convex on
+    an initial interval and concave after the sign change, which is what
+    pushes optimal mass onto two atoms.
+    """
+    arr = np.asarray(q, dtype=float)
+    if np.any(arr <= 0.0) or np.any(arr >= 1.0) or not np.all(np.isfinite(arr)):
+        raise ValueError("q must lie strictly inside (0, 1)")
+    flat = np.atleast_1d(arr)
+    u_mat = union_prob(mu.locations[:, None], flat[None, :])
+    val = 2.0 * (mu.weights @ binary_entropy(u_mat)) - float(lam) * binary_entropy(flat)
+    if np.ndim(q) == 0:
+        return float(val[0])
+    return val.reshape(arr.shape)
+
+
+def curvature_indicator(mu, lam, q):
+    """G(q) = q(1-q) F_mu''(q) = -2 E_p[(1-p) q / (p + q - pq)] + lam."""
+    x, w = mu.locations[:, None], mu.weights[:, None]
+    qq = q[None, :]
+    frac = (1.0 - x) * qq / (x + qq - x * qq)
+    return -2.0 * np.sum(w * frac, axis=0) + float(lam)
+
+
+@dataclass(frozen=True)
+class CurvatureReport:
+    """Shape of F_mu read from the sign pattern of q(1-q) F_mu''(q)."""
+
+    strictly_decreasing: bool
+    inflection: float | None
+    convex_then_concave: bool
+    grid: int
+
+
+def f_mu_structure_check(mu, lam, grid=10000):
+    """Verify the curvature signature of F_mu on a grid of (0, 1).
+
+    Evaluates G(q) = q(1-q) F_mu''(q) in closed form, checks it is strictly
+    decreasing, and estimates the sign-change location (the boundary between
+    the convex and concave regions of F_mu) by linear interpolation.
+    Measures supported entirely on {0, 1} are rejected: G is constant there.
+    """
+    if np.all((mu.locations <= 0.0) | (mu.locations >= 1.0)):
+        raise ValueError("measure supported on {0, 1} has no curvature signature")
+    qs = np.arange(1, grid + 1) / (grid + 1.0)
+    g = curvature_indicator(mu, lam, qs)
+    decreasing = bool(np.all(np.diff(g) < 0.0))
+    inflection = None
+    sign_change = np.nonzero((g[:-1] > 0.0) & (g[1:] <= 0.0))[0]
+    if sign_change.size:
+        k = sign_change[0]
+        # linear interpolation of the zero crossing
+        t = g[k] / (g[k] - g[k + 1])
+        inflection = float(qs[k] + t * (qs[k + 1] - qs[k]))
+    return CurvatureReport(
+        strictly_decreasing=decreasing,
+        inflection=inflection,
+        convex_then_concave=decreasing and inflection is not None,
+        grid=grid,
+    )
+
+
+def linearized_objective(mu, nu, lam):
+    """The bilinear probe 2 E_{mu x nu}[H(p + q - pq)] - lam * E_nu[H(q)].
+
+    At nu = mu this equals objective(mu, lam).value plus the quadratic part
+    of mu; minimizing it over feasible nu at a minimizer mu is the
+    first-order stationarity test for J.
+    """
+    cross_h = binary_entropy(union_prob(mu.locations[:, None], nu.locations[None, :]))
+    cross = float(mu.weights @ cross_h @ nu.weights)
+    lin = float(np.dot(nu.weights, binary_entropy(nu.locations)))
+    return 2.0 * cross - float(lam) * lin
+
+
+def second_derivative(f, x, h):
+    """Five-point central estimate of f''(x), O(h^4) truncation error."""
+    return (
+        -f(x - 2 * h) + 16 * f(x - h) - 30 * f(x) + 16 * f(x + h) - f(x + 2 * h)
+    ) / (12.0 * h * h)
+
+
+def third_deriv_numerator(s, beta):
+    """The cubic -4 - 4 s^2 - beta (s - 2)(1 + s)^2.
+
+    Numerator of the third derivative of H(s^2) - beta * s H(s) over the
+    common denominator s (1 - s^2)^2.  Defined for all real s; equals
+    2 beta - 4 at s = 0, so it is negative there whenever beta < 2, which
+    caps its number of roots in [0, 1] at two.
+    """
+    a = np.asarray(s, dtype=float)
+    b = np.asarray(beta, dtype=float)
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("s and beta must be finite")
+    val = -4.0 - 4.0 * a * a - b * (a - 2.0) * (1.0 + a) ** 2
+    if _scalar_in(s) and _scalar_in(beta):
+        return float(val)
+    return val
+
+
+def chain_profile(d):
+    """Expected conditional entropy contributed by each element in turn.
+
+    Entry i - 1 is the average of H(Pr[element i in A | prefix]) over the
+    prefixes on elements 1..i-1, read from the table view `_split`; the
+    entries sum to the total entropy by the chain rule.
+    """
+    out = np.empty(d.n)
+    for i in range(1, d.n + 1):
+        lack, win = _split(d.probs, i).sum(axis=0)
+        tot = lack + win
+        pos = tot > PROB_FLOOR
+        rates = np.clip(win[pos] / tot[pos], 0.0, 1.0)
+        out[i - 1] = float(np.dot(tot[pos], binary_entropy(rates)))
+    return out
+
+
+MARGINAL_ONE_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class EntropyDiagnostics:
+    """Entropy comparison for uniform independent samples from a
+    union-closed family, with the per-element chain decomposition."""
+
+    family_size: int
+    entropy: float
+    union_entropy: float
+    entropy_drop_ok: bool
+    max_marginal: float
+    ratio_bound: float
+    step_slacks: tuple
+    skipped_elements: tuple
+    min_step_slack: float
+
+
+def entropy_chain_diagnostics(f):
+    """Exact entropy diagnostics for a union-closed family (n <= 12).
+
+    For A, B independent uniform samples from a union-closed F, the union
+    A u B stays inside F, so H(A u B) <= log|F| = H(A).  Builds the uniform
+    distribution on f, checks that inequality, and decomposes both
+    entropies element by element, reporting the slack of the per-step
+    inequality
+
+        H(union chain step) >= bound(u) * H(single-sample chain step)
+
+    with u the largest marginal below 1.  Elements contained in every
+    member are skipped: both chain entries vanish there and the bound
+    factor degenerates.
+    """
+    if f.n > 12:
+        raise ValueError("entropy diagnostics are limited to n <= 12")
+    if not is_union_closed(f):
+        raise ValueError("family is not union-closed")
+    d = ExplicitSetDistribution.uniform_on(f.n, f.sets)
+    u_dist = union_of_independent(d, d)
+    h_a = d.entropy()
+    h_u = u_dist.entropy()
+    marg = d.marginals()
+    active = [i for i in range(f.n) if marg[i] < 1.0 - MARGINAL_ONE_TOL]
+    skipped = tuple(i + 1 for i in range(f.n) if i not in active)
+    if active and max(marg[active]) > 0.0:
+        u = float(max(marg[active]))
+        lam = entropy_ratio_bound(u)
+        chain_a = chain_profile(d)
+        chain_u = chain_profile(u_dist)
+        slacks = tuple(float(chain_u[i] - lam * chain_a[i]) for i in active)
+    else:
+        u = 0.0 if not active else float(max(marg[active]))
+        lam = float("nan")
+        slacks = ()
+    return EntropyDiagnostics(
+        family_size=f.size(),
+        entropy=h_a,
+        union_entropy=h_u,
+        entropy_drop_ok=h_u <= h_a + 1e-12,
+        max_marginal=u if active else 1.0,
+        ratio_bound=lam,
+        step_slacks=slacks,
+        skipped_elements=skipped,
+        min_step_slack=min(slacks) if slacks else 0.0,
+    )

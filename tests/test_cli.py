@@ -157,6 +157,26 @@ class TestDeterminism:
         assert err == ["uclab: error: UCLAB_SEED must be an integer, got 'abc'"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["--seed", "UCLAB_SEED"])
+    @pytest.mark.parametrize("command", sorted(uclab.cli._HANDLERS))
+    def test_negative_seed_exits_two_before_any_work(self, command, source, tmp_path,
+                                                     monkeypatch, capsys):
+        def no_work(args, seed):
+            raise AssertionError(f"{command} ran with seed {seed}")
+
+        for name in uclab.cli._HANDLERS:
+            monkeypatch.setitem(uclab.cli._HANDLERS, name, no_work)
+        monkeypatch.delenv("UCLAB_SEED", raising=False)
+        argv = [command, "--out", str(tmp_path / "x.json")]
+        if source == "--seed":
+            argv += ["--seed", "-1"]
+        else:
+            monkeypatch.setenv("UCLAB_SEED", "-1")
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"uclab: error: {source} must be a non-negative integer, got -1"]
+        assert not (tmp_path / "x.json").exists()
+
     def test_all_runs_in_one_process(self, tmp_path, monkeypatch):
         class NoPool:
             def __init__(self, *args, **kwargs):

@@ -9,9 +9,14 @@ from hypothesis import strategies as st
 
 import uclab.measures
 from helpers import (
+    curvature_indicator,
     exchange_descent_loop,
+    f_mu,
+    f_mu_structure_check,
+    linearized_objective,
     local_search_loop,
     random_feasible_start_loop,
+    second_derivative,
     two_atom_scan_loop,
 )
 from uclab.measures import (
@@ -20,22 +25,16 @@ from uclab.measures import (
     MAX_LEMMA_V_STEPS,
     MAX_SEARCH_RESTARTS,
     DiscreteMeasure,
-    _curvature_indicator,
     _exchange_descent,
     _random_feasible_start,
     _two_atom_scan_rows,
-    f_mu,
-    f_mu_structure_check,
     lemma_certificate,
-    linearized_objective,
     local_search_min,
     objective,
     parallel_map,
     sorted_unique,
     two_atom_min_scan,
-    two_atom_objective,
 )
-from uclab.numdiff import second_derivative
 from uclab.scalars import GOLDEN_THRESHOLD, PHI, binary_entropy, entropy_ratio_bound
 
 # mpmath reference: 0.25 H(0.36) - 0.5 H(0.2)
@@ -103,6 +102,10 @@ class TestObjective:
             assert rep.value == pytest.approx(rep.quadratic - lam * rep.linear, abs=1e-14)
             assert rep.mean == mu.mean()
 
+    def test_two_atom_reference_value(self):
+        rep = objective(DiscreteMeasure.two_atom(0.2, 0.5), 1.0)
+        assert rep.value == pytest.approx(TWO_ATOM_02_05, abs=1e-15)
+
     def test_invariant_under_merge_and_reorder(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
@@ -160,34 +163,6 @@ class TestLinearized:
                 best, arg = val, float(x)
         assert best >= base - 1e-9
         assert abs(arg - GOLDEN_THRESHOLD) < 2.0 * (xs[1] - xs[0])
-
-
-class TestTwoAtomObjective:
-    def test_no_mass_off_one(self):
-        assert two_atom_objective(0.4, 0.0, 1.3) == 0.0
-
-    def test_golden_identity(self):
-        assert abs(two_atom_objective(GOLDEN_THRESHOLD, 1.0, 1.0)) < 1e-12
-
-    def test_reference_value(self):
-        assert two_atom_objective(0.2, 0.5, 1.0) == pytest.approx(TWO_ATOM_02_05, abs=1e-15)
-
-    def test_matches_measure_objective(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            v = float(rng.uniform(0.05, 0.95))
-            w = float(rng.uniform(0.0, 1.0))
-            lam = float(rng.uniform(0.5, 2.0))
-            mu = DiscreteMeasure.two_atom(v, w)
-            assert two_atom_objective(v, w, lam) == pytest.approx(
-                objective(mu, lam).value, abs=1e-13
-            )
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            two_atom_objective(0.0, 0.5, 1.0)
-        with pytest.raises(ValueError):
-            two_atom_objective(0.5, 1.2, 1.0)
 
 
 class TestTwoAtomScan:
@@ -281,7 +256,7 @@ class TestCurvature:
         for _ in range(100):
             mu = random_measure(rng, lo=0.01, hi=0.99)
             lam = float(rng.uniform(0.5, 2.0))
-            g = _curvature_indicator(mu, lam, qs)
+            g = curvature_indicator(mu, lam, qs)
             assert np.all(np.diff(g) < 0.0)
 
     def test_indicator_matches_second_difference_of_f_mu(self):
@@ -291,7 +266,7 @@ class TestCurvature:
             lam = float(rng.uniform(0.8, 1.5))
             for q in np.linspace(0.05, 0.95, 19):
                 fd = second_derivative(lambda t: f_mu(mu, lam, t), q, 1e-4)
-                closed = _curvature_indicator(mu, lam, np.array([q]))[0]
+                closed = curvature_indicator(mu, lam, np.array([q]))[0]
                 assert closed == pytest.approx(q * (1.0 - q) * fd, rel=1e-3, abs=1e-6)
 
     def test_convexity_verdict_matches_sign_pattern(self):

@@ -1,40 +1,25 @@
+import dataclasses
 import importlib
+import importlib.util
+import sys
+import types
+from pathlib import Path
 
 import pytest
 
 import uclab
 
-# every name `uclab` exported when its __init__ imported all modules eagerly,
-# by defining module
-EXPORTED = {
-    "scalars": """GOLDEN_THRESHOLD PHI binary_entropy d3_entropy_of_square d3_s_entropy
-        entropy_ratio_bound entropy_square_gap entropy_square_ratio third_deriv_numerator
-        union_prob""",
-    "setdist": """ExplicitSetDistribution ProductMixture UnionBoundReport expand_mixture
-        golden_threshold_mixture kl_divergence load_distribution load_mixture
-        mixture_entropy_bounds product_bernoulli save_distribution save_mixture
-        union_entropy_check union_of_independent""",
-    "families": """Family FrequencyReport enumerate_union_closed entropy_chain_diagnostics
-        is_union_closed load_family max_element_frequency save_family union_closure
-        verify_frequency_threshold""",
-    "measures": """DEFAULT_SEED DiscreteMeasure ObjectiveReport f_mu f_mu_structure_check
-        lemma_certificate linearized_objective local_search_min objective two_atom_min_scan
-        two_atom_objective""",
-    "coupling": """JointMeasure coupled_union_prob delta_search greedy_coupling_dp
-        improved_slack worst_coupling_value""",
-    "counterexample": """CounterexampleParams bounds_report build_counterexample
-        entropy_lower_bound exact_small_n_check kl_upper_bound marginal_inclusion ratio_bound
-        union_entropy_upper_bound""",
-}
-CASES = [(module, name) for module, names in EXPORTED.items() for name in names.split()]
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
-
-@pytest.mark.parametrize("module, name", CASES)
-def test_old_exports_resolve_to_their_defining_objects(module, name):
-    owner = importlib.import_module(f"uclab.{module}")
-    assert getattr(uclab, name) is getattr(owner, name)
-    assert name in dir(uclab)
-    assert name in uclab.__all__
+# (module, class, field) that the tracer's counter hooks read from results
+# and arguments of the functions it wraps
+HOOK_FIELDS = (
+    ("uclab.coupling", "WorstCouplingReport", "repaired"),
+    ("uclab.measures", "LocalSearchReport", "restarts"),
+    ("uclab.families", "FrequencyScanReport", "families_checked"),
+    ("uclab.families", "FrequencyScanReport", "degenerate_excluded"),
+    ("uclab.setdist", "ExplicitSetDistribution", "n"),
+)
 
 
 def test_version_and_default_seed():
@@ -43,6 +28,41 @@ def test_version_and_default_seed():
 
 
 def test_unknown_name_raises_attribute_error():
-    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
-        uclab.no_such_name  # noqa: B018
-    assert not hasattr(uclab, "_EXPORTS_typo")
+    # the package re-exports nothing: names live in their defining modules
+    for name in ("no_such_name", "delta_search", "binary_entropy"):
+        with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
+            getattr(uclab, name)
+    own = {k for k, v in vars(uclab).items() if not k.startswith("_")
+           and not isinstance(v, types.ModuleType)}
+    assert own == {"DEFAULT_SEED"}
+    assert not hasattr(uclab, "__getattr__")
+
+
+def _load_tracer(monkeypatch):
+    spec = importlib.util.spec_from_file_location("uclab_bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, tracer)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_tracer_target_resolves(monkeypatch):
+    # bench/tracer.py wraps these attributes from outside; a rename or a
+    # deletion here would silently break every `bench/run.py --trace 1` run
+    tracer = _load_tracer(monkeypatch)
+    assert tracer.TARGETS
+    for module_name, attr, _, _ in tracer.TARGETS:
+        owner = importlib.import_module(module_name)
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            assert meth in vars(getattr(owner, cls_name)), f"{module_name}.{attr}"
+        else:
+            assert callable(getattr(owner, attr, None)), f"{module_name}.{attr}"
+    cli = importlib.import_module("uclab.cli")
+    assert set(tracer.HANDLERS) == set(cli._HANDLERS)
+    assert callable(importlib.import_module("uclab.measures").parallel_map)
+    assert importlib.import_module("uclab.families").np.arange is not None
+    for module_name, cls_name, field in HOOK_FIELDS:
+        cls = getattr(importlib.import_module(module_name), cls_name)
+        assert field in {f.name for f in dataclasses.fields(cls)}, f"{cls_name}.{field}"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import third_deriv_numerator
 from uclab.scalars import (
     GOLDEN_THRESHOLD,
     PHI,
@@ -15,7 +16,6 @@ from uclab.scalars import (
     entropy_ratio_bound_array,
     entropy_square_gap,
     entropy_square_ratio,
-    third_deriv_numerator,
     union_prob,
 )
 
