@@ -80,8 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--atom-grid", type=int, default=1000)
     p.add_argument("--search-points", type=int, default=21)
     p.add_argument("--inflate-bound", type=float, default=1.0, help=argparse.SUPPRESS)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="worker processes for the local search")
     _add_tol(p)
     _add_common(p)
 
@@ -241,7 +239,6 @@ def cmd_lemma(args, seed: int):
         atom_grid=args.atom_grid,
         search_points=args.search_points,
         seed=seed,
-        jobs=args.jobs,
         lam_scale=args.inflate_bound,
         scan_tol=tol,
     )
@@ -441,11 +438,10 @@ def cmd_coupling(args, seed: int):
 
 # The compact suite run by `all`: each entry is parsed as that subcommand's
 # command line, so every flag it does not list keeps the subcommand default.
-# lemma runs with --jobs 1: its 0.1 s search costs less than starting a pool.
 _COMPACT_SUITE = {
     "scalar": ["--grid", "20000"],
     "lemma": ["--u-steps", "200", "--v-steps", "400", "--restarts", "120",
-              "--atom-grid", "400", "--search-points", "11", "--jobs", "1"],
+              "--atom-grid", "400", "--search-points", "11"],
     "families": [],
     "theorem2": ["--trials", "200", "--max-n", "6"],
     "counterexample": [],
@@ -455,6 +451,9 @@ _COMPACT_SUITE = {
 
 
 def cmd_all(args, seed: int):
+    if args.format == "csv":
+        # a CSV report holds one table, and all's results nest one per suite
+        raise ValueError("all writes JSON only; run a single subcommand for CSV")
     parser = build_parser()
     suites = {}
     failures = []
@@ -488,13 +487,12 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         # an internal guard tripped: still write a report that names it
         results, failures = {}, [f"{args.command}.internal: {exc}"]
-    # jobs only distributes work and may not change a single output byte,
-    # so it stays out of the config echo along with the output routing; the
-    # resolved seed takes its sorted place however it was given
+    # the output routing stays out of the config echo; the resolved seed
+    # takes its sorted place however it was given
     config = {
         k: v
         for k, v in sorted({**vars(args), "seed": seed}.items())
-        if k not in ("out", "format", "jobs") and v is not None
+        if k not in ("out", "format") and v is not None
     }
     report = {
         "version": __version__,

@@ -14,7 +14,6 @@ materially below the scan.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,8 +244,7 @@ def local_search_min(
     analytic candidates are reachable), then repeatedly applies the best
     feasible exchange move - shifting some or all of one atom's mass onto
     another location without pushing the mean above u - until no move
-    improves the value.  Restart r uses seed + r, so runs are reproducible
-    and independent of how restarts are distributed over workers.
+    improves the value.  Restart r uses seed + r, so runs are reproducible.
 
     The draws run one restart at a time; the descent runs on stacks of at
     most SEARCH_STACK restarts with the same pool size (_exchange_descent),
@@ -426,7 +424,6 @@ def lemma_certificate(
     atom_grid: int = 1000,
     search_points: int = 21,
     seed: int = DEFAULT_SEED,
-    jobs: int = 1,
     lam_scale: float = 1.0,
     scan_tol: float = 1e-9,
     search_tol: float = 1e-6,
@@ -468,11 +465,11 @@ def lemma_certificate(
     star = int(np.argmin(np.abs(us - GOLDEN_THRESHOLD)))
     pick = sorted_unique(np.append(pick, star))
     per = max(1, restarts // pick.size)
-    search_args = [
-        (float(us[k]), float(lams[k]), atom_grid, per, seed + 1_000_003 * int(k))
+    searches = [
+        local_search_min(float(us[k]), float(lams[k]), atom_grid=atom_grid, restarts=per,
+                         seed=seed + 1_000_003 * int(k))
         for k in pick
     ]
-    searches = parallel_map(_search_task, search_args, jobs)
     margins = [slacks[k] - s.best_value for k, s in zip(pick, searches)]
     worst_margin = float(max(margins))
 
@@ -502,21 +499,10 @@ def lemma_certificate(
     )
 
 
-def _search_task(args):
-    u, lam, atom_grid, restarts, seed = args
-    return local_search_min(u, lam, atom_grid=atom_grid, restarts=restarts, seed=seed)
-
-
 def parallel_map(fn, items, jobs: int):
-    """Map preserving order; with jobs > 1 the items are distributed over a
-    process pool of at most os.cpu_count() workers, and the per-item results
-    are merged by index so the output never depends on scheduling."""
-    items = list(items)
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs <= 1 or len(items) < 4:
-        return [fn(it) for it in items]
-    from concurrent.futures import ProcessPoolExecutor
+    """Serial map that nothing in uclab calls; jobs is ignored.
 
-    chunk = max(1, len(items) // (4 * jobs))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items, chunksize=chunk))
+    bench/tracer.py looks it up by name and wraps it with this signature,
+    and it is to be removed together with that wrapper.
+    """
+    return [fn(it) for it in items]

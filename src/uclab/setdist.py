@@ -123,10 +123,6 @@ class ExplicitSetDistribution:
         return cls(n, probs)
 
     @classmethod
-    def point_mass(cls, n: int, mask: int) -> "ExplicitSetDistribution":
-        return cls.from_mapping(n, {mask: 1.0})
-
-    @classmethod
     def uniform_on(cls, n: int, masks) -> "ExplicitSetDistribution":
         masks = list(masks)
         if not masks:

@@ -1,4 +1,3 @@
-import concurrent.futures
 import contextlib
 import io
 import json
@@ -8,7 +7,6 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +24,7 @@ from uclab.families import Family, count_union_closed, save_family
 from uclab.setdist import golden_threshold_mixture, product_bernoulli, save_distribution, save_mixture
 
 FAST_LEMMA = ["lemma", "--u-steps", "30", "--v-steps", "60", "--restarts", "8",
-              "--atom-grid", "200", "--search-points", "3", "--jobs", "1"]
+              "--atom-grid", "200", "--search-points", "3"]
 
 
 def run(args, tmp_path, name="out.json", fmt=None):
@@ -119,13 +117,6 @@ class TestDeterminism:
         _, out2 = run(FAST_LEMMA, tmp_path, "b.json")
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_jobs_do_not_change_bytes(self, tmp_path):
-        out1 = tmp_path / "j1.json"
-        out2 = tmp_path / "j2.json"
-        assert main(FAST_LEMMA + ["--jobs", "1", "--out", str(out1)]) == 0
-        assert main(FAST_LEMMA + ["--jobs", "2", "--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-
     def test_seed_priority_env_then_flag(self, tmp_path, monkeypatch):
         monkeypatch.setenv("UCLAB_SEED", "77")
         _, out = run(["theorem2", "--trials", "5", "--max-n", "4"], tmp_path, "env.json")
@@ -178,17 +169,32 @@ class TestDeterminism:
         assert not (tmp_path / "x.json").exists()
 
     def test_all_runs_in_one_process(self, tmp_path, monkeypatch):
-        class NoPool:
-            def __init__(self, *args, **kwargs):
-                raise AssertionError("all started a process pool")
+        # every local search of the compact lemma runs in this process
+        pids = []
+        search = uclab.measures.local_search_min
 
-        out1 = tmp_path / "j1.json"
-        out2 = tmp_path / "j2.json"
-        assert main(["all", "--out", str(out1)]) == 0
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
-        assert main(["all", "--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
+        def local_search_here(*args, **kwargs):
+            pids.append(os.getpid())
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(uclab.measures, "local_search_min", local_search_here)
+        out = tmp_path / "all.json"
+        assert main(["all", "--out", str(out)]) == 0
+        lemma = json.loads(out.read_text())["results"]["suites"]["lemma"]
+        assert pids == [os.getpid()] * lemma["search_points"]
+
+    def test_all_rejects_csv_before_any_suite(self, tmp_path, monkeypatch, capsys):
+        def no_work(args, seed):
+            raise AssertionError("all ran a suite before rejecting --format csv")
+
+        for name in uclab.cli._COMPACT_SUITE:
+            monkeypatch.setitem(uclab.cli._HANDLERS, name, no_work)
+        out = tmp_path / "all.csv"
+        assert main(["all", "--format", "csv", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "uclab: error: all writes JSON only; run a single subcommand for CSV"
+        ]
+        assert not out.exists()
 
     def test_report_round_trips(self, tmp_path):
         _, out = run(FAST_LEMMA, tmp_path)
@@ -214,7 +220,7 @@ class TestLemmaCommand:
 
         monkeypatch.setattr(uclab.measures, "entropy_ratio_bound", no_work)
         monkeypatch.setattr(uclab.measures, "entropy_ratio_bound_array", no_work)
-        monkeypatch.setattr(uclab.measures, "parallel_map", no_work)
+        monkeypatch.setattr(uclab.measures, "local_search_min", no_work)
         out = tmp_path / "x.json"
         assert main(["lemma", *flags, "--out", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == [f"uclab: error: {message}"]
@@ -238,7 +244,6 @@ class TestLemmaCommand:
         monkeypatch.setattr(np, "arange", no_work)
         monkeypatch.setattr(uclab.measures, "entropy_ratio_bound_array", no_work)
         monkeypatch.setattr(uclab.measures, "local_search_min", no_work)
-        monkeypatch.setattr(uclab.measures, "parallel_map", no_work)
         out = tmp_path / "x.json"
         huge = 10**12
         assert main(["lemma", flag, str(huge), "--out", str(out)]) == 2
@@ -256,7 +261,7 @@ class TestLemmaCommand:
 
         monkeypatch.setattr(np, "arange", no_work)
         monkeypatch.setattr(uclab.measures, "entropy_ratio_bound_array", no_work)
-        monkeypatch.setattr(uclab.measures, "parallel_map", no_work)
+        monkeypatch.setattr(uclab.measures, "local_search_min", no_work)
         out = tmp_path / "x.json"
         assert main(["lemma", f"--inflate-bound={scale}", "--out", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == [
@@ -300,7 +305,7 @@ class TestTolerance:
 
 class TestJobs:
     @pytest.mark.parametrize("command", [["scalar"], ["families"], ["theorem2"],
-                                         ["counterexample"], ["coupling"], ["all"]])
+                                         ["counterexample"], ["coupling"], ["all"], ["lemma"]])
     def test_jobs_is_not_accepted_where_it_is_not_read(self, command, tmp_path, capsys):
         out = tmp_path / "x.json"
         with pytest.raises(SystemExit) as exc:
@@ -776,7 +781,12 @@ assert main(["coupling", "delta-search", "--delta-steps", "100", "--v-steps", "3
              "--mean-steps", "24", "--search-points", "3", "--search-restarts", "12",
              "--out", {str(tmp_path / "delta.json")!r}]) == 0
 assert main(["all", "--out", {str(tmp_path / "all.json")!r}]) == 0
-print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))
+# a lemma search over four points starts no process pool either
+assert main(["lemma", "--u-steps", "20", "--v-steps", "20", "--restarts", "8",
+             "--atom-grid", "50", "--search-points", "4",
+             "--out", {str(tmp_path / "lemma.json")!r}]) == 0
+print(json.dumps(sorted(name for name in sys.modules
+                        if name.split(".")[0] in ("scipy", "concurrent", "multiprocessing"))))
 """
     assert json.loads(_fresh_python("-c", script)) == []
     delta = json.loads((tmp_path / "delta.json").read_text())["results"]
@@ -854,11 +864,6 @@ def _finite_only(name):
     raise ValueError(f"non-finite float {name} in a report")
 
 
-class _NoPool:
-    def __init__(self, *args, **kwargs):
-        raise AssertionError("a process pool was started")
-
-
 def _float(flag, valid):
     """`flag=value` for a bad float or the valid one; the = form lets
     argparse take values such as -inf that start with a dash."""
@@ -886,10 +891,8 @@ def _assert_clean_exit(argv, seed):
     """The exit contract: 0, 1 or 2; exit 2 prints exactly one
     `uclab: error:` line and no report; every report float is finite."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            mock.patch.object(concurrent.futures, "ProcessPoolExecutor", _NoPool):
-        jobs = ["--jobs", "1"] if argv[0] == "lemma" else []
-        code = main([*argv, "--seed", str(seed), *jobs])
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--seed", str(seed)])
     assert code in (0, 1, 2)
     if code == 2:
         assert out.getvalue() == ""

@@ -1,6 +1,4 @@
-import concurrent.futures
 import math
-import os
 
 import numpy as np
 import pytest
@@ -31,7 +29,6 @@ from uclab.measures import (
     lemma_certificate,
     local_search_min,
     objective,
-    parallel_map,
     sorted_unique,
     two_atom_min_scan,
 )
@@ -517,31 +514,3 @@ class TestLemmaCertificate:
         )
         assert not cert.scan_ok
         assert cert.worst_slack < -1e-3
-
-    def test_jobs_clamped_to_cpu_count(self, monkeypatch):
-        seen = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize):
-                return map(fn, items)
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-        assert parallel_map(abs, range(-5, 5), 10**6) == [abs(i) for i in range(-5, 5)]
-        assert seen == [3]
-
-    def test_parallel_matches_serial(self):
-        kw = dict(u_steps=30, v_steps=60, restarts=8, atom_grid=200,
-                  search_points=3, seed=41)
-        serial = lemma_certificate(jobs=1, **kw)
-        parallel = lemma_certificate(jobs=2, **kw)
-        assert serial == parallel

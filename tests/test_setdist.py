@@ -68,7 +68,7 @@ class TestEntropy:
         assert d.entropy() == pytest.approx(math.log(4.0), abs=1e-14)
 
     def test_point_mass(self):
-        assert ExplicitSetDistribution.point_mass(3, 5).entropy() == 0.0
+        assert ExplicitSetDistribution.from_mapping(3, {5: 1.0}).entropy() == 0.0
 
     def test_two_point(self):
         d = ExplicitSetDistribution.from_mapping(1, {0: 0.25, 1: 0.75})
@@ -116,7 +116,7 @@ class TestUnionOfIndependent:
     def test_point_mass_identity(self):
         rng = np.random.default_rng(1)
         d = random_explicit(rng, 4)
-        e = ExplicitSetDistribution.point_mass(4, 0)
+        e = ExplicitSetDistribution.from_mapping(4, {0: 1.0})
         out = union_of_independent(d, e)
         assert np.allclose(out.probs, d.probs, atol=1e-14)
 
@@ -181,12 +181,12 @@ class TestKL:
         assert kl_divergence(d, d) == 0.0
 
     def test_point_vs_uniform(self):
-        p = ExplicitSetDistribution.point_mass(2, 1)
+        p = ExplicitSetDistribution.from_mapping(2, {1: 1.0})
         q = ExplicitSetDistribution.uniform_on(2, [0, 1])
         assert kl_divergence(p, q) == pytest.approx(math.log(2.0), abs=1e-14)
 
     def test_support_escape_is_infinite(self):
-        p = ExplicitSetDistribution.point_mass(2, 2)
+        p = ExplicitSetDistribution.from_mapping(2, {2: 1.0})
         q = ExplicitSetDistribution.uniform_on(2, [0, 1])
         assert kl_divergence(p, q) == float("inf")
 
@@ -216,7 +216,7 @@ class TestConditionalAndChain:
         assert np.abs(prof - binary_entropy(0.3)).max() < 1e-12
 
     def test_chain_point_mass_is_zero(self):
-        d = ExplicitSetDistribution.point_mass(4, 0b1010)
+        d = ExplicitSetDistribution.from_mapping(4, {0b1010: 1.0})
         assert np.abs(chain_profile(d)).max() == 0.0
 
     def test_chain_sums_to_entropy(self):
@@ -357,16 +357,16 @@ class TestUnionEntropyCheck:
 
     def test_rejects_degenerate_marginals(self):
         with pytest.raises(ValueError):
-            union_entropy_check(ExplicitSetDistribution.point_mass(2, 0b11))
+            union_entropy_check(ExplicitSetDistribution.from_mapping(2, {0b11: 1.0}))
         with pytest.raises(ValueError):
-            union_entropy_check(ExplicitSetDistribution.point_mass(2, 0))
+            union_entropy_check(ExplicitSetDistribution.from_mapping(2, {0: 1.0}))
 
     @pytest.mark.parametrize("n", [1, 2, 4, 7, 10])
     def test_stack_rows_have_the_bits_of_each_table(self, n):
         rng = np.random.default_rng(53 + n)
         ds = [random_explicit(rng, n) for _ in range(6)]
-        ds.insert(2, ExplicitSetDistribution.point_mass(n, (1 << n) - 1))
-        ds.append(ExplicitSetDistribution.point_mass(n, 0))
+        ds.insert(2, ExplicitSetDistribution.from_mapping(n, {(1 << n) - 1: 1.0}))
+        ds.append(ExplicitSetDistribution.from_mapping(n, {0: 1.0}))
         cols = union_entropy_rows(np.stack([d.probs for d in ds]), n)
         for j, d in enumerate(ds):
             got = [float(col[j]) for col in cols]
