@@ -18,7 +18,8 @@ and confirms the exact entropies and divergence sit inside every bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -188,8 +189,7 @@ def kl_upper_bound(params: CounterexampleParams) -> float:
     return float(np.dot(pmf, per_level))
 
 
-@dataclass(frozen=True)
-class CounterexampleReport:
+class CounterexampleReport(NamedTuple):
     """Bounds, admissibility flags, and (at small n) exact cross-checks.
 
     union_level_pmf records the convention used for the union's level law:
@@ -252,8 +252,7 @@ def exact_small_n_check(params: CounterexampleParams) -> CounterexampleReport:
         and kl <= base.kl_upper + 1e-10
         and dist.marginal(1) <= params.u + 1e-12
     )
-    return replace(
-        base,
+    return base._replace(
         exact_entropy=h_a,
         exact_union_entropy=h_u,
         exact_kl=kl,

@@ -28,7 +28,7 @@ both one-sided marginals provably uniform.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from . import DEFAULT_SEED
 from .measures import (
     MAX_SEARCH_RESTARTS,
     DiscreteMeasure,
-    local_search_min,
+    local_search_rows,
     objective,
     sorted_unique,
 )
@@ -94,8 +94,7 @@ class JointMeasure:
         object.__setattr__(self, "weights", w)
 
 
-@dataclass(frozen=True)
-class WorstCouplingReport:
+class WorstCouplingReport(NamedTuple):
     """Minimum expected coupled-union entropy over all couplings of mu.
 
     repaired is always True for two or more atoms and False for one;
@@ -293,8 +292,7 @@ def _two_atom_class(v: np.ndarray, w: np.ndarray, alpha: float):
     return mean, lin, (1.0 - alpha) * quad + alpha * worst - lin
 
 
-@dataclass(frozen=True)
-class DeltaSearchReport:
+class DeltaSearchReport(NamedTuple):
     """Largest mean excess over the golden threshold that survives the scan.
 
     closed_form_couplings counts worst couplings evaluated without the LP
@@ -407,11 +405,12 @@ def delta_search(
     extras = [DiscreteMeasure.point(u_star)]
     search_us = np.linspace(u_star - 0.01, u_star + delta_max, search_points)
     per = max(1, search_restarts // search_points)
-    for k, su in enumerate(search_us):
-        rep = local_search_min(
-            float(su), 1.0, atom_grid=atom_grid, restarts=per, seed=seed + 7919 * k
-        )
-        extras.append(rep.best_measure)
+    seeds = [seed + 7919 * k for k in range(search_points)]
+    extras += [
+        rep.best_measure
+        for rep in local_search_rows(search_us, [1.0] * search_points, atom_grid=atom_grid,
+                                     restarts=per, seeds=seeds)
+    ]
 
     # measures supported on {0, 1} make every entropy in the blended
     # inequality vanish, so their slack is identically zero at any alpha;
@@ -476,8 +475,7 @@ def delta_search(
     )
 
 
-@dataclass(frozen=True)
-class CouplingProcessReport:
+class CouplingProcessReport(NamedTuple):
     """Exact law of the greedily coupled pair of uniform samples."""
 
     n: int

@@ -15,6 +15,7 @@ mask by mask rather than filtered out of all 2^(2^n) codes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,8 +64,7 @@ def is_union_closed(f: Family) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FrequencyReport:
+class FrequencyReport(NamedTuple):
     """Per-element membership counts plus the most frequent element."""
 
     counts: tuple
@@ -117,8 +117,7 @@ def count_union_closed(n: int) -> int:
     return int(_union_closed_family_codes(n).size)
 
 
-@dataclass(frozen=True)
-class FrequencyScanReport:
+class FrequencyScanReport(NamedTuple):
     """Exhaustive minimum of the best element proportion over all
     nonempty union-closed families on [n] (the all-{empty-set} family is
     excluded and counted separately)."""

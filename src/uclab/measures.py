@@ -14,7 +14,9 @@ materially below the scan.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,15 +31,20 @@ from .scalars import (
 
 WEIGHT_TOL = 1e-12
 MEAN_SLACK = 1e-12
-# restarts descend together in stacks of at most this many (per pool size);
-# at 112 in one stack delta-search's peak memory grew by about 5 MiB
-SEARCH_STACK = 16
+# restarts of one pool size m descend together in stacks of at most this
+# many R * m * m cells (at least one row), across every search point of a
+# call; a fresh `all` peaks 0.6 MiB higher at this size than at 12,544
+# cells (16 rows of 28 locations), 1.1 MiB at 32,768 and 2.2 MiB at 65,536
+SEARCH_STACK_CELLS = 1 << 14
 # lemma_certificate bounds, checked before any work: the u grid becomes one
 # report row per u, and the v grid and restart count set the work
 MAX_LEMMA_U_STEPS = 100_000
 MAX_LEMMA_V_STEPS = 100_000
 MAX_SEARCH_RESTARTS = 100_000
 MAX_ATOM_GRID = 1_000_000
+# the bound factor is below 2 on (0, 1), so up to this lam_scale every
+# scaled factor stays finite: twice it is the largest float
+MAX_LAM_SCALE = float(np.finfo(float).max) / 2.0
 
 
 def sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -111,8 +118,7 @@ class DiscreteMeasure:
         return int(self.locations.size)
 
 
-@dataclass(frozen=True)
-class ObjectiveReport:
+class ObjectiveReport(NamedTuple):
     """Value and parts of the quadratic-minus-linear entropy functional."""
 
     quadratic: float
@@ -141,8 +147,7 @@ def objective(mu: DiscreteMeasure, lam: float) -> ObjectiveReport:
     )
 
 
-@dataclass(frozen=True)
-class TwoAtomScanReport:
+class TwoAtomScanReport(NamedTuple):
     """Minimum of the two-atom objective along the binding mean constraint."""
 
     u: float
@@ -201,7 +206,10 @@ def _two_atom_scan_rows(us: np.ndarray, lams: np.ndarray, v_steps: int, cells: i
         vs = np.linspace(0.0, u[:, 0], v_steps, axis=1)
         golden = u > GOLDEN_THRESHOLD
         sizes[lo : lo + block] += golden[:, 0] & ~(vs == GOLDEN_THRESHOLD).any(axis=1)
-        gold = np.where(golden, _two_atom_slack(u, GOLDEN_THRESHOLD, lam), np.inf)
+        # the threshold column is evaluated only where it lies below u: at
+        # the other rows its weight exceeds 1, and a huge lam would overflow
+        gold = np.full_like(u, np.inf)
+        gold[golden] = _two_atom_slack(u[golden], GOLDEN_THRESHOLD, lam[golden])
         slack = np.hstack([_two_atom_slack(u, vs, lam), gold])
         vs = np.hstack([vs, np.full_like(u, GOLDEN_THRESHOLD)])
         low = slack.min(axis=1, keepdims=True)
@@ -216,8 +224,7 @@ def _two_atom_slack(u, vs, lam):
     return w * w * binary_entropy(union_prob(vs, vs)) - lam * w * binary_entropy(vs)
 
 
-@dataclass(frozen=True)
-class LocalSearchReport:
+class LocalSearchReport(NamedTuple):
     """Best measure found by seeded exchange-move descent."""
 
     best_value: float
@@ -244,52 +251,96 @@ def local_search_min(
     analytic candidates are reachable), then repeatedly applies the best
     feasible exchange move - shifting some or all of one atom's mass onto
     another location without pushing the mean above u - until no move
-    improves the value.  Restart r uses seed + r, so runs are reproducible.
+    improves the value.  Restart r uses seed + r, so runs are reproducible,
+    and among equal final values the first restart wins.
 
-    The draws run one restart at a time; the descent runs on stacks of at
-    most SEARCH_STACK restarts with the same pool size (_exchange_descent),
-    and every restart ends with the measure a restart-by-restart loop would
-    reach.  Among equal final values the first restart wins.
+    This is the one-point case of local_search_rows, which runs the
+    descent on stacks of restarts; every restart ends with the measure a
+    restart-by-restart loop would reach.
 
     The report flags whether the best measure concentrates at least
     1 - 1e-3 of its mass on at most two locations, one of them 1, which is
     the structure the two-atom analysis predicts for minimizers.
     """
-    u = float(u)
-    if not 0.0 < u < 1.0:
-        raise ValueError("u must lie strictly inside (0, 1)")
+    return local_search_rows([u], [lam], atom_grid, restarts, [seed], pool_size, max_rounds)[0]
+
+
+def local_search_rows(
+    us,
+    lams,
+    atom_grid: int = 1000,
+    restarts: int = 100,
+    seeds=(DEFAULT_SEED,),
+    pool_size: int = 24,
+    max_rounds: int = 200,
+) -> list:
+    """local_search_min at every point k of us, with factor lams[k] and
+    restart r seeded by seeds[k] + r: one LocalSearchReport per point.
+
+    The draws run point by point, restart by restart, in the order of a
+    loop of local_search_min calls.  Each start joins the pending stack of
+    its pool size m, shared by all points, and a stack descends
+    (_exchange_descent) as soon as it holds SEARCH_STACK_CELLS // m^2 rows
+    (at least one); what is left descends at the end.  So memory does not
+    grow with the restarts: only each point's best restart so far is kept.
+    The lower value wins, and among equal values the lower restart index,
+    the choice np.argmin makes over one point's values; lam must be finite,
+    so no NaN value can make the two rules differ.
+    """
+    us = [float(u) for u in us]
+    lams = [float(lam) for lam in lams]
+    if not len(us) == len(lams) == len(seeds):
+        raise ValueError("us, lams and seeds must have the same length")
+    for u, lam in zip(us, lams):
+        if not 0.0 < u < 1.0:
+            raise ValueError("u must lie strictly inside (0, 1)")
+        if not math.isfinite(lam):
+            raise ValueError(f"lam must be finite, got {lam}")
     if restarts < 1 or atom_grid < 1:
         raise ValueError("restarts and atom_grid must be positive")
     grid = np.linspace(0.0, 1.0, atom_grid + 1)
-    specials = np.array([0.0, u, GOLDEN_THRESHOLD, 1.0])
-    pools, starts, by_size = [], [], {}
-    for r in range(restarts):
-        rng = np.random.default_rng(seed + r)
-        picks = rng.choice(grid, size=min(pool_size, grid.size), replace=False)
-        x = sorted_unique(np.concatenate([picks, specials]))
-        pools.append(x)
-        starts.append(_random_feasible_start(rng, x, u))
-        by_size.setdefault(x.size, []).append(r)
-    vals = np.empty(restarts)
-    for group in by_size.values():
-        for lo in range(0, len(group), SEARCH_STACK):
-            idx = group[lo : lo + SEARCH_STACK]
-            w = np.stack([starts[r] for r in idx])
-            vals[idx] = _exchange_descent(np.stack([pools[r] for r in idx]), w, lam, u, max_rounds)
-            for r, row in zip(idx, w):
-                starts[r] = row
-    best = int(np.argmin(vals))
-    keep = starts[best] > 0.0
-    best_x, best_w = pools[best][keep], starts[best][keep]
-    measure = DiscreteMeasure.from_pairs(zip(best_x, best_w / best_w.sum()))
-    return LocalSearchReport(
-        best_value=float(vals[best]),
-        best_measure=measure,
-        mean_cap=u,
-        two_point_with_top=_is_two_point_with_top(measure),
-        restarts=restarts,
-        seed=seed,
-    )
+    u_rows, lam_rows = np.array(us), np.array(lams)
+    # per point: (value, restart, kept locations, kept weights)
+    best = [None] * len(us)
+
+    def descend(stack):
+        points, rs, pools, starts = (list(part) for part in zip(*stack))
+        w = np.stack(starts)
+        vals = _exchange_descent(np.stack(pools), w, lam_rows[points], u_rows[points], max_rounds)
+        for k, r, x, row, val in zip(points, rs, pools, w, vals):
+            b = best[k]
+            if b is None or val < b[0] or (val == b[0] and r < b[1]):
+                keep = row > 0.0
+                best[k] = (val, r, x[keep], row[keep])
+
+    pending = {}  # pool size -> [(point, restart, pool, start), ...]
+    for k, (u, seed) in enumerate(zip(us, seeds)):
+        specials = np.array([0.0, u, GOLDEN_THRESHOLD, 1.0])
+        for r in range(restarts):
+            rng = np.random.default_rng(seed + r)
+            picks = rng.choice(grid, size=min(pool_size, grid.size), replace=False)
+            x = sorted_unique(np.concatenate([picks, specials]))
+            stack = pending.setdefault(x.size, [])
+            stack.append((k, r, x, _random_feasible_start(rng, x, u)))
+            if len(stack) >= max(1, SEARCH_STACK_CELLS // (x.size * x.size)):
+                descend(pending.pop(x.size))
+    for stack in pending.values():
+        descend(stack)
+
+    reports = []
+    for k, (u, seed) in enumerate(zip(us, seeds)):
+        val, _, x, w = best[k]
+        best[k] = None
+        measure = DiscreteMeasure.from_pairs(zip(x, w / w.sum()))
+        reports.append(LocalSearchReport(
+            best_value=float(val),
+            best_measure=measure,
+            mean_cap=u,
+            two_point_with_top=_is_two_point_with_top(measure),
+            restarts=restarts,
+            seed=seed,
+        ))
+    return reports
 
 
 def _random_feasible_start(rng, x: np.ndarray, u: float) -> np.ndarray:
@@ -316,11 +367,12 @@ def _random_feasible_start(rng, x: np.ndarray, u: float) -> np.ndarray:
 
 
 def _exchange_descent(x, w, lam, u, max_rounds):
-    """Exchange-move descent of local_search_min on a stack of restarts.
+    """Exchange-move descent of local_search_rows on a stack of restarts.
 
     x and w are (R, m): each row is one restart's sorted pool and start
-    weights, and w is moved to the final weights in place.  Returns J of
-    each final measure.
+    weights, and w is moved to the final weights in place; lam and u are
+    (R,), each row's factor and mean cap, so one stack can hold restarts of
+    several search points.  Returns J of each final measure.
 
     Each round, every restart that still moves takes its best
     value-decreasing transfer of the full or half mass of one atom onto
@@ -334,10 +386,12 @@ def _exchange_descent(x, w, lam, u, max_rounds):
 
     Only atoms of positive weight can give mass away, so each round works on
     those rows, gathered in ascending order and padded with zero-weight
-    rows, which are never feasible.  The stacked matmuls run the same BLAS
+    rows, which are never feasible.  Every term is computed row by row with
+    that row's own lam and u, the stacked matmuls run the same BLAS
     gemv/dot per restart as the 1-d products of a one-restart loop, and a
     move onto its own location changes J by exactly 0, so the result is
-    bit-identical to that loop (tests/helpers.local_search_loop).
+    bit-identical to that loop (tests/helpers.exchange_descent_loop),
+    whatever else the stack holds.
     """
     stack, m = x.shape
     # one entropy call: each restart's union-entropy matrix on top, H(x) below it
@@ -347,7 +401,8 @@ def _exchange_descent(x, w, lam, u, max_rounds):
     big_h, h = ent[:, :-1], ent[:, -1]
     diag = np.diagonal(big_h, axis1=1, axis2=2)
     curvature = diag[:, :, None] - 2.0 * big_h + diag[:, None, :]
-    lam_d_lin = lam * (h[:, None, :] - h[:, :, None])
+    lam_d_lin = lam[:, None, None] * (h[:, None, :] - h[:, :, None])
+    cap = u + MEAN_SLACK
     d_mean = x[:, None, :] - x[:, :, None]
     active = np.arange(stack)
     for _ in range(max_rounds):
@@ -361,11 +416,12 @@ def _exchange_descent(x, w, lam, u, max_rounds):
         at = active[:, None], rows
         slope = 2.0 * (mw[:, None, :] - mw[i[:, None], rows][:, :, None]) - lam_d_lin[at]
         curv, shift, source_w = curvature[at], d_mean[at], wa[i[:, None], rows][:, :, None]
+        cap_a = cap[active][:, None, None]
         lows, picks = [], []
         for frac in (1.0, 0.5):
             delta = frac * source_w
             dval = delta * slope + delta * delta * curv
-            feasible = (delta > 0.0) & (mean[:, None, None] + delta * shift <= u + MEAN_SLACK)
+            feasible = (delta > 0.0) & (mean[:, None, None] + delta * shift <= cap_a)
             masked = np.where(feasible, dval, np.inf)
             low = masked.min(axis=(1, 2))
             near = masked <= low[:, None, None] + 1e-15
@@ -398,8 +454,7 @@ def _is_two_point_with_top(mu: DiscreteMeasure) -> bool:
     return 1.0 in top_two or float(mu.weights[order[1]]) <= 1e-3
 
 
-@dataclass(frozen=True)
-class LemmaCertificate:
+class LemmaCertificate(NamedTuple):
     """Grid certificate that J stays nonnegative along the bound factor."""
 
     u_steps: int
@@ -435,7 +490,9 @@ def lemma_certificate(
     sub-grid the local search - restarts split evenly across the sub-grid -
     must not beat the scan minimum by more than search_tol.  lam_scale
     multiplies the bound factor and exists so a deliberately inflated
-    factor can be seen to fail.
+    factor can be seen to fail; it is at most MAX_LAM_SCALE, so every
+    scaled factor is finite.  All search points' restarts go to one
+    local_search_rows call.
     """
     if min(u_steps, restarts, atom_grid, search_points) < 1:
         raise ValueError("u_steps, restarts, atom_grid and search_points must be positive")
@@ -454,6 +511,8 @@ def lemma_certificate(
             raise ValueError(f"{name} must be finite and nonnegative, got {tol}")
     if not 0.0 < lam_scale < np.inf:
         raise ValueError(f"lam_scale must be finite and positive, got {lam_scale}")
+    if lam_scale > MAX_LAM_SCALE:
+        raise ValueError(f"lam_scale must be at most {MAX_LAM_SCALE}, got {lam_scale}")
     us = np.arange(1, u_steps + 1) / (u_steps + 1.0)
     us = sorted_unique(np.append(us, GOLDEN_THRESHOLD))
     lams = entropy_ratio_bound_array(us) * lam_scale
@@ -465,11 +524,8 @@ def lemma_certificate(
     star = int(np.argmin(np.abs(us - GOLDEN_THRESHOLD)))
     pick = sorted_unique(np.append(pick, star))
     per = max(1, restarts // pick.size)
-    searches = [
-        local_search_min(float(us[k]), float(lams[k]), atom_grid=atom_grid, restarts=per,
-                         seed=seed + 1_000_003 * int(k))
-        for k in pick
-    ]
+    searches = local_search_rows(us[pick], lams[pick], atom_grid=atom_grid, restarts=per,
+                                 seeds=[seed + 1_000_003 * int(k) for k in pick])
     margins = [slacks[k] - s.best_value for k, s in zip(pick, searches)]
     worst_margin = float(max(margins))
 

@@ -25,8 +25,11 @@ def format_float(x: float) -> str:
 
 
 def to_jsonable(obj):
-    """Coerce dataclasses, numpy scalars/arrays, and containers to plain
-    JSON-able Python values."""
+    """Coerce report records (NamedTuple classes and dataclasses), numpy
+    scalars/arrays, and containers to plain JSON-able Python values; a
+    record becomes a dict in field order."""
+    if isinstance(obj, tuple) and hasattr(obj, "_asdict"):
+        return {k: to_jsonable(v) for k, v in obj._asdict().items()}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):

@@ -32,6 +32,7 @@ entropy and that average plus the entropy of the mixing weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -306,8 +307,7 @@ def golden_threshold_mixture(u: float, n: int) -> ProductMixture:
     return ProductMixture(n, ((w, GOLDEN_THRESHOLD), (1.0 - w, 1.0)))
 
 
-@dataclass(frozen=True)
-class UnionBoundReport:
+class UnionBoundReport(NamedTuple):
     """Outcome of checking H(A u B) >= bound(u) * H(A) on one distribution."""
 
     max_marginal: float

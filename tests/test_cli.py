@@ -169,19 +169,20 @@ class TestDeterminism:
         assert not (tmp_path / "x.json").exists()
 
     def test_all_runs_in_one_process(self, tmp_path, monkeypatch):
-        # every local search of the compact lemma runs in this process
-        pids = []
-        search = uclab.measures.local_search_min
+        # the compact lemma runs every search point's restarts in one
+        # local_search_rows call, in this process
+        calls = []
+        search = uclab.measures.local_search_rows
 
-        def local_search_here(*args, **kwargs):
-            pids.append(os.getpid())
-            return search(*args, **kwargs)
+        def local_search_here(us, *args, **kwargs):
+            calls.append((os.getpid(), len(us)))
+            return search(us, *args, **kwargs)
 
-        monkeypatch.setattr(uclab.measures, "local_search_min", local_search_here)
+        monkeypatch.setattr(uclab.measures, "local_search_rows", local_search_here)
         out = tmp_path / "all.json"
         assert main(["all", "--out", str(out)]) == 0
         lemma = json.loads(out.read_text())["results"]["suites"]["lemma"]
-        assert pids == [os.getpid()] * lemma["search_points"]
+        assert calls == [(os.getpid(), lemma["search_points"])]
 
     def test_all_rejects_csv_before_any_suite(self, tmp_path, monkeypatch, capsys):
         def no_work(args, seed):
@@ -220,7 +221,7 @@ class TestLemmaCommand:
 
         monkeypatch.setattr(uclab.measures, "entropy_ratio_bound", no_work)
         monkeypatch.setattr(uclab.measures, "entropy_ratio_bound_array", no_work)
-        monkeypatch.setattr(uclab.measures, "local_search_min", no_work)
+        monkeypatch.setattr(uclab.measures, "local_search_rows", no_work)
         out = tmp_path / "x.json"
         assert main(["lemma", *flags, "--out", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == [f"uclab: error: {message}"]
@@ -243,7 +244,7 @@ class TestLemmaCommand:
         # the u grid is the first allocation; the rest would follow it
         monkeypatch.setattr(np, "arange", no_work)
         monkeypatch.setattr(uclab.measures, "entropy_ratio_bound_array", no_work)
-        monkeypatch.setattr(uclab.measures, "local_search_min", no_work)
+        monkeypatch.setattr(uclab.measures, "local_search_rows", no_work)
         out = tmp_path / "x.json"
         huge = 10**12
         assert main(["lemma", flag, str(huge), "--out", str(out)]) == 2
@@ -253,7 +254,7 @@ class TestLemmaCommand:
         assert not out.exists()
 
 
-    @pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "0", "-1"])
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "0", "-1", "1e308"])
     def test_bad_inflate_bound_exits_two_before_any_work(self, scale, tmp_path, monkeypatch,
                                                         capsys):
         def no_work(*args, **kwargs):
@@ -261,13 +262,38 @@ class TestLemmaCommand:
 
         monkeypatch.setattr(np, "arange", no_work)
         monkeypatch.setattr(uclab.measures, "entropy_ratio_bound_array", no_work)
-        monkeypatch.setattr(uclab.measures, "local_search_min", no_work)
+        monkeypatch.setattr(uclab.measures, "local_search_rows", no_work)
         out = tmp_path / "x.json"
         assert main(["lemma", f"--inflate-bound={scale}", "--out", str(out)]) == 2
+        # 1e308 is finite, but the bound factor (up to 2) times it is not
+        rule = "at most 8.988465674311579e+307" if scale == "1e308" else "finite and positive"
         assert capsys.readouterr().err.splitlines() == [
-            f"uclab: error: lam_scale must be finite and positive, got {float(scale)}"
+            f"uclab: error: lam_scale must be {rule}, got {float(scale)}"
         ]
         assert not out.exists()
+
+    def test_largest_inflate_bound_writes_finite_numbers(self, tmp_path):
+        # twice the largest accepted scale is the largest float, so every
+        # scaled factor, slack and margin stays finite and the scan fails
+        scale = repr(uclab.measures.MAX_LAM_SCALE)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run(FAST_LEMMA + ["--inflate-bound", scale], tmp_path)
+        assert code == 1
+        assert not caught
+
+        def numbers(obj):
+            if isinstance(obj, dict):
+                obj = list(obj.values())
+            if isinstance(obj, list):
+                return [x for v in obj for x in numbers(v)]
+            return [obj] if isinstance(obj, float) else []
+
+        report = json.loads(out.read_text())
+        values = numbers(report["results"])
+        assert len(values) > 100 and all(np.isfinite(values))
+        assert report["results"]["lam_scale"] == uclab.measures.MAX_LAM_SCALE
+        assert not report["results"]["scan_ok"]
 
 
 class TestTolerance:
@@ -724,7 +750,7 @@ class TestCouplingCommand:
             raise AssertionError("delta-search started work before its flags were bounded")
 
         monkeypatch.setattr(np, "linspace", no_work)
-        monkeypatch.setattr(uclab.coupling, "local_search_min", no_work)
+        monkeypatch.setattr(uclab.coupling, "local_search_rows", no_work)
         out = tmp_path / "x.json"
         huge = 10**12
         assert main(["coupling", "delta-search", flag, str(huge), "--out", str(out)]) == 2

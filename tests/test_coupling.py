@@ -417,7 +417,7 @@ class TestDeltaSearch:
         def no_search(*args, **kwargs):
             raise AssertionError("local search ran before the flags were bounded")
 
-        monkeypatch.setattr(uclab.coupling, "local_search_min", no_search)
+        monkeypatch.setattr(uclab.coupling, "local_search_rows", no_search)
         with pytest.raises(ValueError, match="must be positive"):
             delta_search(0.05, **kw)
 
@@ -427,7 +427,7 @@ class TestDeltaSearch:
             raise AssertionError("delta_search started work before bounding its search")
 
         monkeypatch.setattr(np, "linspace", no_work)
-        monkeypatch.setattr(uclab.coupling, "local_search_min", no_work)
+        monkeypatch.setattr(uclab.coupling, "local_search_rows", no_work)
         cap = MAX_SEARCH_RESTARTS
         with pytest.raises(ValueError, match=f"^{name} must be at most {cap}, got {cap + 1}$"):
             delta_search(0.05, **{name: cap + 1})
@@ -450,7 +450,7 @@ class TestDeltaSearch:
             raise AssertionError("delta_search started work before bounding delta_max")
 
         monkeypatch.setattr(np, "linspace", no_work)
-        monkeypatch.setattr(uclab.coupling, "local_search_min", no_work)
+        monkeypatch.setattr(uclab.coupling, "local_search_rows", no_work)
         message = f"^delta_max must keep GOLDEN_THRESHOLD \\+ delta_max below 1, got {delta_max}$"
         with pytest.raises(ValueError, match=message):
             delta_search(0.05, delta_max=delta_max)

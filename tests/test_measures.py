@@ -28,6 +28,7 @@ from uclab.measures import (
     _two_atom_scan_rows,
     lemma_certificate,
     local_search_min,
+    local_search_rows,
     objective,
     sorted_unique,
     two_atom_min_scan,
@@ -357,10 +358,11 @@ class TestLocalSearch:
 
     @pytest.mark.parametrize("stack", [1, 2, 3, 16])
     def test_batched_descent_matches_exchange_move_loop(self, stack, monkeypatch):
-        # restarts descend in stacks grouped by pool size; on a 41-point grid
-        # the pools collide with 0, u and 1 at random, so one call spans
+        # restarts descend in stacks grouped by pool size, here of at most
+        # `stack` rows at 28 locations (more at smaller pools); on a 41-point
+        # grid the pools collide with 0, u and 1 at random, so one call spans
         # several pool sizes and, at small stacks, several stacks per size
-        monkeypatch.setattr(uclab.measures, "SEARCH_STACK", stack)
+        monkeypatch.setattr(uclab.measures, "SEARCH_STACK_CELLS", stack * 28 * 28)
         sizes_seen = set()
         for u in (0.2, GOLDEN_THRESHOLD, 0.45):
             for lam in (entropy_ratio_bound(u), 1.0):
@@ -388,15 +390,83 @@ class TestLocalSearch:
 
     @pytest.mark.parametrize("rounds", [1, 2, 3, 200])
     def test_descent_matches_loop_on_exact_ties(self, rounds):
-        # each pool alone, then the two pools of six locations as one stack
-        for group in ([0], [1], [2], [0, 2]):
+        # each pool alone, then the two pools of six locations as one stack,
+        # at one (lam, u) and with each row's own
+        for group, lam, u in (([0], [1.0], [0.62]), ([1], [1.0], [0.62]), ([2], [1.0], [0.62]),
+                              ([0, 2], [1.0, 1.0], [0.62, 0.62]),
+                              ([0, 2], [0.9, 1.0], [0.62, 0.7])):
             x = np.array([_TIE_CASES[k][0] for k in group])
             w = np.array([_TIE_CASES[k][1] for k in group])
-            got = _exchange_descent(x, w, 1.0, 0.62, rounds)
+            got = _exchange_descent(x, w, np.array(lam), np.array(u), rounds)
             for row, k in enumerate(group):
                 want = np.array(_TIE_CASES[k][1])
-                assert got[row] == exchange_descent_loop(x[row], want, 1.0, 0.62, rounds)
+                assert got[row] == exchange_descent_loop(x[row], want, lam[row], u[row], rounds)
                 assert np.array_equal(w[row], want)
+                # and each row did move
+                assert not np.array_equal(want, _TIE_CASES[k][1])
+
+    @pytest.mark.parametrize("cells", [1, uclab.measures.SEARCH_STACK_CELLS])
+    def test_rows_match_per_point_search_and_loop(self, cells, monkeypatch):
+        # points of different u and lam share each pool size's stacks (one
+        # row per stack at cells=1); the 41-point grid makes the pool sizes
+        # vary within a point, and pool_size 8 gives smaller pools
+        monkeypatch.setattr(uclab.measures, "SEARCH_STACK_CELLS", cells)
+        us = [0.2, GOLDEN_THRESHOLD, 0.45, 0.3, 0.6]
+        lams = [entropy_ratio_bound(0.2), 1.0, 1.05 * entropy_ratio_bound(0.45), 0.8,
+                entropy_ratio_bound(0.6)]
+        seeds = [5, 1729, 11, 5, 40]
+        for atom_grid, pool_size in ((40, 24), (400, 24), (40, 8)):
+            kw = dict(atom_grid=atom_grid, restarts=7, pool_size=pool_size)
+            reps = local_search_rows(us, lams, seeds=seeds, **kw)
+            assert len(reps) == len(us)
+            for rep, u, lam, seed in zip(reps, us, lams, seeds):
+                assert (rep.mean_cap, rep.restarts, rep.seed) == (u, 7, seed)
+                for want in (local_search_min(u, lam, seed=seed, **kw),
+                             local_search_loop(u, lam, seed=seed, **kw)):
+                    assert rep.best_value == want.best_value
+                    assert np.array_equal(rep.best_measure.locations,
+                                          want.best_measure.locations)
+                    assert np.array_equal(rep.best_measure.weights, want.best_measure.weights)
+                    assert rep.two_point_with_top == want.two_point_with_top
+
+    def test_equal_values_go_to_the_first_restart(self, monkeypatch):
+        # a descent that moves nothing and values every restart at 0: each
+        # point must keep its restart 0, also though a stack of its later
+        # restarts (another pool size) descends before restart 0's stack
+        stacks = []
+
+        def flat(x, w, lam, u, max_rounds):
+            stacks.append(x.tolist())
+            return np.zeros(len(x))
+
+        monkeypatch.setattr(uclab.measures, "_exchange_descent", flat)
+        us, seeds = [0.31, 0.57], [6, 1]
+        reps = local_search_rows(us, [1.0, 1.0], atom_grid=40, restarts=60, seeds=seeds)
+        grid = np.linspace(0.0, 1.0, 41)
+        for rep, u, seed in zip(reps, us, seeds):
+            at = []
+            for r in range(60):
+                rng = np.random.default_rng(seed + r)
+                x = sorted_unique(np.concatenate([rng.choice(grid, size=24, replace=False),
+                                                  [0.0, u, GOLDEN_THRESHOLD, 1.0]]))
+                at.append(next(k for k, rows in enumerate(stacks) if x.tolist() in rows))
+                if r == 0:
+                    w = _random_feasible_start(rng, x, u)
+                    keep = w > 0.0
+                    assert np.array_equal(rep.best_measure.locations, x[keep])
+                    assert np.array_equal(rep.best_measure.weights, w[keep] / w[keep].sum())
+            assert at[0] > min(at)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_rows_reject_non_finite_lam(self, lam, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the search drew a start before checking lam")
+
+        monkeypatch.setattr(uclab.measures, "_random_feasible_start", no_work)
+        with pytest.raises(ValueError, match=f"^lam must be finite, got {lam}$"):
+            local_search_rows([0.3, 0.4], [1.0, lam], seeds=[1, 2])
+        with pytest.raises(ValueError, match=f"^lam must be finite, got {lam}$"):
+            local_search_min(0.3, lam)
 
     def test_start_draw_matches_the_numpy_scalar_drain(self):
         drained = 0

@@ -45,6 +45,26 @@ class TestJson:
         assert rep == {"arr": [1.5, 2.5], "i": 3, "f": 0.25, "b": True}
         assert isinstance(rep["i"], int) and isinstance(rep["b"], bool)
 
+    def test_named_tuple_record_is_a_dict_in_field_order(self):
+        # a NamedTuple report is a tuple too: read as one it would be a list
+        from uclab.measures import DiscreteMeasure, LocalSearchReport
+
+        mu = DiscreteMeasure(np.array([0.25, 1.0]), np.array([0.5, 0.5]))
+        rep = to_jsonable(LocalSearchReport(
+            best_value=np.float64(-0.5), best_measure=mu, mean_cap=0.4,
+            two_point_with_top=np.bool_(True), restarts=3, seed=7,
+        ))
+        assert isinstance(rep, dict)
+        assert list(rep) == list(LocalSearchReport._fields)
+        assert rep == {
+            "best_value": -0.5,
+            "best_measure": {"locations": [0.25, 1.0], "weights": [0.5, 0.5]},
+            "mean_cap": 0.4,
+            "two_point_with_top": True,
+            "restarts": 3,
+            "seed": 7,
+        }
+
     def test_string_escaping(self):
         text = dumps_json({"msg": 'say "hi"\n'})
         assert json.loads(text) == {"msg": 'say "hi"\n'}
