@@ -33,7 +33,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 
 from . import DEFAULT_SEED, __version__  # noqa: E402
-from .reportio import emit_report, to_jsonable  # noqa: E402
+from .reportio import emit_report  # noqa: E402
 
 # Each handler imports the modules it uses, so a command loads only those:
 # `coupling delta-search` never imports setdist, families or counterexample.
@@ -252,14 +252,14 @@ def cmd_lemma(args, seed: int):
         failures.append(
             f"lemma.local_search: beats the scan by {cert.worst_search_margin:.3e} > 1e-6"
         )
-    return to_jsonable(cert), failures
+    return cert, failures
 
 
 def cmd_families(args, seed: int):
     from .families import verify_frequency_threshold
 
     rep = verify_frequency_threshold(args.n)
-    report = to_jsonable(rep)
+    report = rep._asdict()
     report["witness"] = {
         "n": rep.witness.n,
         "sets": [f"{s:x}" for s in rep.witness.sets],
@@ -347,7 +347,7 @@ def cmd_theorem2(args, seed: int):
         "seed": seed,
     }
     for label, (path, rep) in file_checks.items():
-        report[label] = {"path": path, **to_jsonable(rep)}
+        report[label] = {"path": path, **rep._asdict()}
         if rep.slack < -tol:
             failures.append(f"theorem2.{label}: slack {rep.slack:.3e} < -{tol:.0e}")
     return report, failures
@@ -385,7 +385,7 @@ def cmd_counterexample(args, seed: int):
         trunc=args.trunc,
     )
     rep = exact_small_n_check(params) if params.n <= 12 else bounds_report(params)
-    report = {"params": to_jsonable(params), **to_jsonable(rep)}
+    report = {"params": params, **rep._asdict()}
     failures = []
     if not rep.marginal_admissible:
         failures.append(
@@ -415,7 +415,7 @@ def cmd_coupling(args, seed: int):
             failures.append(
                 f"coupling.dp: marginal deviation {rep.max_marginal_deviation:.3e} > 1e-12"
             )
-        return to_jsonable(rep), failures
+        return rep, failures
     rep = delta_search(
         alpha=args.alpha,
         u_cap_steps=args.delta_steps,
@@ -433,7 +433,7 @@ def cmd_coupling(args, seed: int):
         )
     elif rep.delta <= 0.0:
         failures.append("coupling.delta_search: no positive margin certified")
-    return to_jsonable(rep), failures
+    return rep, failures
 
 
 # The compact suite run by `all`: each entry is parsed as that subcommand's
@@ -497,7 +497,7 @@ def main(argv=None) -> int:
     report = {
         "version": __version__,
         "command": args.command,
-        "config": to_jsonable(config),
+        "config": config,
         "passed": not failures,
         "failures": failures,
         "results": results,

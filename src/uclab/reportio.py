@@ -1,10 +1,12 @@
 """Deterministic JSON and CSV report emission.
 
-Reports are plain dicts of JSON-able values.  Floats are printed with 17
-significant digits, which round-trips doubles exactly, so identical inputs
-produce byte-identical files and parsing a file recovers the report
-losslessly.  Infinities and NaN use the Python json module's spelling
-(Infinity / -Infinity / NaN) so json.loads reads our output back.
+A report is a tree of dicts, records (NamedTuple classes and dataclasses,
+written as objects in field order), lists, tuples, numpy arrays, numpy or
+Python scalars, str and None, and the writer walks it once.  Floats are
+printed with 17 significant digits, which round-trips doubles exactly, so
+identical inputs produce byte-identical files and parsing a file recovers
+the report losslessly.  Infinities and NaN use the Python json module's
+spelling (Infinity / -Infinity / NaN) so json.loads reads our output back.
 """
 
 from __future__ import annotations
@@ -24,29 +26,29 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def to_jsonable(obj):
-    """Coerce report records (NamedTuple classes and dataclasses), numpy
-    scalars/arrays, and containers to plain JSON-able Python values; a
-    record becomes a dict in field order."""
-    if isinstance(obj, tuple) and hasattr(obj, "_asdict"):
-        return {k: to_jsonable(v) for k, v in obj._asdict().items()}
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+def _fields(obj):
+    """The (name, value) pairs of a dict or a record in order, else None.
+    A NamedTuple is a tuple too, so it must be asked for before a list."""
     if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if obj is None or isinstance(obj, str):
-        return obj
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+        return obj.items()
+    if isinstance(obj, tuple) and hasattr(obj, "_fields"):
+        return zip(obj._fields, obj)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return [(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)]
+    return None
+
+
+def _scalar(obj) -> str | None:
+    """The JSON text of None, a bool, an int or a float (numpy's too), else None."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format_float(float(obj))
+    return None
 
 
 def _escape(s: str) -> str:
@@ -66,70 +68,63 @@ def _escape(s: str) -> str:
 
 
 def dumps_json(obj, indent: int = 0) -> str:
-    pad = " " * indent
-    inner = " " * (indent + 2)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return format_float(obj)
     if isinstance(obj, str):
         return f'"{_escape(obj)}"'
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f'{inner}"{_escape(str(k))}": {dumps_json(v, indent + 2)}'
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, list):
-        if not obj:
-            return "[]"
+    text = _scalar(obj)
+    if text is not None:
+        return text
+    if isinstance(obj, np.ndarray):
+        return dumps_json(obj.tolist(), indent)
+    inner = " " * (indent + 2)
+    fields = _fields(obj)
+    if fields is not None:
+        items = [f'{inner}"{_escape(str(k))}": {dumps_json(v, indent + 2)}' for k, v in fields]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
         items = [f"{inner}{dumps_json(v, indent + 2)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+        brackets = "[]"
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    if not items:
+        return brackets
+    return brackets[0] + "\n" + ",\n".join(items) + "\n" + " " * indent + brackets[1]
 
 
 def _csv_cell(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return format_float(v)
     if v is None:
         return ""
-    s = str(v)
-    if any(ch in s for ch in ',"\n'):
-        s = '"' + s.replace('"', '""') + '"'
-    return s
+    if not isinstance(v, str):
+        text = _scalar(v)
+        if text is None:
+            raise TypeError(f"cannot write {type(v).__name__} in a CSV cell")
+        return text
+    if any(ch in v for ch in ',"\n'):
+        return '"' + v.replace('"', '""') + '"'
+    return v
 
 
-def dumps_csv(report: dict) -> str:
-    """Render the report's `rows` (list of flat dicts) as CSV; a report
-    without rows becomes a single-row table of its scalar fields."""
-    rows = report.get("rows")
-    if not rows and isinstance(report.get("results"), dict):
-        rows = report["results"].get("rows")
+def dumps_csv(results) -> str:
+    """Render the results' `rows` (dicts or records of scalars) as CSV;
+    results without rows become a single-row table of their scalar fields."""
+    fields = dict(_fields(results))
+    rows = [dict(_fields(row)) for row in fields.get("rows") or ()]
     if not rows:
-        flat = report.get("results") if isinstance(report.get("results"), dict) else report
-        rows = [{k: v for k, v in flat.items() if not isinstance(v, (dict, list))}]
-    header = list(rows[0].keys())
+        rows = [{k: v for k, v in fields.items()
+                 if _fields(v) is None and not isinstance(v, (list, tuple, np.ndarray))}]
+    header = list(rows[0])
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(row.get(k)) for k in header))
+    lines += [",".join(_csv_cell(row.get(k)) for k in header) for row in rows]
     return "\n".join(lines) + "\n"
 
 
 def emit_report(report: dict, fmt: str = "json", path=None) -> None:
-    """Write the report as JSON or CSV to `path`, or stdout when path is None."""
-    report = to_jsonable(report)
+    """Write the report as JSON, or its results as CSV, to `path`, or stdout
+    when path is None.  The whole text is built before `path` is opened, so
+    a report that cannot be written leaves the file as it was."""
     if fmt == "json":
         text = dumps_json(report) + "\n"
     elif fmt == "csv":
-        text = dumps_csv(report)
+        text = dumps_csv(report["results"])
     else:
         raise ValueError(f"unknown report format {fmt!r}")
     if path is None:

@@ -8,8 +8,10 @@ plain fixpoint closure, the transport LP is scipy's general HiGHS solver,
 the delta search is the one-measure-at-a-time loop, the two-atom lemma
 scan is one grid per u, the exchange-move search recomputes every term
 each round, the third-derivative check runs one point at a time, the
-theorem2 random tables are checked one dict-built table at a time, and the
-union-closed families are filtered out of every membership code.
+theorem2 random tables are checked one dict-built table at a time, the
+union-closed families are filtered out of every membership code, and a
+report is written in two stages: the whole tree is coerced to plain values,
+then those are written.
 Anything the library computes cleverly is checked against these.
 
 The last part holds checks of statements of the paper that no CLI command
@@ -19,6 +21,7 @@ numerator, and the per-element chain-rule step of Gilmer's argument on
 uniform union-closed families.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -39,6 +42,7 @@ from uclab.measures import (
     local_search_min,
 )
 from uclab.numdiff import third_derivative
+from uclab.reportio import _escape, format_float
 from uclab.scalars import (
     GOLDEN_THRESHOLD,
     _scalar_in,
@@ -445,6 +449,98 @@ def third_derivative_worst_loop(points=181):
             abs(fd2 - d3_s_entropy(s)) / abs(d3_s_entropy(s)),
         )
     return worst_rel
+
+
+def to_jsonable(obj):
+    """Coerce report records (NamedTuple classes and dataclasses), numpy
+    scalars/arrays, and containers to plain JSON-able Python values; a
+    record becomes a dict in field order.  The first stage of the
+    two-stage reference writer."""
+    if isinstance(obj, tuple) and hasattr(obj, "_asdict"):
+        return {k: to_jsonable(v) for k, v in obj._asdict().items()}
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [to_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [to_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    if isinstance(obj, (np.floating, float)):
+        return float(obj)
+    if obj is None or isinstance(obj, str):
+        return obj
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def reference_dumps_json(obj, indent=0):
+    """JSON text of a plain value tree (the output of to_jsonable)."""
+    pad = " " * indent
+    inner = " " * (indent + 2)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return format_float(obj)
+    if isinstance(obj, str):
+        return f'"{_escape(obj)}"'
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            f'{inner}"{_escape(str(k))}": {reference_dumps_json(v, indent + 2)}'
+            for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        items = [f"{inner}{reference_dumps_json(v, indent + 2)}" for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _reference_csv_cell(v):
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return format_float(v)
+    if v is None:
+        return ""
+    s = str(v)
+    if any(ch in s for ch in ',"\n'):
+        s = '"' + s.replace('"', '""') + '"'
+    return s
+
+
+def reference_dumps_csv(report):
+    """CSV text of a plain report: its `rows` (list of flat dicts), else its
+    results' rows, else one row of the results' (or report's) scalars."""
+    rows = report.get("rows")
+    if not rows and isinstance(report.get("results"), dict):
+        rows = report["results"].get("rows")
+    if not rows:
+        flat = report.get("results") if isinstance(report.get("results"), dict) else report
+        rows = [{k: v for k, v in flat.items() if not isinstance(v, (dict, list))}]
+    header = list(rows[0].keys())
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_reference_csv_cell(row.get(k)) for k in header))
+    return "\n".join(lines) + "\n"
+
+
+def reference_report_text(report, fmt):
+    """The text uclab.reportio.emit_report writes for `report`, by the
+    two-stage writer: coerce the whole tree to plain values, then write."""
+    plain = to_jsonable(report)
+    return reference_dumps_json(plain) + "\n" if fmt == "json" else reference_dumps_csv(plain)
 
 
 def f_mu(mu, lam, q):

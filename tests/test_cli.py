@@ -6,7 +6,9 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -17,8 +19,9 @@ import uclab
 import uclab.cli
 import uclab.measures
 import uclab.setdist
-from helpers import theorem2_loop, third_derivative_worst_loop
+from helpers import reference_report_text, theorem2_loop, third_derivative_worst_loop
 from uclab.cli import MAX_RANDOM_TABLE_N, MAX_SCALAR_GRID, main
+from uclab.reportio import dumps_json
 from uclab.measures import MAX_ATOM_GRID, MAX_LEMMA_U_STEPS, MAX_LEMMA_V_STEPS, MAX_SEARCH_RESTARTS
 from uclab.families import Family, count_union_closed, save_family
 from uclab.setdist import golden_threshold_mixture, product_bernoulli, save_distribution, save_mixture
@@ -362,6 +365,107 @@ class TestReportWrite:
         assert report["config"]["dist_file"] == report["results"]["dist_file"]["path"] == str(path)
 
 
+def _input_files(tmp_path):
+    """A distribution, a mixture and a family file, keyed as the argv
+    placeholders below name them."""
+    paths = {name: str(tmp_path / f"{name}.txt") for name in ("dist", "mix", "fam")}
+    save_distribution(product_bernoulli(5, 0.3), paths["dist"])
+    save_mixture(golden_threshold_mixture(0.5, 8), paths["mix"])
+    save_family(Family.of(3, [2, 3, 4, 6, 7]), paths["fam"])
+    return paths
+
+
+def _captured_report(argv, tmp_path, monkeypatch):
+    """Run main on argv (its {dist}, {mix} and {fam} filled in) and return
+    the report it hands to emit_report and the bytes written to --out."""
+    reports = []
+    real_emit = uclab.cli.emit_report
+
+    def emit(report, *args, **kwargs):
+        reports.append(report)
+        return real_emit(report, *args, **kwargs)
+
+    monkeypatch.setattr(uclab.cli, "emit_report", emit)
+    paths = _input_files(tmp_path)
+    out = tmp_path / "report"
+    main([arg.format(**paths) for arg in argv] + ["--out", str(out)])
+    [report] = reports
+    return report, out.read_bytes()
+
+
+@dataclass(frozen=True)
+class _Leaf:
+    x: float
+    label: str
+
+
+class _Node(NamedTuple):
+    leaf: _Leaf
+    values: tuple
+
+
+# every kind of value the one-pass writer takes, the spellings that need care
+# (NaN, infinities, -0.0, escapes) and the empty containers
+_SYNTHETIC_REPORT = {
+    "specials": [float("nan"), float("inf"), -float("inf"), -0.0],
+    "text": 'caf\u00e9 \U0001d4b3 \udcff "q" \\ \x01',
+    "empty": [{}, [], ()],
+    7: "an int key",
+    "numpy": [np.float32(0.1), np.int64(-3), np.bool_(False), np.array([[1.5, np.nan]])],
+    "record": _Node(_Leaf(0.1, "a,b"), (1, None, True, np.float64(-0.0))),
+}
+
+_TWO_STAGE_CASES = {
+    "all": ["all"],
+    "theorem2-files": ["theorem2", "--trials", "20", "--max-n", "4",
+                       "--dist-file", "{dist}", "--mixture-file", "{mix}"],
+    "counterexample-exact": ["counterexample", "--n", "8"],
+    "dp": ["coupling", "dp", "--family", "{fam}"],
+    "dp-literal-rates": ["coupling", "dp", "--family", "{fam}", "--literal-rates"],
+    "synthetic": None,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TWO_STAGE_CASES))
+def test_one_pass_writer_matches_the_two_stage_writer(case, tmp_path, monkeypatch):
+    # the reference coerces the whole report to plain values, then writes those
+    argv = _TWO_STAGE_CASES[case]
+    if argv is None:
+        report, written = _SYNTHETIC_REPORT, None
+    else:
+        report, written = _captured_report(argv, tmp_path, monkeypatch)
+    text = reference_report_text(report, "json")
+    assert dumps_json(report) + "\n" == text
+    assert written in (None, text.encode("ascii"))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_writer_failure_leaves_out_alone(fmt, tmp_path, monkeypatch):
+    # the whole text is built before --out is opened
+    out = tmp_path / "kept.txt"
+    out.write_bytes(b"an earlier report\n")
+    monkeypatch.setitem(uclab.cli._HANDLERS, "families",
+                        lambda args, seed: ({"rows": [{"x": object()}]}, []))
+    with pytest.raises(TypeError):
+        main(["families", "--format", fmt, "--out", str(out)])
+    assert out.read_bytes() == b"an earlier report\n"
+
+
+# every subcommand that writes CSV; lemma's and scalar's results have rows,
+# the others' are one row of scalar fields
+_CSV_CASES = {
+    "scalar": ["scalar", "--grid", "2000"],
+    "lemma": FAST_LEMMA,
+    "families": ["families"],
+    "theorem2-files": _TWO_STAGE_CASES["theorem2-files"],
+    "counterexample": ["counterexample"],
+    "counterexample-exact": _TWO_STAGE_CASES["counterexample-exact"],
+    "delta-search": ["coupling", "delta-search", "--delta-steps", "10", "--v-steps", "8",
+                     "--mean-steps", "8", "--search-points", "3", "--search-restarts", "2"],
+    "dp": _TWO_STAGE_CASES["dp"],
+}
+
+
 class TestCsvOutput:
     def test_lemma_sweep_one_row_per_u(self, tmp_path):
         code, out = run(FAST_LEMMA, tmp_path, "sweep.csv", fmt="csv")
@@ -369,6 +473,26 @@ class TestCsvOutput:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "u,ratio_bound,min_slack,argmin_v"
         assert len(lines) == 1 + 31  # header plus one row per grid u (incl. threshold)
+
+    @pytest.mark.parametrize("case", sorted(_CSV_CASES))
+    def test_every_subcommand_matches_the_two_stage_writer(self, case, tmp_path, monkeypatch):
+        report, written = _captured_report([*_CSV_CASES[case], "--format", "csv"], tmp_path,
+                                           monkeypatch)
+        assert written == reference_report_text(report, "csv").encode("ascii")
+
+    def test_internal_failure_writes_an_empty_table(self, tmp_path, monkeypatch):
+        # a RuntimeError leaves the results empty: a blank header and row
+        import uclab.coupling
+
+        def failing_linprog(*args, **kwargs):
+            raise RuntimeError("stub solver failure")
+
+        monkeypatch.setattr(uclab.coupling, "linprog", failing_linprog)
+        report, written = _captured_report(
+            ["coupling", "--delta-steps", "10", "--v-steps", "8", "--mean-steps", "8",
+             "--format", "csv"], tmp_path, monkeypatch)
+        assert report["results"] == {}
+        assert written == reference_report_text(report, "csv").encode("ascii") == b"\n\n"
 
 
 class TestScalarCommand:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from uclab.reportio import dumps_csv, dumps_json, emit_report, format_float, to_jsonable
+from uclab.reportio import dumps_csv, dumps_json, emit_report, format_float
 
 
 class TestFormatFloat:
@@ -30,7 +30,7 @@ class TestJson:
             "inf": float("inf"),
             "nested": {"slack": -1.1102230246251565e-16, "items": [1, 2.5, "x", None]},
         }
-        text = dumps_json(to_jsonable(report))
+        text = dumps_json(report)
         assert json.loads(text) == report
 
     def test_deterministic(self):
@@ -38,11 +38,14 @@ class TestJson:
         assert dumps_json(report) == dumps_json(dict(report))
 
     def test_numpy_values_coerced(self):
-        rep = to_jsonable(
+        text = dumps_json(
             {"arr": np.array([1.5, 2.5]), "i": np.int64(3), "f": np.float64(0.25),
              "b": np.bool_(True)}
         )
-        assert rep == {"arr": [1.5, 2.5], "i": 3, "f": 0.25, "b": True}
+        assert text == (
+            '{\n  "arr": [\n    1.5,\n    2.5\n  ],\n  "i": 3,\n  "f": 0.25,\n  "b": true\n}'
+        )
+        rep = json.loads(text)
         assert isinstance(rep["i"], int) and isinstance(rep["b"], bool)
 
     def test_named_tuple_record_is_a_dict_in_field_order(self):
@@ -50,13 +53,13 @@ class TestJson:
         from uclab.measures import DiscreteMeasure, LocalSearchReport
 
         mu = DiscreteMeasure(np.array([0.25, 1.0]), np.array([0.5, 0.5]))
-        rep = to_jsonable(LocalSearchReport(
+        text = dumps_json(LocalSearchReport(
             best_value=np.float64(-0.5), best_measure=mu, mean_cap=0.4,
             two_point_with_top=np.bool_(True), restarts=3, seed=7,
         ))
-        assert isinstance(rep, dict)
-        assert list(rep) == list(LocalSearchReport._fields)
-        assert rep == {
+        pairs = json.loads(text, object_pairs_hook=list)
+        assert [k for k, _ in pairs] == list(LocalSearchReport._fields)
+        assert json.loads(text) == {
             "best_value": -0.5,
             "best_measure": {"locations": [0.25, 1.0], "weights": [0.5, 0.5]},
             "mean_cap": 0.4,
@@ -80,22 +83,17 @@ class TestJson:
 
 class TestCsv:
     def test_rows_render_one_line_each(self):
-        report = {"rows": [{"u": 0.25, "slack": 1e-16}, {"u": 0.5, "slack": 2e-16}]}
-        text = dumps_csv(report)
-        lines = text.strip().split("\n")
-        assert lines[0] == "u,slack"
-        assert len(lines) == 3
-        assert float(lines[1].split(",")[0]) == 0.25
-
-    def test_nested_results_rows_found(self):
-        report = {"version": "x", "results": {"rows": [{"a": 1, "ok": True}]}}
-        lines = dumps_csv(report).strip().split("\n")
-        assert lines == ["a,ok", "1,true"]
+        results = {"grid": 7, "rows": [{"u": 0.25, "slack": 1e-16, "ok": True},
+                                       {"u": 0.5, "slack": 2e-16, "ok": False}]}
+        lines = dumps_csv(results).strip().split("\n")
+        assert lines == ["u,slack,ok", "0.25,9.9999999999999998e-17,true",
+                         "0.5,2e-16,false"]
 
     def test_scalar_fallback(self):
-        report = {"results": {"delta": 0.5, "violations": 3, "deep": {"x": 1}}}
-        lines = dumps_csv(report).strip().split("\n")
-        assert lines[0] == "delta,violations"
+        results = {"delta": 0.5, "violations": 3, "deep": {"x": 1}, "counts": (1, 2),
+                   "table": np.zeros(2), "note": None}
+        lines = dumps_csv(results).strip().split("\n")
+        assert lines == ["delta,violations,note", "0.5,3,"]
 
 
 class TestEmit:
