@@ -89,6 +89,12 @@ class TestCsv:
         assert lines == ["u,slack,ok", "0.25,9.9999999999999998e-17,true",
                          "0.5,2e-16,false"]
 
+    def test_nested_results_rows_found(self, tmp_path):
+        report = {"version": "x", "results": {"rows": [{"a": 1, "ok": True}]}}
+        out = tmp_path / "r.csv"
+        emit_report(report, "csv", out)
+        assert out.read_text().strip().split("\n") == ["a,ok", "1,true"]
+
     def test_scalar_fallback(self):
         results = {"delta": 0.5, "violations": 3, "deep": {"x": 1}, "counts": (1, 2),
                    "table": np.zeros(2), "note": None}
