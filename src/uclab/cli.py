@@ -17,6 +17,7 @@ overrides the default, and --seed overrides both.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import math
 import os
@@ -59,7 +60,10 @@ def _add_tol(p: argparse.ArgumentParser) -> None:
                    help="override the subcommand's main failure tolerance")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The uclab parser, built once per process: `all` parses its compact
+    suites with the same parser as main(), and parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="uclab",
         description="Numerical checks for union-closed families, entropy "
@@ -285,6 +289,10 @@ def cmd_theorem2(args, seed: int):
         union_entropy_rows,
     )
 
+    if args.format == "csv" and (args.dist_file or args.mixture_file):
+        # the file checks are nested records, which a one-row table drops
+        raise ValueError("theorem2 --dist-file/--mixture-file write JSON only; "
+                         "drop --format csv to see the file checks")
     if args.trials < 1:
         raise ValueError("--trials must be a positive integer")
     if not 2 <= args.max_n <= MAX_RANDOM_TABLE_N:
@@ -516,7 +524,8 @@ def main(argv=None) -> int:
 
 
 def console_main() -> int:
-    """Entry point of `python -m uclab` and of the `uclab` script.
+    """Entry point of `python -m uclab` and of the `uclab` script, both
+    through uclab.__main__, which turns the cyclic collector off first.
 
     Runs main(), then freezes every object it left: the collections the
     interpreter makes while it shuts down then skip the objects numpy and

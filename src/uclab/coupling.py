@@ -40,7 +40,13 @@ from .measures import (
     objective,
     sorted_unique,
 )
-from .scalars import GOLDEN_THRESHOLD, _check_unit_interval, binary_entropy, union_prob
+from .scalars import (
+    GOLDEN_THRESHOLD,
+    _check_unit_interval,
+    binary_entropy,
+    entropy_kernel,
+    union_kernel,
+)
 
 if TYPE_CHECKING:
     from .families import Family
@@ -125,7 +131,7 @@ def worst_coupling_value(mu: DiscreteMeasure) -> WorstCouplingReport:
     m = x.size
     if m > MAX_LP_ATOMS:
         raise ValueError(f"worst-coupling LP is limited to {MAX_LP_ATOMS} atoms")
-    cost = binary_entropy(coupled_union_prob(x[:, None], x[None, :]))
+    cost = entropy_kernel(coupled_union_prob(x[:, None], x[None, :]))
     independent = float(w @ cost @ w)
     if m == 1:
         weights = np.ones((1, 1))
@@ -284,11 +290,11 @@ def _two_atom_class(v: np.ndarray, w: np.ndarray, alpha: float):
     wt = np.stack([w, 1.0 - w], axis=1)
     row, col = wt[:, None, :], wt[:, :, None]
     mean = (x[:, None, :] @ col)[:, 0, 0]
-    lin = (row @ binary_entropy(x)[:, :, None])[:, 0, 0]
-    quad = (row @ binary_entropy(union_prob(x[:, :, None], x[:, None, :])) @ col)[:, 0, 0]
+    lin = (row @ entropy_kernel(x)[:, :, None])[:, 0, 0]
+    quad = (row @ entropy_kernel(union_kernel(x[:, :, None], x[:, None, :])) @ col)[:, 0, 0]
     if alpha == 0.0:
         return mean, lin, quad - lin
-    worst = np.maximum(0.0, 2.0 * w - 1.0) * binary_entropy(coupled_union_prob(v, v))
+    worst = np.maximum(0.0, 2.0 * w - 1.0) * entropy_kernel(coupled_union_prob(v, v))
     return mean, lin, (1.0 - alpha) * quad + alpha * worst - lin
 
 

@@ -24,8 +24,10 @@ from . import DEFAULT_SEED
 from .scalars import (
     GOLDEN_THRESHOLD,
     binary_entropy,
+    entropy_kernel,
     entropy_ratio_bound,
     entropy_ratio_bound_array,
+    union_kernel,
     union_prob,
 )
 
@@ -221,7 +223,7 @@ def _two_atom_scan_rows(us: np.ndarray, lams: np.ndarray, v_steps: int, cells: i
 def _two_atom_slack(u, vs, lam):
     """J(w delta_v + (1 - w) delta_1) with w = (1 - u)/(1 - v), elementwise."""
     w = (1.0 - u) / (1.0 - vs)
-    return w * w * binary_entropy(union_prob(vs, vs)) - lam * w * binary_entropy(vs)
+    return w * w * entropy_kernel(union_kernel(vs, vs)) - lam * w * entropy_kernel(vs)
 
 
 class LocalSearchReport(NamedTuple):
@@ -395,15 +397,21 @@ def _exchange_descent(x, w, lam, u, max_rounds):
     """
     stack, m = x.shape
     # one entropy call: each restart's union-entropy matrix on top, H(x) below it
-    ent = binary_entropy(
-        np.concatenate([union_prob(x[:, :, None], x[:, None, :]), x[:, None, :]], axis=1)
+    ent = entropy_kernel(
+        np.concatenate([union_kernel(x[:, :, None], x[:, None, :]), x[:, None, :]], axis=1)
     )
     big_h, h = ent[:, :-1], ent[:, -1]
     diag = np.diagonal(big_h, axis1=1, axis2=2)
-    curvature = diag[:, :, None] - 2.0 * big_h + diag[:, None, :]
-    lam_d_lin = lam[:, None, None] * (h[:, None, :] - h[:, :, None])
+    # the weight-free terms of moving mass from location a to location b,
+    # on axis 2 of terms[:, a, :, b], so one gather a round takes all three
+    terms = np.stack([
+        lam[:, None, None] * (h[:, None, :] - h[:, :, None]),
+        diag[:, :, None] - 2.0 * big_h + diag[:, None, :],
+        x[:, None, :] - x[:, :, None],
+    ], axis=2)
     cap = u + MEAN_SLACK
-    d_mean = x[:, None, :] - x[:, :, None]
+    # the full and the half move run together on a leading axis of length 2
+    fracs = np.array([1.0, 0.5])[:, None, None, None]
     active = np.arange(stack)
     for _ in range(max_rounds):
         wa, xa = w[active], x[active]
@@ -412,31 +420,28 @@ def _exchange_descent(x, w, lam, u, max_rounds):
         # the source rows: positive weights first, each part in ascending order
         pos = wa > 0.0
         rows = np.argsort(~pos, axis=1, kind="stable")[:, : int(pos.sum(axis=1).max())]
-        i = np.arange(active.size)
-        at = active[:, None], rows
-        slope = 2.0 * (mw[:, None, :] - mw[i[:, None], rows][:, :, None]) - lam_d_lin[at]
-        curv, shift, source_w = curvature[at], d_mean[at], wa[i[:, None], rows][:, :, None]
+        i = np.arange(active.size)[:, None]
+        lam_d_lin, curv, shift = terms[active[:, None], rows].transpose(2, 0, 1, 3)
+        slope = 2.0 * (mw[:, None, :] - mw[i, rows][:, :, None]) - lam_d_lin
+        delta = fracs * wa[i, rows][:, :, None]
+        dval = delta * slope + delta * delta * curv
         cap_a = cap[active][:, None, None]
-        lows, picks = [], []
-        for frac in (1.0, 0.5):
-            delta = frac * source_w
-            dval = delta * slope + delta * delta * curv
-            feasible = (delta > 0.0) & (mean[:, None, None] + delta * shift <= cap_a)
-            masked = np.where(feasible, dval, np.inf)
-            low = masked.min(axis=(1, 2))
-            near = masked <= low[:, None, None] + 1e-15
-            # argmax returns the first (row-major) of the largest targets
-            k = np.argmax(np.where(near, xa[:, None, :], -np.inf).reshape(active.size, -1), axis=1)
-            row, col = np.divmod(k, m)
-            lows.append(low)
-            picks.append((rows[i, row], col, delta[i, row, 0]))
+        feasible = (delta > 0.0) & (mean[:, None, None] + delta * shift <= cap_a)
+        masked = np.where(feasible, dval, np.inf)
+        low = masked.min(axis=(2, 3))
+        near = masked <= low[:, :, None, None] + 1e-15
+        # argmax returns the first (row-major) of the largest targets
+        k = np.argmax(np.where(near, xa[:, None, :], -np.inf).reshape(2, active.size, -1), axis=2)
+        row, col = np.divmod(k, m)
         # the half move replaces the full one only when it is strictly better
-        half = lows[1] < np.minimum(lows[0], -1e-14)
-        moved = half | (lows[0] < -1e-14)
+        half = low[1] < np.minimum(low[0], -1e-14)
+        moved = half | (low[0] < -1e-14)
         if not moved.any():
             break
-        src, dst, amount = (np.where(half, b, a)[moved] for a, b in zip(*picks))
-        active = active[moved]
+        j = np.flatnonzero(moved)
+        f = half[j].astype(np.intp)
+        src, dst, amount = rows[j, row[f, j]], col[f, j], delta[f, j, row[f, j], 0]
+        active = active[j]
         w[active, src] = np.maximum(w[active, src] - amount, 0.0)
         w[active, dst] += amount
     quad = ((w[:, None, :] @ big_h) @ w[:, :, None])[:, 0, 0]

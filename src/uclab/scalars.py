@@ -12,6 +12,11 @@ of s -> H(s^2) and s -> s H(s).
 All entropies are natural-log; every statement consumed downstream is a
 ratio or an inequality, so the base drops out, and nats keep the derivative
 formulas free of log-base constants.
+
+The public functions check their arguments.  H and the union map also come
+as unchecked kernels (entropy_kernel, union_kernel), which binary_entropy
+and union_prob call after their checks and which code inside uclab calls
+directly on arrays it built in [0, 1].
 """
 
 from __future__ import annotations
@@ -54,15 +59,23 @@ def binary_entropy(p):
     rather than left to floating point.  log1p is used for the (1-p) factor
     so accuracy is preserved near both endpoints.
     """
-    arr = _check_unit_interval(p, "p")
-    flat = np.atleast_1d(arr).copy()
-    out = np.zeros_like(flat)
-    inner = (flat > 0.0) & (flat < 1.0)
-    q = flat[inner]
-    out[inner] = -q * np.log(q) - (1.0 - q) * np.log1p(-q)
+    out = entropy_kernel(_check_unit_interval(p, "p"))
     if _scalar_in(p):
-        return float(out[0])
-    return out.reshape(arr.shape)
+        return float(out)
+    return out
+
+
+def entropy_kernel(p: np.ndarray) -> np.ndarray:
+    """binary_entropy of a float array p, without the argument check.
+
+    The caller guarantees every entry lies in [0, 1].  The formula runs over
+    the whole array, whose ends come out NaN (0 * log 0, 0 * log1p(-1)), and
+    0 and 1 are then set to exactly 0; each interior entry gets the same
+    operations, so the same bits, as in any other array."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.asarray(-p * np.log(p) - (1.0 - p) * np.log1p(-p))
+    out[(p == 0.0) | (p == 1.0)] = 0.0
+    return out
 
 
 def union_prob(p, q):
@@ -71,12 +84,16 @@ def union_prob(p, q):
     Returns p + q - pq, clipped into [0, 1] to absorb roundoff.  Commutative,
     with 0 as identity and 1 absorbing.
     """
-    a = _check_unit_interval(p, "p")
-    b = _check_unit_interval(q, "q")
-    r = np.clip(a + b - a * b, 0.0, 1.0)
+    r = union_kernel(_check_unit_interval(p, "p"), _check_unit_interval(q, "q"))
     if _scalar_in(p) and _scalar_in(q):
         return float(r)
     return r
+
+
+def union_kernel(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """union_prob of two float arrays in [0, 1] (broadcast against each
+    other), without the argument check."""
+    return np.clip(p + q - p * q, 0.0, 1.0)
 
 
 def entropy_ratio_bound(u) -> float:
@@ -104,7 +121,7 @@ def entropy_ratio_bound_array(us: np.ndarray) -> np.ndarray:
     out = (1.0 - arr) * PHI
     low = arr <= GOLDEN_THRESHOLD
     u = arr[low]
-    out[low] = binary_entropy(union_prob(u, u)) / binary_entropy(u)
+    out[low] = entropy_kernel(union_kernel(u, u)) / entropy_kernel(u)
     return out
 
 

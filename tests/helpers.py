@@ -1,6 +1,7 @@
 """Shared builders and independent oracles used across the test modules.
 
-The oracles here deliberately avoid the library's fast paths: the union
+The oracles here deliberately avoid the library's fast paths: the binary
+entropy is evaluated on a copy of the interior entries only, the union
 convolution is the quadratic double loop over support pairs, entropies are
 summed directly, the table kernels (marginal, conditional, chain profile)
 are plain loops over every mask, union-closed families come from a
@@ -60,6 +61,18 @@ from uclab.setdist import (
     product_bernoulli,
     union_of_independent,
 )
+
+
+def binary_entropy_gather(p):
+    """H of every entry of p, each interior entry evaluated in a contiguous
+    copy of the interior entries alone and the ends set to 0, as
+    binary_entropy did before its unchecked kernel."""
+    flat = np.array(p, dtype=float).ravel()
+    out = np.zeros_like(flat)
+    inner = (flat > 0.0) & (flat < 1.0)
+    q = flat[inner]
+    out[inner] = -q * np.log(q) - (1.0 - q) * np.log1p(-q)
+    return out.reshape(np.shape(p))
 
 
 def random_explicit(rng, n, support=None):

@@ -1,7 +1,9 @@
 import contextlib
+import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -452,12 +454,13 @@ def test_writer_failure_leaves_out_alone(fmt, tmp_path, monkeypatch):
 
 
 # every subcommand that writes CSV; lemma's and scalar's results have rows,
-# the others' are one row of scalar fields
+# the others' are one row of scalar fields (theorem2 with an input file
+# writes JSON only)
 _CSV_CASES = {
     "scalar": ["scalar", "--grid", "2000"],
     "lemma": FAST_LEMMA,
     "families": ["families"],
-    "theorem2-files": _TWO_STAGE_CASES["theorem2-files"],
+    "theorem2": ["theorem2", "--trials", "20", "--max-n", "4"],
     "counterexample": ["counterexample"],
     "counterexample-exact": _TWO_STAGE_CASES["counterexample-exact"],
     "delta-search": ["coupling", "delta-search", "--delta-steps", "10", "--v-steps", "8",
@@ -624,6 +627,19 @@ class TestTheorem2Command:
         assert code == 0
         res = json.loads(out.read_text())["results"]["mixture_file"]
         assert res["slack"] >= -1e-10
+
+    @pytest.mark.parametrize("flag", ["--dist-file", "--mixture-file"])
+    def test_file_checks_refuse_csv_before_any_file_is_read(self, flag, tmp_path, capsys):
+        # a one-row table would drop the nested file checks; the file does not
+        # exist, so an attempt to read it would end in another message
+        out = tmp_path / "x.csv"
+        assert main(["theorem2", flag, str(tmp_path / "missing.txt"), "--format", "csv",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "uclab: error: theorem2 --dist-file/--mixture-file write JSON only; "
+            "drop --format csv to see the file checks"
+        ]
+        assert not out.exists()
 
     def test_bad_file_exits_two_before_any_table_is_drawn(self, tmp_path, monkeypatch, capsys):
         def refuse(*args, **kwargs):
@@ -970,6 +986,9 @@ def test_module_entry_point_writes_the_in_process_report(tmp_path):
 
 
 def test_console_main_freezes_the_heap_after_main_only(tmp_path, monkeypatch):
+    # neither console_main nor main turns the collector on or off; only
+    # importing uclab.__main__ does
+    enabled = gc.isenabled()
     calls = []
     real_emit = uclab.cli.emit_report
 
@@ -983,9 +1002,37 @@ def test_console_main_freezes_the_heap_after_main_only(tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["uclab", "families", "--n", "2", "--out", str(out)])
     assert uclab.cli.console_main() == 0
     assert calls == ["emit", "freeze"]
+    assert gc.isenabled() is enabled
     calls.clear()
     assert main(["families", "--n", "2", "--out", str(out)]) == 0
     assert calls == ["emit"]
+    try:
+        for state in (not enabled, enabled):
+            gc.enable() if state else gc.disable()
+            assert main(["families", "--n", "2", "--out", str(out)]) == 0
+            assert gc.isenabled() is state
+    finally:
+        gc.enable() if enabled else gc.disable()
+
+
+def test_cli_processes_run_without_the_cyclic_collector():
+    # the `uclab` script and `python -m uclab` run console_main of
+    # uclab.__main__, whose import turns automatic collection off before
+    # numpy loads: after an explicit collect, importing it runs no pass.
+    # tomllib is missing on Python 3.10, so the script entry is read by regex
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    scripts = pyproject.split("[project.scripts]")[1]
+    module, func = re.search(r'^uclab\s*=\s*"([\w.]+):(\w+)"', scripts, re.M).groups()
+    script = f"""
+import gc, importlib, json
+gc.collect()
+passes = gc.get_stats()[0]["collections"]
+import uclab.__main__
+target = getattr(importlib.import_module({module!r}), {func!r})
+print(json.dumps([gc.isenabled(), gc.get_stats()[0]["collections"] - passes,
+                  target is uclab.__main__.console_main]))
+"""
+    assert json.loads(_fresh_python("-c", script)) == [False, 0, True]
 
 
 def _small(lo=-1, hi=4):

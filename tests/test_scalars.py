@@ -5,17 +5,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import third_deriv_numerator
+from helpers import binary_entropy_gather, third_deriv_numerator
 from uclab.scalars import (
     GOLDEN_THRESHOLD,
     PHI,
     binary_entropy,
     d3_entropy_of_square,
     d3_s_entropy,
+    entropy_kernel,
     entropy_ratio_bound,
     entropy_ratio_bound_array,
     entropy_square_gap,
     entropy_square_ratio,
+    union_kernel,
     union_prob,
 )
 
@@ -89,6 +91,58 @@ class TestUnionProb:
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             union_prob(-0.2, 0.5)
+
+
+# the kernels' inputs: both ends, the smallest subnormal (twice: 5e-324 is
+# nextafter(0, 1)), the largest float below 1, the midpoint and seeded
+# interior points
+_X = np.concatenate([
+    [0.0, 1.0, 5e-324, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0), 0.5],
+    np.random.default_rng(1729).uniform(size=58),
+])
+
+
+class TestKernels:
+    """The unchecked kernels against the checked functions, with == only."""
+
+    @pytest.mark.parametrize("p", [
+        _X,
+        _X[::2],
+        np.broadcast_to(_X, (3, _X.size)),
+        union_kernel(_X[:, None], _X[None, :]),
+    ], ids=["contiguous", "strided", "broadcast", "union-matrix"])
+    def test_entropy_kernel_equals_binary_entropy(self, p):
+        h = entropy_kernel(p)
+        assert h.shape == p.shape
+        assert np.array_equal(h, binary_entropy(p))
+        assert np.array_equal(h, binary_entropy_gather(p))
+        # the ends are exactly +0, as in every report
+        assert not np.signbit(h).any()
+
+    def test_entropy_kernel_zero_d(self):
+        for p in _X:
+            h = entropy_kernel(np.array(p))
+            assert h.shape == ()
+            assert h == binary_entropy(float(p)) == binary_entropy_gather(p)
+            assert not np.signbit(h)
+
+    @pytest.mark.parametrize("p, q", [
+        (_X, _X[::-1]),
+        (_X[::2], _X[1::2]),
+        (_X[:, None], _X[None, :]),
+    ], ids=["contiguous", "strided", "broadcast"])
+    def test_union_kernel_equals_union_prob(self, p, q):
+        r = union_kernel(p, q)
+        assert np.array_equal(r, union_prob(p, q))
+        a, b = np.broadcast_arrays(p, q)
+        loop = [min(max(s + t - s * t, 0.0), 1.0) for s, t in zip(a.ravel(), b.ravel())]
+        assert np.array_equal(r, np.reshape(loop, r.shape))
+
+    def test_union_kernel_zero_d(self):
+        for p, q in zip(_X, _X[::-1]):
+            r = union_kernel(np.array(p), np.array(q))
+            assert np.shape(r) == ()
+            assert r == union_prob(float(p), float(q))
 
 
 class TestGoldenThreshold:
