@@ -9,9 +9,8 @@ strictly positive margin; alpha near 1 breaks down entirely."""
 import argparse
 import sys
 
-import numpy as np
-
 from uclab.coupling import delta_search
+from uclab.reportio import format_float
 
 
 def main():
@@ -40,8 +39,8 @@ def main():
             seed=args.seed,
         )
         print(
-            f"{alpha:.17g},{rep.delta:.17g},{rep.violations},"
-            f"{rep.min_slack:.17g},{str(rep.failure_at_threshold).lower()}",
+            f"{format_float(alpha)},{format_float(rep.delta)},{rep.violations},"
+            f"{format_float(rep.min_slack)},{str(rep.failure_at_threshold).lower()}",
             file=fh,
         )
         print(f"alpha={alpha}: delta={rep.delta}", file=sys.stderr)

@@ -15,6 +15,7 @@ from uclab.counterexample import (
     marginal_inclusion,
     ratio_bound,
 )
+from uclab.reportio import format_float
 from uclab.scalars import binary_entropy, union_prob
 
 
@@ -34,11 +35,8 @@ def main():
         p = CounterexampleParams.with_defaults(
             ubar=args.ubar, u=0.9, d=2.0 * limit, theta=theta, n=args.n
         )
-        print(
-            f"{theta:.17g},{marginal_inclusion(p):.17g},{ratio_bound(p):.17g},"
-            f"{limit:.17g},{kl_upper_bound(p):.17g}",
-            file=fh,
-        )
+        values = (theta, marginal_inclusion(p), ratio_bound(p), limit, kl_upper_bound(p))
+        print(",".join(format_float(v) for v in values), file=fh)
     if args.out:
         fh.close()
 

@@ -386,6 +386,8 @@ def _check_random_tables(stacks, used, worst_case):
 
 
 def cmd_counterexample(args, seed: int):
+    from dataclasses import asdict
+
     from .counterexample import CounterexampleParams, bounds_report, exact_small_n_check
 
     params = CounterexampleParams.with_defaults(
@@ -393,7 +395,7 @@ def cmd_counterexample(args, seed: int):
         trunc=args.trunc,
     )
     rep = exact_small_n_check(params) if params.n <= 12 else bounds_report(params)
-    report = {"params": params, **rep._asdict()}
+    report = {"params": asdict(params), **rep._asdict()}
     failures = []
     if not rep.marginal_admissible:
         failures.append(
@@ -489,8 +491,9 @@ def main(argv=None) -> int:
     try:
         seed = _resolve_seed(args)
         results, failures = _HANDLERS[args.command](args, seed)
-    except (ValueError, OSError) as exc:
-        print(f"uclab: error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        # a bare MemoryError has no message, so name the type instead
+        print(f"uclab: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         # an internal guard tripped: still write a report that names it

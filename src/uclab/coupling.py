@@ -55,6 +55,9 @@ MAX_LP_ATOMS = 200
 MAX_PIVOTS_PER_CELL = 10
 MARGINAL_TOL = 1e-12
 MAX_DELTA_GRID_CELLS = 1_000_000
+# delta_search's lowest mean below the threshold, and its search's atom grid
+DELTA_MEAN_MARGIN = 0.03
+DELTA_ATOM_GRID = 400
 
 
 def coupled_union_prob(p, r):
@@ -335,17 +338,15 @@ def delta_search(
     delta_max: float = 0.02,
     v_steps: int = 96,
     mean_steps: int = 64,
-    mean_margin: float = 0.03,
     search_points: int = 7,
     search_restarts: int = 112,
-    atom_grid: int = 400,
     seed: int = DEFAULT_SEED,
 ) -> DeltaSearchReport:
     """Estimate how far above the golden threshold the blended inequality
     keeps holding, over a scanned class of measures.
 
     The scan covers the two-atom family (mass at v, rest at 1) with means
-    ranging from mean_margin below the threshold to delta_max above it -
+    ranging from DELTA_MEAN_MARGIN below the threshold to delta_max above it -
     densely, at the delta-grid step, in a narrow band just above the
     threshold where the margin actually closes - augmented with the worst
     measures local search can find for the plain (alpha = 0) functional
@@ -396,7 +397,7 @@ def delta_search(
     means = sorted_unique(
         np.concatenate(
             [
-                np.linspace(u_star - mean_margin, u_star + delta_max, mean_steps),
+                np.linspace(u_star - DELTA_MEAN_MARGIN, u_star + delta_max, mean_steps),
                 u_star + np.arange(0.0, band + 0.5 * step, step),
             ]
         )
@@ -412,11 +413,8 @@ def delta_search(
     search_us = np.linspace(u_star - 0.01, u_star + delta_max, search_points)
     per = max(1, search_restarts // search_points)
     seeds = [seed + 7919 * k for k in range(search_points)]
-    extras += [
-        rep.best_measure
-        for rep in local_search_rows(search_us, [1.0] * search_points, atom_grid=atom_grid,
-                                     restarts=per, seeds=seeds)
-    ]
+    searches = local_search_rows(search_us, [1.0] * search_points, DELTA_ATOM_GRID, per, seeds)
+    extras += [rep.best_measure for rep in searches]
 
     # measures supported on {0, 1} make every entropy in the blended
     # inequality vanish, so their slack is identically zero at any alpha;

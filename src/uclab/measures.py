@@ -38,6 +38,13 @@ MEAN_SLACK = 1e-12
 # call; a fresh `all` peaks 0.6 MiB higher at this size than at 12,544
 # cells (16 rows of 28 locations), 1.1 MiB at 32,768 and 2.2 MiB at 65,536
 SEARCH_STACK_CELLS = 1 << 14
+# grid locations per restart's pool, and descent rounds per restart
+SEARCH_POOL_SIZE = 24
+SEARCH_MAX_ROUNDS = 200
+# grid points per block of the two-atom scan's u rows
+SCAN_BLOCK_CELLS = 1 << 14
+# how far lemma_certificate's search may beat the scan minimum
+SEARCH_TOL = 1e-6
 # lemma_certificate bounds, checked before any work: the u grid becomes one
 # report row per u, and the v grid and restart count set the work
 MAX_LEMMA_U_STEPS = 100_000
@@ -187,7 +194,7 @@ def two_atom_min_scan(u: float, v_steps: int = 1000, lam: float | None = None) -
     )
 
 
-def _two_atom_scan_rows(us: np.ndarray, lams: np.ndarray, v_steps: int, cells: int = 1 << 14):
+def _two_atom_scan_rows(us: np.ndarray, lams: np.ndarray, v_steps: int):
     """two_atom_min_scan for every u of `us` (with factor lams[k] at us[k]),
     as arrays: grid sizes, minimum slacks and tie-broken argmin v.
 
@@ -195,13 +202,13 @@ def _two_atom_scan_rows(us: np.ndarray, lams: np.ndarray, v_steps: int, cells: i
     threshold when it lies below us[k]: the threshold is one more column,
     kept out of the minimum (infinite slack) in the other rows, and the
     largest-v tie-break is a max over values, so the column order does not
-    matter.  Rows go through in blocks of about `cells` grid points so peak
-    memory does not grow with the number of rows.
+    matter.  Rows go through in blocks of about SCAN_BLOCK_CELLS grid points
+    so peak memory does not grow with the number of rows.
     """
     sizes = np.full(us.size, v_steps, dtype=np.int64)
     slacks = np.empty(us.size)
     argmins = np.empty(us.size)
-    block = max(1, cells // v_steps)
+    block = max(1, SCAN_BLOCK_CELLS // v_steps)
     for lo in range(0, us.size, block):
         u = us[lo : lo + block, None]
         lam = lams[lo : lo + block, None]
@@ -243,18 +250,17 @@ def local_search_min(
     atom_grid: int = 1000,
     restarts: int = 100,
     seed: int = DEFAULT_SEED,
-    pool_size: int = 24,
-    max_rounds: int = 200,
 ) -> LocalSearchReport:
     """Minimize J over measures on a location grid with mean at most u.
 
-    Each restart draws a random sparse start from a pool of grid locations
-    (the pool always contains 0, u, the golden threshold, and 1, so the
-    analytic candidates are reachable), then repeatedly applies the best
-    feasible exchange move - shifting some or all of one atom's mass onto
-    another location without pushing the mean above u - until no move
-    improves the value.  Restart r uses seed + r, so runs are reproducible,
-    and among equal final values the first restart wins.
+    Each restart draws a random sparse start from a pool of SEARCH_POOL_SIZE
+    grid locations (the pool always contains 0, u, the golden threshold, and
+    1, so the analytic candidates are reachable), then repeatedly applies
+    the best feasible exchange move - shifting some or all of one atom's
+    mass onto another location without pushing the mean above u - until no
+    move improves the value or SEARCH_MAX_ROUNDS moves are made.  Restart r
+    uses seed + r, so runs are reproducible, and among equal final values
+    the first restart wins.
 
     This is the one-point case of local_search_rows, which runs the
     descent on stacks of restarts; every restart ends with the measure a
@@ -264,7 +270,7 @@ def local_search_min(
     1 - 1e-3 of its mass on at most two locations, one of them 1, which is
     the structure the two-atom analysis predicts for minimizers.
     """
-    return local_search_rows([u], [lam], atom_grid, restarts, [seed], pool_size, max_rounds)[0]
+    return local_search_rows([u], [lam], atom_grid, restarts, [seed])[0]
 
 
 def local_search_rows(
@@ -273,8 +279,6 @@ def local_search_rows(
     atom_grid: int = 1000,
     restarts: int = 100,
     seeds=(DEFAULT_SEED,),
-    pool_size: int = 24,
-    max_rounds: int = 200,
 ) -> list:
     """local_search_min at every point k of us, with factor lams[k] and
     restart r seeded by seeds[k] + r: one LocalSearchReport per point.
@@ -308,7 +312,8 @@ def local_search_rows(
     def descend(stack):
         points, rs, pools, starts = (list(part) for part in zip(*stack))
         w = np.stack(starts)
-        vals = _exchange_descent(np.stack(pools), w, lam_rows[points], u_rows[points], max_rounds)
+        vals = _exchange_descent(np.stack(pools), w, lam_rows[points], u_rows[points],
+                                  SEARCH_MAX_ROUNDS)
         for k, r, x, row, val in zip(points, rs, pools, w, vals):
             b = best[k]
             if b is None or val < b[0] or (val == b[0] and r < b[1]):
@@ -320,7 +325,7 @@ def local_search_rows(
         specials = np.array([0.0, u, GOLDEN_THRESHOLD, 1.0])
         for r in range(restarts):
             rng = np.random.default_rng(seed + r)
-            picks = rng.choice(grid, size=min(pool_size, grid.size), replace=False)
+            picks = rng.choice(grid, size=min(SEARCH_POOL_SIZE, grid.size), replace=False)
             x = sorted_unique(np.concatenate([picks, specials]))
             stack = pending.setdefault(x.size, [])
             stack.append((k, r, x, _random_feasible_start(rng, x, u)))
@@ -486,14 +491,13 @@ def lemma_certificate(
     seed: int = DEFAULT_SEED,
     lam_scale: float = 1.0,
     scan_tol: float = 1e-9,
-    search_tol: float = 1e-6,
 ) -> LemmaCertificate:
     """Certify min J >= 0 over a u-grid by scan plus independent search.
 
     For every u in an interior grid (the golden threshold is injected
     exactly) the two-atom scan must stay above -scan_tol, and on a coarser
     sub-grid the local search - restarts split evenly across the sub-grid -
-    must not beat the scan minimum by more than search_tol.  lam_scale
+    must not beat the scan minimum by more than SEARCH_TOL.  lam_scale
     multiplies the bound factor and exists so a deliberately inflated
     factor can be seen to fail; it is at most MAX_LAM_SCALE, so every
     scaled factor is finite.  All search points' restarts go to one
@@ -511,9 +515,8 @@ def lemma_certificate(
     ):
         if value > cap:
             raise ValueError(f"{name} must be at most {cap}, got {value}")
-    for name, tol in (("scan_tol", scan_tol), ("search_tol", search_tol)):
-        if not 0.0 <= tol < np.inf:
-            raise ValueError(f"{name} must be finite and nonnegative, got {tol}")
+    if not 0.0 <= scan_tol < np.inf:
+        raise ValueError(f"scan_tol must be finite and nonnegative, got {scan_tol}")
     if not 0.0 < lam_scale < np.inf:
         raise ValueError(f"lam_scale must be finite and positive, got {lam_scale}")
     if lam_scale > MAX_LAM_SCALE:
@@ -553,7 +556,7 @@ def lemma_certificate(
         search_points=int(pick.size),
         search_restarts=per * int(pick.size),
         worst_search_margin=worst_margin,
-        search_ok=bool(worst_margin <= search_tol),
+        search_ok=bool(worst_margin <= SEARCH_TOL),
         seed=seed,
         lam_scale=float(lam_scale),
         rows=rows,

@@ -1,8 +1,8 @@
 """Deterministic JSON and CSV report emission.
 
-A report is a tree of dicts, records (NamedTuple classes and dataclasses,
-written as objects in field order), lists, tuples, numpy arrays, numpy or
-Python scalars, str and None, and the writer walks it once.  Floats are
+A report is a tree of dicts, records (NamedTuple classes, written as
+objects in field order), lists, tuples, numpy arrays, numpy or Python
+scalars, str and None, and the writer walks it once.  Floats are
 printed with 17 significant digits, which round-trips doubles exactly, so
 identical inputs produce byte-identical files and parsing a file recovers
 the report losslessly.  Infinities and NaN use the Python json module's
@@ -11,7 +11,6 @@ spelling (Infinity / -Infinity / NaN) so json.loads reads our output back.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import sys
 
@@ -27,14 +26,12 @@ def format_float(x: float) -> str:
 
 
 def _fields(obj):
-    """The (name, value) pairs of a dict or a record in order, else None.
+    """The (name, value) pairs of a dict or a NamedTuple in order, else None.
     A NamedTuple is a tuple too, so it must be asked for before a list."""
     if isinstance(obj, dict):
         return obj.items()
     if isinstance(obj, tuple) and hasattr(obj, "_fields"):
         return zip(obj._fields, obj)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return [(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)]
     return None
 
 

@@ -102,21 +102,18 @@ def entropy_ratio_bound(u) -> float:
     For a maximal inclusion probability u this is H(2u - u^2)/H(u) at or
     below the golden threshold and (1 - u) * PHI above it; both branches
     equal 1 exactly at the threshold.  u in {0, 1} is rejected: the factor
-    degenerates there (it tends to 2 as u -> 0 and is 0 at u = 1).
+    degenerates there (it tends to 2 as u -> 0 and is 0 at u = 1).  This is
+    the one-point case of entropy_ratio_bound_array.
     """
     u = float(u)
     if not 0.0 < u < 1.0:
         raise ValueError("u must lie strictly inside (0, 1)")
-    if u <= GOLDEN_THRESHOLD:
-        return binary_entropy(union_prob(u, u)) / binary_entropy(u)
-    return (1.0 - u) * PHI
+    return float(entropy_ratio_bound_array(np.array([u]))[0])
 
 
 def entropy_ratio_bound_array(us: np.ndarray) -> np.ndarray:
-    """entropy_ratio_bound at every u of an array strictly inside (0, 1).
-
-    Each entry is bit-equal to the scalar call: the same two branches, split
-    at the golden threshold, evaluated elementwise."""
+    """entropy_ratio_bound at every u of an array strictly inside (0, 1):
+    the two branches, split at the golden threshold, evaluated elementwise."""
     arr = _check_open_unit_interval(us, "u")
     out = (1.0 - arr) * PHI
     low = arr <= GOLDEN_THRESHOLD

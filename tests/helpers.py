@@ -22,7 +22,6 @@ numerator, and the per-element chain-rule step of Gilmer's argument on
 uniform union-closed families.
 """
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -465,14 +464,12 @@ def third_derivative_worst_loop(points=181):
 
 
 def to_jsonable(obj):
-    """Coerce report records (NamedTuple classes and dataclasses), numpy
-    scalars/arrays, and containers to plain JSON-able Python values; a
-    record becomes a dict in field order.  The first stage of the
-    two-stage reference writer."""
+    """Coerce report records (NamedTuple classes), numpy scalars/arrays,
+    and containers to plain JSON-able Python values; a record becomes a
+    dict in field order.  The first stage of the two-stage reference
+    writer."""
     if isinstance(obj, tuple) and hasattr(obj, "_asdict"):
         return {k: to_jsonable(v) for k, v in obj._asdict().items()}
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -8,7 +8,6 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -74,6 +73,19 @@ class TestExitCodes:
         assert not out.exists()
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["uclab: error: explicit tables are limited to n <= 24"]
+
+    @pytest.mark.parametrize("error", [MemoryError(), MemoryError("Unable to allocate 128. MiB")])
+    def test_out_of_memory_exits_two_with_one_line(self, error, tmp_path, monkeypatch, capsys):
+        def exhausted(args, seed):
+            raise error
+
+        monkeypatch.setitem(uclab.cli._HANDLERS, "theorem2", exhausted)
+        out = tmp_path / "x.json"
+        assert main(["theorem2", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            f"uclab: error: {str(error) or 'MemoryError'}"
+        ]
 
     def test_internal_failure_is_one_with_named_item(self, tmp_path, monkeypatch):
         import uclab.coupling
@@ -395,14 +407,13 @@ def _captured_report(argv, tmp_path, monkeypatch):
     return report, out.read_bytes()
 
 
-@dataclass(frozen=True)
-class _Leaf:
+class _Leaf(NamedTuple):
     x: float
     label: str
 
 
 class _Node(NamedTuple):
-    leaf: _Leaf
+    leaf: dict
     values: tuple
 
 
@@ -414,7 +425,7 @@ _SYNTHETIC_REPORT = {
     "empty": [{}, [], ()],
     7: "an int key",
     "numpy": [np.float32(0.1), np.int64(-3), np.bool_(False), np.array([[1.5, np.nan]])],
-    "record": _Node(_Leaf(0.1, "a,b"), (1, None, True, np.float64(-0.0))),
+    "record": _Node({"leaf": _Leaf(0.1, "a,b")}, (1, None, True, np.float64(-0.0))),
 }
 
 _TWO_STAGE_CASES = {
@@ -966,13 +977,16 @@ def test_delta_search_loads_only_the_modules_it_needs(tmp_path):
 import json, sys
 from uclab.cli import main
 loaded = sorted(name for name in sys.modules if name.startswith("uclab"))
+has_dataclasses = "dataclasses" in sys.modules
 assert main(["coupling", "delta-search", "--delta-steps", "100", "--v-steps", "32",
              "--mean-steps", "24", "--search-points", "3", "--search-restarts", "12",
              "--out", {str(tmp_path / "delta.json")!r}]) == 0
-print(json.dumps([loaded, sorted(sys.modules)]))
+print(json.dumps([loaded, has_dataclasses, sorted(sys.modules)]))
 """
-    at_import, after = json.loads(_fresh_python("-c", script))
+    at_import, dataclasses_at_import, after = json.loads(_fresh_python("-c", script))
     assert at_import == ["uclab", "uclab.cli", "uclab.reportio"]
+    # the report writer takes dicts and NamedTuples, so it needs no dataclasses
+    assert not dataclasses_at_import
     for name in ("numpy.ma", "uclab.setdist", "uclab.families", "uclab.counterexample"):
         assert name not in after
     assert json.loads((tmp_path / "delta.json").read_text())["results"]["lp_solves"] > 0

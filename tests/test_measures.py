@@ -190,15 +190,17 @@ class TestTwoAtomScan:
         assert rep.min_slack < -1e-4
 
     @pytest.mark.parametrize("v_steps", [2, 3, 7, 41, 400])
-    def test_rows_match_per_u_loop(self, v_steps):
+    def test_rows_match_per_u_loop(self, v_steps, monkeypatch):
         # u = 2G puts the golden threshold on the grid for every odd v_steps
-        # here, so it is merged with an equal grid point rather than inserted
+        # here, so it is merged with an equal grid point rather than inserted;
+        # the blocks hold three rows
+        monkeypatch.setattr(uclab.measures, "SCAN_BLOCK_CELLS", 3 * v_steps + 1)
         rng = np.random.default_rng(v_steps)
         us = np.concatenate([[2.0 * GOLDEN_THRESHOLD, GOLDEN_THRESHOLD, 0.5, 1e-3, 0.999],
                              rng.uniform(0.01, 0.99, 40)])
         for scale in (1.0, 1.05, 0.9):
             lams = scale * np.array([entropy_ratio_bound(float(u)) for u in us])
-            rows = _two_atom_scan_rows(us, lams, v_steps, cells=3 * v_steps + 1)
+            rows = _two_atom_scan_rows(us, lams, v_steps)
             for k, (u, lam) in enumerate(zip(us, lams)):
                 assert tuple(r[k] for r in rows) == two_atom_scan_loop(u, v_steps, lam)
                 rep = two_atom_min_scan(u, v_steps, lam=lam)
@@ -380,11 +382,12 @@ class TestLocalSearch:
                                               slow.best_measure.weights)
         assert max(sizes_seen) >= 3
 
-    def test_round_cap_matches_loop(self):
+    def test_round_cap_matches_loop(self, monkeypatch):
         for rounds in (1, 2, 3):
-            kw = dict(atom_grid=200, restarts=9, seed=7, max_rounds=rounds)
+            monkeypatch.setattr(uclab.measures, "SEARCH_MAX_ROUNDS", rounds)
+            kw = dict(atom_grid=200, restarts=9, seed=7)
             fast = local_search_min(0.3, 1.0, **kw)
-            slow = local_search_loop(0.3, 1.0, **kw)
+            slow = local_search_loop(0.3, 1.0, max_rounds=rounds, **kw)
             assert fast.best_value == slow.best_value
             assert np.array_equal(fast.best_measure.weights, slow.best_measure.weights)
 
@@ -409,20 +412,21 @@ class TestLocalSearch:
     def test_rows_match_per_point_search_and_loop(self, cells, monkeypatch):
         # points of different u and lam share each pool size's stacks (one
         # row per stack at cells=1); the 41-point grid makes the pool sizes
-        # vary within a point, and pool_size 8 gives smaller pools
+        # vary within a point, and a pool size of 8 gives smaller pools
         monkeypatch.setattr(uclab.measures, "SEARCH_STACK_CELLS", cells)
         us = [0.2, GOLDEN_THRESHOLD, 0.45, 0.3, 0.6]
         lams = [entropy_ratio_bound(0.2), 1.0, 1.05 * entropy_ratio_bound(0.45), 0.8,
                 entropy_ratio_bound(0.6)]
         seeds = [5, 1729, 11, 5, 40]
         for atom_grid, pool_size in ((40, 24), (400, 24), (40, 8)):
-            kw = dict(atom_grid=atom_grid, restarts=7, pool_size=pool_size)
+            monkeypatch.setattr(uclab.measures, "SEARCH_POOL_SIZE", pool_size)
+            kw = dict(atom_grid=atom_grid, restarts=7)
             reps = local_search_rows(us, lams, seeds=seeds, **kw)
             assert len(reps) == len(us)
             for rep, u, lam, seed in zip(reps, us, lams, seeds):
                 assert (rep.mean_cap, rep.restarts, rep.seed) == (u, 7, seed)
                 for want in (local_search_min(u, lam, seed=seed, **kw),
-                             local_search_loop(u, lam, seed=seed, **kw)):
+                             local_search_loop(u, lam, seed=seed, pool_size=pool_size, **kw)):
                     assert rep.best_value == want.best_value
                     assert np.array_equal(rep.best_measure.locations,
                                           want.best_measure.locations)
@@ -564,8 +568,7 @@ class TestLemmaCertificate:
             lemma_certificate(u_steps=MAX_LEMMA_U_STEPS, v_steps=MAX_LEMMA_V_STEPS,
                               restarts=MAX_SEARCH_RESTARTS, atom_grid=MAX_ATOM_GRID)
 
-    @pytest.mark.parametrize("kw", [dict(scan_tol=math.nan), dict(scan_tol=-1e-9),
-                                    dict(search_tol=math.inf), dict(search_tol=math.nan)])
+    @pytest.mark.parametrize("kw", [dict(scan_tol=math.nan), dict(scan_tol=-1e-9)])
     def test_rejects_bad_tolerances(self, kw):
         with pytest.raises(ValueError, match="must be finite and nonnegative"):
             lemma_certificate(u_steps=3, v_steps=4, restarts=1, atom_grid=10,

@@ -50,9 +50,9 @@ class TestJson:
 
     def test_named_tuple_record_is_a_dict_in_field_order(self):
         # a NamedTuple report is a tuple too: read as one it would be a list
-        from uclab.measures import DiscreteMeasure, LocalSearchReport
+        from uclab.measures import LocalSearchReport
 
-        mu = DiscreteMeasure(np.array([0.25, 1.0]), np.array([0.5, 0.5]))
+        mu = {"locations": np.array([0.25, 1.0]), "weights": [0.5, 0.5]}
         text = dumps_json(LocalSearchReport(
             best_value=np.float64(-0.5), best_measure=mu, mean_cap=0.4,
             two_point_with_top=np.bool_(True), restarts=3, seed=7,
@@ -67,6 +67,13 @@ class TestJson:
             "restarts": 3,
             "seed": 7,
         }
+
+    def test_dataclass_is_refused(self):
+        # records are NamedTuples; a dataclass goes in as a dict
+        from uclab.measures import DiscreteMeasure
+
+        with pytest.raises(TypeError, match="cannot serialize DiscreteMeasure"):
+            dumps_json({"mu": DiscreteMeasure.point(0.5)})
 
     def test_string_escaping(self):
         text = dumps_json({"msg": 'say "hi"\n'})

@@ -196,9 +196,14 @@ class TestEntropyRatioBound:
             rng.uniform(size=3000),
             rng.uniform(0.0, 1e-6, size=500),
         ])
-        got = entropy_ratio_bound_array(us)
-        want = np.array([entropy_ratio_bound(float(u)) for u in us])
-        assert np.array_equal(got, want)
+        # each branch written out with the checked scalar functions
+        want = np.array([
+            binary_entropy(union_prob(u, u)) / binary_entropy(u) if u <= GOLDEN_THRESHOLD
+            else (1.0 - u) * PHI
+            for u in us.tolist()
+        ])
+        assert np.array_equal(entropy_ratio_bound_array(us), want)
+        assert [entropy_ratio_bound(u) for u in us.tolist()] == want.tolist()
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, math.nan, -0.5])
     def test_array_rejects_the_closed_ends(self, bad):
