@@ -43,6 +43,7 @@ from .measures import (
 from .scalars import (
     GOLDEN_THRESHOLD,
     _check_unit_interval,
+    _float_or_array,
     binary_entropy,
     entropy_kernel,
     union_kernel,
@@ -69,10 +70,7 @@ def coupled_union_prob(p, r):
     a = _check_unit_interval(p, "rates")
     b = _check_unit_interval(r, "rates")
     both_small = (a < 0.5) & (b < 0.5)
-    out = np.where(both_small, np.minimum(a + b, 0.5), np.maximum(a, b))
-    if np.ndim(p) == 0 and np.ndim(r) == 0:
-        return float(out)
-    return out
+    return _float_or_array(np.where(both_small, np.minimum(a + b, 0.5), np.maximum(a, b)))
 
 
 @dataclass(frozen=True)
@@ -337,7 +335,7 @@ def delta_search(
     u_cap_steps: int = 200,
     delta_max: float = 0.02,
     v_steps: int = 96,
-    mean_steps: int = 64,
+    mean_steps: int = 96,
     search_points: int = 7,
     search_restarts: int = 112,
     seed: int = DEFAULT_SEED,

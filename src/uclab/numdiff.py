@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .scalars import _float_or_array
+
 BASE_STEP = 1e-4
 
 
@@ -24,8 +26,7 @@ def scaled_step(x):
     d = np.minimum(arr, 1.0 - arr)
     if not np.all(d > 0.0):
         raise ValueError("x must lie strictly inside (0, 1)")
-    step = BASE_STEP * np.minimum(1.0, d / 0.05)
-    return float(step) if arr.ndim == 0 else step
+    return _float_or_array(BASE_STEP * np.minimum(1.0, d / 0.05))
 
 
 def third_derivative(f, x, h):

@@ -13,10 +13,10 @@ All entropies are natural-log; every statement consumed downstream is a
 ratio or an inequality, so the base drops out, and nats keep the derivative
 formulas free of log-base constants.
 
-The public functions check their arguments.  H and the union map also come
-as unchecked kernels (entropy_kernel, union_kernel), which binary_entropy
-and union_prob call after their checks and which code inside uclab calls
-directly on arrays it built in [0, 1].
+The public functions check their arguments once, compute with the
+unchecked kernels (entropy_kernel, union_kernel), and return a Python float
+for a 0-d result and the array otherwise.  Code inside uclab calls the
+kernels directly on arrays it built in [0, 1].
 """
 
 from __future__ import annotations
@@ -48,8 +48,10 @@ def _check_open_unit_interval(x, name):
     return arr
 
 
-def _scalar_in(x) -> bool:
-    return np.ndim(x) == 0
+def _float_or_array(val):
+    """The one exit of every checked function: a Python float when the
+    result is 0-d, the array otherwise."""
+    return float(val) if np.ndim(val) == 0 else val
 
 
 def binary_entropy(p):
@@ -59,10 +61,7 @@ def binary_entropy(p):
     rather than left to floating point.  log1p is used for the (1-p) factor
     so accuracy is preserved near both endpoints.
     """
-    out = entropy_kernel(_check_unit_interval(p, "p"))
-    if _scalar_in(p):
-        return float(out)
-    return out
+    return _float_or_array(entropy_kernel(_check_unit_interval(p, "p")))
 
 
 def entropy_kernel(p: np.ndarray) -> np.ndarray:
@@ -84,10 +83,9 @@ def union_prob(p, q):
     Returns p + q - pq, clipped into [0, 1] to absorb roundoff.  Commutative,
     with 0 as identity and 1 absorbing.
     """
-    r = union_kernel(_check_unit_interval(p, "p"), _check_unit_interval(q, "q"))
-    if _scalar_in(p) and _scalar_in(q):
-        return float(r)
-    return r
+    return _float_or_array(
+        union_kernel(_check_unit_interval(p, "p"), _check_unit_interval(q, "q"))
+    )
 
 
 def union_kernel(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -129,19 +127,13 @@ def entropy_square_ratio(s):
     s = 1/PHI = (sqrt(5) - 1)/2 and increases back toward 2 at both ends.
     """
     arr = _check_open_unit_interval(s, "s")
-    val = binary_entropy(arr * arr) / (arr * binary_entropy(arr))
-    if _scalar_in(s):
-        return float(val)
-    return val
+    return _float_or_array(entropy_kernel(arr * arr) / (arr * entropy_kernel(arr)))
 
 
 def entropy_square_gap(s):
     """The strictly positive gap 2 s H(s) - H(s^2) on (0, 1)."""
     arr = _check_open_unit_interval(s, "s")
-    val = 2.0 * arr * binary_entropy(arr) - binary_entropy(arr * arr)
-    if _scalar_in(s):
-        return float(val)
-    return val
+    return _float_or_array(2.0 * arr * entropy_kernel(arr) - entropy_kernel(arr * arr))
 
 
 def d3_entropy_of_square(s):
@@ -150,10 +142,7 @@ def d3_entropy_of_square(s):
     Negative everywhere on (0, 1); endpoints rejected.
     """
     arr = _check_open_unit_interval(s, "s")
-    val = (-4.0 - 4.0 * arr * arr) / (arr * (1.0 - arr * arr) ** 2)
-    if _scalar_in(s):
-        return float(val)
-    return val
+    return _float_or_array((-4.0 - 4.0 * arr * arr) / (arr * (1.0 - arr * arr) ** 2))
 
 
 def d3_s_entropy(s):
@@ -162,7 +151,4 @@ def d3_s_entropy(s):
     Negative everywhere on (0, 1); endpoints rejected.
     """
     arr = _check_open_unit_interval(s, "s")
-    val = (arr - 2.0) / (arr * (1.0 - arr) ** 2)
-    if _scalar_in(s):
-        return float(val)
-    return val
+    return _float_or_array((arr - 2.0) / (arr * (1.0 - arr) ** 2))

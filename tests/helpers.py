@@ -45,7 +45,7 @@ from uclab.numdiff import third_derivative
 from uclab.reportio import _escape, format_float
 from uclab.scalars import (
     GOLDEN_THRESHOLD,
-    _scalar_in,
+    _float_or_array,
     binary_entropy,
     d3_entropy_of_square,
     d3_s_entropy,
@@ -267,7 +267,7 @@ def highs_transport_value(cost, w):
     return -float(res.fun) / (scale * scale)
 
 
-def delta_search_loop(alpha, u_cap_steps=200, delta_max=0.02, v_steps=96, mean_steps=64,
+def delta_search_loop(alpha, u_cap_steps=200, delta_max=0.02, v_steps=96, mean_steps=96,
                       mean_margin=0.03, search_points=7, search_restarts=112,
                       atom_grid=400, seed=1729):
     """delta_search as a loop: one DiscreteMeasure and one improved_slack
@@ -651,10 +651,7 @@ def third_deriv_numerator(s, beta):
     b = np.asarray(beta, dtype=float)
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("s and beta must be finite")
-    val = -4.0 - 4.0 * a * a - b * (a - 2.0) * (1.0 + a) ** 2
-    if _scalar_in(s) and _scalar_in(beta):
-        return float(val)
-    return val
+    return _float_or_array(-4.0 - 4.0 * a * a - b * (a - 2.0) * (1.0 + a) ** 2)
 
 
 def chain_profile(d):

@@ -21,7 +21,7 @@ import uclab.cli
 import uclab.measures
 import uclab.setdist
 from helpers import reference_report_text, theorem2_loop, third_derivative_worst_loop
-from uclab.cli import MAX_RANDOM_TABLE_N, MAX_SCALAR_GRID, main
+from uclab.cli import MAX_RANDOM_TABLE_N, MAX_SCALAR_GRID, MAX_THEOREM2_TRIALS, build_parser, main
 from uclab.reportio import dumps_json
 from uclab.measures import MAX_ATOM_GRID, MAX_LEMMA_U_STEPS, MAX_LEMMA_V_STEPS, MAX_SEARCH_RESTARTS
 from uclab.families import Family, count_union_closed, save_family
@@ -126,6 +126,100 @@ class TestExitCodes:
         assert code == 1
         (item,) = json.loads(out.read_text())["failures"]
         assert item.startswith("coupling.internal: transportation simplex vertex is not a coupling")
+
+
+def _failing_run(argv, item, tmp_path):
+    """Run argv; it must exit 1, name item first in one of its failures and
+    still write its report."""
+    code, out = run(argv, tmp_path)
+    assert code == 1
+    report = json.loads(out.read_text())
+    assert report["passed"] is False
+    assert any(f.startswith(item) for f in report["failures"]), report["failures"]
+    return report["failures"]
+
+
+class TestFailureItems:
+    """Each exit-1 branch of a handler, made to fail with a patch where the
+    mathematics cannot."""
+
+    def test_families_below_the_threshold(self, tmp_path, monkeypatch):
+        import uclab.families
+
+        monkeypatch.setattr(uclab.families, "GOLDEN_THRESHOLD", 0.75)
+        failures = _failing_run(["families", "--n", "3"], "families.min_best_proportion",
+                                tmp_path)
+        assert failures == ["families.min_best_proportion: 0.500000 < 0.750000"]
+
+    def test_theorem2_random_table_below_the_bound(self, tmp_path, monkeypatch):
+        real = uclab.setdist.union_entropy_rows
+
+        def lowered(tables, n):
+            u, lhs, rhs, slack, lam = real(tables, n)
+            return u, lhs, rhs, slack - 1.0, lam
+
+        monkeypatch.setattr(uclab.setdist, "union_entropy_rows", lowered)
+        _failing_run(["theorem2", "--trials", "5", "--max-n", "4"],
+                     "theorem2.random_tables: slack", tmp_path)
+
+    @pytest.mark.parametrize("flag, label, save, value", [
+        ("--dist-file", "dist_file", save_distribution, product_bernoulli(3, 0.3)),
+        ("--mixture-file", "mixture_file", save_mixture, golden_threshold_mixture(0.5, 4)),
+    ])
+    def test_theorem2_file_below_the_bound(self, flag, label, save, value, tmp_path,
+                                           monkeypatch):
+        real = uclab.setdist.union_entropy_check
+        monkeypatch.setattr(uclab.setdist, "union_entropy_check",
+                            lambda d: real(d)._replace(slack=-1.0))
+        path = tmp_path / "in.txt"
+        save(value, path)
+        failures = _failing_run(["theorem2", "--trials", "5", "--max-n", "4", flag, str(path)],
+                                f"theorem2.{label}", tmp_path)
+        assert f"theorem2.{label}: slack -1.000e+00 < -1e-10" in failures
+
+    def test_counterexample_marginal_above_u(self, tmp_path):
+        failures = _failing_run(["counterexample", "--theta", "0.5"],
+                                "counterexample.marginal", tmp_path)
+        assert failures == ["counterexample.marginal: 0.333333 exceeds u=0.25"]
+
+    def test_counterexample_exact_values_escape_the_bounds(self, tmp_path, monkeypatch):
+        import uclab.counterexample
+
+        real = uclab.counterexample.exact_small_n_check
+        monkeypatch.setattr(uclab.counterexample, "exact_small_n_check",
+                            lambda params: real(params)._replace(exact_within_bounds=False))
+        failures = _failing_run(["counterexample", "--n", "8", "--theta", "0.1", "--trunc", "18",
+                                 "--d", "1.5"], "counterexample.exact", tmp_path)
+        assert failures == ["counterexample.exact: exact values escape the bounds"]
+
+    def test_coupling_dp_marginal_deviation(self, tmp_path, monkeypatch):
+        import uclab.coupling
+
+        real = uclab.coupling.greedy_coupling_dp
+        monkeypatch.setattr(
+            uclab.coupling, "greedy_coupling_dp",
+            lambda fam, literal_rates: real(fam, literal_rates)._replace(
+                max_marginal_deviation=0.25, marginals_uniform=False),
+        )
+        path = tmp_path / "fam.txt"
+        save_family(Family.of(3, [2, 3, 4, 6, 7]), path)
+        failures = _failing_run(["coupling", "dp", "--family", str(path)], "coupling.dp",
+                                tmp_path)
+        assert failures == ["coupling.dp: marginal deviation 2.500e-01 > 1e-12"]
+
+    @pytest.mark.parametrize("module, name, argv, item", [
+        ("measures", "SEARCH_TOL", FAST_LEMMA, "lemma.local_search"),
+        ("coupling", "MARGINAL_TOL", ["coupling", "dp", "--family", "{family}"], "coupling.dp"),
+    ])
+    def test_failure_text_reads_the_tolerance_that_decides_it(self, module, name, argv, item,
+                                                              tmp_path, monkeypatch):
+        # a negative tolerance fails a margin or deviation that is never below 0
+        monkeypatch.setattr(getattr(uclab, module), name, -0.5)
+        family = tmp_path / "fam.txt"
+        save_family(Family.of(3, [2, 3, 4, 6, 7]), family)
+        argv = [a.format(family=family) for a in argv]
+        (failure,) = [f for f in _failing_run(argv, item, tmp_path) if f.startswith(item)]
+        assert failure.endswith(" > -5e-01")
 
 
 class TestDeterminism:
@@ -652,6 +746,22 @@ class TestTheorem2Command:
         ]
         assert not out.exists()
 
+    def test_too_many_trials_exit_two_before_any_file_or_table(self, tmp_path, monkeypatch,
+                                                                capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a random table was drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        # the file does not exist, so an attempt to read it would end in another message
+        trials = MAX_THEOREM2_TRIALS + 1
+        out = tmp_path / "x.json"
+        assert main(["theorem2", "--trials", str(trials), "--dist-file",
+                     str(tmp_path / "missing.txt"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"uclab: error: --trials must be at most {MAX_THEOREM2_TRIALS}, got {trials}"
+        ]
+        assert not out.exists()
+
     def test_bad_file_exits_two_before_any_table_is_drawn(self, tmp_path, monkeypatch, capsys):
         def refuse(*args, **kwargs):
             raise AssertionError("a random table was drawn or checked")
@@ -932,6 +1042,31 @@ def _fresh_python(*args, env_vars=None):
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+@pytest.mark.parametrize("argv, fn, shared", [
+    (["lemma"], "measures.lemma_certificate",
+     ["atom_grid", "lam_scale", "restarts", "search_points", "u_steps", "v_steps"]),
+    (["coupling"], "coupling.delta_search",
+     ["delta_max", "mean_steps", "search_points", "search_restarts", "u_cap_steps", "v_steps"]),
+    (["counterexample"], "counterexample.CounterexampleParams.with_defaults",
+     ["d", "n", "theta", "trunc", "u", "ubar"]),
+])
+def test_cli_defaults_are_the_library_defaults(argv, fn, shared):
+    import importlib
+    import inspect
+
+    module, *path = fn.split(".")
+    target = importlib.import_module(f"uclab.{module}")
+    for attr in path:
+        target = getattr(target, attr)
+    lib = {name: p.default for name, p in inspect.signature(target).parameters.items()
+           if p.default is not p.empty}
+    renames = {"delta_steps": "u_cap_steps", "inflate_bound": "lam_scale"}
+    cli = {renames.get(k, k): v for k, v in vars(build_parser().parse_args(argv)).items()}
+    # --seed defaults to None and resolves through UCLAB_SEED to DEFAULT_SEED
+    assert sorted(lib.keys() & cli.keys() - {"seed"}) == shared
+    assert {k: cli[k] for k in shared} == {k: lib[k] for k in shared}
 
 
 def test_single_threaded_blas_is_set_before_numpy_loads():

@@ -122,6 +122,17 @@ class TestCoupledUnionProb:
         with pytest.raises(ValueError):
             coupled_union_prob(1.1, 0.5)
 
+    @pytest.mark.parametrize("kind", [float, np.float64, np.array])
+    def test_two_scalars_give_a_python_float_and_a_vector_an_array(self, kind):
+        ps = np.array([0.0, 0.1, 0.3, 0.45, 0.6, 1.0])
+        for p, r in zip(ps, ps[::-1]):
+            out = coupled_union_prob(kind(p), kind(r))
+            assert type(out) is float
+            assert out == coupled_union_prob(float(p), float(r))
+        out = coupled_union_prob(ps, kind(0.2))
+        assert type(out) is np.ndarray
+        assert out.tolist() == [coupled_union_prob(float(p), 0.2) for p in ps]
+
 
 class TestJointMeasure:
     def test_accepts_exact_coupling(self):

@@ -303,7 +303,8 @@ class TestScaledStep:
         assert steps.shape == xs.shape
         assert [float(h) for h in steps] == [scaled_step(float(x)) for x in xs]
         assert np.array_equal(scaled_step(xs.reshape(3, -1)), steps.reshape(3, -1))
-        assert isinstance(scaled_step(0.3), float)
+        for kind in (float, np.float64, np.array):
+            assert type(scaled_step(kind(0.3))) is float
         assert scaled_step(0.01) == pytest.approx(2e-5, rel=1e-12)
         assert scaled_step(0.99) == pytest.approx(2e-5, rel=1e-12)
         assert scaled_step(0.05) == scaled_step(0.5) == 1e-4
@@ -362,3 +363,53 @@ class TestSquareGap:
 
     def test_positive_at_inverse_phi(self):
         assert entropy_square_gap((math.sqrt(5.0) - 1.0) / 2.0) > 0.15
+
+
+# every checked function of one point in (0, 1), and union_prob of two
+_ONE_POINT = [binary_entropy, entropy_square_ratio, entropy_square_gap,
+              d3_entropy_of_square, d3_s_entropy]
+_POINTS = np.array([1e-9, 0.2, GOLDEN_THRESHOLD, 0.5, 0.9, 1.0 - 1e-9])
+_SCALAR_KINDS = {"float": float, "numpy-scalar": np.float64, "0-d": np.array}
+
+
+class TestOneExit:
+    """A Python float for a 0-d result, an array otherwise, with the same bits."""
+
+    @pytest.mark.parametrize("kind", _SCALAR_KINDS)
+    @pytest.mark.parametrize("fn", _ONE_POINT + [entropy_ratio_bound], ids=lambda f: f.__name__)
+    def test_scalar_input_gives_a_python_float(self, fn, kind):
+        for x in _POINTS:
+            out = fn(_SCALAR_KINDS[kind](x))
+            assert type(out) is float
+            assert out == fn(float(x))
+
+    @pytest.mark.parametrize("fn", _ONE_POINT + [entropy_ratio_bound_array],
+                             ids=lambda f: f.__name__)
+    def test_one_d_input_gives_an_array_of_the_point_values(self, fn):
+        out = fn(_POINTS)
+        assert type(out) is np.ndarray and out.shape == _POINTS.shape
+        point = entropy_ratio_bound if fn is entropy_ratio_bound_array else fn
+        assert out.tolist() == [point(float(x)) for x in _POINTS]
+
+    @pytest.mark.parametrize("kind", _SCALAR_KINDS)
+    def test_union_prob_of_two_scalars_is_a_python_float(self, kind):
+        for p, q in zip(_POINTS, _POINTS[::-1]):
+            out = union_prob(_SCALAR_KINDS[kind](p), _SCALAR_KINDS[kind](q))
+            assert type(out) is float
+            assert out == union_prob(float(p), float(q))
+
+    def test_union_prob_with_a_one_d_side_is_an_array(self):
+        for p, q in ((_POINTS, _POINTS[::-1]), (0.3, _POINTS), (_POINTS, np.array(0.3))):
+            out = union_prob(p, q)
+            assert type(out) is np.ndarray and out.shape == _POINTS.shape
+            assert out.tolist() == [union_prob(float(a), float(b))
+                                    for a, b in zip(*np.broadcast_arrays(p, q))]
+
+    def test_square_ratio_and_gap_keep_the_bits_of_their_formulas(self):
+        # each written out with the checked binary_entropy, one point at a time
+        ss = np.concatenate([np.arange(1, 2001) / 2001.0, _POINTS,
+                             np.random.default_rng(3).uniform(size=500)])
+        ratio = [binary_entropy(s * s) / (s * binary_entropy(s)) for s in ss.tolist()]
+        gap = [2.0 * s * binary_entropy(s) - binary_entropy(s * s) for s in ss.tolist()]
+        assert entropy_square_ratio(ss).tolist() == ratio
+        assert entropy_square_gap(ss).tolist() == gap
