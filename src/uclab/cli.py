@@ -51,6 +51,8 @@ TABLE_STACK_CELLS = 1 << 16
 # 2-CPU x86 machine 1000 trials take about 0.05 s at the default --max-n 8
 # and 2 s at --max-n 16
 MAX_THEOREM2_TRIALS = 100_000
+# theorem2's default --tol, and the bound on the |slack| of its product tables
+THEOREM2_TOL = 1e-10
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -237,9 +239,9 @@ def cmd_scalar(args, seed: int):
 
 
 def cmd_lemma(args, seed: int):
-    from .measures import SEARCH_TOL, lemma_certificate
+    from .measures import SCAN_TOL, SEARCH_TOL, lemma_certificate
 
-    tol = _tol(args, 1e-9)
+    tol = _tol(args, SCAN_TOL)
     cert = lemma_certificate(
         u_steps=args.u_steps,
         v_steps=args.v_steps,
@@ -304,7 +306,7 @@ def cmd_theorem2(args, seed: int):
         raise ValueError(f"--trials must be at most {MAX_THEOREM2_TRIALS}, got {args.trials}")
     if not 2 <= args.max_n <= MAX_RANDOM_TABLE_N:
         raise ValueError(f"--max-n must lie in 2..{MAX_RANDOM_TABLE_N}")
-    tol = _tol(args, 1e-10)
+    tol = _tol(args, THEOREM2_TOL)
     # the input files are read and checked first, so a bad one exits 2
     # before any random table is drawn
     file_checks = {}
@@ -351,8 +353,10 @@ def cmd_theorem2(args, seed: int):
         failures.append("theorem2.random_tables: no table checked")
     elif worst_case["slack"] < -tol:
         failures.append(f"theorem2.random_tables: slack {worst_case['slack']:.3e} < -{tol:.0e}")
-    if sharp_worst > 1e-10:
-        failures.append(f"theorem2.product_sharpness: |slack| {sharp_worst:.3e} > 1e-10")
+    if sharp_worst > THEOREM2_TOL:
+        failures.append(
+            f"theorem2.product_sharpness: |slack| {sharp_worst:.3e} > {THEOREM2_TOL:.0e}"
+        )
     report = {
         "trials": args.trials,
         "max_n": args.max_n,

@@ -27,7 +27,6 @@ both one-sided marginals provably uniform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -73,36 +72,9 @@ def coupled_union_prob(p, r):
     return _float_or_array(np.where(both_small, np.minimum(a + b, 0.5), np.maximum(a, b)))
 
 
-@dataclass(frozen=True)
-class JointMeasure:
-    """Coupling of two discrete measures: nonnegative weight matrix whose
-    row and column sums reproduce the two marginals."""
-
-    row_marginal: DiscreteMeasure
-    col_marginal: DiscreteMeasure
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        m, k = self.row_marginal.size(), self.col_marginal.size()
-        if w.shape != (m, k):
-            raise ValueError(f"weight matrix must have shape {(m, k)}")
-        if np.any(w < -1e-15):
-            raise ValueError("coupling weights must be nonnegative")
-        w = np.clip(w, 0.0, None)
-        row_err = np.abs(w.sum(axis=1) - self.row_marginal.weights).max()
-        col_err = np.abs(w.sum(axis=0) - self.col_marginal.weights).max()
-        if max(row_err, col_err) > MARGINAL_TOL:
-            raise ValueError(
-                f"coupling marginals deviate by {max(row_err, col_err):.3e} (> {MARGINAL_TOL:.0e})"
-            )
-        w = w.copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-
 class WorstCouplingReport(NamedTuple):
-    """Minimum expected coupled-union entropy over all couplings of mu.
+    """Minimum expected coupled-union entropy over all couplings of mu,
+    and the (m, m) coupling matrix that attains it.
 
     repaired is always True for two or more atoms and False for one;
     bench/tracer.py reads it for coupling.repaired_ratio, and it is to be
@@ -110,7 +82,7 @@ class WorstCouplingReport(NamedTuple):
     """
 
     value: float
-    coupling: JointMeasure
+    weights: np.ndarray
     independent_value: float
     repaired: bool
 
@@ -123,8 +95,9 @@ def worst_coupling_value(mu: DiscreteMeasure) -> WorstCouplingReport:
     with t in [0, min(w0, w1)], and the cost is linear in t, so the optimum
     sits at an endpoint.  Three or more atoms (at most MAX_LP_ATOMS) go to
     the exact transportation simplex `linprog`, whose optimal vertex is
-    returned as it is.  A vertex that misses the marginals by more than
-    MARGINAL_TOL is an internal fault and raises RuntimeError.
+    returned as it is.  A vertex with an entry below -1e-15, or whose row
+    and column sums, clipped at 0, miss mu's weights by more than
+    MARGINAL_TOL, is an internal fault and raises RuntimeError.
     The value can never exceed the independent coupling's, which is also
     reported.
     """
@@ -141,13 +114,18 @@ def worst_coupling_value(mu: DiscreteMeasure) -> WorstCouplingReport:
         weights = np.array([[w[0] - t, t], [t, w[1] - t]])
     else:
         weights = linprog(cost, w)
-    try:
-        coupling = JointMeasure(mu, mu, weights)
-    except ValueError as exc:
-        raise RuntimeError(f"transportation simplex vertex is not a coupling: {exc}") from exc
+    fault = "transportation simplex vertex is not a coupling"
+    if np.any(weights < -1e-15):
+        raise RuntimeError(f"{fault}: coupling weights must be nonnegative")
+    clipped = np.clip(weights, 0.0, None)
+    err = max(np.abs(clipped.sum(axis=1) - w).max(), np.abs(clipped.sum(axis=0) - w).max())
+    if err > MARGINAL_TOL:
+        raise RuntimeError(
+            f"{fault}: coupling marginals deviate by {err:.3e} (> {MARGINAL_TOL:.0e})"
+        )
     return WorstCouplingReport(
         value=float((weights * cost).sum()),
-        coupling=coupling,
+        weights=weights,
         independent_value=independent,
         repaired=m > 1,
     )
@@ -303,7 +281,9 @@ class DeltaSearchReport(NamedTuple):
     """Largest mean excess over the golden threshold that survives the scan.
 
     closed_form_couplings counts worst couplings evaluated without the LP
-    (measures with one or two atoms) and lp_solves the transportation LPs.
+    (measures with one or two atoms), lp_solves the transportation LPs and
+    search_restarts the local-search restarts run: search_restarts //
+    search_points, at least 1, at each of the search_points points.
     """
 
     alpha: float
@@ -313,6 +293,7 @@ class DeltaSearchReport(NamedTuple):
     measures_scanned: int
     closed_form_couplings: int
     lp_solves: int
+    search_restarts: int
     violations: int
     failure_at_threshold: bool
     binding_measure: dict | None
@@ -468,6 +449,7 @@ def delta_search(
         measures_scanned=int(slacks.size),
         closed_form_couplings=closed_form,
         lp_solves=lp_solves,
+        search_restarts=per * search_points,
         violations=int(violating.size),
         failure_at_threshold=failure,
         binding_measure=binding,

@@ -43,7 +43,9 @@ SEARCH_POOL_SIZE = 24
 SEARCH_MAX_ROUNDS = 200
 # grid points per block of the two-atom scan's u rows
 SCAN_BLOCK_CELLS = 1 << 14
-# how far lemma_certificate's search may beat the scan minimum
+# how far below 0 lemma_certificate's two-atom scan may go (also the
+# default of `lemma --tol`), and how far its search may beat the scan minimum
+SCAN_TOL = 1e-9
 SEARCH_TOL = 1e-6
 # lemma_certificate bounds, checked before any work: the u grid becomes one
 # report row per u, and the v grid and restart count set the work
@@ -490,7 +492,7 @@ def lemma_certificate(
     search_points: int = 21,
     seed: int = DEFAULT_SEED,
     lam_scale: float = 1.0,
-    scan_tol: float = 1e-9,
+    scan_tol: float = SCAN_TOL,
 ) -> LemmaCertificate:
     """Certify min J >= 0 over a u-grid by scan plus independent search.
 

@@ -293,10 +293,12 @@ def delta_search_loop(alpha, u_cap_steps=200, delta_max=0.02, v_steps=96, mean_s
     candidates.append(DiscreteMeasure.point(u_star))
     search_us = np.linspace(u_star - 0.01, u_star + delta_max, search_points)
     per = max(1, search_restarts // search_points)
+    restarts_run = 0
     for k, su in enumerate(search_us):
         rep = local_search_min(float(su), 1.0, atom_grid=atom_grid, restarts=per,
                                seed=seed + 7919 * k)
         candidates.append(rep.best_measure)
+        restarts_run += rep.restarts
     candidates = [
         mu for mu in candidates
         if float(np.dot(mu.weights, binary_entropy(mu.locations))) > 1e-12
@@ -326,6 +328,7 @@ def delta_search_loop(alpha, u_cap_steps=200, delta_max=0.02, v_steps=96, mean_s
         measures_scanned=len(candidates),
         closed_form_couplings=len(candidates) - len(lp) if alpha > 0.0 else 0,
         lp_solves=len(lp),
+        search_restarts=restarts_run,
         violations=len(violating),
         failure_at_threshold=failure,
         binding_measure=binding,

@@ -22,6 +22,8 @@ import uclab.measures
 import uclab.setdist
 from helpers import reference_report_text, theorem2_loop, third_derivative_worst_loop
 from uclab.cli import MAX_RANDOM_TABLE_N, MAX_SCALAR_GRID, MAX_THEOREM2_TRIALS, build_parser, main
+from uclab.counterexample import MAX_N, MAX_TRUNC
+from uclab.coupling import MAX_DELTA_GRID_CELLS
 from uclab.reportio import dumps_json
 from uclab.measures import MAX_ATOM_GRID, MAX_LEMMA_U_STEPS, MAX_LEMMA_V_STEPS, MAX_SEARCH_RESTARTS
 from uclab.families import Family, count_union_closed, save_family
@@ -210,6 +212,8 @@ class TestFailureItems:
     @pytest.mark.parametrize("module, name, argv, item", [
         ("measures", "SEARCH_TOL", FAST_LEMMA, "lemma.local_search"),
         ("coupling", "MARGINAL_TOL", ["coupling", "dp", "--family", "{family}"], "coupling.dp"),
+        ("cli", "THEOREM2_TOL", ["theorem2", "--trials", "2", "--max-n", "3"],
+         "theorem2.product_sharpness"),
     ])
     def test_failure_text_reads_the_tolerance_that_decides_it(self, module, name, argv, item,
                                                               tmp_path, monkeypatch):
@@ -220,6 +224,24 @@ class TestFailureItems:
         argv = [a.format(family=family) for a in argv]
         (failure,) = [f for f in _failing_run(argv, item, tmp_path) if f.startswith(item)]
         assert failure.endswith(" > -5e-01")
+
+    def test_lemma_scan_tolerance_is_one_constant(self, tmp_path, monkeypatch):
+        # `lemma` without --tol scans at lemma_certificate's own default,
+        # and the failure text spells the constant the CLI read
+        import inspect
+
+        real = uclab.measures.lemma_certificate
+        default = inspect.signature(real).parameters["scan_tol"].default
+        assert default == uclab.measures.SCAN_TOL
+        seen = []
+        monkeypatch.setattr(uclab.measures, "lemma_certificate",
+                            lambda **kw: seen.append(kw["scan_tol"]) or real(**kw))
+        assert run(FAST_LEMMA, tmp_path)[0] == 0
+        monkeypatch.setattr(uclab.measures, "SCAN_TOL", 2e-9)
+        failures = _failing_run([*FAST_LEMMA, "--inflate-bound", "1.05"], "lemma.two_atom_scan",
+                                tmp_path)
+        assert seen == [default, 2e-9]
+        assert " < -2e-09 at u=" in failures[0]
 
 
 class TestDeterminism:
@@ -1028,6 +1050,25 @@ class TestCouplingCommand:
         assert report["passed"] is True
 
 
+_SMALL_DELTA = ["coupling", "delta-search", "--delta-steps", "10", "--v-steps", "8",
+                "--mean-steps", "8", "--search-points", "3"]
+
+
+@pytest.mark.parametrize("restarts", ["1", "3", "8"])
+@pytest.mark.parametrize("argv, flag", [(FAST_LEMMA, "--restarts"),
+                                        (_SMALL_DELTA, "--search-restarts")],
+                         ids=["lemma", "delta-search"])
+def test_reported_restarts_are_the_restarts_run(argv, flag, restarts, tmp_path, monkeypatch):
+    # fewer restarts than search points, as many, and more: each restart
+    # draws from its own default_rng, so the generators made are the
+    # restarts run, whatever the flag asked for
+    real, seeds = np.random.default_rng, []
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: seeds.append(seed) or real(seed))
+    code, out = run([*argv, flag, restarts], tmp_path)
+    assert code in (0, 1)
+    assert json.loads(out.read_text())["results"]["search_restarts"] == len(seeds)
+
+
 def _fresh_python(*args, env_vars=None):
     """Run `python *args` in a fresh interpreter with this checkout's uclab,
     with neither UCLAB_SEED nor OPENBLAS_NUM_THREADS set unless env_vars
@@ -1188,21 +1229,35 @@ def _small(lo=-1, hi=4):
     return st.integers(min_value=lo, max_value=hi).map(str)
 
 
+def _capped(cap, lo=-1, hi=4):
+    """_small(lo, hi) in about three draws of four, else cap + 1 or a
+    400-digit integer, which must both be refused before any work.  A value
+    exactly at a large cap is left undrawn: it would run that much work."""
+    past = st.sampled_from([str(cap + 1), "9" * 400])
+    return st.integers(min_value=0, max_value=3).flatmap(
+        lambda k: past if k == 0 else _small(lo, hi))
+
+
 # every integer flag at small values, zero and negatives included, so each
-# run is quick and the lower bounds are crossed from both sides
+# run is quick and the lower bounds are crossed from both sides; a capped
+# flag is also drawn past its cap
 _FUZZ_ARGV = st.one_of(
-    st.tuples(st.just("scalar"), st.just("--grid"), _small(-2, 50)),
+    st.tuples(st.just("scalar"), st.just("--grid"), _capped(MAX_SCALAR_GRID, -2, 50)),
     st.tuples(st.just("families"), st.just("--n"), _small(-1, 5)),
-    st.tuples(st.just("theorem2"), st.just("--trials"), _small(-1, 3),
+    st.tuples(st.just("theorem2"), st.just("--trials"), _capped(MAX_THEOREM2_TRIALS, -1, 3),
               st.just("--max-n"), _small(-1, MAX_RANDOM_TABLE_N + 1)),
-    st.tuples(st.just("lemma"), st.just("--u-steps"), _small(), st.just("--v-steps"), _small(),
-              st.just("--restarts"), _small(), st.just("--atom-grid"), _small(-1, 20),
+    st.tuples(st.just("lemma"), st.just("--u-steps"), _capped(MAX_LEMMA_U_STEPS),
+              st.just("--v-steps"), _capped(MAX_LEMMA_V_STEPS),
+              st.just("--restarts"), _capped(MAX_SEARCH_RESTARTS),
+              st.just("--atom-grid"), _capped(MAX_ATOM_GRID, -1, 20),
               st.just("--search-points"), _small()),
     st.tuples(st.just("coupling"), st.just("delta-search"), st.just("--delta-steps"), _small(),
-              st.just("--v-steps"), _small(), st.just("--mean-steps"), _small(),
-              st.just("--search-points"), _small(-1, 2), st.just("--search-restarts"), _small()),
-    st.tuples(st.just("counterexample"), st.just("--n"), _small(-1, 8),
-              st.just("--trunc"), _small(-1, 12)),
+              st.just("--v-steps"), _capped(MAX_DELTA_GRID_CELLS),
+              st.just("--mean-steps"), _small(),
+              st.just("--search-points"), _capped(MAX_SEARCH_RESTARTS, -1, 2),
+              st.just("--search-restarts"), _capped(MAX_SEARCH_RESTARTS)),
+    st.tuples(st.just("counterexample"), st.just("--n"), _capped(MAX_N, -1, 8),
+              st.just("--trunc"), _capped(MAX_TRUNC, -1, 12)),
 )
 
 
@@ -1213,7 +1268,7 @@ def _finite_only(name):
 def _float(flag, valid):
     """`flag=value` for a bad float or the valid one; the = form lets
     argparse take values such as -inf that start with a dash."""
-    values = st.sampled_from(["nan", "inf", "-inf", "0", "-1", valid])
+    values = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e-300", valid])
     return values.map(lambda value: f"{flag}={value}")
 
 
@@ -1235,22 +1290,28 @@ _FUZZ_FLOAT_ARGV = st.one_of(
 
 def _assert_clean_exit(argv, seed):
     """The exit contract: 0, 1 or 2; exit 2 prints exactly one
-    `uclab: error:` line and no report; every report float is finite."""
+    `uclab: error:` line and leaves --out absent; exits 0 and 1 write a
+    report to --out that parses, with every float finite and every
+    failure named `<command>.<item>`."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([*argv, "--seed", str(seed)])
-    assert code in (0, 1, 2)
-    if code == 2:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "report.json"
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--seed", str(seed), "--out", str(path)])
+        assert code in (0, 1, 2)
         assert out.getvalue() == ""
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("uclab: error: "), lines
-    else:
-        report = json.loads(out.getvalue(), parse_constant=_finite_only)
-        assert report["passed"] is (code == 0)
+        if code == 2:
+            assert not path.exists()
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("uclab: error: "), lines
+        else:
+            report = json.loads(path.read_text(), parse_constant=_finite_only)
+            assert report["passed"] is (code == 0)
+            assert all(f.startswith(f"{argv[0]}.") for f in report["failures"]), report
 
 
 @given(argv=_FUZZ_ARGV, seed=st.integers(min_value=0, max_value=3))
-@settings(max_examples=60, deadline=None, database=None)
+@settings(max_examples=100, deadline=None, database=None)
 def test_fuzz_small_flags_exit_cleanly(argv, seed):
     _assert_clean_exit(argv, seed)
 

@@ -12,7 +12,6 @@ from uclab.coupling import (
     MARGINAL_TOL,
     MAX_DELTA_GRID_CELLS,
     MAX_LP_ATOMS,
-    JointMeasure,
     coupled_union_prob,
     delta_search,
     greedy_coupling_dp,
@@ -134,31 +133,11 @@ class TestCoupledUnionProb:
         assert out.tolist() == [coupled_union_prob(float(p), 0.2) for p in ps]
 
 
-class TestJointMeasure:
-    def test_accepts_exact_coupling(self):
-        mu = DiscreteMeasure.two_atom(0.3, 0.6)
-        w = np.array([[0.6, 0.0], [0.0, 0.4]])
-        jm = JointMeasure(mu, mu, w)
-        assert jm.weights.sum() == pytest.approx(1.0)
-
-    def test_rejects_marginal_mismatch(self):
-        mu = DiscreteMeasure.two_atom(0.3, 0.6)
-        w = np.array([[0.5, 0.2], [0.1, 0.2]])
-        with pytest.raises(ValueError):
-            JointMeasure(mu, mu, w)
-
-    def test_rejects_negative_mass(self):
-        mu = DiscreteMeasure.two_atom(0.3, 0.6)
-        w = np.array([[0.7, -0.1], [-0.1, 0.5]])
-        with pytest.raises(ValueError):
-            JointMeasure(mu, mu, w)
-
-
 class TestWorstCoupling:
     def test_single_atom(self):
         rep = worst_coupling_value(DiscreteMeasure.point(GOLDEN_THRESHOLD))
         assert rep.value == math.log(2.0)
-        assert rep.coupling.weights[0, 0] == 1.0
+        assert rep.weights[0, 0] == 1.0
 
     def test_never_exceeds_independent(self):
         rng = np.random.default_rng(7)
@@ -193,7 +172,7 @@ class TestWorstCoupling:
             locs = np.unique(rng.uniform(0.0, 1.0, size=k))
             mu = DiscreteMeasure(locs, rng.dirichlet(np.ones(locs.size)))
             rep = worst_coupling_value(mu)
-            w = rep.coupling.weights
+            w = rep.weights
             assert np.abs(w.sum(axis=1) - mu.weights).max() <= 1e-12
             assert np.abs(w.sum(axis=0) - mu.weights).max() <= 1e-12
 
@@ -206,14 +185,14 @@ class TestWorstCoupling:
             locs = np.unique(rng.uniform(0.0, 1.0, size=k))
             mu = DiscreteMeasure(locs, rng.dirichlet(np.full(locs.size, 0.5)))
             rep = worst_coupling_value(mu)
-            w = rep.coupling.weights
+            w = rep.weights
             assert rep.repaired
             assert np.abs(w.sum(axis=1) - mu.weights).max() <= 1e-12
             assert np.abs(w.sum(axis=0) - mu.weights).max() <= 1e-12
 
     def _check_closed_form(self, mu):
         rep = worst_coupling_value(mu)
-        w = rep.coupling.weights
+        w = rep.weights
         assert rep.repaired
         assert np.abs(w.sum(axis=1) - mu.weights).max() <= 1e-12
         assert np.abs(w.sum(axis=0) - mu.weights).max() <= 1e-12
@@ -267,7 +246,7 @@ def _check_against_highs(mu):
     assert np.abs(raw.sum(axis=1) - mu.weights).max() <= 1e-12
     assert np.abs(raw.sum(axis=0) - mu.weights).max() <= 1e-12
     rep = worst_coupling_value(mu)
-    w = rep.coupling.weights
+    w = rep.weights
     assert rep.repaired
     assert np.abs(w.sum(axis=1) - mu.weights).max() <= 1e-12
     assert np.abs(w.sum(axis=0) - mu.weights).max() <= 1e-12
@@ -326,7 +305,7 @@ class TestTransportSimplex:
             locs = np.sort(rng.choice(np.arange(lo, hi, 0.001), size=m, replace=False))
             mu = DiscreteMeasure(locs, rng.dirichlet(np.full(m, concentration)))
             rep = worst_coupling_value(mu)
-            w = rep.coupling.weights
+            w = rep.weights
             assert np.abs(w.sum(axis=1) - mu.weights).max() <= MARGINAL_TOL
             assert np.abs(w.sum(axis=0) - mu.weights).max() <= MARGINAL_TOL
             assert rep.value <= highs_transport_value(_lp_cost(mu), mu.weights) + 1e-12
@@ -342,6 +321,19 @@ class TestTransportSimplex:
         monkeypatch.setattr(uclab.coupling, "linprog", off_by_1e9)
         mu = DiscreteMeasure(np.array([0.1, 0.3, 0.7]), np.array([0.2, 0.3, 0.5]))
         with pytest.raises(RuntimeError, match="simplex vertex is not a coupling"):
+            worst_coupling_value(mu)
+
+    def test_vertex_with_negative_mass_is_an_internal_fault(self, monkeypatch):
+        # the vertex keeps both marginals, so only the sign check can catch it
+        def negative_entry(cost, w):
+            out = np.diag(w)
+            out[:2, :2] += [[-0.1, 0.1], [0.1, -0.1]]
+            return out
+
+        monkeypatch.setattr(uclab.coupling, "linprog", negative_entry)
+        mu = DiscreteMeasure(np.array([0.1, 0.3, 0.7]), np.array([0.05, 0.3, 0.65]))
+        with pytest.raises(RuntimeError, match="not a coupling: coupling weights must be "
+                                               "nonnegative"):
             worst_coupling_value(mu)
 
     def test_pivot_cap_raises(self, monkeypatch):

@@ -35,7 +35,7 @@ families: Family FrequencyReport is_union_closed load_family max_element_frequen
     save_family verify_frequency_threshold
 measures: DEFAULT_SEED DiscreteMeasure ObjectiveReport lemma_certificate local_search_min
     objective two_atom_min_scan
-coupling: JointMeasure coupled_union_prob delta_search greedy_coupling_dp improved_slack
+coupling: coupled_union_prob delta_search greedy_coupling_dp improved_slack
     worst_coupling_value
 counterexample: CounterexampleParams bounds_report build_counterexample entropy_lower_bound
     exact_small_n_check kl_upper_bound marginal_inclusion ratio_bound
@@ -119,7 +119,6 @@ counterexample: CounterexampleReport
 """
 VALIDATED = """
 measures: DiscreteMeasure
-coupling: JointMeasure
 setdist: ExplicitSetDistribution ProductMixture
 families: Family
 counterexample: CounterexampleParams
