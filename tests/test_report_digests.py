@@ -40,10 +40,10 @@ from uclab.setdist import (  # noqa: E402
 DIGESTS = Path(__file__).resolve().with_name("report_digests.json")
 SEEDS = (1729, 7)
 BOTH, JSON = ("json", "csv"), ("json",)
-# every subcommand at its defaults, the file inputs, a small exact
-# counterexample, the coupling DP both ways, and two failing runs, each in
-# every format it allows; the input names are relative, because reports
-# echo the paths they were given
+# every subcommand at its defaults, delta-search at both ends of alpha,
+# the file inputs, a small exact counterexample, the coupling DP both ways,
+# and two failing runs, each in every format it allows; the input names
+# are relative, because reports echo the paths they were given
 CASES = (
     (["scalar"], BOTH),
     (["lemma"], BOTH),
@@ -51,6 +51,8 @@ CASES = (
     (["theorem2"], BOTH),
     (["counterexample"], BOTH),
     (["coupling"], BOTH),
+    (["coupling", "--alpha", "0"], JSON),
+    (["coupling", "--alpha", "1"], JSON),
     (["all"], JSON),
     (["theorem2", "--dist-file", "dist.txt", "--mixture-file", "mix.txt"], JSON),
     (["counterexample", "--n", "10"], BOTH),
