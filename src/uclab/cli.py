@@ -438,6 +438,8 @@ def cmd_coupling(args, seed: int):
                 f"> {MARGINAL_TOL:.0e}"
             )
         return rep, failures
+    if args.family is not None or args.literal_rates:
+        raise ValueError("--family and --literal-rates apply to coupling dp only")
     rep = delta_search(
         alpha=args.alpha,
         u_cap_steps=args.delta_steps,

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .scalars import binary_entropy, union_prob
+from .scalars import entropy_kernel, union_kernel
 from .setdist import (
     ProductMixture,
     _plogp,
@@ -74,9 +74,8 @@ class CounterexampleParams:
         if not 0.0 < self.ubar < self.u < 1.0:
             raise ValueError("need 0 < ubar < u < 1")
         _check_theta(self.theta)
-        base_ratio = binary_entropy(union_prob(self.ubar, self.ubar)) / binary_entropy(
-            self.ubar
-        )
+        ubar = np.array(self.ubar)
+        base_ratio = float(entropy_kernel(union_kernel(ubar, ubar)) / entropy_kernel(ubar))
         if not base_ratio < self.d < math.inf:
             raise ValueError(
                 f"d must be finite and exceed the base entropy ratio {base_ratio:.6f} at ubar"
@@ -145,7 +144,7 @@ def entropy_lower_bound(params: CounterexampleParams) -> float:
     n * sum_k (1-theta) theta^k H((1-ubar)^(k+1)); exactly linear in n."""
     k = np.arange(params.trunc + 1)
     w = (1.0 - params.theta) * params.theta ** k
-    cond = binary_entropy((1.0 - params.ubar) ** (k + 1))
+    cond = entropy_kernel((1.0 - params.ubar) ** (k + 1))
     return float(params.n * np.dot(w, cond))
 
 
@@ -164,7 +163,7 @@ def union_entropy_upper_bound(params: CounterexampleParams) -> float:
     H(law of k') + n * sum_{k'} Pr[k'] H((1-ubar)^(k'+1))."""
     kp, pmf = _union_level_pmf(params)
     level_entropy = float(-_plogp(pmf).sum())
-    cond = binary_entropy((1.0 - params.ubar) ** (kp + 1))
+    cond = entropy_kernel((1.0 - params.ubar) ** (kp + 1))
     return level_entropy + float(params.n * np.dot(pmf, cond))
 
 

@@ -43,7 +43,6 @@ from .scalars import (
     GOLDEN_THRESHOLD,
     _check_unit_interval,
     _float_or_array,
-    binary_entropy,
     entropy_kernel,
     union_kernel,
 )
@@ -231,27 +230,21 @@ def linprog(cost: np.ndarray, w: np.ndarray) -> np.ndarray:
     )
 
 
-def _blended_slack(mu: DiscreteMeasure, alpha: float):
-    """improved_slack(mu, alpha) and the worst-coupling report it used
-    (None at alpha = 0, where no coupling enters)."""
-    rep = objective(mu, 1.0)
-    if alpha == 0.0:
-        return rep.value, None
-    worst = worst_coupling_value(mu)
-    return (1.0 - alpha) * rep.quadratic + alpha * worst.value - rep.linear, worst
-
-
 def improved_slack(mu: DiscreteMeasure, alpha: float) -> float:
     """Blended slack (1-alpha) * quadratic + alpha * worst_coupling - linear.
 
     Positive slack certifies the blended union-entropy inequality for mu
     against every coupling of the second sample.  alpha = 0 collapses to
-    objective(mu, 1).value.
+    objective(mu, 1).value and solves no coupling.  This is the scoring
+    path of delta_search for every measure it builds one at a time.
     """
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    return _blended_slack(mu, alpha)[0]
+    rep = objective(mu, 1.0)
+    if alpha == 0.0:
+        return rep.value
+    return (1.0 - alpha) * rep.quadratic + alpha * worst_coupling_value(mu).value - rep.linear
 
 
 def _two_atom_class(v: np.ndarray, w: np.ndarray, alpha: float):
@@ -263,7 +256,8 @@ def _two_atom_class(v: np.ndarray, w: np.ndarray, alpha: float):
     products there, over the full 2x2 union-entropy matrix (union_prob(v, 1)
     is not always exactly 1).  The cost row and column of the atom at 1 are
     exactly 0, so the worst coupling is
-    max(0, 2w - 1) * H(coupled_union_prob(v, v)).
+    max(0, 2w - 1) * H(coupled_union_prob(v, v)); at alpha = 0 the blend
+    gives the bits of quad - lin.
     """
     x = np.stack([v, np.ones_like(v)], axis=1)
     wt = np.stack([w, 1.0 - w], axis=1)
@@ -271,8 +265,6 @@ def _two_atom_class(v: np.ndarray, w: np.ndarray, alpha: float):
     mean = (x[:, None, :] @ col)[:, 0, 0]
     lin = (row @ entropy_kernel(x)[:, :, None])[:, 0, 0]
     quad = (row @ entropy_kernel(union_kernel(x[:, :, None], x[:, None, :])) @ col)[:, 0, 0]
-    if alpha == 0.0:
-        return mean, lin, quad - lin
     worst = np.maximum(0.0, 2.0 * w - 1.0) * entropy_kernel(coupled_union_prob(v, v))
     return mean, lin, (1.0 - alpha) * quad + alpha * worst - lin
 
@@ -340,7 +332,8 @@ def delta_search(
     search_points and search_restarts to MAX_SEARCH_RESTARTS each, checked
     before anything is allocated.  Two-atom candidates are evaluated as one
     array expression; only the point at the threshold and the local-search
-    measures are built one at a time.
+    measures are built one at a time, and each of them is scored by
+    improved_slack.
     """
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:
@@ -401,23 +394,10 @@ def delta_search(
     # excluded from the scan rather than reported as a violation
     scanned = two_lin > 1e-12
     v, w = v[scanned], w[scanned]
-    extras = [
-        mu
-        for mu in extras
-        if float(np.dot(mu.weights, binary_entropy(mu.locations))) > 1e-12
-    ]
-    closed_form = v.size if alpha > 0.0 else 0
-    lp_solves = 0
-    extra_slacks = []
-    for mu in extras:
-        slack, worst = _blended_slack(mu, alpha)
-        extra_slacks.append(slack)
-        if worst is None:
-            continue
-        if mu.size() <= 2:
-            closed_form += 1
-        else:
-            lp_solves += 1
+    extras = [mu for mu in extras if objective(mu, 1.0).linear > 1e-12]
+    extra_slacks = [improved_slack(mu, alpha) for mu in extras]
+    lp_solves = sum(mu.size() > 2 for mu in extras) if alpha > 0.0 else 0
+    closed_form = v.size + len(extras) - lp_solves if alpha > 0.0 else 0
 
     def measure(i):
         if i < v.size:

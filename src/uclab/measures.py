@@ -23,12 +23,10 @@ import numpy as np
 from . import DEFAULT_SEED
 from .scalars import (
     GOLDEN_THRESHOLD,
-    binary_entropy,
     entropy_kernel,
     entropy_ratio_bound,
     entropy_ratio_bound_array,
     union_kernel,
-    union_prob,
 )
 
 WEIGHT_TOL = 1e-12
@@ -147,8 +145,8 @@ def objective(mu: DiscreteMeasure, lam: float) -> ObjectiveReport:
     value     = quadratic - lam * linear.
     """
     x, w = mu.locations, mu.weights
-    quad = float(w @ binary_entropy(union_prob(x[:, None], x[None, :])) @ w)
-    lin = float(np.dot(w, binary_entropy(x)))
+    quad = float(w @ entropy_kernel(union_kernel(x[:, None], x[None, :])) @ w)
+    lin = float(np.dot(w, entropy_kernel(x)))
     return ObjectiveReport(
         quadratic=quad,
         linear=lin,

@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .scalars import GOLDEN_THRESHOLD, PHI, binary_entropy, entropy_ratio_bound_array
+from .scalars import GOLDEN_THRESHOLD, PHI, entropy_kernel, entropy_ratio_bound_array
 
 # Explicit tables are capped here; beyond it only mixture bound arithmetic
 # stays exact, and pretending otherwise would be dishonest about memory.
@@ -252,7 +252,7 @@ def mixture_entropy_bounds(m: ProductMixture) -> tuple:
     K components (log 2 for two).
     """
     ws = m.weights()
-    lower = float(m.n * np.dot(ws, binary_entropy(m.inclusions())))
+    lower = float(m.n * np.dot(ws, entropy_kernel(m.inclusions())))
     upper = lower + float(-_plogp(ws).sum())
     return lower, upper
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import uclab
 import uclab.cli
+import uclab.coupling
 import uclab.measures
 import uclab.setdist
 from helpers import reference_report_text, theorem2_loop, third_derivative_worst_loop
@@ -460,6 +461,24 @@ class TestTolerance:
         code, out = run(["theorem2", "--trials", "5", "--max-n", "4", "--tol", "0"], tmp_path)
         assert code in (0, 1)
         assert json.loads(out.read_text())["config"]["tol"] == 0.0
+
+
+class TestCouplingFlags:
+    @pytest.mark.parametrize("action", [[], ["delta-search"]], ids=["default", "delta-search"])
+    @pytest.mark.parametrize("flag", [["--literal-rates"], ["--family", "fam.txt"]],
+                             ids=["literal-rates", "family"])
+    def test_dp_only_flag_exits_two_on_delta_search_before_any_work(
+            self, action, flag, tmp_path, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("delta_search ran with a dp-only flag")
+
+        monkeypatch.setattr(uclab.coupling, "delta_search", no_work)
+        out = tmp_path / "x.json"
+        assert main(["coupling", *action, *flag, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "uclab: error: --family and --literal-rates apply to coupling dp only"
+        ]
+        assert not out.exists()
 
 
 class TestJobs:

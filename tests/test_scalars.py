@@ -6,6 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import binary_entropy_gather, third_deriv_numerator
+from uclab import scalars
+from uclab.counterexample import (
+    CounterexampleParams,
+    entropy_lower_bound,
+    union_entropy_upper_bound,
+)
+from uclab.measures import DiscreteMeasure, objective
+from uclab.setdist import golden_threshold_mixture, mixture_entropy_bounds
 from uclab.scalars import (
     GOLDEN_THRESHOLD,
     PHI,
@@ -143,6 +151,34 @@ class TestKernels:
             r = union_kernel(np.array(p), np.array(q))
             assert np.shape(r) == ()
             assert r == union_prob(float(p), float(q))
+
+
+_MU = DiscreteMeasure(np.array([0.0, 0.2, GOLDEN_THRESHOLD, 0.7, 1.0]),
+                      np.array([0.1, 0.3, 0.2, 0.25, 0.15]))
+_MIXTURE = golden_threshold_mixture(0.5, 8)
+_PARAMS = CounterexampleParams.with_defaults()
+
+
+class TestCheckOnce:
+    """Sums over a validated DiscreteMeasure, ProductMixture or counterexample,
+    and the counterexample's own check of ubar, run on the kernels with no
+    second argument check."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: objective(_MU, 1.0),
+        lambda: mixture_entropy_bounds(_MIXTURE),
+        lambda: entropy_lower_bound(_PARAMS),
+        lambda: union_entropy_upper_bound(_PARAMS),
+        CounterexampleParams.with_defaults,
+    ], ids=["objective", "mixture_entropy_bounds", "entropy_lower_bound",
+            "union_entropy_upper_bound", "CounterexampleParams"])
+    def test_makes_no_unit_interval_check(self, call, monkeypatch):
+        checked = []
+        real = scalars._check_unit_interval
+        monkeypatch.setattr(scalars, "_check_unit_interval",
+                            lambda x, name: checked.append(name) or real(x, name))
+        call()
+        assert checked == []
 
 
 class TestGoldenThreshold:
