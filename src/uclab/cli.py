@@ -53,6 +53,16 @@ TABLE_STACK_CELLS = 1 << 16
 MAX_THEOREM2_TRIALS = 100_000
 # theorem2's default --tol, and the bound on the |slack| of its product tables
 THEOREM2_TOL = 1e-10
+# the coupling flags only delta-search reads; dp refuses them off their defaults
+DELTA_SEARCH_FLAGS = ("alpha", "delta_max", "delta_steps", "v_steps", "mean_steps",
+                      "search_points", "search_restarts")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Parse errors raise ValueError, so main() exits 2 with one line."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -70,7 +80,7 @@ def _add_tol(p: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     """The uclab parser, built once per process: `all` parses its compact
     suites with the same parser as main(), and parsing leaves it unchanged."""
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="uclab",
         description="Numerical checks for union-closed families, entropy "
         "inequalities, and worst-case couplings.",
@@ -427,6 +437,11 @@ def cmd_coupling(args, seed: int):
     if args.action == "dp":
         from .families import load_family
 
+        defaults = build_parser().parse_args(["coupling"])
+        moved = [f"--{k.replace('_', '-')}" for k in DELTA_SEARCH_FLAGS
+                 if getattr(args, k) != getattr(defaults, k)]
+        if moved:
+            raise ValueError(f"only coupling delta-search reads {', '.join(moved)}")
         if not args.family:
             raise ValueError("coupling dp requires --family")
         fam = load_family(args.family)
@@ -500,9 +515,9 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
+        args = build_parser().parse_args(argv)
         seed = _resolve_seed(args)
         results, failures = _HANDLERS[args.command](args, seed)
     except (ValueError, OSError, MemoryError) as exc:

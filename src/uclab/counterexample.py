@@ -106,26 +106,15 @@ class CounterexampleParams:
         return cls(ubar=ubar, u=u, d=d, theta=theta, n=n, trunc=trunc)
 
 
-def _level_weights(params: CounterexampleParams) -> np.ndarray:
-    """Geometric weights (1-theta) theta^k for k = 0..trunc, tail folded
-    into the last level, renormalized."""
-    k = np.arange(params.trunc + 1)
-    w = (1.0 - params.theta) * params.theta ** k
-    w[-1] += params.theta ** (params.trunc + 1)
-    return w / w.sum()
-
-
-def _level_inclusions(params: CounterexampleParams) -> np.ndarray:
-    k = np.arange(params.trunc + 1)
-    return 1.0 - (1.0 - params.ubar) ** (k + 1)
-
-
 def build_counterexample(params: CounterexampleParams) -> ProductMixture:
-    """The mixture itself: level-k weight (1-theta) theta^k (tail folded into
-    the last level), level-k inclusion 1 - (1-ubar)^(k+1)."""
-    ws = _level_weights(params)
-    rs = _level_inclusions(params)
-    return ProductMixture(params.n, tuple(zip(ws, rs)))
+    """The mixture itself: level-k weight (1-theta) theta^k for k = 0..trunc
+    (tail folded into the last level, renormalized), level-k inclusion
+    1 - (1-ubar)^(k+1)."""
+    k = np.arange(params.trunc + 1)
+    ws = (1.0 - params.theta) * params.theta ** k
+    ws[-1] += params.theta ** (params.trunc + 1)
+    rs = 1.0 - (1.0 - params.ubar) ** (k + 1)
+    return ProductMixture(params.n, tuple(zip(ws / ws.sum(), rs)))
 
 
 def marginal_inclusion(params: CounterexampleParams) -> float:
@@ -249,7 +238,7 @@ def exact_small_n_check(params: CounterexampleParams) -> CounterexampleReport:
         and h_a <= mix_upper + 1e-10
         and h_u <= base.union_entropy_upper + 1e-10
         and kl <= base.kl_upper + 1e-10
-        and dist.marginal(1) <= params.u + 1e-12
+        and dist.marginals()[0] <= params.u + 1e-12
     )
     return base._replace(
         exact_entropy=h_a,

@@ -4,7 +4,7 @@ Two identically distributed inclusion rates p and r can be coupled through
 a single shared uniform draw: comonotone when either rate is at least 1/2
 (the union indicator then fires with probability max(p, r)), and antithetic
 with an offset when both are below 1/2 (probability min(p + r, 1/2)).  The
-combined map coupled_union_prob(p, r) = max(p, r, min(p + r, 1/2)) never
+combined map, coupled_union_prob, is max(p, r, min(p + r, 1/2)); it never
 falls below max(p, r), which is the entropy gain this construction buys.
 
 For a measure mu on [0, 1], the smallest possible expected union entropy
@@ -65,10 +65,16 @@ def coupled_union_prob(p, r):
     max(p, r) when either rate is at least 1/2, else min(p + r, 1/2);
     symmetric, and equal to max(p, r, min(p + r, 1/2)) in every case.
     """
-    a = _check_unit_interval(p, "rates")
-    b = _check_unit_interval(r, "rates")
+    return _float_or_array(
+        coupled_union_kernel(_check_unit_interval(p, "rates"), _check_unit_interval(r, "rates"))
+    )
+
+
+def coupled_union_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """coupled_union_prob of two float arrays in [0, 1] (broadcast against
+    each other), without the argument check."""
     both_small = (a < 0.5) & (b < 0.5)
-    return _float_or_array(np.where(both_small, np.minimum(a + b, 0.5), np.maximum(a, b)))
+    return np.where(both_small, np.minimum(a + b, 0.5), np.maximum(a, b))
 
 
 class WorstCouplingReport(NamedTuple):
@@ -87,7 +93,7 @@ class WorstCouplingReport(NamedTuple):
 
 
 def worst_coupling_value(mu: DiscreteMeasure) -> WorstCouplingReport:
-    """Solve min_W sum_ij W_ij H(coupled_union_prob(x_i, x_j)) over couplings
+    """Solve min_W sum_ij W_ij H(coupled_union_kernel(x_i, x_j)) over couplings
     W with both marginals mu.
 
     Two atoms have a closed form: every coupling is [[w0-t, t], [t, w1-t]]
@@ -104,7 +110,7 @@ def worst_coupling_value(mu: DiscreteMeasure) -> WorstCouplingReport:
     m = x.size
     if m > MAX_LP_ATOMS:
         raise ValueError(f"worst-coupling LP is limited to {MAX_LP_ATOMS} atoms")
-    cost = entropy_kernel(coupled_union_prob(x[:, None], x[None, :]))
+    cost = entropy_kernel(coupled_union_kernel(x[:, None], x[None, :]))
     independent = float(w @ cost @ w)
     if m == 1:
         weights = np.ones((1, 1))
@@ -238,9 +244,7 @@ def improved_slack(mu: DiscreteMeasure, alpha: float) -> float:
     objective(mu, 1).value and solves no coupling.  This is the scoring
     path of delta_search for every measure it builds one at a time.
     """
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
+    alpha = float(_check_unit_interval(alpha, "alpha"))
     rep = objective(mu, 1.0)
     if alpha == 0.0:
         return rep.value
@@ -256,7 +260,7 @@ def _two_atom_class(v: np.ndarray, w: np.ndarray, alpha: float):
     products there, over the full 2x2 union-entropy matrix (union_prob(v, 1)
     is not always exactly 1).  The cost row and column of the atom at 1 are
     exactly 0, so the worst coupling is
-    max(0, 2w - 1) * H(coupled_union_prob(v, v)); at alpha = 0 the blend
+    max(0, 2w - 1) * H(coupled_union_kernel(v, v)); at alpha = 0 the blend
     gives the bits of quad - lin.
     """
     x = np.stack([v, np.ones_like(v)], axis=1)
@@ -265,7 +269,7 @@ def _two_atom_class(v: np.ndarray, w: np.ndarray, alpha: float):
     mean = (x[:, None, :] @ col)[:, 0, 0]
     lin = (row @ entropy_kernel(x)[:, :, None])[:, 0, 0]
     quad = (row @ entropy_kernel(union_kernel(x[:, :, None], x[:, None, :])) @ col)[:, 0, 0]
-    worst = np.maximum(0.0, 2.0 * w - 1.0) * entropy_kernel(coupled_union_prob(v, v))
+    worst = np.maximum(0.0, 2.0 * w - 1.0) * entropy_kernel(coupled_union_kernel(v, v))
     return mean, lin, (1.0 - alpha) * quad + alpha * worst - lin
 
 
@@ -335,9 +339,7 @@ def delta_search(
     measures are built one at a time, and each of them is scored by
     improved_slack.
     """
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
+    alpha = float(_check_unit_interval(alpha, "alpha"))
     if min(u_cap_steps, search_points, search_restarts) < 1:
         raise ValueError("u_cap_steps, search_points and search_restarts must be positive")
     if min(v_steps, mean_steps) < 0:
@@ -481,7 +483,8 @@ def greedy_coupling_dp(f: Family, literal_rates: bool = False) -> CouplingProces
     sets = f.sets
     states = {(0, 0): 1.0}
     for i in range(n):
-        low = (1 << i) - 1
+        bit = 1 << i
+        low = bit - 1
         rates = {}
         for s in sets:
             pref = s & low
@@ -500,44 +503,29 @@ def greedy_coupling_dp(f: Family, literal_rates: bool = False) -> CouplingProces
                     if prob > 1e-12:
                         raise RuntimeError("positive mass on an unrealizable prefix")
                     continue
-            # transition masses in cancellation-free form, so impossible
-            # moves are exact zeros and no phantom prefixes appear
+            # transition masses (p11, p10, p01, p00) in cancellation-free
+            # form, so impossible moves are exact zeros and no phantom
+            # prefixes appear
             if pa >= 0.5 or pc >= 0.5:
-                p11 = min(pa, pc)
-                p10 = max(pa - pc, 0.0)
-                p01 = max(pc - pa, 0.0)
-                p00 = 1.0 - max(pa, pc)
+                masses = (min(pa, pc), max(pa - pc, 0.0), max(pc - pa, 0.0), 1.0 - max(pa, pc))
             else:
-                p11 = max(0.0, pa + pc - 0.5)
-                p10 = min(pa, 0.5 - pc)
-                p01 = min(pc, 0.5 - pa)
-                p00 = max(1.0 - pa - pc, 0.5)
-            bit = 1 << i
-            for (da, dc, p) in (
-                (bit, bit, p11),
-                (bit, 0, p10),
-                (0, bit, p01),
-                (0, 0, p00),
-            ):
+                masses = (max(0.0, pa + pc - 0.5), min(pa, 0.5 - pc), min(pc, 0.5 - pa),
+                          max(1.0 - pa - pc, 0.5))
+            for (da, dc), p in zip(((bit, bit), (bit, 0), (0, bit), (0, 0)), masses):
                 if p <= 0.0:
                     continue
                 key = (a | da, c | dc)
                 nxt[key] = nxt.get(key, 0.0) + prob * p
         states = nxt
     size = len(sets)
-    uniform = 1.0 / size
-    marg_a = {}
-    marg_c = {}
-    for (a, c), p in states.items():
-        marg_a[a] = marg_a.get(a, 0.0) + p
-        marg_c[c] = marg_c.get(c, 0.0) + p
+    # each side's marginal against its target: 1/size on members, 0 elsewhere
+    uniform = dict.fromkeys(sets, 1.0 / size)
     dev = 0.0
-    for side in (marg_a, marg_c):
-        for s in sets:
-            dev = max(dev, abs(side.get(s, 0.0) - uniform))
-        for s, p in side.items():
-            if s not in sets:
-                dev = max(dev, p)
+    for side in (0, 1):
+        marg = dict.fromkeys(sets, 0.0)
+        for pair, p in states.items():
+            marg[pair[side]] = marg.get(pair[side], 0.0) + p
+        dev = max(dev, *(abs(p - uniform.get(s, 0.0)) for s, p in marg.items()))
     union_law = {}
     for (a, c), p in states.items():
         union_law[a | c] = union_law.get(a | c, 0.0) + p

@@ -23,13 +23,14 @@ import numpy as np
 from . import DEFAULT_SEED
 from .scalars import (
     GOLDEN_THRESHOLD,
+    _check_distribution,
+    _check_unit_interval,
     entropy_kernel,
     entropy_ratio_bound,
     entropy_ratio_bound_array,
     union_kernel,
 )
 
-WEIGHT_TOL = 1e-12
 MEAN_SLACK = 1e-12
 # restarts of one pool size m descend together in stacks of at most this
 # many R * m * m cells (at least one row), across every search point of a
@@ -80,22 +81,14 @@ class DiscreteMeasure:
         ws = np.asarray(self.weights, dtype=float)
         if locs.ndim != 1 or ws.shape != locs.shape or locs.size == 0:
             raise ValueError("locations and weights must be matching 1-d arrays")
-        if not (np.all(np.isfinite(locs)) and np.all(np.isfinite(ws))):
-            raise ValueError("atoms must be finite")
-        if np.any(locs < 0.0) or np.any(locs > 1.0):
-            raise ValueError("locations must lie in [0, 1]")
+        _check_unit_interval(locs, "locations")
         if np.any(np.diff(locs) <= 0.0):
             raise ValueError("locations must be strictly increasing")
-        if np.any(ws < 0.0):
-            raise ValueError("weights must be nonnegative")
-        if abs(ws.sum() - 1.0) > WEIGHT_TOL:
-            raise ValueError("weights must sum to 1")
-        locs = locs.copy()
-        ws = ws.copy()
-        locs.setflags(write=False)
-        ws.setflags(write=False)
-        object.__setattr__(self, "locations", locs)
-        object.__setattr__(self, "weights", ws)
+        _check_distribution(ws, "weights")
+        for name, arr in (("locations", locs), ("weights", ws)):
+            arr = arr.copy()
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def from_pairs(cls, pairs) -> "DiscreteMeasure":
@@ -116,8 +109,7 @@ class DiscreteMeasure:
     @classmethod
     def two_atom(cls, v: float, w: float) -> "DiscreteMeasure":
         """Mass w at v and mass 1 - w at 1."""
-        if not 0.0 <= w <= 1.0:
-            raise ValueError("w must lie in [0, 1]")
+        _check_unit_interval(w, "w")
         return cls.from_pairs([(v, w), (1.0, 1.0 - w)])
 
     def mean(self) -> float:

@@ -31,6 +31,9 @@ GOLDEN_THRESHOLD = (3.0 - math.sqrt(5.0)) / 2.0
 # Golden ratio (1 + sqrt(5))/2, equal to 2/(sqrt(5) - 1).
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
+# how far the total of a probability vector may sit from 1
+NORMALIZATION_TOL = 1e-12
+
 
 def _check_unit_interval(x, name):
     arr = np.asarray(x, dtype=float)
@@ -38,6 +41,19 @@ def _check_unit_interval(x, name):
         raise ValueError(f"{name} must be finite")
     if np.any(arr < 0.0) or np.any(arr > 1.0):
         raise ValueError(f"{name} must lie in [0, 1]")
+    return arr
+
+
+def _check_distribution(p, name):
+    """p as a float array, each row along its last axis finite,
+    nonnegative and summing to 1 within NORMALIZATION_TOL."""
+    arr = np.asarray(p, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
+    if np.any(arr < 0.0):
+        raise ValueError(f"{name} must be nonnegative")
+    if np.any(np.abs(arr.sum(axis=-1) - 1.0) > NORMALIZATION_TOL):
+        raise ValueError(f"{name} must sum to 1")
     return arr
 
 

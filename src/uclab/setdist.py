@@ -36,7 +36,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .scalars import GOLDEN_THRESHOLD, PHI, entropy_kernel, entropy_ratio_bound_array
+from .scalars import (
+    GOLDEN_THRESHOLD,
+    PHI,
+    _check_distribution,
+    _check_unit_interval,
+    entropy_kernel,
+    entropy_ratio_bound_array,
+)
 
 # Explicit tables are capped here; beyond it only mixture bound arithmetic
 # stays exact, and pretending otherwise would be dishonest about memory.
@@ -45,8 +52,6 @@ MAX_EXPLICIT_N = 24
 # Probabilities below this are treated as exact zeros inside entropy and KL
 # sums, so log() is never fed a denormal-or-zero value.
 PROB_FLOOR = 1e-300
-
-NORMALIZATION_TOL = 1e-12
 
 
 def _check_n(n) -> None:
@@ -62,21 +67,10 @@ def _split(probs: np.ndarray, i: int) -> np.ndarray:
     return probs.reshape(*probs.shape[:-1], -1, 2, 1 << (i - 1))
 
 
-def _check_tables(probs: np.ndarray) -> None:
-    """Raise ValueError unless each table along the last axis is finite,
-    nonnegative and sums to 1 within NORMALIZATION_TOL."""
-    if not np.all(np.isfinite(probs)):
-        raise ValueError("probabilities must be finite")
-    if np.any(probs < 0.0):
-        raise ValueError("probabilities must be nonnegative")
-    if np.any(np.abs(probs.sum(axis=-1) - 1.0) > NORMALIZATION_TOL):
-        raise ValueError("probabilities must sum to 1")
-
-
 def _marginal_rows(probs: np.ndarray, n: int) -> np.ndarray:
     """(..., n) inclusion probabilities of a stack of 2^n tables.  Entry
     i - 1 sums the row's element-i-present half, copied out in mask order,
-    so each entry has the bits of `marginal(i)` on that row alone."""
+    so a row of the stack gives the bits of its table alone."""
     lead = probs.shape[:-1]
     out = np.empty((*lead, n))
     for i in range(1, n + 1):
@@ -107,7 +101,7 @@ class ExplicitSetDistribution:
         probs = np.asarray(self.probs, dtype=float)
         if probs.shape != (1 << self.n,):
             raise ValueError(f"probs must have length 2^{self.n}")
-        _check_tables(probs)
+        _check_distribution(probs, "probabilities")
         probs = probs.copy()
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
@@ -139,14 +133,9 @@ class ExplicitSetDistribution:
         """Shannon entropy -sum p log p in nats."""
         return float(_entropy_rows(self.probs))
 
-    def marginal(self, i: int) -> float:
-        """Probability that element i (1-based) lies in the sampled set."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"element index must be in 1..{self.n}")
-        return float(_split(self.probs, i)[:, 1, :].ravel().sum())
-
     def marginals(self) -> np.ndarray:
-        """Inclusion probability of every element, each equal to marginal(i)."""
+        """Inclusion probability of every element: entry i - 1 is the
+        probability that element i lies in the sampled set."""
         return _marginal_rows(self.probs, self.n)
 
 
@@ -223,14 +212,8 @@ class ProductMixture:
         comps = tuple((float(w), float(r)) for w, r in self.components)
         if not comps:
             raise ValueError("mixture needs at least one component")
-        ws = np.array([w for w, _ in comps])
-        rs = np.array([r for _, r in comps])
-        if np.any(ws < 0.0) or not np.all(np.isfinite(ws)):
-            raise ValueError("weights must be nonnegative and finite")
-        if abs(ws.sum() - 1.0) > NORMALIZATION_TOL:
-            raise ValueError("weights must sum to 1")
-        if np.any(rs < 0.0) or np.any(rs > 1.0) or not np.all(np.isfinite(rs)):
-            raise ValueError("inclusion probabilities must lie in [0, 1]")
+        _check_distribution([w for w, _ in comps], "weights")
+        _check_unit_interval([r for _, r in comps], "inclusion probabilities")
         object.__setattr__(self, "components", comps)
 
     def weights(self) -> np.ndarray:
@@ -238,10 +221,6 @@ class ProductMixture:
 
     def inclusions(self) -> np.ndarray:
         return np.array([r for _, r in self.components])
-
-    def marginal(self) -> float:
-        """Inclusion probability of any single element (all elements alike)."""
-        return float(np.dot(self.weights(), self.inclusions()))
 
 
 def mixture_entropy_bounds(m: ProductMixture) -> tuple:
@@ -284,8 +263,7 @@ def product_bernoulli(n: int, u: float) -> ExplicitSetDistribution:
     Entropy is exactly n H(u); this is the equality case of the union
     entropy bound whenever u stays at or below the golden threshold.
     """
-    if not 0.0 <= u <= 1.0:
-        raise ValueError("u must lie in [0, 1]")
+    _check_unit_interval(u, "u")
     _check_n(n)
     return ExplicitSetDistribution(n, product_tables(n, u))
 
@@ -298,8 +276,7 @@ def golden_threshold_mixture(u: float, n: int) -> ProductMixture:
     Requires u >= GOLDEN_THRESHOLD so the first weight stays in [0, 1];
     the mixture's per-element marginal is exactly u.
     """
-    if not 0.0 <= u <= 1.0:
-        raise ValueError("u must lie in [0, 1]")
+    _check_unit_interval(u, "u")
     w = (1.0 - u) * PHI
     if w > 1.0 + 1e-12:
         raise ValueError("u must be at least the golden threshold")
@@ -327,7 +304,7 @@ def union_entropy_rows(probs: np.ndarray, n: int) -> tuple:
     degenerates there: its lhs, rhs, slack and ratio bound are NaN.  Each
     checked row gets the bits union_entropy_check gives its table alone.
     """
-    _check_tables(probs)
+    _check_distribution(probs, "probabilities")
     u = _marginal_rows(probs, n).max(axis=-1)
     lhs, rhs, lam = (np.full(u.shape, np.nan) for _ in range(3))
     live = (u > 0.0) & (u < 1.0)
@@ -335,7 +312,7 @@ def union_entropy_rows(probs: np.ndarray, n: int) -> tuple:
         p = probs if live.all() else probs[live]
         z = _subset_transform(p, n, np.add)
         union = _union_tables(z * z, n)
-        _check_tables(union)
+        _check_distribution(union, "probabilities")
         lam[live] = entropy_ratio_bound_array(u[live])
         lhs[live] = _entropy_rows(union)
         rhs[live] = lam[live] * _entropy_rows(p)

@@ -112,6 +112,13 @@ def _h(r):
     return -sum(x * math.log(x) for x in (r, 1.0 - r) if x > 0.0)
 
 
+def marginal_slice(d, i):
+    """Probability that element i (1-based) lies in a set drawn from d:
+    the element-i-present half of the table on its own, summed in mask
+    order.  Each entry of the stacked marginals kernel has these bits."""
+    return float(_split(d.probs, i)[:, 1, :].ravel().sum())
+
+
 def marginal_loop(d, i):
     return sum(float(d.probs[m]) for m in range(1 << d.n) if _has(m, i))
 
@@ -196,10 +203,10 @@ def filter_union_closed_codes(n):
 
 def union_check_loop(d):
     """union_entropy_check on one table from its parts: the largest
-    marginal(i), the scalar bound factor, the entropy of
+    marginal_slice, the scalar bound factor, the entropy of
     union_of_independent(d, d) and of d; None when the largest marginal is
     0 or 1."""
-    u = max(d.marginal(i) for i in range(1, d.n + 1))
+    u = max(marginal_slice(d, i) for i in range(1, d.n + 1))
     if not 0.0 < u < 1.0:
         return None
     lam = entropy_ratio_bound(u)
@@ -249,6 +256,13 @@ def highs_transport_value(cost, w):
     a and b) and in the objective weights w, so both are scaled by 1e6 and
     the value scaled back, which shrinks that error below 1e-12.  The
     constraint matrix is sparse.
+
+    When the optimum is exactly 0 (the atom at 1 holds at least half the
+    mass, and its cost row and column are 0), HiGHS can stop on the dual
+    with model status 15, "Unknown" (scipy's status 4).  Then the primal
+    transport LP, scaled the same way, gives the value; HiGHS's
+    interior-point method does not finish on it at this scale, so its
+    default method solves it.
     """
     from scipy import sparse
     from scipy.optimize import linprog
@@ -263,8 +277,18 @@ def highs_transport_value(cost, w):
         bounds=(None, None),
         method="highs",
     )
+    if res.status == 0:
+        return -float(res.fun) / (scale * scale)
+    # row i of W sums entries i*m .. i*m + m-1, column j entries j, m + j, ...
+    res = linprog(
+        scale * cost.ravel(),
+        A_eq=sparse.vstack([sparse.kron(eye, ones.T), sparse.kron(ones.T, eye)], format="csr"),
+        b_eq=scale * np.concatenate([w, w]),
+        bounds=(0.0, None),
+        method="highs",
+    )
     assert res.status == 0, res.message
-    return -float(res.fun) / (scale * scale)
+    return float(res.fun) / (scale * scale)
 
 
 def delta_search_loop(alpha, u_cap_steps=200, delta_max=0.02, v_steps=96, mean_steps=96,

@@ -19,10 +19,18 @@ from hypothesis import strategies as st
 import uclab
 import uclab.cli
 import uclab.coupling
+import uclab.families
 import uclab.measures
 import uclab.setdist
 from helpers import reference_report_text, theorem2_loop, third_derivative_worst_loop
-from uclab.cli import MAX_RANDOM_TABLE_N, MAX_SCALAR_GRID, MAX_THEOREM2_TRIALS, build_parser, main
+from uclab.cli import (
+    DELTA_SEARCH_FLAGS,
+    MAX_RANDOM_TABLE_N,
+    MAX_SCALAR_GRID,
+    MAX_THEOREM2_TRIALS,
+    build_parser,
+    main,
+)
 from uclab.counterexample import MAX_N, MAX_TRUNC
 from uclab.coupling import MAX_DELTA_GRID_CELLS
 from uclab.reportio import dumps_json
@@ -56,10 +64,28 @@ class TestExitCodes:
         assert report["passed"] is False
         assert any("lemma.two_atom_scan" in item for item in report["failures"])
 
-    def test_bad_arguments_exit_two(self, capsys):
+    # argparse's texts, up to the list of choices, whose quoting varies
+    # between Python versions
+    @pytest.mark.parametrize("argv,message", [
+        (["bogus"], "argument command: invalid choice: 'bogus' (choose from "),
+        ([], "the following arguments are required: command"),
+        (["scalar", "--grid", "abc"], "argument --grid: invalid int value: 'abc'"),
+        (["scalar", "--bogus"], "unrecognized arguments: --bogus"),
+        (["lemma", "--tol"], "argument --tol: expected one argument"),
+    ], ids=["command", "no-command", "int", "flag", "no-value"])
+    def test_bad_arguments_exit_two(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"uclab: error: {message}"), lines
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["coupling", "--help"]])
+    def test_help_and_version_still_exit_zero(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["bogus"])
-        assert exc.value.code == 2
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().err == ""
 
     def test_bad_values_exit_two(self, tmp_path):
         code = main(["counterexample", "--ubar", "0.5", "--u", "0.3",
@@ -451,10 +477,10 @@ class TestTolerance:
                                          ["coupling", "delta-search"], ["all"]])
     def test_tol_is_not_accepted_where_it_is_not_read(self, command, tmp_path, capsys):
         out = tmp_path / "x.json"
-        with pytest.raises(SystemExit) as exc:
-            main([*command, "--tol=1e-9", "--out", str(out)])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --tol=1e-9" in capsys.readouterr().err
+        assert main([*command, "--tol=1e-9", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "uclab: error: unrecognized arguments: --tol=1e-9"
+        ]
         assert not out.exists()
 
     def test_zero_tol_is_allowed(self, tmp_path):
@@ -480,16 +506,56 @@ class TestCouplingFlags:
         ]
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags,named", [
+        (["--alpha", "0.7"], "--alpha"),
+        (["--alpha", "nan"], "--alpha"),
+        (["--delta-max", "0.01"], "--delta-max"),
+        (["--delta-steps", "100"], "--delta-steps"),
+        (["--v-steps", "0"], "--v-steps"),
+        (["--mean-steps", "-1"], "--mean-steps"),
+        (["--search-points", "5"], "--search-points"),
+        (["--search-restarts", "5"], "--search-restarts"),
+        (["--alpha", "0.7", "--search-restarts", "5"], "--alpha, --search-restarts"),
+    ])
+    def test_delta_search_flag_exits_two_on_dp_before_reading_the_family(
+            self, flags, named, tmp_path, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("coupling dp went on with a delta-search flag")
+
+        monkeypatch.setattr(uclab.families, "load_family", no_work)
+        out = tmp_path / "x.json"
+        assert main(["coupling", "dp", "--family", "fam.txt", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"uclab: error: only coupling delta-search reads {named}"
+        ]
+        assert not out.exists()
+
+    def test_delta_search_flags_at_their_defaults_leave_the_dp_report_alone(self, tmp_path):
+        fam = tmp_path / "fam.txt"
+        save_family(Family.of(2, [0b00, 0b01, 0b11]), fam)
+        plain = run(["coupling", "dp", "--family", str(fam)], tmp_path, "plain.json")
+        defaults = vars(build_parser().parse_args(["coupling"]))
+        flags = [f"--{k.replace('_', '-')}={defaults[k]}" for k in DELTA_SEARCH_FLAGS]
+        echoed = run(["coupling", "dp", "--family", str(fam), *flags], tmp_path, "echo.json")
+        assert plain[0] == echoed[0] == 0
+        assert plain[1].read_bytes() == echoed[1].read_bytes()
+
+    def test_delta_search_flags_are_the_coupling_flags_dp_does_not_read(self):
+        dests = set(vars(build_parser().parse_args(["coupling"])))
+        assert dests - set(DELTA_SEARCH_FLAGS) == {
+            "command", "action", "family", "literal_rates", "out", "format", "seed"
+        }
+
 
 class TestJobs:
     @pytest.mark.parametrize("command", [["scalar"], ["families"], ["theorem2"],
                                          ["counterexample"], ["coupling"], ["all"], ["lemma"]])
     def test_jobs_is_not_accepted_where_it_is_not_read(self, command, tmp_path, capsys):
         out = tmp_path / "x.json"
-        with pytest.raises(SystemExit) as exc:
-            main([*command, "--jobs=1", "--out", str(out)])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --jobs=1" in capsys.readouterr().err
+        assert main([*command, "--jobs=1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "uclab: error: unrecognized arguments: --jobs=1"
+        ]
         assert not out.exists()
 
 
@@ -1307,11 +1373,35 @@ _FUZZ_FLOAT_ARGV = st.one_of(
 )
 
 
+# every integer flag at text with no digit in it, an unknown flag on every
+# subcommand, and coupling dp with a delta-search flag (at its default
+# value too, where the missing family file is what refuses it): all exit 2
+_INT_FLAGS = (["scalar", "--grid"], ["families", "--n"], ["theorem2", "--trials"],
+              ["theorem2", "--max-n"], ["lemma", "--u-steps"], ["lemma", "--v-steps"],
+              ["lemma", "--restarts"], ["lemma", "--atom-grid"], ["lemma", "--search-points"],
+              ["counterexample", "--n"], ["counterexample", "--trunc"],
+              ["coupling", "--delta-steps"], ["coupling", "--v-steps"],
+              ["coupling", "--mean-steps"], ["coupling", "--search-points"],
+              ["coupling", "--search-restarts"], ["scalar", "--seed"])
+_FUZZ_REFUSED_ARGV = st.one_of(
+    st.tuples(st.sampled_from(_INT_FLAGS), st.text(alphabet="abxyz.+-_ e", max_size=6)).map(
+        lambda t: (t[0][0], f"{t[0][1]}={t[1]}")),
+    st.tuples(st.sampled_from(["scalar", "lemma", "families", "theorem2", "counterexample",
+                               "coupling", "all"]),
+              st.text(alphabet="abcdefghijklmnopqrstuvwxyz-", min_size=1, max_size=8).map(
+                  lambda name: f"--x{name}")),
+    st.tuples(st.just("coupling"), st.just("dp"), st.just("--family=no-such-family.txt"),
+              st.sampled_from([f"--{k.replace('_', '-')}" for k in DELTA_SEARCH_FLAGS]),
+              st.sampled_from(["0", "1", "-1", "nan", "5", "7", "0.05", "112"])).map(
+        lambda t: (*t[:3], f"{t[3]}={t[4]}")),
+)
+
+
 def _assert_clean_exit(argv, seed):
     """The exit contract: 0, 1 or 2; exit 2 prints exactly one
     `uclab: error:` line and leaves --out absent; exits 0 and 1 write a
     report to --out that parses, with every float finite and every
-    failure named `<command>.<item>`."""
+    failure named `<command>.<item>`.  Returns the exit code."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "report.json"
@@ -1327,6 +1417,7 @@ def _assert_clean_exit(argv, seed):
             report = json.loads(path.read_text(), parse_constant=_finite_only)
             assert report["passed"] is (code == 0)
             assert all(f.startswith(f"{argv[0]}.") for f in report["failures"]), report
+    return code
 
 
 @given(argv=_FUZZ_ARGV, seed=st.integers(min_value=0, max_value=3))
@@ -1339,6 +1430,12 @@ def test_fuzz_small_flags_exit_cleanly(argv, seed):
 @settings(max_examples=100, deadline=None, database=None)
 def test_fuzz_float_flags_exit_cleanly(argv, seed):
     _assert_clean_exit(argv, seed)
+
+
+@given(argv=_FUZZ_REFUSED_ARGV, seed=st.integers(min_value=0, max_value=3))
+@settings(max_examples=100, deadline=None, database=None)
+def test_fuzz_refused_arguments_exit_two(argv, seed):
+    assert _assert_clean_exit(argv, seed) == 2
 
 
 # a file that each loader reads well: masks {0, 1, 3} (union-closed), a

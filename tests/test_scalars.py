@@ -6,16 +6,25 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import binary_entropy_gather, third_deriv_numerator
+import uclab.coupling
 from uclab import scalars
 from uclab.counterexample import (
     CounterexampleParams,
     entropy_lower_bound,
     union_entropy_upper_bound,
 )
+from uclab.coupling import _two_atom_class, worst_coupling_value
 from uclab.measures import DiscreteMeasure, objective
-from uclab.setdist import golden_threshold_mixture, mixture_entropy_bounds
+from uclab.setdist import (
+    ExplicitSetDistribution,
+    ProductMixture,
+    golden_threshold_mixture,
+    mixture_entropy_bounds,
+    union_entropy_rows,
+)
 from uclab.scalars import (
     GOLDEN_THRESHOLD,
+    NORMALIZATION_TOL,
     PHI,
     binary_entropy,
     d3_entropy_of_square,
@@ -161,8 +170,9 @@ _PARAMS = CounterexampleParams.with_defaults()
 
 class TestCheckOnce:
     """Sums over a validated DiscreteMeasure, ProductMixture or counterexample,
-    and the counterexample's own check of ubar, run on the kernels with no
-    second argument check."""
+    the counterexample's own check of ubar, and the coupling costs of a
+    validated measure or of delta_search's two-atom grid, run on the kernels
+    with no second argument check."""
 
     @pytest.mark.parametrize("call", [
         lambda: objective(_MU, 1.0),
@@ -170,15 +180,53 @@ class TestCheckOnce:
         lambda: entropy_lower_bound(_PARAMS),
         lambda: union_entropy_upper_bound(_PARAMS),
         CounterexampleParams.with_defaults,
+        lambda: worst_coupling_value(_MU),
+        lambda: _two_atom_class(np.array([0.1, GOLDEN_THRESHOLD]), np.array([0.9, 0.6]), 0.05),
     ], ids=["objective", "mixture_entropy_bounds", "entropy_lower_bound",
-            "union_entropy_upper_bound", "CounterexampleParams"])
+            "union_entropy_upper_bound", "CounterexampleParams", "worst_coupling_value",
+            "_two_atom_class"])
     def test_makes_no_unit_interval_check(self, call, monkeypatch):
         checked = []
         real = scalars._check_unit_interval
-        monkeypatch.setattr(scalars, "_check_unit_interval",
-                            lambda x, name: checked.append(name) or real(x, name))
+        for module in (scalars, uclab.coupling):
+            monkeypatch.setattr(module, "_check_unit_interval",
+                                lambda x, name: checked.append(name) or real(x, name))
         call()
         assert checked == []
+
+
+_LOCATIONS = [0.1, 0.3, 0.6, 0.9]
+
+
+class TestCheckDistribution:
+    """One weight rule, NORMALIZATION_TOL = 1e-12 from scalars, behind every
+    validated measure, mixture, table and stack of tables."""
+
+    CONSTRUCTORS = {
+        "DiscreteMeasure": (lambda p: DiscreteMeasure(np.array(_LOCATIONS), p), "weights"),
+        "ProductMixture": (lambda p: ProductMixture(3, tuple(zip(p, _LOCATIONS))), "weights"),
+        "ExplicitSetDistribution": (lambda p: ExplicitSetDistribution(2, p), "probabilities"),
+        "union_entropy_rows": (lambda p: union_entropy_rows(np.stack([np.full(4, 0.25), p]), 2),
+                               "probabilities"),
+    }
+
+    @pytest.mark.parametrize("build", CONSTRUCTORS)
+    @pytest.mark.parametrize("probs,text", [
+        ([0.25, np.nan, 0.25, 0.25], "must be finite"),
+        ([0.5, -0.1, 0.3, 0.3], "must be nonnegative"),
+        ([0.25 + 2e-12, 0.25, 0.25, 0.25], "must sum to 1"),
+        ([0.25 - 2e-12, 0.25, 0.25, 0.25], "must sum to 1"),
+    ], ids=["nan", "negative", "over", "under"])
+    def test_refused_with_the_name(self, build, probs, text):
+        make, name = self.CONSTRUCTORS[build]
+        with pytest.raises(ValueError, match=f"^{name} {text}$"):
+            make(np.array(probs))
+
+    @pytest.mark.parametrize("build", CONSTRUCTORS)
+    @pytest.mark.parametrize("off", [5e-13, -5e-13])
+    def test_sum_within_the_tolerance_is_accepted(self, build, off):
+        assert NORMALIZATION_TOL == 1e-12
+        self.CONSTRUCTORS[build][0](np.array([0.25 + off, 0.25, 0.25, 0.25]))
 
 
 class TestGoldenThreshold:
