@@ -178,6 +178,7 @@ def cmd_scalar(args, seed: int):
     from .scalars import (
         GOLDEN_THRESHOLD,
         PHI,
+        _check_count,
         binary_entropy,
         d3_entropy_of_square,
         d3_s_entropy,
@@ -187,9 +188,7 @@ def cmd_scalar(args, seed: int):
         union_prob,
     )
 
-    grid = args.grid
-    if not 0 < grid <= MAX_SCALAR_GRID:
-        raise ValueError(f"--grid must be a positive integer of at most {MAX_SCALAR_GRID}")
+    grid = _check_count(args.grid, "--grid", high=MAX_SCALAR_GRID)
     tol_sym = 1e-14
     rows = []
     failures = []
@@ -296,7 +295,7 @@ def cmd_families(args, seed: int):
 
 
 def cmd_theorem2(args, seed: int):
-    from .scalars import GOLDEN_THRESHOLD
+    from .scalars import GOLDEN_THRESHOLD, _check_count
     from .setdist import (
         expand_mixture,
         load_distribution,
@@ -310,12 +309,8 @@ def cmd_theorem2(args, seed: int):
         # the file checks are nested records, which a one-row table drops
         raise ValueError("theorem2 --dist-file/--mixture-file write JSON only; "
                          "drop --format csv to see the file checks")
-    if args.trials < 1:
-        raise ValueError("--trials must be a positive integer")
-    if args.trials > MAX_THEOREM2_TRIALS:
-        raise ValueError(f"--trials must be at most {MAX_THEOREM2_TRIALS}, got {args.trials}")
-    if not 2 <= args.max_n <= MAX_RANDOM_TABLE_N:
-        raise ValueError(f"--max-n must lie in 2..{MAX_RANDOM_TABLE_N}")
+    _check_count(args.trials, "--trials", high=MAX_THEOREM2_TRIALS)
+    _check_count(args.max_n, "--max-n", low=2, high=MAX_RANDOM_TABLE_N)
     tol = _tol(args, THEOREM2_TOL)
     # the input files are read and checked first, so a bad one exits 2
     # before any random table is drawn
@@ -386,7 +381,7 @@ def _check_random_tables(stacks, used, worst_case):
     """Check the first used[n] tables of each n's stack (see cmd_theorem2),
     empty the stacks, and return the worst case so far: the smallest slack,
     ties to the earliest trial, or None while every table was skipped for a
-    0/1 marginal."""
+    0/1 marginal (union_entropy_rows leaves their slack NaN)."""
     from .setdist import union_entropy_rows
 
     for n, (tabs, trials, supports) in sorted(stacks.items()):
@@ -395,7 +390,7 @@ def _check_random_tables(stacks, used, worst_case):
             continue
         u, _, _, slack, _ = union_entropy_rows(tabs[:count], n)
         tabs[:count] = 0.0
-        live = np.flatnonzero((u > 0.0) & (u < 1.0))
+        live = np.flatnonzero(~np.isnan(slack))
         if live.size == 0:
             continue
         j = int(live[np.argmin(slack[live])])

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .scalars import entropy_kernel, union_kernel
+from .scalars import _check_count, _check_open_unit_interval, entropy_kernel, union_kernel
 from .setdist import (
     ProductMixture,
     _plogp,
@@ -42,14 +42,9 @@ MAX_TRUNC = 1_000_000
 MAX_N = 2**53
 
 
-def _check_theta(theta: float) -> None:
-    if not 0.0 < theta < 1.0:
-        raise ValueError("theta must lie strictly inside (0, 1)")
-
-
 def default_truncation(theta: float) -> int:
     """Truncation level K with geometric tail mass theta^(K+1) below 1e-12."""
-    _check_theta(theta)
+    _check_open_unit_interval(theta, "theta")
     return max(2, math.ceil(30.0 / -math.log(theta)))
 
 
@@ -73,19 +68,15 @@ class CounterexampleParams:
     def __post_init__(self):
         if not 0.0 < self.ubar < self.u < 1.0:
             raise ValueError("need 0 < ubar < u < 1")
-        _check_theta(self.theta)
+        _check_open_unit_interval(self.theta, "theta")
         ubar = np.array(self.ubar)
         base_ratio = float(entropy_kernel(union_kernel(ubar, ubar)) / entropy_kernel(ubar))
         if not base_ratio < self.d < math.inf:
             raise ValueError(
                 f"d must be finite and exceed the base entropy ratio {base_ratio:.6f} at ubar"
             )
-        if not isinstance(self.n, int) or not 1 <= self.n <= MAX_N:
-            raise ValueError(f"n must be a positive integer of at most {MAX_N}")
-        if not isinstance(self.trunc, int) or self.trunc < 1:
-            raise ValueError("trunc must be a positive integer")
-        if self.trunc > MAX_TRUNC:
-            raise ValueError(f"trunc must be at most {MAX_TRUNC}, got {self.trunc}")
+        _check_count(self.n, "n", high=MAX_N)
+        _check_count(self.trunc, "trunc", high=MAX_TRUNC)
         if self.theta ** (self.trunc + 1) >= TAIL_TOL:
             raise ValueError(
                 f"trunc={self.trunc} leaves geometric tail mass >= {TAIL_TOL}"
@@ -220,10 +211,8 @@ def exact_small_n_check(params: CounterexampleParams) -> CounterexampleReport:
     """Expand the mixture at small n and verify every bound brackets the
     exact value: the mixture entropy bracket contains H(A), the union bound
     dominates H(A u B), and the KL bound dominates D(A u B || A)."""
-    if params.n > 12:
-        raise ValueError("exact expansion is limited to n <= 12")
-    if params.trunc > 20:
-        raise ValueError("exact expansion is limited to trunc <= 20")
+    _check_count(params.n, "n of the exact check", high=12)
+    _check_count(params.trunc, "trunc of the exact check", high=20)
     base = bounds_report(params)
     mixture = build_counterexample(params)
     dist = expand_mixture(mixture)

@@ -41,6 +41,7 @@ from .measures import (
 )
 from .scalars import (
     GOLDEN_THRESHOLD,
+    _check_count,
     _check_unit_interval,
     _float_or_array,
     entropy_kernel,
@@ -108,8 +109,7 @@ def worst_coupling_value(mu: DiscreteMeasure) -> WorstCouplingReport:
     """
     x, w = mu.locations, mu.weights
     m = x.size
-    if m > MAX_LP_ATOMS:
-        raise ValueError(f"worst-coupling LP is limited to {MAX_LP_ATOMS} atoms")
+    _check_count(m, "atoms of the worst-coupling LP", high=MAX_LP_ATOMS)
     cost = entropy_kernel(coupled_union_kernel(x[:, None], x[None, :]))
     independent = float(w @ cost @ w)
     if m == 1:
@@ -340,14 +340,12 @@ def delta_search(
     improved_slack.
     """
     alpha = float(_check_unit_interval(alpha, "alpha"))
-    if min(u_cap_steps, search_points, search_restarts) < 1:
-        raise ValueError("u_cap_steps, search_points and search_restarts must be positive")
-    if min(v_steps, mean_steps) < 0:
-        raise ValueError("v_steps and mean_steps must be nonnegative")
+    _check_count(u_cap_steps, "u_cap_steps")
+    _check_count(v_steps, "v_steps", low=0)
+    _check_count(mean_steps, "mean_steps", low=0)
     # at most MAX_SEARCH_RESTARTS local-search restarts in all
-    for name, value in (("search_points", search_points), ("search_restarts", search_restarts)):
-        if value > MAX_SEARCH_RESTARTS:
-            raise ValueError(f"{name} must be at most {MAX_SEARCH_RESTARTS}, got {value}")
+    _check_count(search_points, "search_points", high=MAX_SEARCH_RESTARTS)
+    _check_count(search_restarts, "search_restarts", high=MAX_SEARCH_RESTARTS)
     # the band just above the threshold holds at most u_cap_steps + 1 means
     cells = (mean_steps + u_cap_steps + 1) * (v_steps + 1)
     if cells > MAX_DELTA_GRID_CELLS:
@@ -475,8 +473,8 @@ def greedy_coupling_dp(f: Family, literal_rates: bool = False) -> CouplingProces
     from .families import is_union_closed
     from .setdist import ExplicitSetDistribution, _plogp, union_of_independent
 
-    if f.n > 10 or f.size() > 64:
-        raise ValueError("coupling DP is limited to n <= 10 and at most 64 sets")
+    _check_count(f.n, "n of the coupling DP", high=10)
+    _check_count(f.size(), "sets of the coupling DP", high=64)
     if not is_union_closed(f):
         raise ValueError("family is not union-closed")
     n = f.n

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .scalars import GOLDEN_THRESHOLD
+from .scalars import GOLDEN_THRESHOLD, _check_count
 from .setdist import _read_records, _write_records
 
 MAX_ENUMERATION_N = 4
@@ -33,8 +33,7 @@ class Family:
     sets: tuple
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError("n must be a positive integer")
+        _check_count(self.n, "n")
         sets = tuple(int(s) for s in self.sets)
         if not sets:
             raise ValueError("family must be nonempty")
@@ -100,8 +99,7 @@ def _union_closed_family_codes(n: int) -> np.ndarray:
     is present for every present t, and s|t >= t > s is already decided.
     Each family is built exactly once.
     """
-    if not 1 <= n <= MAX_ENUMERATION_N:
-        raise ValueError(f"exhaustive enumeration needs 1 <= n <= {MAX_ENUMERATION_N}, got {n}")
+    _check_count(n, "n of the exhaustive enumeration", high=MAX_ENUMERATION_N)
     p = 1 << n
     codes = np.zeros(1, dtype=np.uint32)
     for s in range(p - 1, -1, -1):

@@ -23,7 +23,9 @@ import numpy as np
 from . import DEFAULT_SEED
 from .scalars import (
     GOLDEN_THRESHOLD,
+    _check_count,
     _check_distribution,
+    _check_open_unit_interval,
     _check_unit_interval,
     entropy_kernel,
     entropy_ratio_bound,
@@ -69,9 +71,9 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     return out[keep]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
-    """Finitely supported probability measure on [0, 1]."""
+    """Finitely supported probability measure on [0, 1]; equal only to itself."""
 
     locations: np.ndarray
     weights: np.ndarray
@@ -169,11 +171,8 @@ def two_atom_min_scan(u: float, v_steps: int = 1000, lam: float | None = None) -
     reported, since the trivial zero at v = 0 would otherwise mask them.
     This is the one-row case of _two_atom_scan_rows.
     """
-    u = float(u)
-    if not 0.0 < u < 1.0:
-        raise ValueError("u must lie strictly inside (0, 1)")
-    if v_steps < 2:
-        raise ValueError("v_steps must be at least 2")
+    u = float(_check_open_unit_interval(u, "u"))
+    _check_count(v_steps, "v_steps", low=2)
     if lam is None:
         lam = entropy_ratio_bound(u)
     sizes, slacks, argmins = _two_atom_scan_rows(np.array([u]), np.array([float(lam)]), v_steps)
@@ -289,15 +288,13 @@ def local_search_rows(
     lams = [float(lam) for lam in lams]
     if not len(us) == len(lams) == len(seeds):
         raise ValueError("us, lams and seeds must have the same length")
-    for u, lam in zip(us, lams):
-        if not 0.0 < u < 1.0:
-            raise ValueError("u must lie strictly inside (0, 1)")
+    u_rows, lam_rows = _check_open_unit_interval(us, "u"), np.array(lams)
+    for lam in lams:
         if not math.isfinite(lam):
             raise ValueError(f"lam must be finite, got {lam}")
-    if restarts < 1 or atom_grid < 1:
-        raise ValueError("restarts and atom_grid must be positive")
+    _check_count(restarts, "restarts")
+    _check_count(atom_grid, "atom_grid")
     grid = np.linspace(0.0, 1.0, atom_grid + 1)
-    u_rows, lam_rows = np.array(us), np.array(lams)
     # per point: (value, restart, kept locations, kept weights)
     best = [None] * len(us)
 
@@ -495,18 +492,11 @@ def lemma_certificate(
     scaled factor is finite.  All search points' restarts go to one
     local_search_rows call.
     """
-    if min(u_steps, restarts, atom_grid, search_points) < 1:
-        raise ValueError("u_steps, restarts, atom_grid and search_points must be positive")
-    if v_steps < 2:
-        raise ValueError("v_steps must be at least 2")
-    for name, value, cap in (
-        ("u_steps", u_steps, MAX_LEMMA_U_STEPS),
-        ("v_steps", v_steps, MAX_LEMMA_V_STEPS),
-        ("restarts", restarts, MAX_SEARCH_RESTARTS),
-        ("atom_grid", atom_grid, MAX_ATOM_GRID),
-    ):
-        if value > cap:
-            raise ValueError(f"{name} must be at most {cap}, got {value}")
+    _check_count(u_steps, "u_steps", high=MAX_LEMMA_U_STEPS)
+    _check_count(v_steps, "v_steps", low=2, high=MAX_LEMMA_V_STEPS)
+    _check_count(restarts, "restarts", high=MAX_SEARCH_RESTARTS)
+    _check_count(atom_grid, "atom_grid", high=MAX_ATOM_GRID)
+    _check_count(search_points, "search_points")
     if not 0.0 <= scan_tol < np.inf:
         raise ValueError(f"scan_tol must be finite and nonnegative, got {scan_tol}")
     if not 0.0 < lam_scale < np.inf:

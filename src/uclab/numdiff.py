@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .scalars import _float_or_array
+from .scalars import _check_open_unit_interval, _float_or_array
 
 BASE_STEP = 1e-4
 
@@ -22,10 +22,8 @@ def scaled_step(x):
     Accepts a float or an ndarray (one step per point); any point outside
     the open interval (0, 1) is rejected.
     """
-    arr = np.asarray(x, dtype=float)
+    arr = _check_open_unit_interval(x, "x")
     d = np.minimum(arr, 1.0 - arr)
-    if not np.all(d > 0.0):
-        raise ValueError("x must lie strictly inside (0, 1)")
     return _float_or_array(BASE_STEP * np.minimum(1.0, d / 0.05))
 
 

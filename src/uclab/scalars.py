@@ -16,7 +16,10 @@ formulas free of log-base constants.
 The public functions check their arguments once, compute with the
 unchecked kernels (entropy_kernel, union_kernel), and return a Python float
 for a 0-d result and the array otherwise.  Code inside uclab calls the
-kernels directly on arrays it built in [0, 1].
+kernels directly on arrays it built in [0, 1].  The argument checks here
+hold the one copy of each range rule that every uclab module uses: the
+closed and the open unit interval, a probability vector, and an integer
+count.
 """
 
 from __future__ import annotations
@@ -58,10 +61,22 @@ def _check_distribution(p, name):
 
 
 def _check_open_unit_interval(x, name):
-    arr = _check_unit_interval(x, name)
+    arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ValueError(f"{name} must lie strictly inside (0, 1)")
     return arr
+
+
+def _check_count(value, name, low=1, high=None):
+    """value, once it is an int or a numpy integer (never a bool) with
+    low <= value, and value <= high unless high is None."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer of at least {low}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be at most {high}, got {value}")
+    return value
 
 
 def _float_or_array(val):
@@ -117,12 +132,9 @@ def entropy_ratio_bound(u) -> float:
     below the golden threshold and (1 - u) * PHI above it; both branches
     equal 1 exactly at the threshold.  u in {0, 1} is rejected: the factor
     degenerates there (it tends to 2 as u -> 0 and is 0 at u = 1).  This is
-    the one-point case of entropy_ratio_bound_array.
+    the one-point case of entropy_ratio_bound_array, which checks u.
     """
-    u = float(u)
-    if not 0.0 < u < 1.0:
-        raise ValueError("u must lie strictly inside (0, 1)")
-    return float(entropy_ratio_bound_array(np.array([u]))[0])
+    return float(entropy_ratio_bound_array(np.array([float(u)]))[0])
 
 
 def entropy_ratio_bound_array(us: np.ndarray) -> np.ndarray:

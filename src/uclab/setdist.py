@@ -39,7 +39,9 @@ import numpy as np
 from .scalars import (
     GOLDEN_THRESHOLD,
     PHI,
+    _check_count,
     _check_distribution,
+    _check_open_unit_interval,
     _check_unit_interval,
     entropy_kernel,
     entropy_ratio_bound_array,
@@ -52,13 +54,6 @@ MAX_EXPLICIT_N = 24
 # Probabilities below this are treated as exact zeros inside entropy and KL
 # sums, so log() is never fed a denormal-or-zero value.
 PROB_FLOOR = 1e-300
-
-
-def _check_n(n) -> None:
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("n must be a positive integer")
-    if n > MAX_EXPLICIT_N:
-        raise ValueError(f"explicit tables are limited to n <= {MAX_EXPLICIT_N}")
 
 
 def _split(probs: np.ndarray, i: int) -> np.ndarray:
@@ -89,15 +84,15 @@ def _plogp(p: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExplicitSetDistribution:
-    """Full probability table over the 2^n subsets of [n]."""
+    """Full probability table over the 2^n subsets of [n]; equal only to itself."""
 
     n: int
     probs: np.ndarray
 
     def __post_init__(self):
-        _check_n(self.n)
+        _check_count(self.n, "n of an explicit table", high=MAX_EXPLICIT_N)
         probs = np.asarray(self.probs, dtype=float)
         if probs.shape != (1 << self.n,):
             raise ValueError(f"probs must have length 2^{self.n}")
@@ -109,7 +104,7 @@ class ExplicitSetDistribution:
     @classmethod
     def from_mapping(cls, n: int, mapping) -> "ExplicitSetDistribution":
         """Build from {mask: probability}; omitted masks get probability 0."""
-        _check_n(n)
+        _check_count(n, "n of an explicit table", high=MAX_EXPLICIT_N)
         probs = np.zeros(1 << n)
         for mask, p in mapping.items():
             if not 0 <= mask < (1 << n):
@@ -207,8 +202,7 @@ class ProductMixture:
     components: tuple
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError("n must be a positive integer")
+        _check_count(self.n, "n")
         comps = tuple((float(w), float(r)) for w, r in self.components)
         if not comps:
             raise ValueError("mixture needs at least one component")
@@ -238,8 +232,7 @@ def mixture_entropy_bounds(m: ProductMixture) -> tuple:
 
 def expand_mixture(m: ProductMixture) -> ExplicitSetDistribution:
     """Exact 2^n table of the mixture (small n only)."""
-    if m.n > MAX_EXPLICIT_N:
-        raise ValueError(f"cannot expand a mixture beyond n = {MAX_EXPLICIT_N}")
+    _check_count(m.n, "n of an explicit table", high=MAX_EXPLICIT_N)
     probs = np.zeros(1 << m.n)
     for w, r in m.components:
         probs += w * product_tables(m.n, r)
@@ -264,7 +257,7 @@ def product_bernoulli(n: int, u: float) -> ExplicitSetDistribution:
     entropy bound whenever u stays at or below the golden threshold.
     """
     _check_unit_interval(u, "u")
-    _check_n(n)
+    _check_count(n, "n of an explicit table", high=MAX_EXPLICIT_N)
     return ExplicitSetDistribution(n, product_tables(n, u))
 
 
@@ -328,8 +321,7 @@ def union_entropy_check(d: ExplicitSetDistribution) -> UnionBoundReport:
     factor degenerates there and the statement is vacuous.
     """
     u, lhs, rhs, slack, lam = (float(col[0]) for col in union_entropy_rows(d.probs[None], d.n))
-    if not 0.0 < u < 1.0:
-        raise ValueError("maximum marginal must lie strictly inside (0, 1)")
+    _check_open_unit_interval(u, "maximum marginal")
     return UnionBoundReport(max_marginal=u, lhs=lhs, rhs=rhs, slack=slack, ratio_bound=lam)
 
 

@@ -101,7 +101,7 @@ class TestExitCodes:
         assert code == 2
         assert not out.exists()
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["uclab: error: explicit tables are limited to n <= 24"]
+        assert err == ["uclab: error: n of an explicit table must be at most 24, got 40"]
 
     @pytest.mark.parametrize("error", [MemoryError(), MemoryError("Unable to allocate 128. MiB")])
     def test_out_of_memory_exits_two_with_one_line(self, error, tmp_path, monkeypatch, capsys):
@@ -369,9 +369,9 @@ class TestLemmaCommand:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--u-steps", "0"], "u_steps, restarts, atom_grid and search_points must be positive"),
-            (["--search-points", "0"], "u_steps, restarts, atom_grid and search_points must be positive"),
-            (["--v-steps", "1"], "v_steps must be at least 2"),
+            (["--u-steps", "0"], "u_steps must be an integer of at least 1, got 0"),
+            (["--search-points", "0"], "search_points must be an integer of at least 1, got 0"),
+            (["--v-steps", "1"], "v_steps must be an integer of at least 2, got 1"),
         ],
     )
     def test_empty_grids_exit_two_before_any_work(self, flags, message, tmp_path, monkeypatch,
@@ -731,7 +731,7 @@ class TestScalarCommand:
         out = tmp_path / "x.json"
         assert main(["scalar", f"--grid={grid}", "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert err == [f"uclab: error: --grid must be a positive integer of at most {MAX_SCALAR_GRID}"]
+        assert err == [f"uclab: error: --grid must be an integer of at least 1, got {grid}"]
         assert not out.exists()
 
     def test_huge_grid_exits_two_before_allocating(self, tmp_path, monkeypatch, capsys):
@@ -767,10 +767,11 @@ class TestFamiliesCommand:
 
     @pytest.mark.parametrize("n", ["0", "-2", "5"])
     def test_n_bounded(self, n, tmp_path, capsys):
+        text = "must be at most 4" if n == "5" else "must be an integer of at least 1"
         out = tmp_path / "x.json"
         assert main(["families", "--n", n, "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert err == [f"uclab: error: exhaustive enumeration needs 1 <= n <= 4, got {n}"]
+        assert err == [f"uclab: error: n of the exhaustive enumeration {text}, got {n}"]
         assert not out.exists()
 
 
@@ -785,10 +786,11 @@ class TestTheorem2Command:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--trials", "0"], "--trials must be a positive integer"),
-            (["--trials", "-1"], "--trials must be a positive integer"),
-            (["--max-n", "1"], f"--max-n must lie in 2..{MAX_RANDOM_TABLE_N}"),
-            (["--max-n", str(MAX_RANDOM_TABLE_N + 1)], f"--max-n must lie in 2..{MAX_RANDOM_TABLE_N}"),
+            (["--trials", "0"], "--trials must be an integer of at least 1, got 0"),
+            (["--trials", "-1"], "--trials must be an integer of at least 1, got -1"),
+            (["--max-n", "1"], "--max-n must be an integer of at least 2, got 1"),
+            (["--max-n", str(MAX_RANDOM_TABLE_N + 1)],
+             f"--max-n must be at most {MAX_RANDOM_TABLE_N}, got {MAX_RANDOM_TABLE_N + 1}"),
         ],
     )
     def test_flags_bounded(self, flags, message, tmp_path, capsys):
@@ -999,7 +1001,7 @@ class TestCounterexampleCommand:
         for n in (MAX_N + 1, 10**330):
             assert main(["counterexample", "--n", str(n), "--out", str(out)]) == 2
             assert capsys.readouterr().err.splitlines() == [
-                f"uclab: error: n must be a positive integer of at most {MAX_N}"
+                f"uclab: error: n must be at most {MAX_N}, got {n}"
             ]
             assert not out.exists()
 
@@ -1012,6 +1014,9 @@ class TestCounterexampleCommand:
 
     @pytest.mark.parametrize("theta", ["0", "-0.5", "nan", "1", "inf"])
     def test_bad_theta_exits_two_before_any_work(self, theta, tmp_path, monkeypatch, capsys):
+        finite = theta not in ("nan", "inf")
+        text = "must lie strictly inside (0, 1)" if finite else "must be finite"
+
         def no_work(*args, **kwargs):
             raise AssertionError("counterexample started work before theta was checked")
 
@@ -1019,7 +1024,7 @@ class TestCounterexampleCommand:
         out = tmp_path / "x.json"
         assert main(["counterexample", f"--theta={theta}", "--out", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            "uclab: error: theta must lie strictly inside (0, 1)"
+            f"uclab: error: theta {text}"
         ]
         assert not out.exists()
 
@@ -1105,7 +1110,8 @@ class TestCouplingCommand:
         out = tmp_path / "x.json"
         assert main(["coupling", "delta-search", flag, "0", "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert err == ["uclab: error: u_cap_steps, search_points and search_restarts must be positive"]
+        name = flag[2:].replace("-", "_")
+        assert err == [f"uclab: error: {name} must be an integer of at least 1, got 0"]
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, name", [("--search-restarts", "search_restarts"),

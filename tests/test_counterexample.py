@@ -48,7 +48,8 @@ class TestParams:
 
     @pytest.mark.parametrize("theta", [0.0, -0.5, math.nan, 1.0])
     def test_rejects_theta_before_deriving_truncation(self, theta):
-        with pytest.raises(ValueError, match=r"theta must lie strictly inside \(0, 1\)"):
+        text = "must be finite" if math.isnan(theta) else r"must lie strictly inside \(0, 1\)"
+        with pytest.raises(ValueError, match=f"^theta {text}$"):
             params(theta=theta)
 
     def test_truncation_capped(self):

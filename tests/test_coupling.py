@@ -427,11 +427,12 @@ class TestDeltaSearch:
     @pytest.mark.parametrize("kw", [dict(search_points=0), dict(search_restarts=0),
                                     dict(search_points=-3), dict(u_cap_steps=0)])
     def test_rejects_empty_search(self, kw, monkeypatch):
+        [(name, value)] = kw.items()
         def no_search(*args, **kwargs):
             raise AssertionError("local search ran before the flags were bounded")
 
         monkeypatch.setattr(uclab.coupling, "local_search_rows", no_search)
-        with pytest.raises(ValueError, match="must be positive"):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer of at least 1, got {value}$"):
             delta_search(0.05, **kw)
 
     @pytest.mark.parametrize("name", ["search_points", "search_restarts"])
@@ -447,7 +448,8 @@ class TestDeltaSearch:
 
     @pytest.mark.parametrize("kw", [dict(v_steps=-1), dict(mean_steps=-1)])
     def test_rejects_negative_grid_steps(self, kw):
-        with pytest.raises(ValueError, match="must be nonnegative"):
+        [name] = kw
+        with pytest.raises(ValueError, match=f"^{name} must be an integer of at least 0, got -1$"):
             delta_search(0.05, **kw)
 
     @pytest.mark.parametrize("delta_max", [0.0, -0.01, 5e-324, math.inf, math.nan])

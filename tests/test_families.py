@@ -167,7 +167,8 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n", [-1, 0, 5])
     def test_scan_bounds_n(self, n):
-        with pytest.raises(ValueError, match=f"needs 1 <= n <= 4, got {n}"):
+        text = "must be at most 4" if n == 5 else "must be an integer of at least 1"
+        with pytest.raises(ValueError, match=f"^n of the exhaustive enumeration {text}, got {n}$"):
             verify_frequency_threshold(n)
 
 

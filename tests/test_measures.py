@@ -531,11 +531,11 @@ class TestLemmaCertificate:
     @pytest.mark.parametrize(
         "kw, message",
         [
-            (dict(u_steps=0), "must be positive"),
-            (dict(restarts=0), "must be positive"),
-            (dict(atom_grid=-1), "must be positive"),
-            (dict(search_points=0), "must be positive"),
-            (dict(v_steps=1), "v_steps must be at least 2"),
+            (dict(u_steps=0), "^u_steps must be an integer of at least 1, got 0$"),
+            (dict(restarts=0), "^restarts must be an integer of at least 1, got 0$"),
+            (dict(atom_grid=-1), "^atom_grid must be an integer of at least 1, got -1$"),
+            (dict(search_points=0), "^search_points must be an integer of at least 1, got 0$"),
+            (dict(v_steps=1), "^v_steps must be an integer of at least 2, got 1$"),
         ],
     )
     def test_rejects_empty_grids(self, kw, message):

@@ -138,3 +138,31 @@ def test_report_records_are_named_tuples():
         assert not dataclasses.is_dataclass(cls), cls.__name__
     for cls in _classes(VALIDATED):
         assert dataclasses.is_dataclass(cls) and "__post_init__" in vars(cls), cls.__name__
+
+
+def test_array_classes_compare_and_hash_by_identity():
+    # a generated __eq__ would compare the array fields, whose truth value is
+    # ambiguous, and a frozen generated __eq__ would hash them
+    import numpy as np
+
+    from uclab.measures import DiscreteMeasure
+    from uclab.setdist import ExplicitSetDistribution
+
+    for make in (lambda: DiscreteMeasure(np.array([0.2, 0.7]), np.array([0.5, 0.5])),
+                 lambda: ExplicitSetDistribution(1, np.array([0.5, 0.5]))):
+        a, b = make(), make()
+        assert a == a and a != b
+        assert a in {a} and b not in {a}
+        assert hash(a) == hash(a)
+
+
+SOURCES = sorted((Path(uclab.__file__).parent).glob("*.py"))
+
+
+@pytest.mark.parametrize("text, home", [("strictly inside (0, 1)", {"scalars.py"}),
+                                        ("must be positive", set()),
+                                        ("positive integer", set())])
+def test_range_rule_texts_live_in_scalars(text, home):
+    # each range rule is typed out once, in scalars; a copy elsewhere
+    # would drift from it unseen
+    assert {p.name for p in SOURCES if text in p.read_text()} <= home

@@ -6,20 +6,47 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import binary_entropy_gather, third_deriv_numerator
+import uclab.counterexample
 import uclab.coupling
 from uclab import scalars
+from uclab.cli import MAX_RANDOM_TABLE_N, MAX_SCALAR_GRID, MAX_THEOREM2_TRIALS
 from uclab.counterexample import (
+    MAX_N,
+    MAX_TRUNC,
     CounterexampleParams,
+    default_truncation,
     entropy_lower_bound,
     union_entropy_upper_bound,
 )
-from uclab.coupling import _two_atom_class, worst_coupling_value
-from uclab.measures import DiscreteMeasure, objective
+from uclab.coupling import (
+    MAX_LP_ATOMS,
+    _two_atom_class,
+    delta_search,
+    greedy_coupling_dp,
+    worst_coupling_value,
+)
+from uclab.families import MAX_ENUMERATION_N, Family, verify_frequency_threshold
+from uclab.measures import (
+    MAX_ATOM_GRID,
+    MAX_LEMMA_U_STEPS,
+    MAX_LEMMA_V_STEPS,
+    MAX_SEARCH_RESTARTS,
+    DiscreteMeasure,
+    lemma_certificate,
+    local_search_rows,
+    objective,
+    two_atom_min_scan,
+)
+from uclab.numdiff import scaled_step
 from uclab.setdist import (
+    MAX_EXPLICIT_N,
     ExplicitSetDistribution,
     ProductMixture,
+    expand_mixture,
     golden_threshold_mixture,
     mixture_entropy_bounds,
+    product_bernoulli,
+    union_entropy_check,
     union_entropy_rows,
 )
 from uclab.scalars import (
@@ -172,27 +199,31 @@ class TestCheckOnce:
     """Sums over a validated DiscreteMeasure, ProductMixture or counterexample,
     the counterexample's own check of ubar, and the coupling costs of a
     validated measure or of delta_search's two-atom grid, run on the kernels
-    with no second argument check."""
+    with no second argument check.  The only interval check they may make
+    is of an input that no earlier check saw: the counterexample's theta."""
 
-    @pytest.mark.parametrize("call", [
-        lambda: objective(_MU, 1.0),
-        lambda: mixture_entropy_bounds(_MIXTURE),
-        lambda: entropy_lower_bound(_PARAMS),
-        lambda: union_entropy_upper_bound(_PARAMS),
-        CounterexampleParams.with_defaults,
-        lambda: worst_coupling_value(_MU),
-        lambda: _two_atom_class(np.array([0.1, GOLDEN_THRESHOLD]), np.array([0.9, 0.6]), 0.05),
+    @pytest.mark.parametrize("call, allowed", [
+        (lambda: objective(_MU, 1.0), set()),
+        (lambda: mixture_entropy_bounds(_MIXTURE), set()),
+        (lambda: entropy_lower_bound(_PARAMS), set()),
+        (lambda: union_entropy_upper_bound(_PARAMS), set()),
+        (CounterexampleParams.with_defaults, {"theta"}),
+        (lambda: worst_coupling_value(_MU), set()),
+        (lambda: _two_atom_class(np.array([0.1, GOLDEN_THRESHOLD]), np.array([0.9, 0.6]), 0.05),
+         set()),
     ], ids=["objective", "mixture_entropy_bounds", "entropy_lower_bound",
             "union_entropy_upper_bound", "CounterexampleParams", "worst_coupling_value",
             "_two_atom_class"])
-    def test_makes_no_unit_interval_check(self, call, monkeypatch):
+    def test_makes_no_unit_interval_check(self, call, allowed, monkeypatch):
         checked = []
-        real = scalars._check_unit_interval
-        for module in (scalars, uclab.coupling):
-            monkeypatch.setattr(module, "_check_unit_interval",
-                                lambda x, name: checked.append(name) or real(x, name))
+        for check in ("_check_unit_interval", "_check_open_unit_interval"):
+            real = getattr(scalars, check)
+            for module in (scalars, uclab.coupling, uclab.counterexample):
+                if hasattr(module, check):
+                    monkeypatch.setattr(module, check, lambda x, name, real=real:
+                                        checked.append(name) or real(x, name))
         call()
-        assert checked == []
+        assert set(checked) <= allowed
 
 
 _LOCATIONS = [0.1, 0.3, 0.6, 0.9]
@@ -397,9 +428,11 @@ class TestScaledStep:
     def test_rejects_points_off_the_open_interval(self, bad):
         from uclab.numdiff import scaled_step
 
-        with pytest.raises(ValueError, match="strictly inside"):
+        text = "^x must be finite$" if math.isnan(bad) else r"^x must lie strictly inside \(0, 1\)$"
+
+        with pytest.raises(ValueError, match=text):
             scaled_step(bad)
-        with pytest.raises(ValueError, match="strictly inside"):
+        with pytest.raises(ValueError, match=text):
             scaled_step(np.array([0.2, bad, 0.7]))
 
 
@@ -497,3 +530,153 @@ class TestOneExit:
         gap = [2.0 * s * binary_entropy(s) - binary_entropy(s * s) for s in ss.tolist()]
         assert entropy_square_ratio(ss).tolist() == ratio
         assert entropy_square_gap(ss).tolist() == gap
+
+
+def _uniform_measure(m):
+    return DiscreteMeasure(np.linspace(0.0, 1.0, m), np.full(m, 1.0 / m))
+
+
+def _exact_check(n, trunc):
+    from uclab.counterexample import exact_small_n_check
+
+    return exact_small_n_check(CounterexampleParams.with_defaults(n=n, trunc=trunc))
+
+
+# Every integer count a caller passes, as (call with the count, its name in
+# the text, low, high, whether any value can reach the call).  A count that
+# is read off another checked object (a measure's atoms, a family's n) can
+# only be too large.
+_COUNT_INPUTS = {
+    "two_atom_min_scan.v_steps": (lambda v: two_atom_min_scan(0.3, v_steps=v), "v_steps", 2,
+                                  None, True),
+    "local_search_rows.restarts": (lambda v: local_search_rows([0.3], [1.0], restarts=v),
+                                   "restarts", 1, None, True),
+    "local_search_rows.atom_grid": (lambda v: local_search_rows([0.3], [1.0], atom_grid=v),
+                                    "atom_grid", 1, None, True),
+    **{f"lemma_certificate.{name}": (lambda v, name=name: lemma_certificate(**{name: v}), name,
+                                     low, high, True)
+       for name, low, high in (("u_steps", 1, MAX_LEMMA_U_STEPS),
+                               ("v_steps", 2, MAX_LEMMA_V_STEPS),
+                               ("restarts", 1, MAX_SEARCH_RESTARTS),
+                               ("atom_grid", 1, MAX_ATOM_GRID),
+                               ("search_points", 1, None))},
+    **{f"delta_search.{name}": (lambda v, name=name: delta_search(0.05, **{name: v}), name,
+                                low, high, True)
+       for name, low, high in (("u_cap_steps", 1, None), ("v_steps", 0, None),
+                               ("mean_steps", 0, None),
+                               ("search_points", 1, MAX_SEARCH_RESTARTS),
+                               ("search_restarts", 1, MAX_SEARCH_RESTARTS))},
+    "worst_coupling_value.atoms": (lambda v: worst_coupling_value(_uniform_measure(v)),
+                                   "atoms of the worst-coupling LP", 1, MAX_LP_ATOMS, False),
+    "greedy_coupling_dp.n": (lambda v: greedy_coupling_dp(Family(v, (0,))),
+                             "n of the coupling DP", 1, 10, False),
+    "greedy_coupling_dp.sets": (lambda v: greedy_coupling_dp(Family(7, range(v))),
+                                "sets of the coupling DP", 1, 64, False),
+    "CounterexampleParams.n": (lambda v: CounterexampleParams.with_defaults(n=v), "n", 1,
+                               MAX_N, True),
+    "CounterexampleParams.trunc": (lambda v: CounterexampleParams.with_defaults(trunc=v),
+                                   "trunc", 1, MAX_TRUNC, True),
+    "exact_small_n_check.n": (lambda v: _exact_check(v, 10), "n of the exact check", 1, 12,
+                              False),
+    "exact_small_n_check.trunc": (lambda v: _exact_check(5, v), "trunc of the exact check", 1,
+                                  20, False),
+    "Family.n": (lambda v: Family(v, (0,)), "n", 1, None, True),
+    "verify_frequency_threshold.n": (verify_frequency_threshold,
+                                     "n of the exhaustive enumeration", 1, MAX_ENUMERATION_N,
+                                     True),
+    "ExplicitSetDistribution.n": (lambda v: ExplicitSetDistribution(v, np.ones(2)),
+                                  "n of an explicit table", 1, MAX_EXPLICIT_N, True),
+    "from_mapping.n": (lambda v: ExplicitSetDistribution.from_mapping(v, {0: 1.0}),
+                       "n of an explicit table", 1, MAX_EXPLICIT_N, True),
+    "product_bernoulli.n": (lambda v: product_bernoulli(v, 0.3), "n of an explicit table", 1,
+                            MAX_EXPLICIT_N, True),
+    "ProductMixture.n": (lambda v: ProductMixture(v, ((1.0, 0.5),)), "n", 1, None, True),
+    "expand_mixture.n": (lambda v: expand_mixture(ProductMixture(v, ((1.0, 0.5),))),
+                         "n of an explicit table", 1, MAX_EXPLICIT_N, False),
+}
+
+# the counts that the CLI itself bounds, as (argv before the value, flag, low, high)
+_CLI_COUNTS = {
+    "scalar --grid": (["scalar", "--grid"], "--grid", 1, MAX_SCALAR_GRID),
+    "theorem2 --trials": (["theorem2", "--trials"], "--trials", 1, MAX_THEOREM2_TRIALS),
+    "theorem2 --max-n": (["theorem2", "--max-n"], "--max-n", 2, MAX_RANDOM_TABLE_N),
+}
+
+
+def _count_text(name, value, low, high):
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        return f"{name} must be an integer of at least {low}, got {value}"
+    return f"{name} must be at most {high}, got {value}"
+
+
+def _count_probes(table, free_values=(2.5, True)):
+    for label, (call, name, low, high, free) in table.items():
+        values = [low - 1, *free_values] if free else []
+        for value in values + ([high + 1] if high is not None else []):
+            yield pytest.param(call, _count_text(name, value, low, high), value,
+                               id=f"{label}={value}")
+
+
+# Every open-interval input, as (call with the value, its name in the text);
+# the maximum marginal of a checked table is never NaN.
+_OPEN_INPUTS = {
+    "entropy_ratio_bound": (entropy_ratio_bound, "u"),
+    "entropy_ratio_bound_array": (lambda x: entropy_ratio_bound_array(np.array([0.3, x])), "u"),
+    "entropy_square_ratio": (entropy_square_ratio, "s"),
+    "entropy_square_gap": (entropy_square_gap, "s"),
+    "d3_entropy_of_square": (d3_entropy_of_square, "s"),
+    "d3_s_entropy": (d3_s_entropy, "s"),
+    "two_atom_min_scan": (two_atom_min_scan, "u"),
+    "local_search_rows": (lambda x: local_search_rows([0.3, x], [1.0, 1.0], seeds=[1, 2]), "u"),
+    "scaled_step": (scaled_step, "x"),
+    "default_truncation": (default_truncation, "theta"),
+    "CounterexampleParams": (lambda x: CounterexampleParams.with_defaults(theta=x, trunc=10),
+                             "theta"),
+    "union_entropy_check": (
+        lambda x: union_entropy_check(ExplicitSetDistribution(1, np.array([1.0 - x, x]))),
+        "maximum marginal"),
+}
+
+
+def _open_probes():
+    for label, (call, name) in _OPEN_INPUTS.items():
+        for x in (0.0, 1.0, math.nan):
+            if math.isnan(x) and name == "maximum marginal":
+                continue
+            text = "must be finite" if math.isnan(x) else "must lie strictly inside (0, 1)"
+            yield pytest.param(call, f"{name} {text}", x, id=f"{label}={x}")
+
+
+class TestRangeRules:
+    """One text per rule: every count goes through scalars._check_count and
+    every open-interval input through scalars._check_open_unit_interval."""
+
+    @pytest.mark.parametrize("call, text, value", _count_probes(_COUNT_INPUTS))
+    def test_count_refused_with_its_text(self, call, text, value):
+        with pytest.raises(ValueError) as exc:
+            call(value)
+        assert str(exc.value) == text
+
+    @pytest.mark.parametrize("argv, flag, low, high", _CLI_COUNTS.values(), ids=_CLI_COUNTS)
+    def test_cli_count_exits_two_with_its_text(self, argv, flag, low, high, tmp_path, capsys):
+        from uclab.cli import main
+
+        out = tmp_path / "x.json"
+        for value in (low - 1, high + 1):
+            assert main([*argv, str(value), "--out", str(out)]) == 2
+            assert capsys.readouterr().err.splitlines() == [
+                f"uclab: error: {_count_text(flag, value, low, high)}"
+            ]
+            assert not out.exists()
+
+    @pytest.mark.parametrize("call, text, x", _open_probes())
+    def test_open_interval_refused_with_its_text(self, call, text, x):
+        with pytest.raises(ValueError) as exc:
+            call(x)
+        assert str(exc.value) == text
+
+    def test_numpy_integers_are_counts(self):
+        assert scalars._check_count(np.int64(3), "k") == 3
+        assert scalars._check_count(np.uint8(0), "k", low=0, high=0) == 0
+        with pytest.raises(ValueError, match="^k must be an integer of at least 1, got True$"):
+            scalars._check_count(np.bool_(True), "k")

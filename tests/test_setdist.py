@@ -50,7 +50,7 @@ class TestConstruction:
             product_bernoulli(25, 0.5)
 
     def test_from_mapping_rejects_oversized_n_before_allocating(self):
-        with pytest.raises(ValueError, match="limited to n <= 24"):
+        with pytest.raises(ValueError, match="^n of an explicit table must be at most 24, got 40$"):
             ExplicitSetDistribution.from_mapping(40, {0: 1.0})
 
     def test_from_mapping_rejects_out_of_range_mask(self):
