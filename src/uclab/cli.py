@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import math
 import os
 import sys
 import time
@@ -53,6 +52,8 @@ TABLE_STACK_CELLS = 1 << 16
 MAX_THEOREM2_TRIALS = 100_000
 # theorem2's default --tol, and the bound on the |slack| of its product tables
 THEOREM2_TOL = 1e-10
+RESTARTS_HELP = ("local-search restarts, divided evenly over the search points, at least one "
+                 "per point, so the restarts run (search_restarts) can exceed or fall short of it")
 # the coupling flags only delta-search reads; dp refuses them off their defaults
 DELTA_SEARCH_FLAGS = ("alpha", "delta_max", "delta_steps", "v_steps", "mean_steps",
                       "search_points", "search_restarts")
@@ -96,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", nargs="?", choices=["certify"], default="certify")
     p.add_argument("--u-steps", type=int, default=1000)
     p.add_argument("--v-steps", type=int, default=1000)
-    p.add_argument("--restarts", type=int, default=1000)
+    p.add_argument("--restarts", type=int, default=1000, help=RESTARTS_HELP)
     p.add_argument("--atom-grid", type=int, default=1000)
     p.add_argument("--search-points", type=int, default=21)
     p.add_argument("--inflate-bound", type=float, default=1.0, help=argparse.SUPPRESS)
@@ -134,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v-steps", type=int, default=96)
     p.add_argument("--mean-steps", type=int, default=96)
     p.add_argument("--search-points", type=int, default=7)
-    p.add_argument("--search-restarts", type=int, default=112)
+    p.add_argument("--search-restarts", type=int, default=112, help=RESTARTS_HELP)
     p.add_argument("--family", help="family file for the dp action")
     p.add_argument("--literal-rates", action="store_true",
                    help="dp only: condition each side's rate on the other side's prefix")
@@ -165,12 +166,12 @@ def _resolve_seed(args) -> int:
 
 def _tol(args, default: float) -> float:
     """--tol, or the subcommand's default; a NaN tolerance would make every
-    `slack < -tol` test false, so it must be finite and nonnegative."""
+    `slack < -tol` test false, so it must be finite and at least 0."""
     if args.tol is None:
         return default
-    if not (math.isfinite(args.tol) and args.tol >= 0.0):
-        raise ValueError(f"--tol must be finite and nonnegative, got {args.tol}")
-    return args.tol
+    from .scalars import _check_float
+
+    return _check_float(args.tol, "--tol", low=0)
 
 
 def cmd_scalar(args, seed: int):

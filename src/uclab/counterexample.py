@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .scalars import _check_count, _check_open_unit_interval, entropy_kernel, union_kernel
+from .scalars import _check_count, _check_float, _check_open_unit_interval, entropy_kernel
 from .setdist import (
     ProductMixture,
     _plogp,
@@ -66,15 +66,13 @@ class CounterexampleParams:
     trunc: int
 
     def __post_init__(self):
-        if not 0.0 < self.ubar < self.u < 1.0:
-            raise ValueError("need 0 < ubar < u < 1")
+        ubar = _check_open_unit_interval(self.ubar, "ubar")
+        if not ubar < _check_open_unit_interval(self.u, "u"):
+            raise ValueError(f"ubar must be below u = {self.u}, got {self.ubar}")
         _check_open_unit_interval(self.theta, "theta")
-        ubar = np.array(self.ubar)
-        base_ratio = float(entropy_kernel(union_kernel(ubar, ubar)) / entropy_kernel(ubar))
-        if not base_ratio < self.d < math.inf:
-            raise ValueError(
-                f"d must be finite and exceed the base entropy ratio {base_ratio:.6f} at ubar"
-            )
+        base_ratio = float(entropy_kernel(2.0 * ubar - ubar * ubar) / entropy_kernel(ubar))
+        _check_float(self.d, "d", low=base_ratio, strict=True,
+                     low_text=f"the base entropy ratio {base_ratio:.6f} at ubar")
         _check_count(self.n, "n", high=MAX_N)
         _check_count(self.trunc, "trunc", high=MAX_TRUNC)
         if self.theta ** (self.trunc + 1) >= TAIL_TOL:

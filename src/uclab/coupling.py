@@ -42,6 +42,7 @@ from .measures import (
 from .scalars import (
     GOLDEN_THRESHOLD,
     _check_count,
+    _check_float,
     _check_unit_interval,
     _float_or_array,
     entropy_kernel,
@@ -89,7 +90,6 @@ class WorstCouplingReport(NamedTuple):
 
     value: float
     weights: np.ndarray
-    independent_value: float
     repaired: bool
 
 
@@ -104,14 +104,11 @@ def worst_coupling_value(mu: DiscreteMeasure) -> WorstCouplingReport:
     returned as it is.  A vertex with an entry below -1e-15, or whose row
     and column sums, clipped at 0, miss mu's weights by more than
     MARGINAL_TOL, is an internal fault and raises RuntimeError.
-    The value can never exceed the independent coupling's, which is also
-    reported.
     """
     x, w = mu.locations, mu.weights
     m = x.size
     _check_count(m, "atoms of the worst-coupling LP", high=MAX_LP_ATOMS)
     cost = entropy_kernel(coupled_union_kernel(x[:, None], x[None, :]))
-    independent = float(w @ cost @ w)
     if m == 1:
         weights = np.ones((1, 1))
     elif m == 2:
@@ -131,7 +128,6 @@ def worst_coupling_value(mu: DiscreteMeasure) -> WorstCouplingReport:
     return WorstCouplingReport(
         value=float((weights * cost).sum()),
         weights=weights,
-        independent_value=independent,
         repaired=m > 1,
     )
 
@@ -352,9 +348,7 @@ def delta_search(
         raise ValueError(
             f"delta-search grid of up to {cells} (mean, v) cells exceeds {MAX_DELTA_GRID_CELLS}"
         )
-    step = delta_max / u_cap_steps
-    if not 0.0 < step < np.inf:
-        raise ValueError("delta_max / u_cap_steps must be a positive finite step")
+    step = _check_float(delta_max / u_cap_steps, "delta_max / u_cap_steps", low=0, strict=True)
     u_star = GOLDEN_THRESHOLD
     # the local search runs at mean caps up to u_star + delta_max, which
     # must stay below 1

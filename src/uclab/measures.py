@@ -14,7 +14,6 @@ materially below the scan.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -25,6 +24,7 @@ from .scalars import (
     GOLDEN_THRESHOLD,
     _check_count,
     _check_distribution,
+    _check_float,
     _check_open_unit_interval,
     _check_unit_interval,
     entropy_kernel,
@@ -285,13 +285,10 @@ def local_search_rows(
     so no NaN value can make the two rules differ.
     """
     us = [float(u) for u in us]
-    lams = [float(lam) for lam in lams]
+    lams = [_check_float(lam, "lam") for lam in lams]
     if not len(us) == len(lams) == len(seeds):
         raise ValueError("us, lams and seeds must have the same length")
     u_rows, lam_rows = _check_open_unit_interval(us, "u"), np.array(lams)
-    for lam in lams:
-        if not math.isfinite(lam):
-            raise ValueError(f"lam must be finite, got {lam}")
     _check_count(restarts, "restarts")
     _check_count(atom_grid, "atom_grid")
     grid = np.linspace(0.0, 1.0, atom_grid + 1)
@@ -497,10 +494,8 @@ def lemma_certificate(
     _check_count(restarts, "restarts", high=MAX_SEARCH_RESTARTS)
     _check_count(atom_grid, "atom_grid", high=MAX_ATOM_GRID)
     _check_count(search_points, "search_points")
-    if not 0.0 <= scan_tol < np.inf:
-        raise ValueError(f"scan_tol must be finite and nonnegative, got {scan_tol}")
-    if not 0.0 < lam_scale < np.inf:
-        raise ValueError(f"lam_scale must be finite and positive, got {lam_scale}")
+    scan_tol = _check_float(scan_tol, "scan_tol", low=0)
+    lam_scale = _check_float(lam_scale, "lam_scale", low=0, strict=True)
     if lam_scale > MAX_LAM_SCALE:
         raise ValueError(f"lam_scale must be at most {MAX_LAM_SCALE}, got {lam_scale}")
     us = np.arange(1, u_steps + 1) / (u_steps + 1.0)
@@ -540,7 +535,7 @@ def lemma_certificate(
         worst_search_margin=worst_margin,
         search_ok=bool(worst_margin <= SEARCH_TOL),
         seed=seed,
-        lam_scale=float(lam_scale),
+        lam_scale=lam_scale,
         rows=rows,
     )
 

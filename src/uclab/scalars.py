@@ -18,8 +18,8 @@ unchecked kernels (entropy_kernel, union_kernel), and return a Python float
 for a 0-d result and the array otherwise.  Code inside uclab calls the
 kernels directly on arrays it built in [0, 1].  The argument checks here
 hold the one copy of each range rule that every uclab module uses: the
-closed and the open unit interval, a probability vector, and an integer
-count.
+closed and the open unit interval, a probability vector, an integer
+count and a finite float.
 """
 
 from __future__ import annotations
@@ -76,6 +76,18 @@ def _check_count(value, name, low=1, high=None):
         raise ValueError(f"{name} must be an integer of at least {low}, got {value}")
     if high is not None and value > high:
         raise ValueError(f"{name} must be at most {high}, got {value}")
+    return value
+
+
+def _check_float(value, name, low=-math.inf, strict=False, low_text=None):
+    """float(value), once it is finite and at least low (above low, when
+    strict); low_text, when given, names the bound in the refusal."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if value < low or (strict and value == low):
+        raise ValueError(f"{name} must be {'above' if strict else 'at least'} "
+                         f"{low_text or low}, got {value}")
     return value
 
 

@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import gc
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -28,13 +30,24 @@ from uclab.cli import (
     MAX_RANDOM_TABLE_N,
     MAX_SCALAR_GRID,
     MAX_THEOREM2_TRIALS,
+    THEOREM2_TOL,
     build_parser,
     main,
 )
-from uclab.counterexample import MAX_N, MAX_TRUNC
+from uclab.counterexample import MAX_N, MAX_TRUNC, CounterexampleParams
 from uclab.coupling import MAX_DELTA_GRID_CELLS
 from uclab.reportio import dumps_json
-from uclab.measures import MAX_ATOM_GRID, MAX_LEMMA_U_STEPS, MAX_LEMMA_V_STEPS, MAX_SEARCH_RESTARTS
+from uclab.scalars import GOLDEN_THRESHOLD, binary_entropy
+from uclab.measures import (
+    MAX_ATOM_GRID,
+    MAX_LAM_SCALE,
+    MAX_LEMMA_U_STEPS,
+    MAX_LEMMA_V_STEPS,
+    MAX_SEARCH_RESTARTS,
+    SCAN_TOL,
+    lemma_certificate,
+    local_search_rows,
+)
 from uclab.families import Family, count_union_closed, save_family
 from uclab.setdist import golden_threshold_mixture, product_bernoulli, save_distribution, save_mixture
 
@@ -426,7 +439,8 @@ class TestLemmaCommand:
         out = tmp_path / "x.json"
         assert main(["lemma", f"--inflate-bound={scale}", "--out", str(out)]) == 2
         # 1e308 is finite, but the bound factor (up to 2) times it is not
-        rule = "at most 8.988465674311579e+307" if scale == "1e308" else "finite and positive"
+        rule = {"nan": "finite", "inf": "finite", "-inf": "finite", "0": "above 0",
+                "-1": "above 0", "1e308": "at most 8.988465674311579e+307"}[scale]
         assert capsys.readouterr().err.splitlines() == [
             f"uclab: error: lam_scale must be {rule}, got {float(scale)}"
         ]
@@ -468,8 +482,9 @@ class TestTolerance:
         monkeypatch.setattr(np.random, "default_rng", no_work)
         out = tmp_path / "x.json"
         assert main([*command, f"--tol={tol}", "--out", str(out)]) == 2
+        rule = "at least 0" if tol == "-1e-9" else "finite"
         assert capsys.readouterr().err.splitlines() == [
-            f"uclab: error: --tol must be finite and nonnegative, got {float(tol)}"
+            f"uclab: error: --tol must be {rule}, got {float(tol)}"
         ]
         assert not out.exists()
 
@@ -487,6 +502,88 @@ class TestTolerance:
         code, out = run(["theorem2", "--trials", "5", "--max-n", "4", "--tol", "0"], tmp_path)
         assert code in (0, 1)
         assert json.loads(out.read_text())["config"]["tol"] == 0.0
+
+
+def _small_lemma(**kw):
+    return lemma_certificate(u_steps=3, v_steps=4, restarts=1, atom_grid=10, search_points=1,
+                             **kw)
+
+
+# the counterexample's d must exceed H(2 ubar - ubar^2)/H(ubar) at the default ubar
+_BASE_RATIO = binary_entropy(2.0 * 0.2 - 0.2 * 0.2) / binary_entropy(0.2)
+_PAST_MAX_LAM_SCALE = float(np.nextafter(MAX_LAM_SCALE, np.inf))
+_PAST_DELTA_MAX = 1.0 - GOLDEN_THRESHOLD
+# every float input: a library call or a CLI argv taking the value, its
+# text for a value that is not finite ({} is the value), and values just
+# past its bounds with their texts
+_FLOAT_INPUTS = {
+    "scan_tol": (lambda v: _small_lemma(scan_tol=v), "scan_tol must be finite, got {}",
+                 [(-5e-324, "scan_tol must be at least 0, got -5e-324")]),
+    "lam_scale": (lambda v: _small_lemma(lam_scale=v), "lam_scale must be finite, got {}",
+                  [(0.0, "lam_scale must be above 0, got 0.0"),
+                   (_PAST_MAX_LAM_SCALE, f"lam_scale must be at most {MAX_LAM_SCALE}, "
+                                         f"got {_PAST_MAX_LAM_SCALE}")]),
+    "lam": (lambda v: local_search_rows([0.3], [v], seeds=[1]), "lam must be finite, got {}",
+            []),
+    "delta_max": (lambda v: uclab.coupling.delta_search(0.05, delta_max=v),
+                  "delta_max / u_cap_steps must be finite, got {}",
+                  [(5e-324, "delta_max / u_cap_steps must be above 0, got 0.0"),
+                   (_PAST_DELTA_MAX, "delta_max must keep GOLDEN_THRESHOLD + delta_max "
+                                     f"below 1, got {_PAST_DELTA_MAX}")]),
+    "ubar": (lambda v: CounterexampleParams.with_defaults(ubar=v), "ubar must be finite",
+             [(0.0, "ubar must lie strictly inside (0, 1)"),
+              (0.25, "ubar must be below u = 0.25, got 0.25")]),
+    "u": (lambda v: CounterexampleParams.with_defaults(u=v), "u must be finite",
+          [(0.2, "ubar must be below u = 0.2, got 0.2"),
+           (1.0, "u must lie strictly inside (0, 1)")]),
+    "d": (lambda v: CounterexampleParams.with_defaults(d=v), "d must be finite, got {}",
+          [(_BASE_RATIO, f"d must be above the base entropy ratio {_BASE_RATIO:.6f} at ubar, "
+                         f"got {_BASE_RATIO}")]),
+    "lemma --tol": (["lemma", "--tol"], "--tol must be finite, got {}",
+                    [(-5e-324, "--tol must be at least 0, got -5e-324")]),
+    "theorem2 --tol": (["theorem2", "--tol"], "--tol must be finite, got {}",
+                       [(-5e-324, "--tol must be at least 0, got -5e-324")]),
+    "--inflate-bound": (["lemma", "--inflate-bound"], "lam_scale must be finite, got {}",
+                        [(0.0, "lam_scale must be above 0, got 0.0")]),
+    "--alpha": (["coupling", "--alpha"], "alpha must be finite",
+                [(-5e-324, "alpha must lie in [0, 1]"),
+                 (float(np.nextafter(1.0, 2.0)), "alpha must lie in [0, 1]")]),
+    "--delta-max": (["coupling", "--delta-max"], "delta_max / u_cap_steps must be finite, got {}",
+                    [(0.0, "delta_max / u_cap_steps must be above 0, got 0.0")]),
+    "--ubar": (["counterexample", "--ubar"], "ubar must be finite",
+               [(0.25, "ubar must be below u = 0.25, got 0.25")]),
+    "--u": (["counterexample", "--u"], "u must be finite",
+            [(1.0, "u must lie strictly inside (0, 1)")]),
+    "--d": (["counterexample", "--d"], "d must be finite, got {}",
+            [(_BASE_RATIO, f"d must be above the base entropy ratio {_BASE_RATIO:.6f} at ubar, "
+                           f"got {_BASE_RATIO}")]),
+    "--theta": (["counterexample", "--theta"], "theta must be finite",
+                [(1.0, "theta must lie strictly inside (0, 1)")]),
+}
+_FLOAT_CASES = [
+    (name, value, text)
+    for name, (_, finite, past) in _FLOAT_INPUTS.items()
+    for value, text in [(v, finite.format(v)) for v in (math.nan, math.inf, -math.inf)] + past
+]
+
+
+@pytest.mark.parametrize("name, value, text", _FLOAT_CASES,
+                         ids=[f"{name}={value!r}" for name, value, _ in _FLOAT_CASES])
+def test_float_input_is_refused_with_its_text(name, value, text, tmp_path, capsys):
+    call = _FLOAT_INPUTS[name][0]
+    if callable(call):
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            call(value)
+        return
+    out = tmp_path / "x.json"
+    assert main([*call[:-1], f"{call[-1]}={value!r}", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"uclab: error: {text}"]
+    assert not out.exists()
+
+
+def test_float_table_names_every_float_flag():
+    flags = [call for call, _, _ in _FLOAT_INPUTS.values() if not callable(call)]
+    assert sorted(flags) == sorted([command, flag] for command, flag, _ in _parser_options(float))
 
 
 class TestCouplingFlags:
@@ -1329,27 +1426,72 @@ def _capped(cap, lo=-1, hi=4):
         lambda k: past if k == 0 else _small(lo, hi))
 
 
-# every integer flag at small values, zero and negatives included, so each
-# run is quick and the lower bounds are crossed from both sides; a capped
-# flag is also drawn past its cap
-_FUZZ_ARGV = st.one_of(
-    st.tuples(st.just("scalar"), st.just("--grid"), _capped(MAX_SCALAR_GRID, -2, 50)),
-    st.tuples(st.just("families"), st.just("--n"), _small(-1, 5)),
-    st.tuples(st.just("theorem2"), st.just("--trials"), _capped(MAX_THEOREM2_TRIALS, -1, 3),
-              st.just("--max-n"), _small(-1, MAX_RANDOM_TABLE_N + 1)),
-    st.tuples(st.just("lemma"), st.just("--u-steps"), _capped(MAX_LEMMA_U_STEPS),
-              st.just("--v-steps"), _capped(MAX_LEMMA_V_STEPS),
-              st.just("--restarts"), _capped(MAX_SEARCH_RESTARTS),
-              st.just("--atom-grid"), _capped(MAX_ATOM_GRID, -1, 20),
-              st.just("--search-points"), _small()),
-    st.tuples(st.just("coupling"), st.just("delta-search"), st.just("--delta-steps"), _small(),
-              st.just("--v-steps"), _capped(MAX_DELTA_GRID_CELLS),
-              st.just("--mean-steps"), _small(),
-              st.just("--search-points"), _capped(MAX_SEARCH_RESTARTS, -1, 2),
-              st.just("--search-restarts"), _capped(MAX_SEARCH_RESTARTS)),
-    st.tuples(st.just("counterexample"), st.just("--n"), _capped(MAX_N, -1, 8),
-              st.just("--trunc"), _capped(MAX_TRUNC, -1, 12)),
-)
+def _subparsers():
+    """{name: parser} of build_parser()'s subcommands, in the parser's order."""
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _parser_options(kind):
+    """(subcommand, flag, default) of every option of build_parser() of
+    type kind, in the parser's order, so a new flag is fuzzed with no edit."""
+    return [(command, action.option_strings[0], action.default)
+            for command, parser in _subparsers().items()
+            for action in parser._actions if action.type is kind]
+
+
+def _flag(flag, values):
+    """`flag=value` for each drawn value; the = form lets argparse take
+    values such as -1 or -inf that start with a dash."""
+    return values.map(lambda value: f"{flag}={value}")
+
+
+# the action a fuzzed subcommand runs, where it is named
+_ACTIONS = {"coupling": ["delta-search"]}
+
+
+def _fuzz_argv(parts, sizes=None):
+    """One argv per subcommand of the (subcommand, strategy) pairs parts:
+    the subcommand, its action, its fixed flags in sizes, then one draw of
+    each of its strategies."""
+    grouped = {}
+    for command, part in parts:
+        grouped.setdefault(command, []).append(part)
+    return st.one_of(*(
+        st.tuples(*map(st.just, [command, *_ACTIONS.get(command, []),
+                                 *(sizes or {}).get(command, [])]), *drawn)
+        for command, drawn in grouped.items()))
+
+
+# every integer flag but --seed, which each fuzz run draws itself, at small
+# values, zero and negatives included, so each run is quick and the lower
+# bounds are crossed from both sides; a capped flag is also drawn past its
+# cap, read from its MAX_* constant
+_INT_VALUES = {
+    ("scalar", "--grid"): _capped(MAX_SCALAR_GRID, -2, 50),
+    ("families", "--n"): _small(-1, 5),
+    ("theorem2", "--trials"): _capped(MAX_THEOREM2_TRIALS, -1, 3),
+    ("theorem2", "--max-n"): _small(-1, MAX_RANDOM_TABLE_N + 1),
+    ("lemma", "--u-steps"): _capped(MAX_LEMMA_U_STEPS),
+    ("lemma", "--v-steps"): _capped(MAX_LEMMA_V_STEPS),
+    ("lemma", "--restarts"): _capped(MAX_SEARCH_RESTARTS),
+    ("lemma", "--atom-grid"): _capped(MAX_ATOM_GRID, -1, 20),
+    ("lemma", "--search-points"): _small(),
+    ("coupling", "--delta-steps"): _small(),
+    ("coupling", "--v-steps"): _capped(MAX_DELTA_GRID_CELLS),
+    ("coupling", "--mean-steps"): _small(),
+    ("coupling", "--search-points"): _capped(MAX_SEARCH_RESTARTS, -1, 2),
+    ("coupling", "--search-restarts"): _capped(MAX_SEARCH_RESTARTS),
+    ("counterexample", "--n"): _capped(MAX_N, -1, 8),
+    ("counterexample", "--trunc"): _capped(MAX_TRUNC, -1, 12),
+}
+_FUZZ_ARGV = _fuzz_argv((command, _flag(flag, values))
+                        for (command, flag), values in _INT_VALUES.items())
+
+
+def test_int_value_table_names_every_integer_flag():
+    flags = {(command, flag) for command, flag, _ in _parser_options(int) if flag != "--seed"}
+    assert set(_INT_VALUES) == flags
 
 
 def _finite_only(name):
@@ -1357,43 +1499,35 @@ def _finite_only(name):
 
 
 def _float(flag, valid):
-    """`flag=value` for a bad float or the valid one; the = form lets
-    argparse take values such as -inf that start with a dash."""
-    values = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e-300", valid])
-    return values.map(lambda value: f"{flag}={value}")
+    """`flag=value` for a bad float or the valid one."""
+    return _flag(flag, st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e-300", valid]))
 
 
-# every float flag at bad values and a valid one, on small sizes
-_FUZZ_FLOAT_ARGV = st.one_of(
-    st.tuples(st.just("lemma"), st.just("--u-steps=3"), st.just("--v-steps=4"),
-              st.just("--restarts=2"), st.just("--atom-grid=10"), st.just("--search-points=2"),
-              _float("--tol", "1e-9"), _float("--inflate-bound", "1.0")),
-    st.tuples(st.just("theorem2"), st.just("--trials=2"), st.just("--max-n=3"),
-              _float("--tol", "1e-10")),
-    st.tuples(st.just("coupling"), st.just("delta-search"), st.just("--delta-steps=4"),
-              st.just("--v-steps=4"), st.just("--mean-steps=4"), st.just("--search-points=1"),
-              st.just("--search-restarts=1"), _float("--alpha", "0.05"),
-              _float("--delta-max", "0.02")),
-    st.tuples(st.just("counterexample"), _float("--ubar", "0.2"), _float("--u", "0.25"),
-              _float("--d", "1.35"), _float("--theta", "0.01")),
-)
+# the small sizes a subcommand with a float flag runs at, so each run is quick
+_FLOAT_SIZES = {
+    "lemma": ["--u-steps=3", "--v-steps=4", "--restarts=2", "--atom-grid=10",
+              "--search-points=2"],
+    "theorem2": ["--trials=2", "--max-n=3"],
+    "coupling": ["--delta-steps=4", "--v-steps=4", "--mean-steps=4", "--search-points=1",
+                 "--search-restarts=1"],
+}
+# --tol defaults to None, which stands for the subcommand's own tolerance
+_TOL_DEFAULTS = {"lemma": SCAN_TOL, "theorem2": THEOREM2_TOL}
+
+# every float flag of the parser at bad values and its default, on small sizes
+_FUZZ_FLOAT_ARGV = _fuzz_argv(
+    ((command, _float(flag, repr(_TOL_DEFAULTS[command] if default is None else default)))
+     for command, flag, default in _parser_options(float)), _FLOAT_SIZES)
 
 
 # every integer flag at text with no digit in it, an unknown flag on every
 # subcommand, and coupling dp with a delta-search flag (at its default
 # value too, where the missing family file is what refuses it): all exit 2
-_INT_FLAGS = (["scalar", "--grid"], ["families", "--n"], ["theorem2", "--trials"],
-              ["theorem2", "--max-n"], ["lemma", "--u-steps"], ["lemma", "--v-steps"],
-              ["lemma", "--restarts"], ["lemma", "--atom-grid"], ["lemma", "--search-points"],
-              ["counterexample", "--n"], ["counterexample", "--trunc"],
-              ["coupling", "--delta-steps"], ["coupling", "--v-steps"],
-              ["coupling", "--mean-steps"], ["coupling", "--search-points"],
-              ["coupling", "--search-restarts"], ["scalar", "--seed"])
+_INT_FLAGS = [[command, flag] for command, flag, _ in _parser_options(int)]
 _FUZZ_REFUSED_ARGV = st.one_of(
     st.tuples(st.sampled_from(_INT_FLAGS), st.text(alphabet="abxyz.+-_ e", max_size=6)).map(
         lambda t: (t[0][0], f"{t[0][1]}={t[1]}")),
-    st.tuples(st.sampled_from(["scalar", "lemma", "families", "theorem2", "counterexample",
-                               "coupling", "all"]),
+    st.tuples(st.sampled_from(list(_subparsers())),
               st.text(alphabet="abcdefghijklmnopqrstuvwxyz-", min_size=1, max_size=8).map(
                   lambda name: f"--x{name}")),
     st.tuples(st.just("coupling"), st.just("dp"), st.just("--family=no-such-family.txt"),

@@ -570,13 +570,15 @@ class TestLemmaCertificate:
 
     @pytest.mark.parametrize("kw", [dict(scan_tol=math.nan), dict(scan_tol=-1e-9)])
     def test_rejects_bad_tolerances(self, kw):
-        with pytest.raises(ValueError, match="must be finite and nonnegative"):
+        rule = "at least 0" if kw["scan_tol"] < 0.0 else "finite"
+        with pytest.raises(ValueError, match=f"^scan_tol must be {rule}, got {kw['scan_tol']}$"):
             lemma_certificate(u_steps=3, v_steps=4, restarts=1, atom_grid=10,
                               search_points=1, **kw)
 
     @pytest.mark.parametrize("lam_scale", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_rejects_bad_lam_scale(self, lam_scale):
-        with pytest.raises(ValueError, match="lam_scale must be finite and positive"):
+        rule = "above 0" if math.isfinite(lam_scale) else "finite"
+        with pytest.raises(ValueError, match=f"^lam_scale must be {rule}, got {lam_scale}$"):
             lemma_certificate(u_steps=3, v_steps=4, restarts=1, atom_grid=10,
                               search_points=1, lam_scale=lam_scale)
 

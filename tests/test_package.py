@@ -159,9 +159,18 @@ def test_array_classes_compare_and_hash_by_identity():
 SOURCES = sorted((Path(uclab.__file__).parent).glob("*.py"))
 
 
-@pytest.mark.parametrize("text, home", [("strictly inside (0, 1)", {"scalars.py"}),
-                                        ("must be positive", set()),
-                                        ("positive integer", set())])
+@pytest.mark.parametrize("text, home", [
+    ("strictly inside (0, 1)", {"scalars.py"}),
+    ("must be positive", set()),
+    ("positive integer", set()),
+    # the float rule: a finite test or a float range typed out elsewhere
+    ("< np.inf", {"scalars.py"}),
+    ("math.isfinite(", {"scalars.py"}),
+    ("need 0 < ubar", {"scalars.py"}),
+    ("positive finite step", {"scalars.py"}),
+    ("finite and nonnegative", {"scalars.py"}),
+    ("finite and positive", {"scalars.py"}),
+])
 def test_range_rule_texts_live_in_scalars(text, home):
     # each range rule is typed out once, in scalars; a copy elsewhere
     # would drift from it unseen

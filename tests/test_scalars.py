@@ -200,14 +200,15 @@ class TestCheckOnce:
     the counterexample's own check of ubar, and the coupling costs of a
     validated measure or of delta_search's two-atom grid, run on the kernels
     with no second argument check.  The only interval check they may make
-    is of an input that no earlier check saw: the counterexample's theta."""
+    is of an input that no earlier check saw: the counterexample's ubar, u
+    and theta."""
 
     @pytest.mark.parametrize("call, allowed", [
         (lambda: objective(_MU, 1.0), set()),
         (lambda: mixture_entropy_bounds(_MIXTURE), set()),
         (lambda: entropy_lower_bound(_PARAMS), set()),
         (lambda: union_entropy_upper_bound(_PARAMS), set()),
-        (CounterexampleParams.with_defaults, {"theta"}),
+        (CounterexampleParams.with_defaults, {"ubar", "u", "theta"}),
         (lambda: worst_coupling_value(_MU), set()),
         (lambda: _two_atom_class(np.array([0.1, GOLDEN_THRESHOLD]), np.array([0.9, 0.6]), 0.05),
          set()),
