@@ -43,8 +43,8 @@ MAX_SCALAR_GRID = 1_000_000
 # takes about 0.06 s to draw, one at n = 24 about 20 s and GBs
 MAX_RANDOM_TABLE_N = 16
 # theorem2 checks its random tables in stacks of at most this many table
-# cells in all, so its memory does not grow with --trials; at least
-# 2^MAX_RANDOM_TABLE_N, so a stack can always take one more table
+# cells in all, so its memory does not grow with --trials; a table larger
+# than the cap is checked on its own
 TABLE_STACK_CELLS = 1 << 16
 # theorem2's memory stays flat in --trials but its time does not: on a
 # 2-CPU x86 machine 1000 trials take about 0.05 s at the default --max-n 8
@@ -324,33 +324,21 @@ def cmd_theorem2(args, seed: int):
             file_checks[label] = (path, union_entropy_check(load(path)))
 
     rng = np.random.default_rng(seed)
-    # each drawn table goes straight into row used[n] of a zero-filled stack
-    # for its n, next to its trial and support size; the stacks hold at most
-    # TABLE_STACK_CELLS table cells in all before they are checked
-    stacks = {}  # n -> (tables, trials, supports)
-    used = [0] * (args.max_n + 1)
-    cells = 0
-    worst_case = None
+    # the tables drawn since the last check, as (trial, n, masks, probs);
+    # they are checked before a draw would take them past TABLE_STACK_CELLS
+    # table cells in all
+    drawn, cells, worst_case = [], 0, None
     for t in range(args.trials):
         n = int(rng.integers(2, args.max_n + 1))
-        support = 1 << n
-        k = int(rng.integers(2, support + 1))
-        masks = rng.choice(support, size=k, replace=False)
+        k = int(rng.integers(2, (1 << n) + 1))
+        masks = rng.choice(1 << n, size=k, replace=False)
         probs = rng.dirichlet(np.ones(k))
-        if cells + support > TABLE_STACK_CELLS:
-            worst_case = _check_random_tables(stacks, used, worst_case)
-            cells = 0
-        if n not in stacks:
-            rows = min(max(1, TABLE_STACK_CELLS >> n), args.trials)
-            stacks[n] = (np.zeros((rows, support)), np.empty(rows, dtype=np.int64),
-                         np.empty(rows, dtype=np.int64))
-        tabs, trials, supports = stacks[n]
-        j = used[n]
-        tabs[j, masks] = probs
-        trials[j], supports[j] = t, k
-        used[n] = j + 1
-        cells += support
-    worst_case = _check_random_tables(stacks, used, worst_case)
+        if cells + (1 << n) > TABLE_STACK_CELLS:
+            worst_case = _check_random_tables(drawn, worst_case)
+            drawn, cells = [], 0
+        drawn.append((t, n, masks, probs))
+        cells += 1 << n
+    worst_case = _check_random_tables(drawn, worst_case)
 
     us = np.linspace(0.02, GOLDEN_THRESHOLD, 50)
     sharp_worst = float(np.abs(union_entropy_rows(product_tables(6, us), 6)[3]).max())
@@ -378,26 +366,27 @@ def cmd_theorem2(args, seed: int):
     return report, failures
 
 
-def _check_random_tables(stacks, used, worst_case):
-    """Check the first used[n] tables of each n's stack (see cmd_theorem2),
-    empty the stacks, and return the worst case so far: the smallest slack,
-    ties to the earliest trial, or None while every table was skipped for a
-    0/1 marginal (union_entropy_rows leaves their slack NaN)."""
+def _check_random_tables(drawn, worst_case):
+    """Check the tables drawn by cmd_theorem2, given as (trial, n, masks,
+    probs), in one zero-filled stack per n, and return the worst case so
+    far: the smallest slack, ties to the earliest trial, or None while every
+    table was skipped for a 0/1 marginal (union_entropy_rows leaves their
+    slack NaN)."""
     from .setdist import union_entropy_rows
 
-    for n, (tabs, trials, supports) in sorted(stacks.items()):
-        count, used[n] = used[n], 0
-        if count == 0:
-            continue
-        u, _, _, slack, _ = union_entropy_rows(tabs[:count], n)
-        tabs[:count] = 0.0
+    for n in sorted({n for _, n, _, _ in drawn}):
+        group = [d for d in drawn if d[1] == n]
+        tabs = np.zeros((len(group), 1 << n))
+        for row, (_, _, masks, probs) in zip(tabs, group):
+            row[masks] = probs
+        u, _, _, slack, _ = union_entropy_rows(tabs, n)
         live = np.flatnonzero(~np.isnan(slack))
         if live.size == 0:
             continue
         j = int(live[np.argmin(slack[live])])
-        t = int(trials[j])
+        t, _, masks, _ = group[j]
         if worst_case is None or (slack[j], t) < (worst_case["slack"], worst_case["trial"]):
-            worst_case = {"trial": t, "n": n, "support": int(supports[j]),
+            worst_case = {"trial": t, "n": n, "support": masks.size,
                           "slack": float(slack[j]), "max_marginal": float(u[j])}
     return worst_case
 

@@ -175,11 +175,12 @@ def two_atom_min_scan(u: float, v_steps: int = 1000, lam: float | None = None) -
     _check_count(v_steps, "v_steps", low=2)
     if lam is None:
         lam = entropy_ratio_bound(u)
-    sizes, slacks, argmins = _two_atom_scan_rows(np.array([u]), np.array([float(lam)]), v_steps)
+    slacks, argmins = _two_atom_scan_rows(np.array([u]), np.array([float(lam)]), v_steps)
+    inserted = u > GOLDEN_THRESHOLD and GOLDEN_THRESHOLD not in np.linspace(0.0, u, v_steps)
     return TwoAtomScanReport(
         u=u,
         lam=float(lam),
-        v_steps=int(sizes[0]),
+        v_steps=int(v_steps) + inserted,
         min_slack=float(slacks[0]),
         argmin_v=float(argmins[0]),
     )
@@ -187,7 +188,7 @@ def two_atom_min_scan(u: float, v_steps: int = 1000, lam: float | None = None) -
 
 def _two_atom_scan_rows(us: np.ndarray, lams: np.ndarray, v_steps: int):
     """two_atom_min_scan for every u of `us` (with factor lams[k] at us[k]),
-    as arrays: grid sizes, minimum slacks and tie-broken argmin v.
+    as arrays: minimum slacks and tie-broken argmin v.
 
     Row k scans the grid linspace(0, us[k], v_steps), plus the golden
     threshold when it lies below us[k]: the threshold is one more column,
@@ -196,7 +197,6 @@ def _two_atom_scan_rows(us: np.ndarray, lams: np.ndarray, v_steps: int):
     matter.  Rows go through in blocks of about SCAN_BLOCK_CELLS grid points
     so peak memory does not grow with the number of rows.
     """
-    sizes = np.full(us.size, v_steps, dtype=np.int64)
     slacks = np.empty(us.size)
     argmins = np.empty(us.size)
     block = max(1, SCAN_BLOCK_CELLS // v_steps)
@@ -205,7 +205,6 @@ def _two_atom_scan_rows(us: np.ndarray, lams: np.ndarray, v_steps: int):
         lam = lams[lo : lo + block, None]
         vs = np.linspace(0.0, u[:, 0], v_steps, axis=1)
         golden = u > GOLDEN_THRESHOLD
-        sizes[lo : lo + block] += golden[:, 0] & ~(vs == GOLDEN_THRESHOLD).any(axis=1)
         # the threshold column is evaluated only where it lies below u: at
         # the other rows its weight exceeds 1, and a huge lam would overflow
         gold = np.full_like(u, np.inf)
@@ -215,7 +214,7 @@ def _two_atom_scan_rows(us: np.ndarray, lams: np.ndarray, v_steps: int):
         low = slack.min(axis=1, keepdims=True)
         slacks[lo : lo + block] = low[:, 0]
         argmins[lo : lo + block] = np.where(slack <= low + 1e-12, vs, -np.inf).max(axis=1)
-    return sizes, slacks, argmins
+    return slacks, argmins
 
 
 def _two_atom_slack(u, vs, lam):
@@ -502,7 +501,7 @@ def lemma_certificate(
     us = sorted_unique(np.append(us, GOLDEN_THRESHOLD))
     lams = entropy_ratio_bound_array(us) * lam_scale
 
-    _, slacks, argmins = _two_atom_scan_rows(us, lams, v_steps)
+    slacks, argmins = _two_atom_scan_rows(us, lams, v_steps)
     worst_idx = int(np.argmin(slacks))
 
     pick = np.linspace(0, us.size - 1, min(search_points, us.size)).astype(int)

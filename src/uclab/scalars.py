@@ -38,34 +38,35 @@ PHI = (1.0 + math.sqrt(5.0)) / 2.0
 NORMALIZATION_TOL = 1e-12
 
 
+def _refuse_any(values, bad, text):
+    """Refuse with text, ending in the first of values where bad holds."""
+    if np.any(bad):
+        raise ValueError(f"{text}, got {float(np.extract(bad, values)[0])}")
+
+
 def _check_unit_interval(x, name):
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise ValueError(f"{name} must lie in [0, 1]")
+    _refuse_any(arr, ~np.isfinite(arr), f"{name} must be finite")
+    _refuse_any(arr, (arr < 0.0) | (arr > 1.0), f"{name} must lie in [0, 1]")
     return arr
 
 
 def _check_distribution(p, name):
     """p as a float array, each row along its last axis finite,
-    nonnegative and summing to 1 within NORMALIZATION_TOL."""
+    nonnegative and summing to 1 within NORMALIZATION_TOL; a refusal names
+    the first bad entry, or the first bad row's sum."""
     arr = np.asarray(p, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-    if np.any(arr < 0.0):
-        raise ValueError(f"{name} must be nonnegative")
-    if np.any(np.abs(arr.sum(axis=-1) - 1.0) > NORMALIZATION_TOL):
-        raise ValueError(f"{name} must sum to 1")
+    _refuse_any(arr, ~np.isfinite(arr), f"{name} must be finite")
+    _refuse_any(arr, arr < 0.0, f"{name} must be nonnegative")
+    sums = arr.sum(axis=-1)
+    _refuse_any(sums, np.abs(sums - 1.0) > NORMALIZATION_TOL, f"{name} must sum to 1")
     return arr
 
 
 def _check_open_unit_interval(x, name):
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise ValueError(f"{name} must lie strictly inside (0, 1)")
+    _refuse_any(arr, ~np.isfinite(arr), f"{name} must be finite")
+    _refuse_any(arr, (arr <= 0.0) | (arr >= 1.0), f"{name} must lie strictly inside (0, 1)")
     return arr
 
 

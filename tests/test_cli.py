@@ -513,6 +513,7 @@ def _small_lemma(**kw):
 _BASE_RATIO = binary_entropy(2.0 * 0.2 - 0.2 * 0.2) / binary_entropy(0.2)
 _PAST_MAX_LAM_SCALE = float(np.nextafter(MAX_LAM_SCALE, np.inf))
 _PAST_DELTA_MAX = 1.0 - GOLDEN_THRESHOLD
+_PAST_ONE = float(np.nextafter(1.0, 2.0))
 # every float input: a library call or a CLI argv taking the value, its
 # text for a value that is not finite ({} is the value), and values just
 # past its bounds with their texts
@@ -530,12 +531,12 @@ _FLOAT_INPUTS = {
                   [(5e-324, "delta_max / u_cap_steps must be above 0, got 0.0"),
                    (_PAST_DELTA_MAX, "delta_max must keep GOLDEN_THRESHOLD + delta_max "
                                      f"below 1, got {_PAST_DELTA_MAX}")]),
-    "ubar": (lambda v: CounterexampleParams.with_defaults(ubar=v), "ubar must be finite",
-             [(0.0, "ubar must lie strictly inside (0, 1)"),
+    "ubar": (lambda v: CounterexampleParams.with_defaults(ubar=v), "ubar must be finite, got {}",
+             [(0.0, "ubar must lie strictly inside (0, 1), got 0.0"),
               (0.25, "ubar must be below u = 0.25, got 0.25")]),
-    "u": (lambda v: CounterexampleParams.with_defaults(u=v), "u must be finite",
+    "u": (lambda v: CounterexampleParams.with_defaults(u=v), "u must be finite, got {}",
           [(0.2, "ubar must be below u = 0.2, got 0.2"),
-           (1.0, "u must lie strictly inside (0, 1)")]),
+           (1.0, "u must lie strictly inside (0, 1), got 1.0")]),
     "d": (lambda v: CounterexampleParams.with_defaults(d=v), "d must be finite, got {}",
           [(_BASE_RATIO, f"d must be above the base entropy ratio {_BASE_RATIO:.6f} at ubar, "
                          f"got {_BASE_RATIO}")]),
@@ -545,20 +546,20 @@ _FLOAT_INPUTS = {
                        [(-5e-324, "--tol must be at least 0, got -5e-324")]),
     "--inflate-bound": (["lemma", "--inflate-bound"], "lam_scale must be finite, got {}",
                         [(0.0, "lam_scale must be above 0, got 0.0")]),
-    "--alpha": (["coupling", "--alpha"], "alpha must be finite",
-                [(-5e-324, "alpha must lie in [0, 1]"),
-                 (float(np.nextafter(1.0, 2.0)), "alpha must lie in [0, 1]")]),
+    "--alpha": (["coupling", "--alpha"], "alpha must be finite, got {}",
+                [(-5e-324, "alpha must lie in [0, 1], got -5e-324"),
+                 (_PAST_ONE, f"alpha must lie in [0, 1], got {_PAST_ONE}")]),
     "--delta-max": (["coupling", "--delta-max"], "delta_max / u_cap_steps must be finite, got {}",
                     [(0.0, "delta_max / u_cap_steps must be above 0, got 0.0")]),
-    "--ubar": (["counterexample", "--ubar"], "ubar must be finite",
+    "--ubar": (["counterexample", "--ubar"], "ubar must be finite, got {}",
                [(0.25, "ubar must be below u = 0.25, got 0.25")]),
-    "--u": (["counterexample", "--u"], "u must be finite",
-            [(1.0, "u must lie strictly inside (0, 1)")]),
+    "--u": (["counterexample", "--u"], "u must be finite, got {}",
+            [(1.0, "u must lie strictly inside (0, 1), got 1.0")]),
     "--d": (["counterexample", "--d"], "d must be finite, got {}",
             [(_BASE_RATIO, f"d must be above the base entropy ratio {_BASE_RATIO:.6f} at ubar, "
                            f"got {_BASE_RATIO}")]),
-    "--theta": (["counterexample", "--theta"], "theta must be finite",
-                [(1.0, "theta must lie strictly inside (0, 1)")]),
+    "--theta": (["counterexample", "--theta"], "theta must be finite, got {}",
+                [(1.0, "theta must lie strictly inside (0, 1), got 1.0")]),
 }
 _FLOAT_CASES = [
     (name, value, text)
@@ -979,7 +980,7 @@ class TestTheorem2Command:
         out = tmp_path / "x.json"
         assert main(["theorem2", "--dist-file", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            "uclab: error: probabilities must be finite"
+            "uclab: error: probabilities must be finite, got nan"
         ]
         assert not out.exists()
 
@@ -1027,7 +1028,9 @@ class TestTheorem2Command:
     @pytest.mark.parametrize(
         "cap, flags",
         [(1 << 16, ["--max-n", "16", "--trials", "40"]),
-         (1 << 12, ["--max-n", "5", "--trials", "600"])],
+         (1 << 12, ["--max-n", "5", "--trials", "600"]),
+         # a cap below the largest table: those tables go one to a stack
+         (1 << 10, ["--max-n", "12", "--trials", "30"])],
     )
     def test_stacks_stay_within_the_cell_cap(self, cap, flags, tmp_path, monkeypatch):
         shapes = []
@@ -1041,10 +1044,12 @@ class TestTheorem2Command:
         monkeypatch.setattr(uclab.cli, "TABLE_STACK_CELLS", cap)
         code, _ = run(["theorem2", *flags], tmp_path)
         assert code == 0
-        assert max(rows * cells for rows, cells in shapes) <= cap
-        # the random tables (every stack but the last, the product tables)
-        # hold more cells than one stack may: the cap split them
-        assert sum(rows * cells for rows, cells in shapes[:-1]) > cap
+        # the random tables are every stack but the last, the product tables
+        random_stacks = shapes[:-1]
+        assert all(rows == 1 for rows, cells in random_stacks if rows * cells > cap)
+        assert any(cells > cap for _, cells in random_stacks) == (1 << int(flags[1]) > cap)
+        # they hold more cells than one stack may: the cap split them
+        assert sum(rows * cells for rows, cells in random_stacks) > cap
 
 
 def _theorem2_report(trials, max_n, seed):
@@ -1121,7 +1126,7 @@ class TestCounterexampleCommand:
         out = tmp_path / "x.json"
         assert main(["counterexample", f"--theta={theta}", "--out", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            f"uclab: error: theta {text}"
+            f"uclab: error: theta {text}, got {float(theta)}"
         ]
         assert not out.exists()
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -48,8 +49,8 @@ class TestParams:
 
     @pytest.mark.parametrize("theta", [0.0, -0.5, math.nan, 1.0])
     def test_rejects_theta_before_deriving_truncation(self, theta):
-        text = "must be finite" if math.isnan(theta) else r"must lie strictly inside \(0, 1\)"
-        with pytest.raises(ValueError, match=f"^theta {text}$"):
+        rule = "must be finite" if math.isnan(theta) else "must lie strictly inside (0, 1)"
+        with pytest.raises(ValueError, match=f"^{re.escape(f'theta {rule}, got {theta}')}$"):
             params(theta=theta)
 
     def test_truncation_capped(self):

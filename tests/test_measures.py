@@ -202,7 +202,7 @@ class TestTwoAtomScan:
             lams = scale * np.array([entropy_ratio_bound(float(u)) for u in us])
             rows = _two_atom_scan_rows(us, lams, v_steps)
             for k, (u, lam) in enumerate(zip(us, lams)):
-                assert tuple(r[k] for r in rows) == two_atom_scan_loop(u, v_steps, lam)
+                assert tuple(r[k] for r in rows) == two_atom_scan_loop(u, v_steps, lam)[1:]
                 rep = two_atom_min_scan(u, v_steps, lam=lam)
                 assert (rep.v_steps, rep.min_slack, rep.argmin_v) == two_atom_scan_loop(u, v_steps, lam)
 
