@@ -67,6 +67,9 @@ class CounterexampleParams:
 
     def __post_init__(self):
         ubar = _check_open_unit_interval(self.ubar, "ubar")
+        # where 1 - ubar rounds to 1 the entropy bound is 0, and the ratio divides by it
+        _check_float(ubar, "ubar", low=2.0**-54, strict=True,
+                     low_text="2**-54 (1 - ubar rounds to 1 at or below it)")
         if not ubar < _check_open_unit_interval(self.u, "u"):
             raise ValueError(f"ubar must be below u = {self.u}, got {self.ubar}")
         _check_open_unit_interval(self.theta, "theta")

@@ -344,10 +344,7 @@ def delta_search(
     _check_count(search_restarts, "search_restarts", high=MAX_SEARCH_RESTARTS)
     # the band just above the threshold holds at most u_cap_steps + 1 means
     cells = (mean_steps + u_cap_steps + 1) * (v_steps + 1)
-    if cells > MAX_DELTA_GRID_CELLS:
-        raise ValueError(
-            f"delta-search grid of up to {cells} (mean, v) cells exceeds {MAX_DELTA_GRID_CELLS}"
-        )
+    _check_count(cells, "cells of the delta-search grid", high=MAX_DELTA_GRID_CELLS)
     step = _check_float(delta_max / u_cap_steps, "delta_max / u_cap_steps", low=0, strict=True)
     u_star = GOLDEN_THRESHOLD
     # the local search runs at mean caps up to u_star + delta_max, which

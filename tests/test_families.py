@@ -161,16 +161,6 @@ class TestEnumeration:
         assert codes.dtype == np.uint32
         assert codes.tolist() == filter_union_closed_codes(n).tolist()
 
-    def test_rejects_large_n(self):
-        with pytest.raises(ValueError):
-            _union_closed_family_codes(5)
-
-    @pytest.mark.parametrize("n", [-1, 0, 5])
-    def test_scan_bounds_n(self, n):
-        text = "must be at most 4" if n == 5 else "must be an integer of at least 1"
-        with pytest.raises(ValueError, match=f"^n of the exhaustive enumeration {text}, got {n}$"):
-            verify_frequency_threshold(n)
-
 
 class TestFrequencyScan:
     def test_n2(self):

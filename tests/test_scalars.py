@@ -1,5 +1,5 @@
+import contextlib
 import math
-import re
 
 import numpy as np
 import pytest
@@ -10,16 +10,18 @@ from helpers import binary_entropy_gather, third_deriv_numerator
 import uclab.counterexample
 import uclab.coupling
 from uclab import scalars
-from uclab.cli import MAX_RANDOM_TABLE_N, MAX_SCALAR_GRID, MAX_THEOREM2_TRIALS
+from uclab.cli import MAX_RANDOM_TABLE_N, MAX_SCALAR_GRID, MAX_THEOREM2_TRIALS, main
 from uclab.counterexample import (
     MAX_N,
     MAX_TRUNC,
     CounterexampleParams,
     default_truncation,
     entropy_lower_bound,
+    exact_small_n_check,
     union_entropy_upper_bound,
 )
 from uclab.coupling import (
+    MAX_DELTA_GRID_CELLS,
     MAX_LP_ATOMS,
     _two_atom_class,
     delta_search,
@@ -29,11 +31,13 @@ from uclab.coupling import (
 from uclab.families import MAX_ENUMERATION_N, Family, verify_frequency_threshold
 from uclab.measures import (
     MAX_ATOM_GRID,
+    MAX_LAM_SCALE,
     MAX_LEMMA_U_STEPS,
     MAX_LEMMA_V_STEPS,
     MAX_SEARCH_RESTARTS,
     DiscreteMeasure,
     lemma_certificate,
+    local_search_min,
     local_search_rows,
     objective,
     two_atom_min_scan,
@@ -47,7 +51,6 @@ from uclab.setdist import (
     golden_threshold_mixture,
     mixture_entropy_bounds,
     product_bernoulli,
-    union_entropy_check,
     union_entropy_rows,
 )
 from uclab.scalars import (
@@ -301,11 +304,6 @@ class TestEntropyRatioBound:
     def test_values(self, u, expected):
         assert entropy_ratio_bound(u) == pytest.approx(expected, abs=1e-14)
 
-    def test_limits(self):
-        for u in (0.0, 1.0):
-            with pytest.raises(ValueError):
-                entropy_ratio_bound(u)
-
     def test_array_matches_scalar_bit_for_bit(self):
         rng = np.random.default_rng(5)
         us = np.concatenate([
@@ -323,11 +321,6 @@ class TestEntropyRatioBound:
         ])
         assert np.array_equal(entropy_ratio_bound_array(us), want)
         assert [entropy_ratio_bound(u) for u in us.tolist()] == want.tolist()
-
-    @pytest.mark.parametrize("bad", [0.0, 1.0, math.nan, -0.5])
-    def test_array_rejects_the_closed_ends(self, bad):
-        with pytest.raises(ValueError):
-            entropy_ratio_bound_array(np.array([0.3, bad]))
 
     def test_continuous_near_threshold(self):
         eps = 1e-9
@@ -362,11 +355,6 @@ class TestSquareRatio:
         assert entropy_square_ratio(1e-4) > entropy_square_ratio(1e-2)
         assert entropy_square_ratio(1 - 1e-4) > entropy_square_ratio(1 - 1e-2)
 
-    def test_rejects_endpoints(self):
-        for s in (0.0, 1.0):
-            with pytest.raises(ValueError):
-                entropy_square_ratio(s)
-
 
 class TestThirdDerivatives:
     def test_closed_form_values(self):
@@ -380,12 +368,6 @@ class TestThirdDerivatives:
         ss = np.linspace(0.01, 0.99, 99)
         assert np.all(d3_entropy_of_square(ss) < 0.0)
         assert np.all(d3_s_entropy(ss) < 0.0)
-
-    @pytest.mark.parametrize("fn", [d3_entropy_of_square, d3_s_entropy])
-    def test_rejects_endpoints(self, fn):
-        for s in (0.0, 1.0):
-            with pytest.raises(ValueError):
-                fn(s)
 
     def test_matches_high_precision_derivative(self):
         mpmath = pytest.importorskip("mpmath")
@@ -427,18 +409,6 @@ class TestScaledStep:
         assert scaled_step(0.01) == pytest.approx(2e-5, rel=1e-12)
         assert scaled_step(0.99) == pytest.approx(2e-5, rel=1e-12)
         assert scaled_step(0.05) == scaled_step(0.5) == 1e-4
-
-    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.5, math.nan])
-    def test_rejects_points_off_the_open_interval(self, bad):
-        from uclab.numdiff import scaled_step
-
-        rule = "must be finite" if math.isnan(bad) else "must lie strictly inside (0, 1)"
-        text = f"^{re.escape(f'x {rule}, got {bad}')}$"
-
-        with pytest.raises(ValueError, match=text):
-            scaled_step(bad)
-        with pytest.raises(ValueError, match=text):
-            scaled_step(np.array([0.2, bad, 0.7]))
 
 
 class TestThirdDerivNumerator:
@@ -537,148 +507,301 @@ class TestOneExit:
         assert entropy_square_gap(ss).tolist() == gap
 
 
-def _uniform_measure(m):
-    return DiscreteMeasure(np.linspace(0.0, 1.0, m), np.full(m, 1.0 / m))
-
-
-def _exact_check(n, trunc):
-    from uclab.counterexample import exact_small_n_check
-
-    return exact_small_n_check(CounterexampleParams.with_defaults(n=n, trunc=trunc))
-
-
-# Every integer count a caller passes, as (call with the count, its name in
-# the text, low, high, whether any value can reach the call).  A count that
-# is read off another checked object (a measure's atoms, a family's n) can
-# only be too large.
-_COUNT_INPUTS = {
-    "two_atom_min_scan.v_steps": (lambda v: two_atom_min_scan(0.3, v_steps=v), "v_steps", 2,
-                                  None, True),
-    "local_search_rows.restarts": (lambda v: local_search_rows([0.3], [1.0], restarts=v),
-                                   "restarts", 1, None, True),
-    "local_search_rows.atom_grid": (lambda v: local_search_rows([0.3], [1.0], atom_grid=v),
-                                    "atom_grid", 1, None, True),
-    **{f"lemma_certificate.{name}": (lambda v, name=name: lemma_certificate(**{name: v}), name,
-                                     low, high, True)
-       for name, low, high in (("u_steps", 1, MAX_LEMMA_U_STEPS),
-                               ("v_steps", 2, MAX_LEMMA_V_STEPS),
-                               ("restarts", 1, MAX_SEARCH_RESTARTS),
-                               ("atom_grid", 1, MAX_ATOM_GRID),
-                               ("search_points", 1, None))},
-    **{f"delta_search.{name}": (lambda v, name=name: delta_search(0.05, **{name: v}), name,
-                                low, high, True)
-       for name, low, high in (("u_cap_steps", 1, None), ("v_steps", 0, None),
-                               ("mean_steps", 0, None),
-                               ("search_points", 1, MAX_SEARCH_RESTARTS),
-                               ("search_restarts", 1, MAX_SEARCH_RESTARTS))},
-    "worst_coupling_value.atoms": (lambda v: worst_coupling_value(_uniform_measure(v)),
-                                   "atoms of the worst-coupling LP", 1, MAX_LP_ATOMS, False),
-    "greedy_coupling_dp.n": (lambda v: greedy_coupling_dp(Family(v, (0,))),
-                             "n of the coupling DP", 1, 10, False),
-    "greedy_coupling_dp.sets": (lambda v: greedy_coupling_dp(Family(7, range(v))),
-                                "sets of the coupling DP", 1, 64, False),
-    "CounterexampleParams.n": (lambda v: CounterexampleParams.with_defaults(n=v), "n", 1,
-                               MAX_N, True),
-    "CounterexampleParams.trunc": (lambda v: CounterexampleParams.with_defaults(trunc=v),
-                                   "trunc", 1, MAX_TRUNC, True),
-    "exact_small_n_check.n": (lambda v: _exact_check(v, 10), "n of the exact check", 1, 12,
-                              False),
-    "exact_small_n_check.trunc": (lambda v: _exact_check(5, v), "trunc of the exact check", 1,
-                                  20, False),
-    "Family.n": (lambda v: Family(v, (0,)), "n", 1, None, True),
-    "verify_frequency_threshold.n": (verify_frequency_threshold,
-                                     "n of the exhaustive enumeration", 1, MAX_ENUMERATION_N,
-                                     True),
-    "ExplicitSetDistribution.n": (lambda v: ExplicitSetDistribution(v, np.ones(2)),
-                                  "n of an explicit table", 1, MAX_EXPLICIT_N, True),
-    "from_mapping.n": (lambda v: ExplicitSetDistribution.from_mapping(v, {0: 1.0}),
-                       "n of an explicit table", 1, MAX_EXPLICIT_N, True),
-    "product_bernoulli.n": (lambda v: product_bernoulli(v, 0.3), "n of an explicit table", 1,
-                            MAX_EXPLICIT_N, True),
-    "ProductMixture.n": (lambda v: ProductMixture(v, ((1.0, 0.5),)), "n", 1, None, True),
-    "expand_mixture.n": (lambda v: expand_mixture(ProductMixture(v, ((1.0, 0.5),))),
-                         "n of an explicit table", 1, MAX_EXPLICIT_N, False),
-}
-
-# the counts that the CLI itself bounds, as (argv before the value, flag, low, high)
-_CLI_COUNTS = {
-    "scalar --grid": (["scalar", "--grid"], "--grid", 1, MAX_SCALAR_GRID),
-    "theorem2 --trials": (["theorem2", "--trials"], "--trials", 1, MAX_THEOREM2_TRIALS),
-    "theorem2 --max-n": (["theorem2", "--max-n"], "--max-n", 2, MAX_RANDOM_TABLE_N),
-}
-
-
 def _count_text(name, value, low, high):
     if isinstance(value, bool) or not isinstance(value, int) or value < low:
         return f"{name} must be an integer of at least {low}, got {value}"
     return f"{name} must be at most {high}, got {value}"
 
 
-def _count_probes(table, free_values=(2.5, True)):
-    for label, (call, name, low, high, free) in table.items():
-        values = [low - 1, *free_values] if free else []
-        for value in values + ([high + 1] if high is not None else []):
-            yield pytest.param(call, _count_text(name, value, low, high), value,
-                               id=f"{label}={value}")
+def _counts(name, low=1, high=None, below=(2.5, True), more=()):
+    """The rows of a count: low - 1 and the values below (a float and a
+    bool by default), high + 1, then more; below=None leaves out the values
+    below low, which a count read off a checked object (a measure's atoms,
+    a family's n) never takes."""
+    values = [] if below is None else [low - 1, *below]
+    values += ([] if high is None else [high + 1]) + list(more)
+    return [(v, _count_text(name, v, low, high)) for v in values]
 
 
-# Every open-interval input, as (call with the value, its name in the text);
-# the maximum marginal of a checked table is never NaN.
-_OPEN_INPUTS = {
-    "entropy_ratio_bound": (entropy_ratio_bound, "u"),
-    "entropy_ratio_bound_array": (lambda x: entropy_ratio_bound_array(np.array([0.3, x])), "u"),
-    "entropy_square_ratio": (entropy_square_ratio, "s"),
-    "entropy_square_gap": (entropy_square_gap, "s"),
-    "d3_entropy_of_square": (d3_entropy_of_square, "s"),
-    "d3_s_entropy": (d3_s_entropy, "s"),
-    "two_atom_min_scan": (two_atom_min_scan, "u"),
-    "local_search_rows": (lambda x: local_search_rows([0.3, x], [1.0, 1.0], seeds=[1, 2]), "u"),
-    "scaled_step": (scaled_step, "x"),
-    "default_truncation": (default_truncation, "theta"),
-    "CounterexampleParams": (lambda x: CounterexampleParams.with_defaults(theta=x, trunc=10),
-                             "theta"),
-    "union_entropy_check": (
-        lambda x: union_entropy_check(ExplicitSetDistribution(1, np.array([1.0 - x, x]))),
-        "maximum marginal"),
+def _finite(name):
+    return [(v, f"{name} must be finite, got {v}") for v in (math.nan, math.inf, -math.inf)]
+
+
+def _inside(name, *values):
+    return [(x, f"{name} must lie strictly inside (0, 1), got {x}") for x in values]
+
+
+def _open(name, *values):
+    """The rows of an open-interval input: not finite, then values, by
+    default both ends."""
+    return _finite(name) + _inside(name, *(values or (0.0, 1.0)))
+
+
+def _uniform_measure(m):
+    return DiscreteMeasure(np.linspace(0.0, 1.0, m), np.full(m, 1.0 / m))
+
+
+# the counterexample's d must exceed H(2 ubar - ubar^2)/H(ubar) at the default ubar
+_BASE_RATIO = binary_entropy(2.0 * 0.2 - 0.2 * 0.2) / binary_entropy(0.2)
+_PAST_MAX_LAM_SCALE = float(np.nextafter(MAX_LAM_SCALE, np.inf))
+_PAST_ONE = float(np.nextafter(1.0, 2.0))
+_TABLE_N = "n of an explicit table"
+_STEP = "delta_max / u_cap_steps"
+# two table cells, made here: the sentinel refuses np.ones
+_PAIR = np.ones(2)
+_TOL = _finite("--tol") + [(v, f"--tol must be at least 0, got {v}") for v in (-5e-324, -1e-9)]
+
+
+def _d(*values):
+    return [(d, f"d must be above the base entropy ratio {_BASE_RATIO:.6f} at ubar, got {d}")
+            for d in values]
+
+
+def _ubar(u, *values):
+    """The rows of values of ubar: those at or above u, then those below
+    it, which must lie at or below 2**-54."""
+    return [(v, f"ubar must be below u = {u}, got {v}") for v in values if v >= u] + [
+        (v, f"ubar must be above 2**-54 (1 - ubar rounds to 1 at or below it), got {v}")
+        for v in values if v < u]
+
+
+def _past_delta_max(*values):
+    return [(v, f"delta_max must keep GOLDEN_THRESHOLD + delta_max below 1, got {v}")
+            for v in values]
+
+
+def _cells(mean_steps=96, u_cap_steps=200, v_steps=96):
+    """The refusal of a delta-search grid of this size, past its cap."""
+    cells = (mean_steps + u_cap_steps + 1) * (v_steps + 1)
+    return _count_text("cells of the delta-search grid", cells, 1, MAX_DELTA_GRID_CELLS)
+
+
+# The refusal table: every integer count, float and open-interval input of
+# the library and of the command line, with each value at and past each of
+# its bounds and the exact text that refuses it.  An input is a call taking
+# the value; a pair (build, call) whose call takes what build makes of the
+# value; or an argv whose last flag takes the value as `<flag>=<value>`.
+# Each call and each argv runs under the no-work sentinel; a pair builds
+# its input outside it.  A file's contents and a value the library computes
+# (union_entropy_check's maximum marginal) are refused after the work that
+# reads them, so they are tested where that work is.
+REFUSALS = {
+    **{fn.__name__: (fn, _open("s")) for fn in (entropy_square_ratio, entropy_square_gap,
+                                               d3_entropy_of_square, d3_s_entropy)},
+    "entropy_ratio_bound": (entropy_ratio_bound, _open("u")),
+    "entropy_ratio_bound_array": (lambda x: entropy_ratio_bound_array(np.array([0.3, x])),
+                                  _open("u", 0.0, 1.0, -0.5)),
+    "scaled_step": (scaled_step, _open("x", 0.0, 1.0, -0.1, 1.5)),
+    "scaled_step(array)": (lambda x: scaled_step(np.array([0.2, x, 0.7])),
+                           _open("x", 0.0, 1.0, -0.1, 1.5)),
+    "two_atom_min_scan.u": (two_atom_min_scan, _open("u")),
+    "two_atom_min_scan.v_steps": (lambda v: two_atom_min_scan(0.3, v_steps=v),
+                                  _counts("v_steps", low=2)),
+    "local_search_rows.u": (lambda x: local_search_rows([0.3, x], [1.0, 1.0], seeds=[1, 2]),
+                            _open("u")),
+    "local_search_rows.lam": (lambda v: local_search_rows([0.3, 0.4], [1.0, v], seeds=[1, 2]),
+                              _finite("lam")),
+    "local_search_min.lam": (lambda v: local_search_min(0.3, v), _finite("lam")),
+    "local_search_rows.restarts": (lambda v: local_search_rows([0.3], [1.0], restarts=v),
+                                   _counts("restarts")),
+    "local_search_rows.atom_grid": (lambda v: local_search_rows([0.3], [1.0], atom_grid=v),
+                                    _counts("atom_grid")),
+    **{f"lemma_certificate.{name}": (lambda v, name=name: lemma_certificate(**{name: v}),
+                                     _counts(name, low, high, more=more))
+       for name, low, high, more in (("u_steps", 1, MAX_LEMMA_U_STEPS, ()),
+                                     ("v_steps", 2, MAX_LEMMA_V_STEPS, ()),
+                                     ("restarts", 1, MAX_SEARCH_RESTARTS, ()),
+                                     ("atom_grid", 1, MAX_ATOM_GRID, [-1]),
+                                     ("search_points", 1, None, ()))},
+    "lemma_certificate.scan_tol": (
+        lambda v: lemma_certificate(scan_tol=v),
+        _finite("scan_tol") + [(v, f"scan_tol must be at least 0, got {v}")
+                               for v in (-5e-324, -1e-9)]),
+    "lemma_certificate.lam_scale": (
+        lambda v: lemma_certificate(lam_scale=v),
+        _finite("lam_scale") + [(v, f"lam_scale must be above 0, got {v}") for v in (0.0, -1.0)]
+        + [(_PAST_MAX_LAM_SCALE,
+            f"lam_scale must be at most {MAX_LAM_SCALE}, got {_PAST_MAX_LAM_SCALE}")]),
+    "worst_coupling_value.atoms": ((_uniform_measure, worst_coupling_value),
+                                   _counts("atoms of the worst-coupling LP", high=MAX_LP_ATOMS,
+                                           below=None)),
+    "greedy_coupling_dp.n": ((lambda v: Family(v, (0,)), greedy_coupling_dp),
+                             _counts("n of the coupling DP", high=10, below=None)),
+    "greedy_coupling_dp.sets": ((lambda v: Family(7, range(v)), greedy_coupling_dp),
+                                _counts("sets of the coupling DP", high=64, below=None)),
+    "delta_search.u_cap_steps": (lambda v: delta_search(0.05, u_cap_steps=v),
+                                 _counts("u_cap_steps") + [(10**12, _cells(u_cap_steps=10**12))]),
+    "delta_search.v_steps": (lambda v: delta_search(0.05, v_steps=v),
+                             _counts("v_steps", low=0) + [(10**9, _cells(v_steps=10**9))]),
+    "delta_search.mean_steps": (lambda v: delta_search(0.05, mean_steps=v),
+                                _counts("mean_steps", low=0)
+                                + [(10**9, _cells(mean_steps=10**9))]),
+    **{f"delta_search.{name}": (lambda v, name=name: delta_search(0.05, **{name: v}),
+                                _counts(name, high=MAX_SEARCH_RESTARTS, more=more))
+       for name, more in (("search_points", [-3]), ("search_restarts", ()))},
+    "delta_search.delta_max": (
+        lambda v: delta_search(0.05, delta_max=v),
+        _finite(_STEP) + [(5e-324, f"{_STEP} must be above 0, got 0.0"),
+                          (0.0, f"{_STEP} must be above 0, got 0.0"),
+                          (-0.01, f"{_STEP} must be above 0, got -5e-05")]
+        + _past_delta_max(1.0 - GOLDEN_THRESHOLD, 0.7, 1.0)),
+    "default_truncation": (default_truncation, _open("theta", 0.0, 1.0, -0.5)),
+    "CounterexampleParams.theta": (
+        lambda x: CounterexampleParams.with_defaults(theta=x, trunc=10),
+        _open("theta", 0.0, 1.0, -0.5)),
+    "CounterexampleParams.ubar": (lambda v: CounterexampleParams.with_defaults(ubar=v),
+                                  _open("ubar", 0.0) + _ubar(0.25, 1e-17, 2.0**-54, 0.25, 0.3)),
+    "CounterexampleParams.u": (lambda v: CounterexampleParams.with_defaults(u=v),
+                               _finite("u") + _ubar(0.2, 0.2) + _inside("u", 1.0)),
+    "CounterexampleParams.d": (lambda v: CounterexampleParams.with_defaults(d=v),
+                               _finite("d") + _d(_BASE_RATIO, 1.3)),
+    "CounterexampleParams.n": (lambda v: CounterexampleParams.with_defaults(n=v),
+                               _counts("n", high=MAX_N)),
+    "CounterexampleParams.trunc": (lambda v: CounterexampleParams.with_defaults(trunc=v),
+                                   _counts("trunc", high=MAX_TRUNC)),
+    "exact_small_n_check.n": ((lambda v: CounterexampleParams.with_defaults(n=v, trunc=10),
+                               exact_small_n_check),
+                              _counts("n of the exact check", high=12, below=None)),
+    "exact_small_n_check.trunc": ((lambda v: CounterexampleParams.with_defaults(n=5, trunc=v),
+                                   exact_small_n_check),
+                                  _counts("trunc of the exact check", high=20, below=None)),
+    "Family.n": (lambda v: Family(v, (0,)), _counts("n")),
+    "verify_frequency_threshold.n": (verify_frequency_threshold,
+                                     _counts("n of the exhaustive enumeration",
+                                             high=MAX_ENUMERATION_N, more=[-1])),
+    "ExplicitSetDistribution.n": (lambda v: ExplicitSetDistribution(v, _PAIR),
+                                  _counts(_TABLE_N, high=MAX_EXPLICIT_N)),
+    "from_mapping.n": (lambda v: ExplicitSetDistribution.from_mapping(v, {0: 1.0}),
+                       _counts(_TABLE_N, high=MAX_EXPLICIT_N, more=[40])),
+    "product_bernoulli.n": (lambda v: product_bernoulli(v, 0.3),
+                            _counts(_TABLE_N, high=MAX_EXPLICIT_N)),
+    "ProductMixture.n": (lambda v: ProductMixture(v, ((1.0, 0.5),)), _counts("n")),
+    "expand_mixture.n": ((lambda v: ProductMixture(v, ((1.0, 0.5),)), expand_mixture),
+                         _counts(_TABLE_N, high=MAX_EXPLICIT_N, below=None)),
+    # the command line; a count the CLI reads is a Python int, so below
+    # its low bound the only row is low - 1 and the values in more
+    "scalar --grid": (["scalar", "--grid"],
+                      _counts("--grid", high=MAX_SCALAR_GRID, below=(), more=[-3, 10**12])),
+    **{f"lemma {flag}": (["lemma", flag], _counts(name, low, high, below=(), more=[10**12]))
+       for flag, name, low, high in (("--u-steps", "u_steps", 1, MAX_LEMMA_U_STEPS),
+                                     ("--v-steps", "v_steps", 2, MAX_LEMMA_V_STEPS),
+                                     ("--restarts", "restarts", 1, MAX_SEARCH_RESTARTS),
+                                     ("--atom-grid", "atom_grid", 1, MAX_ATOM_GRID))},
+    "lemma --search-points": (["lemma", "--search-points"], _counts("search_points", below=())),
+    "lemma --inflate-bound": (
+        ["lemma", "--inflate-bound"],
+        _finite("lam_scale") + [(v, f"lam_scale must be above 0, got {v}") for v in (0.0, -1.0)]
+        # finite, but the bound factor (up to 2) times it is not
+        + [(1e308, f"lam_scale must be at most {MAX_LAM_SCALE}, got 1e+308")]),
+    "lemma --tol": (["lemma", "--tol"], _TOL),
+    "families --n": (["families", "--n"],
+                     _counts("n of the exhaustive enumeration", high=MAX_ENUMERATION_N, below=(),
+                             more=[-2])),
+    # the file does not exist, so reading it first would end in another text
+    "theorem2 --trials": (["theorem2", "--dist-file=no-such-file.txt", "--trials"],
+                          _counts("--trials", high=MAX_THEOREM2_TRIALS, below=(), more=[-1])),
+    "theorem2 --max-n": (["theorem2", "--max-n"],
+                         _counts("--max-n", low=2, high=MAX_RANDOM_TABLE_N, below=())),
+    "theorem2 --tol": (["theorem2", "--tol"], _TOL),
+    # at these flags, ubar = 1e-17 let through would divide by a zero entropy bound
+    "counterexample --ubar": (["counterexample", "--u=0.5", "--d=3", "--n=5", "--ubar"],
+                              _open("ubar", 0.0) + _ubar(0.5, 1e-17, 0.5, 0.6)),
+    "counterexample --u": (["counterexample", "--u"], _finite("u") + _inside("u", 1.0)),
+    "counterexample --d": (["counterexample", "--d"], _finite("d") + _d(_BASE_RATIO)),
+    # theta = 0.99999 derives trunc = ceil(30 / -log theta) = 2,999,985
+    "counterexample --theta": (
+        ["counterexample", "--theta"],
+        _open("theta", 0.0, -0.5, 1.0) + [(0.99999, f"trunc must be at most {MAX_TRUNC}, "
+                                                    f"got 2999985")]),
+    "counterexample --n": (["counterexample", "--n"],
+                           _counts("n", high=MAX_N, below=(), more=[10**330])),
+    "counterexample --trunc": (["counterexample", "--trunc"],
+                               _counts("trunc", high=MAX_TRUNC, below=(), more=[10**11])),
+    "coupling --alpha": (["coupling", "--alpha"],
+                         _finite("alpha") + [(x, f"alpha must lie in [0, 1], got {x}")
+                                             for x in (-5e-324, _PAST_ONE)]),
+    "coupling --delta-max": (["coupling", "--delta-max"],
+                             _finite(_STEP) + [(0.0, f"{_STEP} must be above 0, got 0.0")]
+                             + _past_delta_max(1.0)),
+    "coupling --delta-steps": (["coupling", "--delta-steps"],
+                               _counts("u_cap_steps", below=())
+                               + [(10**12, _cells(u_cap_steps=10**12))]),
+    "coupling --v-steps": (["coupling", "--v-steps"],
+                           _counts("v_steps", low=0, below=())
+                           + [(10**12, _cells(v_steps=10**12))]),
+    "coupling --mean-steps": (["coupling", "--mean-steps"],
+                              _counts("mean_steps", low=0, below=())
+                              + [(10**12, _cells(mean_steps=10**12))]),
+    **{f"coupling {flag}": (["coupling", flag],
+                            _counts(flag[2:].replace("-", "_"), high=MAX_SEARCH_RESTARTS, below=(),
+                                    more=[10**12]))
+       for flag in ("--search-points", "--search-restarts")},
 }
 
 
-def _open_probes():
-    for label, (call, name) in _OPEN_INPUTS.items():
-        for x in (0.0, 1.0, math.nan):
-            if math.isnan(x) and name == "maximum marginal":
-                continue
-            text = "must be finite" if math.isnan(x) else "must lie strictly inside (0, 1)"
-            yield pytest.param(call, f"{name} {text}, got {x}", x, id=f"{label}={x}")
+class _WorkStarted(Exception):
+    """Raised by every function the no-work sentinel replaces."""
+
+
+@contextlib.contextmanager
+def no_work():
+    """The no-work sentinel: numpy's array makers and default_rng raise
+    _WorkStarted, so a run that refuses under it refused before any work."""
+    def started(*args, **kwargs):
+        raise _WorkStarted
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("arange", "linspace", "zeros", "empty", "ones", "full", "concatenate"):
+            mp.setattr(np, name, started)
+        mp.setattr(np.random, "default_rng", started)
+        yield
+
+
+def _rows(cli):
+    """The table's CLI rows (cli) or its library rows, one param per value."""
+    for label, (given, rows) in REFUSALS.items():
+        if isinstance(given, list) is cli:
+            for value, text in rows:
+                shown = repr(value) if len(repr(value)) <= 24 else f"{len(repr(value))}digits"
+                yield pytest.param(given, value, text, id=f"{label}={shown}")
+
+
+# a valid value of a table flag on each subcommand, which gets past every
+# check, so the sentinel stops the run at its first allocation
+_VALID = [["scalar", "--grid=10"], ["lemma", "--u-steps=3"], ["families", "--n=2"],
+          ["theorem2", "--max-n=3"], ["counterexample", "--theta=0.5"],
+          ["coupling", "--delta-steps=10"]]
 
 
 class TestRangeRules:
-    """One text per rule: every count goes through scalars._check_count and
+    """One text per rule, asserted once per input: every count goes through
+    scalars._check_count, every float through scalars._check_float and
     every open-interval input through scalars._check_open_unit_interval."""
 
-    @pytest.mark.parametrize("call, text, value", _count_probes(_COUNT_INPUTS))
-    def test_count_refused_with_its_text(self, call, text, value):
-        with pytest.raises(ValueError) as exc:
-            call(value)
+    @pytest.mark.parametrize("given, value, text", _rows(cli=False))
+    def test_library_input_refused_with_its_text(self, given, value, text):
+        build, call = given if isinstance(given, tuple) else (lambda v: v, given)
+        built = build(value)
+        with no_work(), pytest.raises(ValueError) as exc:
+            call(built)
         assert str(exc.value) == text
 
-    @pytest.mark.parametrize("argv, flag, low, high", _CLI_COUNTS.values(), ids=_CLI_COUNTS)
-    def test_cli_count_exits_two_with_its_text(self, argv, flag, low, high, tmp_path, capsys):
-        from uclab.cli import main
-
+    @pytest.mark.parametrize("argv, value, text", _rows(cli=True))
+    def test_cli_argv_exits_two_with_its_text(self, argv, value, text, tmp_path, capsys):
         out = tmp_path / "x.json"
-        for value in (low - 1, high + 1):
-            assert main([*argv, str(value), "--out", str(out)]) == 2
-            assert capsys.readouterr().err.splitlines() == [
-                f"uclab: error: {_count_text(flag, value, low, high)}"
-            ]
-            assert not out.exists()
+        with no_work():
+            code = main([*argv[:-1], f"{argv[-1]}={value!r}", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"uclab: error: {text}"]
+        assert not out.exists()
 
-    @pytest.mark.parametrize("call, text, x", _open_probes())
-    def test_open_interval_refused_with_its_text(self, call, text, x):
-        with pytest.raises(ValueError) as exc:
-            call(x)
-        assert str(exc.value) == text
+    @pytest.mark.parametrize("argv", _VALID, ids=lambda argv: argv[0])
+    def test_a_valid_value_trips_the_sentinel(self, argv, tmp_path):
+        flags = [[given[0], given[-1]] for given, _ in REFUSALS.values()
+                 if isinstance(given, list)]
+        assert [argv[0], argv[1].split("=")[0]] in flags
+        with no_work(), pytest.raises(_WorkStarted):
+            main([*argv, "--out", str(tmp_path / "x.json")])
 
     def test_numpy_integers_are_counts(self):
         assert scalars._check_count(np.int64(3), "k") == 3
