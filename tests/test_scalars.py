@@ -766,11 +766,57 @@ def _rows(cli):
                 yield pytest.param(given, value, text, id=f"{label}={shown}")
 
 
-# a valid value of a table flag on each subcommand, which gets past every
-# check, so the sentinel stops the run at its first allocation
-_VALID = [["scalar", "--grid=10"], ["lemma", "--u-steps=3"], ["families", "--n=2"],
-          ["theorem2", "--max-n=3"], ["counterexample", "--theta=0.5"],
-          ["coupling", "--delta-steps=10"]]
+def _up(x):
+    return float(np.nextafter(x, np.inf))
+
+
+def _down(x):
+    return float(np.nextafter(x, -np.inf))
+
+
+# the largest (mean + u-cap + 1) rows of a delta-search grid at the default
+# v_steps = 96, and the largest v_steps + 1 at the default 96 + 200 + 1 rows
+_GRID_ROWS = MAX_DELTA_GRID_CELLS // 97
+_GRID_COLUMNS = MAX_DELTA_GRID_CELLS // 297
+
+# For every CLI row of the table, the values at each of its bounds, which
+# pass every check, so the sentinel stops the run at its first allocation
+# (argv: the row's subcommand, the prefix flags, then `<flag>=<value>`).
+# An off-by-one cap refuses one of them and fails here, and a sentinel
+# that patched the wrong names lets one run on and fails here too.
+_ACCEPTED = {
+    "scalar --grid": ([], [1, MAX_SCALAR_GRID]),
+    **{f"lemma {flag}": ([], values) for flag, values in (
+        ("--u-steps", [1, MAX_LEMMA_U_STEPS]), ("--v-steps", [2, MAX_LEMMA_V_STEPS]),
+        ("--restarts", [1, MAX_SEARCH_RESTARTS]), ("--atom-grid", [1, MAX_ATOM_GRID]),
+        ("--search-points", [1]), ("--inflate-bound", [5e-324, MAX_LAM_SCALE]),
+        ("--tol", [0.0, 1e308]))},
+    "families --n": ([], [1, MAX_ENUMERATION_N]),
+    "theorem2 --trials": ([], [1, MAX_THEOREM2_TRIALS]),
+    "theorem2 --max-n": ([], [2, MAX_RANDOM_TABLE_N]),
+    "theorem2 --tol": ([], [0.0, 1e308]),
+    "counterexample --ubar": (["--u=0.5", "--d=3", "--n=5"], [_up(2.0**-54), _down(0.5)]),
+    "counterexample --u": ([], [_up(0.2), _down(1.0)]),
+    "counterexample --d": ([], [_up(_BASE_RATIO), 1e308]),
+    "counterexample --theta": ([], [5e-324, 0.9999]),
+    "counterexample --n": ([], [1, MAX_N]),
+    # trunc = 1 leaves tail mass theta**2, below 1e-12 only at a tiny theta
+    "counterexample --trunc": (["--theta=1e-7"], [1, MAX_TRUNC]),
+    "coupling --alpha": ([], [0.0, 1.0]),
+    "coupling --delta-max": ([], [1e-300, _down(1.0 - GOLDEN_THRESHOLD)]),
+    "coupling --delta-steps": ([], [1, _GRID_ROWS - 96 - 1]),
+    "coupling --v-steps": ([], [0, _GRID_COLUMNS - 1]),
+    "coupling --mean-steps": ([], [0, _GRID_ROWS - 200 - 1]),
+    "coupling --search-points": ([], [1, MAX_SEARCH_RESTARTS]),
+    "coupling --search-restarts": ([], [1, MAX_SEARCH_RESTARTS]),
+}
+
+
+def _accepted():
+    for label, (prefix, values) in _ACCEPTED.items():
+        command, flag = label.split()
+        for value in values:
+            yield pytest.param([command, *prefix, f"{flag}={value!r}"], id=f"{label}={value!r}")
 
 
 class TestRangeRules:
@@ -795,11 +841,12 @@ class TestRangeRules:
         assert capsys.readouterr().err.splitlines() == [f"uclab: error: {text}"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", _VALID, ids=lambda argv: argv[0])
+    def test_every_cli_row_has_its_accepted_values(self):
+        assert list(_ACCEPTED) == [label for label, (given, _) in REFUSALS.items()
+                                   if isinstance(given, list)]
+
+    @pytest.mark.parametrize("argv", _accepted())
     def test_a_valid_value_trips_the_sentinel(self, argv, tmp_path):
-        flags = [[given[0], given[-1]] for given, _ in REFUSALS.values()
-                 if isinstance(given, list)]
-        assert [argv[0], argv[1].split("=")[0]] in flags
         with no_work(), pytest.raises(_WorkStarted):
             main([*argv, "--out", str(tmp_path / "x.json")])
 
