@@ -26,7 +26,7 @@ import numpy as np
 from .scalars import _check_count, _check_float, _check_open_unit_interval, entropy_kernel
 from .setdist import (
     ProductMixture,
-    _plogp,
+    _entropy_rows,
     expand_mixture,
     kl_divergence,
     mixture_entropy_bounds,
@@ -143,7 +143,7 @@ def union_entropy_upper_bound(params: CounterexampleParams) -> float:
     """Level entropy plus average conditional entropy of the union:
     H(law of k') + n * sum_{k'} Pr[k'] H((1-ubar)^(k'+1))."""
     kp, pmf = _union_level_pmf(params)
-    level_entropy = float(-_plogp(pmf).sum())
+    level_entropy = float(_entropy_rows(pmf))
     cond = entropy_kernel((1.0 - params.ubar) ** (kp + 1))
     return level_entropy + float(params.n * np.dot(pmf, cond))
 

@@ -37,6 +37,7 @@ from .measures import (
     DiscreteMeasure,
     local_search_rows,
     objective,
+    objective_rows,
     sorted_unique,
 )
 from .scalars import (
@@ -46,7 +47,6 @@ from .scalars import (
     _check_unit_interval,
     _float_or_array,
     entropy_kernel,
-    union_kernel,
 )
 
 if TYPE_CHECKING:
@@ -97,13 +97,11 @@ def worst_coupling_value(mu: DiscreteMeasure) -> WorstCouplingReport:
     """Solve min_W sum_ij W_ij H(coupled_union_kernel(x_i, x_j)) over couplings
     W with both marginals mu.
 
-    Two atoms have a closed form: every coupling is [[w0-t, t], [t, w1-t]]
-    with t in [0, min(w0, w1)], and the cost is linear in t, so the optimum
-    sits at an endpoint.  Three or more atoms (at most MAX_LP_ATOMS) go to
-    the exact transportation simplex `linprog`, whose optimal vertex is
-    returned as it is.  A vertex with an entry below -1e-15, or whose row
-    and column sums, clipped at 0, miss mu's weights by more than
-    MARGINAL_TOL, is an internal fault and raises RuntimeError.
+    Two atoms have a closed form, _two_atom_coupling.  Three or more atoms
+    (at most MAX_LP_ATOMS) go to the exact transportation simplex `linprog`,
+    whose optimal vertex is returned as it is.  A vertex with an entry below
+    -1e-15, or whose row and column sums, clipped at 0, miss mu's weights
+    by more than MARGINAL_TOL, is an internal fault and raises RuntimeError.
     """
     x, w = mu.locations, mu.weights
     m = x.size
@@ -112,7 +110,7 @@ def worst_coupling_value(mu: DiscreteMeasure) -> WorstCouplingReport:
     if m == 1:
         weights = np.ones((1, 1))
     elif m == 2:
-        t = min(w[0], w[1]) if 2.0 * cost[0, 1] < cost[0, 0] + cost[1, 1] else 0.0
+        t, _ = _two_atom_coupling(w[0], w[1], cost[0, 0], cost[0, 1], cost[1, 1])
         weights = np.array([[w[0] - t, t], [t, w[1] - t]])
     else:
         weights = linprog(cost, w)
@@ -122,14 +120,10 @@ def worst_coupling_value(mu: DiscreteMeasure) -> WorstCouplingReport:
     clipped = np.clip(weights, 0.0, None)
     err = max(np.abs(clipped.sum(axis=1) - w).max(), np.abs(clipped.sum(axis=0) - w).max())
     if err > MARGINAL_TOL:
-        raise RuntimeError(
-            f"{fault}: coupling marginals deviate by {err:.3e} (> {MARGINAL_TOL:.0e})"
-        )
-    return WorstCouplingReport(
-        value=float((weights * cost).sum()),
-        weights=weights,
-        repaired=m > 1,
-    )
+        raise RuntimeError(f"{fault}: coupling marginals deviate by {err:.3e} "
+                           f"(> {MARGINAL_TOL:.0e})")
+    return WorstCouplingReport(value=float((weights * cost).sum()), weights=weights,
+                               repaired=m > 1)
 
 
 def linprog(cost: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -247,25 +241,31 @@ def improved_slack(mu: DiscreteMeasure, alpha: float) -> float:
     return (1.0 - alpha) * rep.quadratic + alpha * worst_coupling_value(mu).value - rep.linear
 
 
+def _two_atom_coupling(w0, w1, c00, c01, c11):
+    """(t, value) of the worst coupling [[w0-t, t], [t, w1-t]] of two atoms of
+    weights w0, w1 under the cost [[c00, c01], [c01, c11]], elementwise.
+
+    The cost is linear in t on [0, min(w0, w1)], so the optimum sits at an
+    endpoint.  value adds the four cells in row-major order, as the sum
+    over the (2, 2) matrix does.
+    """
+    t = np.where(2.0 * c01 < c00 + c11, np.minimum(w0, w1), 0.0)
+    return t, (w0 - t) * c00 + t * c01 + t * c01 + (w1 - t) * c11
+
+
 def _two_atom_class(v: np.ndarray, w: np.ndarray, alpha: float):
     """Mean, linear part and blended slack of every mu = w delta_v + (1-w) delta_1.
 
     Each entry is bit-equal to mu.mean(), objective(mu, 1).linear and
-    improved_slack(mu, alpha) for DiscreteMeasure.two_atom(v, w): the
-    batched matmuls run the same BLAS dot/gemv per measure as the 1-d
-    products there, over the full 2x2 union-entropy matrix (union_prob(v, 1)
-    is not always exactly 1).  The cost row and column of the atom at 1 are
-    exactly 0, so the worst coupling is
-    max(0, 2w - 1) * H(coupled_union_kernel(v, v)); at alpha = 0 the blend
-    gives the bits of quad - lin.
+    improved_slack(mu, alpha) for DiscreteMeasure.two_atom(v, w): objective_rows
+    and _two_atom_coupling run on the full 2x2 matrices (union_prob(v, 1) is
+    not always exactly 1), and at alpha = 0 the blend gives the bits of quad - lin.
     """
     x = np.stack([v, np.ones_like(v)], axis=1)
     wt = np.stack([w, 1.0 - w], axis=1)
-    row, col = wt[:, None, :], wt[:, :, None]
-    mean = (x[:, None, :] @ col)[:, 0, 0]
-    lin = (row @ entropy_kernel(x)[:, :, None])[:, 0, 0]
-    quad = (row @ entropy_kernel(union_kernel(x[:, :, None], x[:, None, :])) @ col)[:, 0, 0]
-    worst = np.maximum(0.0, 2.0 * w - 1.0) * entropy_kernel(coupled_union_kernel(v, v))
+    mean, lin, quad = objective_rows(x, wt)
+    cost = entropy_kernel(coupled_union_kernel(x[:, :, None], x[:, None, :]))
+    _, worst = _two_atom_coupling(wt[:, 0], wt[:, 1], cost[:, 0, 0], cost[:, 0, 1], cost[:, 1, 1])
     return mean, lin, (1.0 - alpha) * quad + alpha * worst - lin
 
 
@@ -350,21 +350,16 @@ def delta_search(
     # the local search runs at mean caps up to u_star + delta_max, which
     # must stay below 1
     if not u_star + delta_max < 1.0:
-        raise ValueError(
-            f"delta_max must keep GOLDEN_THRESHOLD + delta_max below 1, got {delta_max}"
-        )
+        raise ValueError(f"delta_max must keep GOLDEN_THRESHOLD + delta_max below 1, "
+                         f"got {delta_max}")
     band = min(0.006, delta_max)
 
     vs = np.linspace(0.005, 0.995, v_steps)
     vs = sorted_unique(np.append(vs, u_star))
-    means = sorted_unique(
-        np.concatenate(
-            [
-                np.linspace(u_star - DELTA_MEAN_MARGIN, u_star + delta_max, mean_steps),
-                u_star + np.arange(0.0, band + 0.5 * step, step),
-            ]
-        )
-    )
+    means = sorted_unique(np.concatenate([
+        np.linspace(u_star - DELTA_MEAN_MARGIN, u_star + delta_max, mean_steps),
+        u_star + np.arange(0.0, band + 0.5 * step, step),
+    ]))
     # candidates in (mean, v) row-major order; the argmin tie-break depends on it
     v_grid, mean_grid = np.meshgrid(vs, means)
     w_grid = (1.0 - mean_grid) / (1.0 - v_grid)
@@ -462,7 +457,7 @@ def greedy_coupling_dp(f: Family, literal_rates: bool = False) -> CouplingProces
     """
     # imported here so that delta-search loads neither module
     from .families import is_union_closed
-    from .setdist import ExplicitSetDistribution, _plogp, union_of_independent
+    from .setdist import ExplicitSetDistribution, _entropy_rows, union_of_independent
 
     _check_count(f.n, "n of the coupling DP", high=10)
     _check_count(f.size(), "sets of the coupling DP", high=64)
@@ -518,7 +513,7 @@ def greedy_coupling_dp(f: Family, literal_rates: bool = False) -> CouplingProces
     union_law = {}
     for (a, c), p in states.items():
         union_law[a | c] = union_law.get(a | c, 0.0) + p
-    h_union = float(-_plogp(np.fromiter(union_law.values(), float)).sum()) + 0.0
+    h_union = float(_entropy_rows(np.fromiter(union_law.values(), float))) + 0.0
     d = ExplicitSetDistribution.uniform_on(n, sets)
     h_indep = union_of_independent(d, d).entropy()
     joint = tuple(

@@ -132,22 +132,37 @@ class ObjectiveReport(NamedTuple):
 
 
 def objective(mu: DiscreteMeasure, lam: float) -> ObjectiveReport:
-    """Evaluate J(mu; lam) together with its two parts.
+    """Evaluate J(mu; lam) together with its two parts, as the one-row
+    case of objective_rows.
 
     quadratic = sum_ij w_i w_j H(x_i + x_j - x_i x_j);
     linear    = sum_i w_i H(x_i);
     value     = quadratic - lam * linear.
     """
-    x, w = mu.locations, mu.weights
-    quad = float(w @ entropy_kernel(union_kernel(x[:, None], x[None, :])) @ w)
-    lin = float(np.dot(w, entropy_kernel(x)))
-    return ObjectiveReport(
-        quadratic=quad,
-        linear=lin,
-        lam=float(lam),
-        value=quad - float(lam) * lin,
-        mean=mu.mean(),
-    )
+    mean, lin, quad = (float(a[0]) for a in objective_rows(mu.locations[None], mu.weights[None]))
+    return ObjectiveReport(quadratic=quad, linear=lin, lam=float(lam),
+                           value=quad - float(lam) * lin, mean=mean)
+
+
+def _union_entropy_stack(x: np.ndarray) -> np.ndarray:
+    """(..., m + 1, m) entropies of a (..., m) stack of locations, from one
+    entropy call: each row's matrix H(x_i + x_j - x_i x_j), then H(x)."""
+    union = union_kernel(x[..., :, None], x[..., None, :])
+    return entropy_kernel(np.concatenate([union, x[..., None, :]], axis=-2))
+
+
+def objective_rows(x: np.ndarray, w: np.ndarray, ent: np.ndarray | None = None):
+    """(mean, linear, quadratic) of objective at every row of a (..., m)
+    stack of locations x and weights w, each an array over the rows; ent is
+    _union_entropy_stack(x), built here when not given.  A row's products
+    run the BLAS dot/gemv of the 1-d products w.x, w.H(x) and w.H.w of that
+    row alone, so each row gets its own bits, whatever else the stack holds.
+    """
+    ent = _union_entropy_stack(x) if ent is None else ent
+    row, col = w[..., None, :], w[..., :, None]
+    mean = (x[..., None, :] @ col)[..., 0, 0]
+    lin = (row @ ent[..., -1, :, None])[..., 0, 0]
+    return mean, lin, (row @ ent[..., :-1, :] @ col)[..., 0, 0]
 
 
 class TwoAtomScanReport(NamedTuple):
@@ -386,10 +401,7 @@ def _exchange_descent(x, w, lam, u, max_rounds):
     whatever else the stack holds.
     """
     stack, m = x.shape
-    # one entropy call: each restart's union-entropy matrix on top, H(x) below it
-    ent = entropy_kernel(
-        np.concatenate([union_kernel(x[:, :, None], x[:, None, :]), x[:, None, :]], axis=1)
-    )
+    ent = _union_entropy_stack(x)
     big_h, h = ent[:, :-1], ent[:, -1]
     diag = np.diagonal(big_h, axis1=1, axis2=2)
     # the weight-free terms of moving mass from location a to location b,
@@ -434,8 +446,8 @@ def _exchange_descent(x, w, lam, u, max_rounds):
         active = active[j]
         w[active, src] = np.maximum(w[active, src] - amount, 0.0)
         w[active, dst] += amount
-    quad = ((w[:, None, :] @ big_h) @ w[:, :, None])[:, 0, 0]
-    return quad - lam * (w[:, None, :] @ h[:, :, None])[:, 0, 0]
+    _, lin, quad = objective_rows(x, w, ent)
+    return quad - lam * lin
 
 
 def _is_two_point_with_top(mu: DiscreteMeasure) -> bool:
@@ -513,15 +525,8 @@ def lemma_certificate(
     margins = [slacks[k] - s.best_value for k, s in zip(pick, searches)]
     worst_margin = float(max(margins))
 
-    rows = tuple(
-        {
-            "u": float(u),
-            "ratio_bound": float(lam),
-            "min_slack": float(slack),
-            "argmin_v": float(v),
-        }
-        for u, lam, slack, v in zip(us, lams, slacks, argmins)
-    )
+    rows = tuple({"u": float(u), "ratio_bound": float(lam), "min_slack": float(slack),
+                  "argmin_v": float(v)} for u, lam, slack, v in zip(us, lams, slacks, argmins))
     return LemmaCertificate(
         u_steps=int(us.size),
         v_steps=v_steps,

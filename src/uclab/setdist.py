@@ -74,14 +74,12 @@ def _marginal_rows(probs: np.ndarray, n: int) -> np.ndarray:
 
 
 def _entropy_rows(probs: np.ndarray) -> np.ndarray:
-    return -_plogp(probs).sum(axis=-1)
-
-
-def _plogp(p: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(p)
-    pos = p > PROB_FLOOR
-    out[pos] = p[pos] * np.log(p[pos])
-    return out
+    """-sum p log p along the last axis, in nats, with every entry at or
+    below PROB_FLOOR counted as 0."""
+    plogp = np.zeros_like(probs)
+    pos = probs > PROB_FLOOR
+    plogp[pos] = probs[pos] * np.log(probs[pos])
+    return -plogp.sum(axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,7 +224,7 @@ def mixture_entropy_bounds(m: ProductMixture) -> tuple:
     """
     ws = m.weights()
     lower = float(m.n * np.dot(ws, entropy_kernel(m.inclusions())))
-    upper = lower + float(-_plogp(ws).sum())
+    upper = lower + float(_entropy_rows(ws))
     return lower, upper
 
 

@@ -2,17 +2,17 @@
 
 The oracles here deliberately avoid the library's fast paths: the binary
 entropy is evaluated on a copy of the interior entries only, the union
-convolution is the quadratic double loop over support pairs, entropies are
-summed directly, the table kernels (marginal, conditional, chain profile)
-are plain loops over every mask, union-closed families come from a
-plain fixpoint closure, the transport LP is scipy's general HiGHS solver,
-the delta search is the one-measure-at-a-time loop, the two-atom lemma
-scan is one grid per u, the exchange-move search recomputes every term
-each round, the third-derivative check runs one point at a time, the
-theorem2 random tables are checked one dict-built table at a time, the
-union-closed families are filtered out of every membership code, and a
-report is written in two stages: the whole tree is coerced to plain values,
-then those are written.
+convolution is the quadratic double loop over support pairs, the table
+kernels (marginal, conditional, chain profile) are plain loops over every
+mask, union-closed families come from a plain fixpoint closure, the
+transport LP is scipy's general HiGHS solver, the delta search is the
+one-measure-at-a-time loop with J and the worst coupling written out per
+measure, the two-atom lemma scan is one grid per u, the exchange-move
+search recomputes every term each round, the third-derivative check runs
+one point at a time, the theorem2 random tables are checked one dict-built
+table at a time, the union-closed families are filtered out of every
+membership code, and a report is written in two stages: the whole tree is
+coerced to plain values, then those are written.
 Anything the library computes cleverly is checked against these.
 
 The last part holds checks of statements of the paper that no CLI command
@@ -27,12 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from uclab.coupling import (
-    DeltaSearchReport,
-    _measure_summary,
-    improved_slack,
-    worst_coupling_value,
-)
+from uclab.coupling import DeltaSearchReport, _measure_summary, coupled_union_prob, linprog
 from uclab.families import Family, is_union_closed
 from uclab.measures import (
     MEAN_SLACK,
@@ -96,12 +91,6 @@ def naive_union_table(d1, d2):
         for b in range(out.size):
             out[a | b] += pa * d2.probs[b]
     return out
-
-
-def entropy_direct(probs):
-    probs = np.asarray(probs)
-    pos = probs[probs > 0]
-    return float(-(pos * np.log(pos)).sum())
 
 
 def _has(mask, elem):
@@ -294,9 +283,8 @@ def highs_transport_value(cost, w):
 def delta_search_loop(alpha, u_cap_steps=200, delta_max=0.02, v_steps=96, mean_steps=96,
                       mean_margin=0.03, search_points=7, search_restarts=112,
                       atom_grid=400, seed=1729):
-    """delta_search as a loop: one DiscreteMeasure and one improved_slack
-    call per candidate, and one worst_coupling_value call per LP-sized
-    measure for the counters."""
+    """delta_search as a loop: one DiscreteMeasure and one
+    improved_slack_loop call per candidate."""
     u_star = GOLDEN_THRESHOLD
     candidates = []
     vs = np.unique(np.append(np.linspace(0.005, 0.995, v_steps), u_star))
@@ -327,7 +315,7 @@ def delta_search_loop(alpha, u_cap_steps=200, delta_max=0.02, v_steps=96, mean_s
         mu for mu in candidates
         if float(np.dot(mu.weights, binary_entropy(mu.locations))) > 1e-12
     ]
-    slacks = [improved_slack(mu, alpha) for mu in candidates]
+    slacks = [improved_slack_loop(mu, alpha) for mu in candidates]
     lp = [mu for mu in candidates if mu.size() > 2] if alpha > 0.0 else []
 
     cutoff = 1e-12
@@ -360,6 +348,26 @@ def delta_search_loop(alpha, u_cap_steps=200, delta_max=0.02, v_steps=96, mean_s
         min_slack_measure=_measure_summary(candidates[min_idx], slacks[min_idx]),
         seed=seed,
     )
+
+
+def improved_slack_loop(mu, alpha):
+    """improved_slack written out: J's parts as the 1-d products of one
+    measure, and its worst coupling as the endpoint rule on two atoms or
+    the transportation simplex on three or more."""
+    x, w = mu.locations, mu.weights
+    quad = float(w @ binary_entropy(union_prob(x[:, None], x[None, :])) @ w)
+    lin = float(np.dot(w, binary_entropy(x)))
+    if alpha == 0.0:
+        return quad - lin
+    cost = binary_entropy(coupled_union_prob(x[:, None], x[None, :]))
+    if x.size == 1:
+        coupling = np.ones((1, 1))
+    elif x.size == 2:
+        t = min(w[0], w[1]) if 2.0 * cost[0, 1] < cost[0, 0] + cost[1, 1] else 0.0
+        coupling = np.array([[w[0] - t, t], [t, w[1] - t]])
+    else:
+        coupling = linprog(cost, w)
+    return (1.0 - alpha) * quad + alpha * float((coupling * cost).sum()) - lin
 
 
 def two_atom_scan_loop(u, v_steps, lam):

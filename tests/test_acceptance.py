@@ -5,7 +5,6 @@ pinned; on completion it prints a single pass/fail line (run with -s to see
 them live).  These are the exit criteria for the toolkit as a whole.
 """
 
-import itertools
 import math
 import time
 from contextlib import contextmanager

@@ -1148,9 +1148,9 @@ def _finite_only(name):
     raise ValueError(f"non-finite float {name} in a report")
 
 
-def _float(flag, valid):
-    """`flag=value` for a bad float or the valid one."""
-    return _flag(flag, st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e-300", valid]))
+def _float(flag, *valid):
+    """`flag=value` for a bad float or one of the valid ones."""
+    return _flag(flag, st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e-300", *valid]))
 
 
 # the small sizes a subcommand with a float flag runs at, so each run is quick
@@ -1164,10 +1164,31 @@ _FLOAT_SIZES = {
 # --tol defaults to None, which stands for the subcommand's own tolerance
 _TOL_DEFAULTS = {"lemma": SCAN_TOL, "theorem2": THEOREM2_TOL}
 
-# every float flag of the parser at bad values and its default, on small sizes
+# a second valid value of every float flag, off its default, so that a bad
+# value that bites only beside another flag's non-default gets drawn (a
+# tiny --ubar beside a large --d)
+_OTHER_FLOATS = {
+    ("lemma", "--inflate-bound"): "1.5",
+    ("lemma", "--tol"): "1e-06",
+    ("theorem2", "--tol"): "1e-06",
+    ("counterexample", "--ubar"): "0.1",
+    ("counterexample", "--u"): "0.5",
+    ("counterexample", "--d"): "3",
+    ("counterexample", "--theta"): "0.1",
+    ("coupling", "--alpha"): "0.5",
+    ("coupling", "--delta-max"): "0.01",
+}
+
+# every float flag of the parser at bad values, its default and its other
+# valid value, on small sizes
 _FUZZ_FLOAT_ARGV = _fuzz_argv(
-    ((command, _float(flag, repr(_TOL_DEFAULTS[command] if default is None else default)))
+    ((command, _float(flag, repr(_TOL_DEFAULTS[command] if default is None else default),
+                      _OTHER_FLOATS.get((command, flag), "nan")))
      for command, flag, default in _parser_options(float)), _FLOAT_SIZES)
+
+
+def test_every_float_flag_has_a_second_valid_value():
+    assert set(_OTHER_FLOATS) == {(command, flag) for command, flag, _ in _parser_options(float)}
 
 
 # every integer flag at text with no digit in it, an unknown flag on every

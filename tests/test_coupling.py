@@ -11,6 +11,7 @@ from helpers import delta_search_loop, highs_transport_value, random_union_close
 from uclab.coupling import (
     MARGINAL_TOL,
     MAX_LP_ATOMS,
+    _two_atom_coupling,
     coupled_union_kernel,
     coupled_union_prob,
     delta_search,
@@ -219,6 +220,20 @@ class TestWorstCoupling:
             locs = np.sort(rng.uniform(0.001, 0.999, size=2))
             self._check_closed_form(
                 DiscreteMeasure(locs, np.array([0.5, 0.5])))
+
+    def test_stacked_closed_form_gives_each_measure_its_bits(self):
+        # the rule as delta_search's two-atom class runs it, on arrays, row
+        # by row against the (2, 2) coupling and its sum for one measure;
+        # rows with both atoms in [1/4, 1/2] hit exact cost ties
+        rng = np.random.default_rng(31)
+        x = np.sort(rng.uniform(0.001, 0.999, size=(300, 2)), axis=1)
+        w0 = rng.uniform(0.01, 0.99, size=300)
+        cost = binary_entropy(coupled_union_prob(x[:, :, None], x[:, None, :]))
+        t, value = _two_atom_coupling(w0, 1.0 - w0, cost[:, 0, 0], cost[:, 0, 1], cost[:, 1, 1])
+        for k in range(300):
+            rep = worst_coupling_value(DiscreteMeasure(x[k], np.array([w0[k], 1.0 - w0[k]])))
+            assert t[k] == rep.weights[0, 1]
+            assert value[k] == rep.value
 
     @pytest.mark.parametrize("locs", [(0.25, 0.3), (0.3, 0.45), (0.26, 0.5), (0.4, 0.5)])
     def test_two_atom_closed_form_exact_ties(self, locs):

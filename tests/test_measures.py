@@ -28,10 +28,11 @@ from uclab.measures import (
     local_search_min,
     local_search_rows,
     objective,
+    objective_rows,
     sorted_unique,
     two_atom_min_scan,
 )
-from uclab.scalars import GOLDEN_THRESHOLD, PHI, binary_entropy, entropy_ratio_bound
+from uclab.scalars import GOLDEN_THRESHOLD, PHI, binary_entropy, entropy_ratio_bound, union_prob
 
 # mpmath reference: 0.25 H(0.36) - 0.5 H(0.2)
 TWO_ATOM_02_05 = -0.08684666307066849
@@ -97,6 +98,20 @@ class TestObjective:
             rep = objective(mu, lam)
             assert rep.value == pytest.approx(rep.quadratic - lam * rep.linear, abs=1e-14)
             assert rep.mean == mu.mean()
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 28])
+    def test_rows_give_each_measure_the_bits_of_its_1d_products(self, m):
+        # a stack of 9 random measures of m atoms, each row against the
+        # products of that measure alone
+        rng = np.random.default_rng(m)
+        x = np.sort(rng.uniform(size=(9, m)), axis=1)
+        w = rng.dirichlet(np.ones(m), size=9)
+        mean, lin, quad = objective_rows(x, w)
+        for k in range(9):
+            big_h = binary_entropy(union_prob(x[k, :, None], x[k, None, :]))
+            assert quad[k] == float(w[k] @ big_h @ w[k])
+            assert lin[k] == float(np.dot(w[k], binary_entropy(x[k])))
+            assert mean[k] == float(np.dot(x[k], w[k]))
 
     def test_two_atom_reference_value(self):
         rep = objective(DiscreteMeasure.two_atom(0.2, 0.5), 1.0)

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -177,3 +178,31 @@ def test_range_rule_texts_live_in_scalars(text, home):
     # each range rule is typed out once, in scalars; a copy elsewhere
     # would drift from it unseen
     assert {p.name for p in SOURCES if text in p.read_text()} <= home
+
+
+def _unread_imports(path):
+    """(line, name) of each name that path's module imports (outside
+    __future__) and never reads, from one walk of its syntax tree."""
+    imported, read = {}, set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            if not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+MODULES = SOURCES + sorted(Path(__file__).resolve().parent.glob("*.py"))
+
+
+def test_every_imported_name_is_read():
+    # an import that nothing reads is dead code that hides which module
+    # still uses a name
+    assert len(MODULES) > len(SOURCES)
+    unread = {p.name: names for p in MODULES if (names := _unread_imports(p))}
+    assert unread == {}

@@ -7,7 +7,6 @@ from helpers import (
     chain_profile,
     chain_profile_loop,
     conditional_loop,
-    entropy_direct,
     marginal_loop,
     marginal_slice,
     naive_union_table,
