@@ -9,9 +9,8 @@ arguments or inputs.
 
 Reports are byte-stable for a fixed configuration and seed: floats are
 printed with 17 significant digits and nothing run-dependent (such as wall
-time, which is only logged to stderr) enters the file.  The seed defaults
-to the documented constant 1729; the UCLAB_SEED environment variable
-overrides the default, and --seed overrides both.
+time, which is only logged to stderr) enters the file.  The seed is
+--seed, which defaults to the documented constant 1729.
 """
 
 from __future__ import annotations
@@ -54,9 +53,6 @@ MAX_THEOREM2_TRIALS = 100_000
 THEOREM2_TOL = 1e-10
 RESTARTS_HELP = ("local-search restarts, divided evenly over the search points, at least one "
                  "per point, so the restarts run (search_restarts) can exceed or fall short of it")
-# the coupling flags only delta-search reads; dp refuses them off their defaults
-DELTA_SEARCH_FLAGS = ("alpha", "delta_max", "delta_steps", "v_steps", "mean_steps",
-                      "search_points", "search_restarts")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,7 +65,7 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--seed", type=int, default=None, help="RNG seed (default 1729, or UCLAB_SEED)")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed (default %(default)s)")
 
 
 def _add_tol(p: argparse.ArgumentParser) -> None:
@@ -128,7 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("coupling", help="worst-coupling search and the coupling process")
-    p.add_argument("action", nargs="?", choices=["delta-search", "dp"], default="delta-search")
+    actions = p.add_subparsers(dest="action", required=True)
+    p = actions.add_parser("delta-search", help="margin above the threshold over scanned measures")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--delta-max", type=float, default=0.02)
     p.add_argument("--delta-steps", type=int, default=200)
@@ -136,32 +133,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mean-steps", type=int, default=96)
     p.add_argument("--search-points", type=int, default=7)
     p.add_argument("--search-restarts", type=int, default=112, help=RESTARTS_HELP)
-    p.add_argument("--family", help="family file for the dp action")
+    _add_common(p)
+    p = actions.add_parser("dp", help="the shared-uniform coupling process on a family file")
+    p.add_argument("--family", required=True, help="family file")
     p.add_argument("--literal-rates", action="store_true",
-                   help="dp only: condition each side's rate on the other side's prefix")
+                   help="condition each side's rate on the other side's prefix")
     _add_common(p)
 
     p = sub.add_parser("all", help="run a compact version of every suite")
     _add_common(p)
     return ap
-
-
-def _resolve_seed(args) -> int:
-    """--seed, else UCLAB_SEED, else DEFAULT_SEED; numpy's generators take
-    only non-negative seeds, so a negative one is refused before any work."""
-    if args.seed is not None:
-        seed, source = args.seed, "--seed"
-    else:
-        env = os.environ.get("UCLAB_SEED")
-        if env is None:
-            return DEFAULT_SEED
-        try:
-            seed, source = int(env), "UCLAB_SEED"
-        except ValueError:
-            raise ValueError(f"UCLAB_SEED must be an integer, got {env!r}") from None
-    if seed < 0:
-        raise ValueError(f"{source} must be a non-negative integer, got {seed}")
-    return seed
 
 
 def _tol(args, default: float) -> float:
@@ -394,13 +375,20 @@ def _check_random_tables(drawn, worst_case):
 def cmd_counterexample(args, seed: int):
     from dataclasses import asdict
 
-    from .counterexample import CounterexampleParams, bounds_report, exact_small_n_check
+    from .counterexample import (
+        EXACT_MAX_N,
+        EXACT_MAX_TRUNC,
+        CounterexampleParams,
+        bounds_report,
+        exact_small_n_check,
+    )
 
     params = CounterexampleParams.with_defaults(
         ubar=args.ubar, u=args.u, d=args.d, theta=args.theta, n=args.n,
         trunc=args.trunc,
     )
-    rep = exact_small_n_check(params) if params.n <= 12 else bounds_report(params)
+    small = params.n <= EXACT_MAX_N and params.trunc <= EXACT_MAX_TRUNC
+    rep = exact_small_n_check(params) if small else bounds_report(params)
     report = {"params": asdict(params), **rep._asdict()}
     failures = []
     if not rep.marginal_admissible:
@@ -422,13 +410,6 @@ def cmd_coupling(args, seed: int):
     if args.action == "dp":
         from .families import load_family
 
-        defaults = build_parser().parse_args(["coupling"])
-        moved = [f"--{k.replace('_', '-')}" for k in DELTA_SEARCH_FLAGS
-                 if getattr(args, k) != getattr(defaults, k)]
-        if moved:
-            raise ValueError(f"only coupling delta-search reads {', '.join(moved)}")
-        if not args.family:
-            raise ValueError("coupling dp requires --family")
         fam = load_family(args.family)
         rep = greedy_coupling_dp(fam, literal_rates=args.literal_rates)
         failures = []
@@ -438,11 +419,9 @@ def cmd_coupling(args, seed: int):
                 f"> {MARGINAL_TOL:.0e}"
             )
         return rep, failures
-    if args.family is not None or args.literal_rates:
-        raise ValueError("--family and --literal-rates apply to coupling dp only")
     rep = delta_search(
         alpha=args.alpha,
-        u_cap_steps=args.delta_steps,
+        delta_steps=args.delta_steps,
         delta_max=args.delta_max,
         v_steps=args.v_steps,
         mean_steps=args.mean_steps,
@@ -500,10 +479,13 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
+    from .scalars import _check_count
+
     t0 = time.perf_counter()
     try:
         args = build_parser().parse_args(argv)
-        seed = _resolve_seed(args)
+        # numpy's generators take only non-negative seeds
+        seed = _check_count(args.seed, "--seed", low=0)
         results, failures = _HANDLERS[args.command](args, seed)
     except (ValueError, OSError, MemoryError) as exc:
         # a bare MemoryError has no message, so name the type instead
@@ -512,11 +494,10 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         # an internal guard tripped: still write a report that names it
         results, failures = {}, [f"{args.command}.internal: {exc}"]
-    # the output routing stays out of the config echo; the resolved seed
-    # takes its sorted place however it was given
+    # the output routing stays out of the config echo
     config = {
         k: v
-        for k, v in sorted({**vars(args), "seed": seed}.items())
+        for k, v in sorted(vars(args).items())
         if k not in ("out", "format") and v is not None
     }
     report = {

@@ -40,6 +40,10 @@ PMF_TAIL_TOL = 1e-14
 MAX_TRUNC = 1_000_000
 # the bounds multiply by n as a float, which is exact for every n up to 2^53
 MAX_N = 2**53
+# exact_small_n_check expands a table on 2^n masks from trunc + 1 products;
+# the CLI runs it when a run is within both caps and the bounds alone past them
+EXACT_MAX_N = 12
+EXACT_MAX_TRUNC = 20
 
 
 def default_truncation(theta: float) -> int:
@@ -212,8 +216,8 @@ def exact_small_n_check(params: CounterexampleParams) -> CounterexampleReport:
     """Expand the mixture at small n and verify every bound brackets the
     exact value: the mixture entropy bracket contains H(A), the union bound
     dominates H(A u B), and the KL bound dominates D(A u B || A)."""
-    _check_count(params.n, "n of the exact check", high=12)
-    _check_count(params.trunc, "trunc of the exact check", high=20)
+    _check_count(params.n, "n of the exact check", high=EXACT_MAX_N)
+    _check_count(params.trunc, "trunc of the exact check", high=EXACT_MAX_TRUNC)
     base = bounds_report(params)
     mixture = build_counterexample(params)
     dist = expand_mixture(mixture)

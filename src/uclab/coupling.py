@@ -305,7 +305,7 @@ def _measure_summary(mu: DiscreteMeasure, slack: float) -> dict:
 
 def delta_search(
     alpha: float,
-    u_cap_steps: int = 200,
+    delta_steps: int = 200,
     delta_max: float = 0.02,
     v_steps: int = 96,
     mean_steps: int = 96,
@@ -322,7 +322,7 @@ def delta_search(
     threshold where the margin actually closes - augmented with the worst
     measures local search can find for the plain (alpha = 0) functional
     near the threshold.  The reported delta is the largest multiple of
-    delta_max / u_cap_steps such that no scanned measure with mean <=
+    delta_max / delta_steps such that no scanned measure with mean <=
     threshold + delta has nonpositive blended slack; measures at or below
     the threshold with nonpositive slack force delta = 0 and raise the
     failure flag.  This certifies only the scanned class - it is a numeric
@@ -336,16 +336,16 @@ def delta_search(
     improved_slack.
     """
     alpha = float(_check_unit_interval(alpha, "alpha"))
-    _check_count(u_cap_steps, "u_cap_steps")
+    _check_count(delta_steps, "delta_steps")
     _check_count(v_steps, "v_steps", low=0)
     _check_count(mean_steps, "mean_steps", low=0)
     # at most MAX_SEARCH_RESTARTS local-search restarts in all
     _check_count(search_points, "search_points", high=MAX_SEARCH_RESTARTS)
     _check_count(search_restarts, "search_restarts", high=MAX_SEARCH_RESTARTS)
-    # the band just above the threshold holds at most u_cap_steps + 1 means
-    cells = (mean_steps + u_cap_steps + 1) * (v_steps + 1)
+    # the band just above the threshold holds at most delta_steps + 1 means
+    cells = (mean_steps + delta_steps + 1) * (v_steps + 1)
     _check_count(cells, "cells of the delta-search grid", high=MAX_DELTA_GRID_CELLS)
-    step = _check_float(delta_max / u_cap_steps, "delta_max / u_cap_steps", low=0, strict=True)
+    step = _check_float(delta_max / delta_steps, "delta_max / delta_steps", low=0, strict=True)
     u_star = GOLDEN_THRESHOLD
     # the local search runs at mean caps up to u_star + delta_max, which
     # must stay below 1
@@ -411,7 +411,7 @@ def delta_search(
         alpha=alpha,
         delta=float(delta),
         delta_max=float(delta_max),
-        delta_steps=int(u_cap_steps),
+        delta_steps=int(delta_steps),
         measures_scanned=int(slacks.size),
         closed_form_couplings=closed_form,
         lp_solves=lp_solves,

@@ -280,7 +280,7 @@ def highs_transport_value(cost, w):
     return float(res.fun) / (scale * scale)
 
 
-def delta_search_loop(alpha, u_cap_steps=200, delta_max=0.02, v_steps=96, mean_steps=96,
+def delta_search_loop(alpha, delta_steps=200, delta_max=0.02, v_steps=96, mean_steps=96,
                       mean_margin=0.03, search_points=7, search_restarts=112,
                       atom_grid=400, seed=1729):
     """delta_search as a loop: one DiscreteMeasure and one
@@ -288,7 +288,7 @@ def delta_search_loop(alpha, u_cap_steps=200, delta_max=0.02, v_steps=96, mean_s
     u_star = GOLDEN_THRESHOLD
     candidates = []
     vs = np.unique(np.append(np.linspace(0.005, 0.995, v_steps), u_star))
-    step = delta_max / u_cap_steps
+    step = delta_max / delta_steps
     band = min(0.006, delta_max)
     means = np.unique(np.concatenate([
         np.linspace(u_star - mean_margin, u_star + delta_max, mean_steps),
@@ -336,7 +336,7 @@ def delta_search_loop(alpha, u_cap_steps=200, delta_max=0.02, v_steps=96, mean_s
         alpha=float(alpha),
         delta=float(delta),
         delta_max=float(delta_max),
-        delta_steps=int(u_cap_steps),
+        delta_steps=int(delta_steps),
         measures_scanned=len(candidates),
         closed_form_couplings=len(candidates) - len(lp) if alpha > 0.0 else 0,
         lp_solves=len(lp),

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import gc
 import io
+import itertools
 import json
 import os
 import re
@@ -25,7 +26,7 @@ import uclab.measures
 import uclab.setdist
 from helpers import reference_report_text, theorem2_loop, third_derivative_worst_loop
 from test_scalars import REFUSALS
-from uclab.cli import DELTA_SEARCH_FLAGS, MAX_RANDOM_TABLE_N, THEOREM2_TOL, build_parser, main
+from uclab.cli import MAX_RANDOM_TABLE_N, THEOREM2_TOL, build_parser, main
 from uclab.counterexample import MAX_N
 from uclab.reportio import dumps_json
 from uclab.measures import SCAN_TOL
@@ -43,6 +44,42 @@ def run(args, tmp_path, name="out.json", fmt=None):
         argv += ["--format", fmt]
     code = main(argv)
     return code, out
+
+
+def _subparsers():
+    """{command: parser} of every command of build_parser() that runs, in
+    the parser's order; a command with actions gives one per action, named
+    by its words (`coupling delta-search`, `coupling dp`)."""
+    def leaves(parser, words):
+        sub = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not sub:
+            return [(" ".join(words), parser)]
+        return [leaf for name, p in sub[0].choices.items() for leaf in leaves(p, [*words, name])]
+
+    return dict(leaves(build_parser(), []))
+
+
+def _parser_options(kind):
+    """(command, flag, default) of every option of build_parser() of type
+    kind, in the parser's order, so a new flag is fuzzed with no edit."""
+    return [(command, action.option_strings[0], action.default)
+            for command, parser in _subparsers().items()
+            for action in parser._actions if action.type is kind]
+
+
+# coupling dp at a family file; a run that exits 2 never reads it
+_DP = ["coupling", "dp", "--family=fam.txt"]
+
+
+@pytest.fixture
+def no_handler_work(monkeypatch):
+    """Every handler raises, so a run that exits 2 under this fixture
+    refused before any handler work."""
+    def no_work(args, seed):
+        raise AssertionError(f"{args.command} ran with seed {seed}")
+
+    for name in uclab.cli._HANDLERS:
+        monkeypatch.setitem(uclab.cli._HANDLERS, name, no_work)
 
 
 class TestExitCodes:
@@ -66,8 +103,12 @@ class TestExitCodes:
         (["scalar", "--grid", "abc"], "argument --grid: invalid int value: 'abc'"),
         (["scalar", "--bogus"], "unrecognized arguments: --bogus"),
         (["lemma", "--tol"], "argument --tol: expected one argument"),
-    ], ids=["command", "no-command", "int", "flag", "no-value"])
-    def test_bad_arguments_exit_two(self, argv, message, capsys):
+        (["coupling"], "the following arguments are required: action"),
+        (["coupling", "--seed", "3", "delta-search"], "argument action: invalid choice: '3' ("),
+        (["coupling", "dp"], "the following arguments are required: --family"),
+    ], ids=["command", "no-command", "int", "flag", "no-value", "no-action", "flag-before-action",
+            "dp-no-family"])
+    def test_bad_arguments_exit_two(self, argv, message, capsys, no_handler_work):
         assert main(argv) == 2
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
@@ -266,56 +307,26 @@ class TestDeterminism:
         _, out2 = run(FAST_LEMMA, tmp_path, "b.json")
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_seed_priority_env_then_flag(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("UCLAB_SEED", "77")
-        _, out = run(["theorem2", "--trials", "5", "--max-n", "4"], tmp_path, "env.json")
-        assert json.loads(out.read_text())["config"]["seed"] == 77
-        _, out2 = run(
-            ["theorem2", "--trials", "5", "--max-n", "4", "--seed", "5"],
-            tmp_path,
-            "flag.json",
-        )
-        assert json.loads(out2.read_text())["config"]["seed"] == 5
-
-    def test_seed_echo_does_not_depend_on_how_it_was_given(self, tmp_path, monkeypatch):
+    def test_seed_echo_does_not_depend_on_how_it_was_given(self, tmp_path):
         argv = ["theorem2", "--trials", "5", "--max-n", "4"]
-        monkeypatch.delenv("UCLAB_SEED", raising=False)
         _, default = run(argv, tmp_path, "default.json")
         _, flag = run(argv + ["--seed", "1729"], tmp_path, "flag.json")
-        monkeypatch.setenv("UCLAB_SEED", "1729")
-        _, env = run(argv, tmp_path, "env.json")
-        assert default.read_bytes() == flag.read_bytes() == env.read_bytes()
+        assert default.read_bytes() == flag.read_bytes()
         assert list(json.loads(default.read_text())["config"]) == [
             "command", "max_n", "seed", "trials"
         ]
+        _, other = run(argv + ["--seed", "5"], tmp_path, "other.json")
+        assert json.loads(other.read_text())["config"]["seed"] == 5
 
-    def test_bad_env_seed_exits_two(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("UCLAB_SEED", "abc")
+    @pytest.mark.parametrize("command", [_DP if c == "coupling dp" else c.split()
+                                         for c in _subparsers()], ids=" ".join)
+    def test_negative_seed_exits_two_before_any_work(self, command, tmp_path, capsys,
+                                                     no_handler_work):
         out = tmp_path / "x.json"
-        assert main(["families", "--n", "2", "--out", str(out)]) == 2
+        assert main([*command, "--seed", "-1", "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert err == ["uclab: error: UCLAB_SEED must be an integer, got 'abc'"]
+        assert err == ["uclab: error: --seed must be an integer of at least 0, got -1"]
         assert not out.exists()
-
-    @pytest.mark.parametrize("source", ["--seed", "UCLAB_SEED"])
-    @pytest.mark.parametrize("command", sorted(uclab.cli._HANDLERS))
-    def test_negative_seed_exits_two_before_any_work(self, command, source, tmp_path,
-                                                     monkeypatch, capsys):
-        def no_work(args, seed):
-            raise AssertionError(f"{command} ran with seed {seed}")
-
-        for name in uclab.cli._HANDLERS:
-            monkeypatch.setitem(uclab.cli._HANDLERS, name, no_work)
-        monkeypatch.delenv("UCLAB_SEED", raising=False)
-        argv = [command, "--out", str(tmp_path / "x.json")]
-        if source == "--seed":
-            argv += ["--seed", "-1"]
-        else:
-            monkeypatch.setenv("UCLAB_SEED", "-1")
-        assert main(argv) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert err == [f"uclab: error: {source} must be a non-negative integer, got -1"]
-        assert not (tmp_path / "x.json").exists()
 
     def test_all_runs_in_one_process(self, tmp_path, monkeypatch):
         # the compact lemma runs every search point's restarts in one
@@ -386,77 +397,31 @@ class TestTolerance:
         assert json.loads(out.read_text())["config"]["tol"] == 0.0
 
 
-class TestCouplingFlags:
-    @pytest.mark.parametrize("action", [[], ["delta-search"]], ids=["default", "delta-search"])
-    @pytest.mark.parametrize("flag", [["--literal-rates"], ["--family", "fam.txt"]],
-                             ids=["literal-rates", "family"])
-    def test_dp_only_flag_exits_two_on_delta_search_before_any_work(
-            self, action, flag, tmp_path, monkeypatch, capsys):
-        def no_work(*args, **kwargs):
-            raise AssertionError("delta_search ran with a dp-only flag")
+# (flag, default) of each number flag of coupling delta-search but --seed,
+# the flags coupling dp does not take
+_DELTA_SEARCH_ONLY = [(flag, default) for command, flag, default in
+                      _parser_options(int) + _parser_options(float)
+                      if command == "coupling delta-search" and flag != "--seed"]
 
-        monkeypatch.setattr(uclab.coupling, "delta_search", no_work)
-        out = tmp_path / "x.json"
-        assert main(["coupling", *action, *flag, "--out", str(out)]) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            "uclab: error: --family and --literal-rates apply to coupling dp only"
-        ]
-        assert not out.exists()
-
-    @pytest.mark.parametrize("flags,named", [
-        (["--alpha", "0.7"], "--alpha"),
-        (["--alpha", "nan"], "--alpha"),
-        (["--delta-max", "0.01"], "--delta-max"),
-        (["--delta-steps", "100"], "--delta-steps"),
-        (["--v-steps", "0"], "--v-steps"),
-        (["--mean-steps", "-1"], "--mean-steps"),
-        (["--search-points", "5"], "--search-points"),
-        (["--search-restarts", "5"], "--search-restarts"),
-        (["--alpha", "0.7", "--search-restarts", "5"], "--alpha, --search-restarts"),
-    ])
-    def test_delta_search_flag_exits_two_on_dp_before_reading_the_family(
-            self, flags, named, tmp_path, monkeypatch, capsys):
-        def no_work(*args, **kwargs):
-            raise AssertionError("coupling dp went on with a delta-search flag")
-
-        monkeypatch.setattr(uclab.families, "load_family", no_work)
-        out = tmp_path / "x.json"
-        assert main(["coupling", "dp", "--family", "fam.txt", *flags, "--out", str(out)]) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            f"uclab: error: only coupling delta-search reads {named}"
-        ]
-        assert not out.exists()
-
-    def test_delta_search_flags_at_their_defaults_leave_the_dp_report_alone(self, tmp_path):
-        fam = tmp_path / "fam.txt"
-        save_family(Family.of(2, [0b00, 0b01, 0b11]), fam)
-        plain = run(["coupling", "dp", "--family", str(fam)], tmp_path, "plain.json")
-        defaults = vars(build_parser().parse_args(["coupling"]))
-        flags = [f"--{k.replace('_', '-')}={defaults[k]}" for k in DELTA_SEARCH_FLAGS]
-        echoed = run(["coupling", "dp", "--family", str(fam), *flags], tmp_path, "echo.json")
-        assert plain[0] == echoed[0] == 0
-        assert plain[1].read_bytes() == echoed[1].read_bytes()
-
-    def test_delta_search_flags_are_the_coupling_flags_dp_does_not_read(self):
-        dests = set(vars(build_parser().parse_args(["coupling"])))
-        assert dests - set(DELTA_SEARCH_FLAGS) == {
-            "command", "action", "family", "literal_rates", "out", "format", "seed"
-        }
-
-
-# --tol where a subcommand reads no tolerance, and --jobs, which no
-# subcommand reads since the process pool went
+# --tol where a command reads no tolerance, --jobs, which no command reads
+# since the process pool went, and each coupling action given a flag of the
+# other, a delta-search flag at its default value too
 _UNREAD_FLAGS = [
     *[(command, "--tol=1e-9") for command in (["scalar"], ["families"], ["counterexample"],
-                                              ["coupling", "delta-search"], ["all"])],
+                                              ["coupling", "delta-search"], _DP, ["all"])],
     *[(command, "--jobs=1") for command in (["scalar"], ["families"], ["theorem2"],
-                                            ["counterexample"], ["coupling"], ["all"], ["lemma"])],
+                                            ["counterexample"], ["coupling", "delta-search"], _DP,
+                                            ["all"], ["lemma"])],
+    (["coupling", "delta-search"], "--literal-rates"),
+    (["coupling", "delta-search"], "--family=fam.txt"),
+    *[(_DP, f"{flag}={value}") for flag, default in _DELTA_SEARCH_ONLY for value in (default, 0)],
 ]
 
 
 @pytest.mark.parametrize("command, flag", _UNREAD_FLAGS,
                          ids=[f"{' '.join(command)} {flag}" for command, flag in _UNREAD_FLAGS])
-def test_flag_is_not_accepted_where_it_is_not_read(command, flag, tmp_path, capsys):
+def test_flag_is_not_accepted_where_it_is_not_read(command, flag, tmp_path, capsys,
+                                                   no_handler_work):
     out = tmp_path / "x.json"
     assert main([*command, flag, "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
@@ -609,8 +574,8 @@ class TestCsvOutput:
 
         monkeypatch.setattr(uclab.coupling, "linprog", failing_linprog)
         report, written = _captured_report(
-            ["coupling", "--delta-steps", "10", "--v-steps", "8", "--mean-steps", "8",
-             "--format", "csv"], tmp_path, monkeypatch)
+            ["coupling", "delta-search", "--delta-steps", "10", "--v-steps", "8",
+             "--mean-steps", "8", "--format", "csv"], tmp_path, monkeypatch)
         assert report["results"] == {}
         assert written == reference_report_text(report, "csv").encode("ascii") == b"\n\n"
 
@@ -827,6 +792,23 @@ class TestCounterexampleCommand:
         res = json.loads(out.read_text())["results"]
         assert res["exact_within_bounds"] is True
 
+    # theta = 0.5 derives trunc = 44; the exact check takes n and trunc up
+    # to EXACT_MAX_N = 12 and EXACT_MAX_TRUNC = 20, and a run past either
+    # cap gets the bounds alone, whichever flag took it there
+    @pytest.mark.parametrize("flags, failed, exact", [
+        (["--n", "5", "--theta", "0.5"], ["marginal", "ratio"], False),
+        (["--n", "5", "--trunc", "25"], [], False),
+        (["--n", "13", "--theta", "0.5"], ["marginal"], False),
+        (["--n", "12", "--trunc", "20", "--d", "1.5"], [], True),
+    ], ids=["derived-trunc", "trunc", "n", "at-both-caps"])
+    def test_exact_check_runs_within_both_caps(self, flags, failed, exact, tmp_path):
+        code, out = run(["counterexample", *flags], tmp_path)
+        assert code == (1 if failed else 0)
+        report = json.loads(out.read_text())
+        assert [f.split(":")[0] for f in report["failures"]] == [
+            f"counterexample.{item}" for item in failed]
+        assert (report["results"]["exact_within_bounds"] is not None) is exact
+        assert (report["results"]["exact_entropy"] is not None) is exact
 
     def test_tiny_theta_reports_finite_bounds(self, tmp_path):
         # the union's level pmf underflows to exact zeros at this theta
@@ -863,14 +845,6 @@ class TestCouplingCommand:
         assert code == 0
         res = json.loads(out.read_text())["results"]
         assert res["max_marginal_deviation"] > 1e-3
-
-    def test_dp_requires_family(self, tmp_path, capsys):
-        out = tmp_path / "x.json"
-        assert main(["coupling", "dp", "--out", str(out)]) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            "uclab: error: coupling dp requires --family"
-        ]
-        assert not out.exists()
 
     def test_delta_search_small(self, tmp_path):
         code, out = run(
@@ -912,10 +886,9 @@ def test_reported_restarts_are_the_restarts_run(argv, flag, restarts, tmp_path, 
 
 def _fresh_python(*args, env_vars=None):
     """Run `python *args` in a fresh interpreter with this checkout's uclab,
-    with neither UCLAB_SEED nor OPENBLAS_NUM_THREADS set unless env_vars
-    sets them (importing uclab.cli in this process sets the latter)."""
+    with OPENBLAS_NUM_THREADS unset unless env_vars sets it (importing
+    uclab.cli in this process sets it)."""
     env = dict(os.environ)
-    env.pop("UCLAB_SEED", None)
     env.pop("OPENBLAS_NUM_THREADS", None)
     env.update(env_vars or {})
     src = str(Path(uclab.__file__).resolve().parents[1])
@@ -928,9 +901,10 @@ def _fresh_python(*args, env_vars=None):
 
 @pytest.mark.parametrize("argv, fn, shared", [
     (["lemma"], "measures.lemma_certificate",
-     ["atom_grid", "lam_scale", "restarts", "search_points", "u_steps", "v_steps"]),
-    (["coupling"], "coupling.delta_search",
-     ["delta_max", "mean_steps", "search_points", "search_restarts", "u_cap_steps", "v_steps"]),
+     ["atom_grid", "lam_scale", "restarts", "search_points", "seed", "u_steps", "v_steps"]),
+    (["coupling", "delta-search"], "coupling.delta_search",
+     ["delta_max", "delta_steps", "mean_steps", "search_points", "search_restarts", "seed",
+      "v_steps"]),
     (["counterexample"], "counterexample.CounterexampleParams.with_defaults",
      ["d", "n", "theta", "trunc", "u", "ubar"]),
 ])
@@ -944,10 +918,9 @@ def test_cli_defaults_are_the_library_defaults(argv, fn, shared):
         target = getattr(target, attr)
     lib = {name: p.default for name, p in inspect.signature(target).parameters.items()
            if p.default is not p.empty}
-    renames = {"delta_steps": "u_cap_steps", "inflate_bound": "lam_scale"}
+    renames = {"inflate_bound": "lam_scale"}
     cli = {renames.get(k, k): v for k, v in vars(build_parser().parse_args(argv)).items()}
-    # --seed defaults to None and resolves through UCLAB_SEED to DEFAULT_SEED
-    assert sorted(lib.keys() & cli.keys() - {"seed"}) == shared
+    assert sorted(lib.keys() & cli.keys()) == shared
     assert {k: cli[k] for k in shared} == {k: lib[k] for k in shared}
 
 
@@ -1070,41 +1043,30 @@ def _small(lo=-1, hi=4):
     return st.integers(min_value=lo, max_value=hi).map(str)
 
 
-def _subparsers():
-    """{name: parser} of build_parser()'s subcommands, in the parser's order."""
-    return next(a for a in build_parser()._actions
-                if isinstance(a, argparse._SubParsersAction)).choices
-
-
-def _parser_options(kind):
-    """(subcommand, flag, default) of every option of build_parser() of
-    type kind, in the parser's order, so a new flag is fuzzed with no edit."""
-    return [(command, action.option_strings[0], action.default)
-            for command, parser in _subparsers().items()
-            for action in parser._actions if action.type is kind]
-
-
 def _flag(flag, values):
     """`flag=value` for each drawn value; the = form lets argparse take
     values such as -1 or -inf that start with a dash."""
     return values.map(lambda value: f"{flag}={value}")
 
 
-# the action a fuzzed subcommand runs, where it is named
-_ACTIONS = {"coupling": ["delta-search"]}
-
-
-def _fuzz_argv(parts, sizes=None):
-    """One argv per subcommand of the (subcommand, strategy) pairs parts:
-    the subcommand, its action, its fixed flags in sizes, then one draw of
-    each of its strategies."""
+def _by_command(parts):
+    """{command: [part, ...]} of (command, part) pairs, in their order."""
     grouped = {}
     for command, part in parts:
         grouped.setdefault(command, []).append(part)
-    return st.one_of(*(
-        st.tuples(*map(st.just, [command, *_ACTIONS.get(command, []),
-                                 *(sizes or {}).get(command, [])]), *drawn)
-        for command, drawn in grouped.items()))
+    return grouped
+
+
+def _fuzz_argv(parts):
+    """One argv per command of the (command, strategy) pairs parts: the
+    command's words, then one draw of each of its strategies."""
+    return st.one_of(*(st.tuples(*map(st.just, command.split()), *drawn)
+                       for command, drawn in _by_command(parts).items()))
+
+
+def _command(argv):
+    """The command words an argv starts with, as _subparsers() names them."""
+    return " ".join(itertools.takewhile(lambda word: not word.startswith("-"), argv))
 
 
 # every integer flag but --seed, which each fuzz run draws itself, at small
@@ -1118,11 +1080,11 @@ _SMALL_RANGES = {
     ("theorem2", "--trials"): (-1, 3),
     ("theorem2", "--max-n"): (-1, MAX_RANDOM_TABLE_N + 1),
     ("lemma", "--atom-grid"): (-1, 20),
-    ("coupling", "--search-points"): (-1, 2),
+    ("coupling delta-search", "--search-points"): (-1, 2),
     ("counterexample", "--n"): (-1, 8),
     ("counterexample", "--trunc"): (-1, 12),
 }
-_INT_FLAGS = [[command, flag] for command, flag, _ in _parser_options(int)]
+_INT_FLAGS = [(command, flag) for command, flag, _ in _parser_options(int)]
 
 
 def _int_values(command, flag, rows):
@@ -1132,14 +1094,15 @@ def _int_values(command, flag, rows):
 
 
 _FUZZ_ARGV = _fuzz_argv(
-    (argv[0], _flag(argv[-1], _int_values(argv[0], argv[-1], rows)))
+    (_command(argv), _flag(argv[-1], _int_values(_command(argv), argv[-1], rows)))
     for argv, rows in REFUSALS.values()
-    if isinstance(argv, list) and [argv[0], argv[-1]] in _INT_FLAGS)
+    if isinstance(argv, list) and (_command(argv), argv[-1]) in _INT_FLAGS)
 
 
 def test_refusal_table_names_every_number_flag():
     # one CLI row per integer and float flag; --seed is checked on its own
-    rows = sorted((argv[0], argv[-1]) for argv, _ in REFUSALS.values() if isinstance(argv, list))
+    rows = sorted((_command(argv), argv[-1]) for argv, _ in REFUSALS.values()
+                  if isinstance(argv, list))
     assert rows == sorted((command, flag) for kind in (int, float)
                           for command, flag, _ in _parser_options(kind) if flag != "--seed")
 
@@ -1148,20 +1111,17 @@ def _finite_only(name):
     raise ValueError(f"non-finite float {name} in a report")
 
 
-def _float(flag, *valid):
-    """`flag=value` for a bad float or one of the valid ones."""
-    return _flag(flag, st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e-300", *valid]))
-
-
-# the small sizes a subcommand with a float flag runs at, so each run is quick
+# values of a float flag that its checks may refuse
+_BAD_FLOATS = ["nan", "inf", "-inf", "0", "-1", "1e-300"]
+# the small sizes a command with a float flag runs at, so each run is quick
 _FLOAT_SIZES = {
     "lemma": ["--u-steps=3", "--v-steps=4", "--restarts=2", "--atom-grid=10",
               "--search-points=2"],
     "theorem2": ["--trials=2", "--max-n=3"],
-    "coupling": ["--delta-steps=4", "--v-steps=4", "--mean-steps=4", "--search-points=1",
-                 "--search-restarts=1"],
+    "coupling delta-search": ["--delta-steps=4", "--v-steps=4", "--mean-steps=4",
+                              "--search-points=1", "--search-restarts=1"],
 }
-# --tol defaults to None, which stands for the subcommand's own tolerance
+# --tol defaults to None, which stands for the command's own tolerance
 _TOL_DEFAULTS = {"lemma": SCAN_TOL, "theorem2": THEOREM2_TOL}
 
 # a second valid value of every float flag, off its default, so that a bad
@@ -1175,16 +1135,39 @@ _OTHER_FLOATS = {
     ("counterexample", "--u"): "0.5",
     ("counterexample", "--d"): "3",
     ("counterexample", "--theta"): "0.1",
-    ("coupling", "--alpha"): "0.5",
-    ("coupling", "--delta-max"): "0.01",
+    ("coupling delta-search", "--alpha"): "0.5",
+    ("coupling delta-search", "--delta-max"): "0.01",
 }
 
-# every float flag of the parser at bad values, its default and its other
-# valid value, on small sizes
-_FUZZ_FLOAT_ARGV = _fuzz_argv(
-    ((command, _float(flag, repr(_TOL_DEFAULTS[command] if default is None else default),
-                      _OTHER_FLOATS.get((command, flag), "nan")))
-     for command, flag, default in _parser_options(float)), _FLOAT_SIZES)
+
+# {command: [(flag, valid values)]}: each float flag at its default and at
+# its other valid value
+_FLOAT_FLAGS = _by_command(
+    (command, (flag, [repr(_TOL_DEFAULTS[command] if default is None else default),
+                      _OTHER_FLOATS.get((command, flag), "nan")]))
+    for command, flag, default in _parser_options(float))
+
+
+def _float_cases(command):
+    """The argvs of command at its small sizes, one per float flag of it
+    and bad float: that flag at that value, every other float flag at its
+    drawn valid value."""
+    flags = [flag for flag, _ in _FLOAT_FLAGS[command]]
+
+    def cases(valid):
+        return [(*command.split(), *_FLOAT_SIZES.get(command, []),
+                 *(f"{flag}={bad if flag == at else value}" for flag, value in zip(flags, valid)))
+                for at in flags for bad in _BAD_FLOATS]
+
+    return st.tuples(*(st.sampled_from(values) for _, values in _FLOAT_FLAGS[command])).map(cases)
+
+
+# a command drawn in proportion to its float flags, with one valid value
+# drawn per float flag, run with each flag in turn at each bad value: one
+# draw in about 4.5 (--d=3 on counterexample) puts a bad --ubar beside a
+# large --d
+_FUZZ_FLOAT_CASES = st.sampled_from([command for command, _, _ in
+                                     _parser_options(float)]).flatmap(_float_cases)
 
 
 def test_every_float_flag_has_a_second_valid_value():
@@ -1192,18 +1175,17 @@ def test_every_float_flag_has_a_second_valid_value():
 
 
 # every integer flag at text with no digit in it, an unknown flag on every
-# subcommand, and coupling dp with a delta-search flag (at its default
-# value too, where the missing family file is what refuses it): all exit 2
+# command, and coupling dp with a delta-search flag, at its default value
+# too: all exit 2
 _FUZZ_REFUSED_ARGV = st.one_of(
     st.tuples(st.sampled_from(_INT_FLAGS), st.text(alphabet="abxyz.+-_ e", max_size=6)).map(
-        lambda t: (t[0][0], f"{t[0][1]}={t[1]}")),
+        lambda t: (*t[0][0].split(), f"{t[0][1]}={t[1]}")),
     st.tuples(st.sampled_from(list(_subparsers())),
-              st.text(alphabet="abcdefghijklmnopqrstuvwxyz-", min_size=1, max_size=8).map(
-                  lambda name: f"--x{name}")),
-    st.tuples(st.just("coupling"), st.just("dp"), st.just("--family=no-such-family.txt"),
-              st.sampled_from([f"--{k.replace('_', '-')}" for k in DELTA_SEARCH_FLAGS]),
+              st.text(alphabet="abcdefghijklmnopqrstuvwxyz-", min_size=1, max_size=8)).map(
+        lambda t: (*t[0].split(), f"--x{t[1]}")),
+    st.tuples(st.sampled_from([flag for flag, _ in _DELTA_SEARCH_ONLY]),
               st.sampled_from(["0", "1", "-1", "nan", "5", "7", "0.05", "112"])).map(
-        lambda t: (*t[:3], f"{t[3]}={t[4]}")),
+        lambda t: (*_DP, f"{t[0]}={t[1]}")),
 )
 
 
@@ -1236,10 +1218,11 @@ def test_fuzz_small_flags_exit_cleanly(argv, seed):
     _assert_clean_exit(argv, seed)
 
 
-@given(argv=_FUZZ_FLOAT_ARGV, seed=st.integers(min_value=0, max_value=3))
+@given(cases=_FUZZ_FLOAT_CASES, seed=st.integers(min_value=0, max_value=3))
 @settings(max_examples=100, deadline=None, database=None)
-def test_fuzz_float_flags_exit_cleanly(argv, seed):
-    _assert_clean_exit(argv, seed)
+def test_fuzz_float_flags_exit_cleanly(cases, seed):
+    for argv in cases:
+        _assert_clean_exit(argv, seed)
 
 
 @given(argv=_FUZZ_REFUSED_ARGV, seed=st.integers(min_value=0, max_value=3))

@@ -387,38 +387,38 @@ class TestImprovedSlack:
 
 class TestDeltaSearch:
     def test_small_alpha_certifies_positive_margin(self):
-        rep = delta_search(0.05, u_cap_steps=100, delta_max=0.02, v_steps=48,
+        rep = delta_search(0.05, delta_steps=100, delta_max=0.02, v_steps=48,
                            mean_steps=32, search_points=3, search_restarts=24, seed=43)
         assert rep.delta > 0.0
         assert not rep.failure_at_threshold
 
     def test_alpha_zero_gives_zero_margin(self):
-        rep = delta_search(0.0, u_cap_steps=40, delta_max=0.02, v_steps=24,
+        rep = delta_search(0.0, delta_steps=40, delta_max=0.02, v_steps=24,
                            mean_steps=16, search_points=3, search_restarts=12, seed=47)
         assert rep.delta == 0.0
         assert rep.failure_at_threshold
 
     def test_alpha_one_reports_failure(self):
-        rep = delta_search(1.0, u_cap_steps=40, delta_max=0.02, v_steps=24,
+        rep = delta_search(1.0, delta_steps=40, delta_max=0.02, v_steps=24,
                            mean_steps=16, search_points=3, search_restarts=12, seed=53)
         assert rep.delta == 0.0
         assert rep.failure_at_threshold
         assert rep.binding_measure is not None
 
     def test_deterministic(self):
-        kw = dict(u_cap_steps=40, delta_max=0.02, v_steps=24, mean_steps=16,
+        kw = dict(delta_steps=40, delta_max=0.02, v_steps=24, mean_steps=16,
                   search_points=3, search_restarts=12, seed=59)
         assert delta_search(0.05, **kw) == delta_search(0.05, **kw)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.05, 0.5, 1.0])
     @pytest.mark.parametrize("seed", [1, 43])
     def test_matches_per_measure_loop(self, alpha, seed):
-        kw = dict(u_cap_steps=60, delta_max=0.02, v_steps=24, mean_steps=16,
+        kw = dict(delta_steps=60, delta_max=0.02, v_steps=24, mean_steps=16,
                   search_points=3, search_restarts=12, seed=seed)
         assert delta_search(alpha, **kw) == delta_search_loop(alpha, **kw)
 
     def test_work_counters(self):
-        kw = dict(u_cap_steps=10, v_steps=8, mean_steps=8, search_points=3,
+        kw = dict(delta_steps=10, v_steps=8, mean_steps=8, search_points=3,
                   search_restarts=2, seed=43)
         rep = delta_search(0.05, **kw)
         assert rep.lp_solves > 0

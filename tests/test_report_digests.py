@@ -6,6 +6,9 @@ diff of that file.  Regenerate it with
 
     python tests/test_report_digests.py --write
 
+which prints one line per run whose exit code or digest moved, and per
+run added or removed, against the file it replaces.
+
 The bits of numpy's log and exp depend on the numpy version and on the CPU
 kernels numpy dispatches to, so the file records both.  On a host where
 either differs, each run still checks its exit code, and the digest
@@ -50,9 +53,9 @@ CASES = (
     (["families"], BOTH),
     (["theorem2"], BOTH),
     (["counterexample"], BOTH),
-    (["coupling"], BOTH),
-    (["coupling", "--alpha", "0"], JSON),
-    (["coupling", "--alpha", "1"], JSON),
+    (["coupling", "delta-search"], BOTH),
+    (["coupling", "delta-search", "--alpha", "0"], JSON),
+    (["coupling", "delta-search", "--alpha", "1"], JSON),
     (["all"], JSON),
     (["theorem2", "--dist-file", "dist.txt", "--mixture-file", "mix.txt"], JSON),
     (["counterexample", "--n", "10"], BOTH),
@@ -122,7 +125,40 @@ def test_report_matches_its_recorded_digest(argv, recorded, tmp_path, monkeypatc
     assert digest == entry["sha256"]
 
 
+def _changes(old: list, new: list) -> list:
+    """One line per run of new whose exit code or digest differs from its
+    entry in old, and one per run only one of the two lists holds."""
+    before = {tuple(e["argv"]): (e["exit"], e["sha256"]) for e in old}
+    after = {tuple(e["argv"]): (e["exit"], e["sha256"]) for e in new}
+    lines = []
+    for argv, (code, digest) in after.items():
+        if argv not in before:
+            lines.append(f"added   {' '.join(argv)}: exit {code}, sha256 {digest}")
+        elif before[argv] != (code, digest):
+            was_code, was_digest = before[argv]
+            lines.append(f"moved   {' '.join(argv)}: exit {was_code} -> {code}, "
+                         f"sha256 {was_digest} -> {digest}")
+    lines += [f"removed {' '.join(argv)}: exit {code}, sha256 {digest}"
+              for argv, (code, digest) in before.items() if argv not in after]
+    return lines
+
+
+def test_changes_name_each_moved_added_and_removed_run():
+    old = [{"argv": ["a"], "exit": 0, "sha256": "1"}, {"argv": ["b"], "exit": 0, "sha256": "2"},
+           {"argv": ["c"], "exit": 1, "sha256": "3"}]
+    new = [{"argv": ["a"], "exit": 0, "sha256": "1"}, {"argv": ["b"], "exit": 2, "sha256": None},
+           {"argv": ["d", "e"], "exit": 0, "sha256": "4"}]
+    assert _changes(old, new) == [
+        "moved   b: exit 0 -> 2, sha256 2 -> None",
+        "added   d e: exit 0, sha256 4",
+        "removed c: exit 1, sha256 3",
+    ]
+    assert _changes(new, new) == []
+
+
 def write() -> None:
+    """Rewrite the file, and print what moved against the one it replaces."""
+    old = json.loads(DIGESTS.read_text())["runs"] if DIGESTS.exists() else []
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
         os.chdir(tmp)
@@ -134,6 +170,8 @@ def write() -> None:
     head = json.dumps(host())[:-1]
     lines = ",\n".join(f"  {json.dumps(entry)}" for entry in runs)
     DIGESTS.write_text(f'{head}, "runs": [\n{lines}\n]}}\n')
+    for line in _changes(old, runs):
+        print(line)
 
 
 if __name__ == "__main__":

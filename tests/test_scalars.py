@@ -371,16 +371,18 @@ class TestThirdDerivatives:
 
     def test_matches_high_precision_derivative(self):
         mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 30
 
         def h(p):
             return -p * mpmath.log(p) - (1 - p) * mpmath.log(1 - p)
 
-        for s in (0.1, 0.25, 0.5, 0.75, 0.9):
-            ref1 = float(mpmath.diff(lambda t: h(t * t), mpmath.mpf(s), 3))
-            ref2 = float(mpmath.diff(lambda t: t * h(t), mpmath.mpf(s), 3))
-            assert d3_entropy_of_square(s) == pytest.approx(ref1, rel=1e-10)
-            assert d3_s_entropy(s) == pytest.approx(ref2, rel=1e-10)
+        # 30 digits for this test only; later tests run at the default 15
+        with mpmath.workdps(30):
+            for s in (0.1, 0.25, 0.5, 0.75, 0.9):
+                ref1 = float(mpmath.diff(lambda t: h(t * t), mpmath.mpf(s), 3))
+                ref2 = float(mpmath.diff(lambda t: t * h(t), mpmath.mpf(s), 3))
+                assert d3_entropy_of_square(s) == pytest.approx(ref1, rel=1e-10)
+                assert d3_s_entropy(s) == pytest.approx(ref2, rel=1e-10)
+        assert mpmath.mp.dps == 15
 
     def test_finite_difference_match(self):
         from uclab.numdiff import scaled_step, third_derivative
@@ -569,7 +571,7 @@ _BASE_RATIO = binary_entropy(2.0 * 0.2 - 0.2 * 0.2) / binary_entropy(0.2)
 _PAST_MAX_LAM_SCALE = float(np.nextafter(MAX_LAM_SCALE, np.inf))
 _PAST_ONE = float(np.nextafter(1.0, 2.0))
 _TABLE_N = "n of an explicit table"
-_STEP = "delta_max / u_cap_steps"
+_STEP = "delta_max / delta_steps"
 # two table cells, made here: the sentinel refuses np.ones
 _PAIR = np.ones(2)
 _TOL = _finite("--tol") + [(v, f"--tol must be at least 0, got {v}") for v in (-5e-324, -1e-9)]
@@ -593,9 +595,9 @@ def _past_delta_max(*values):
             for v in values]
 
 
-def _cells(mean_steps=96, u_cap_steps=200, v_steps=96):
+def _cells(mean_steps=96, delta_steps=200, v_steps=96):
     """The refusal of a delta-search grid of this size, past its cap."""
-    cells = (mean_steps + u_cap_steps + 1) * (v_steps + 1)
+    cells = (mean_steps + delta_steps + 1) * (v_steps + 1)
     return _count_text("cells of the delta-search grid", cells, 1, MAX_DELTA_GRID_CELLS)
 
 
@@ -652,8 +654,8 @@ REFUSALS = {
                              _counts("n of the coupling DP", high=10, below=None)),
     "greedy_coupling_dp.sets": ((lambda v: Family(7, range(v)), greedy_coupling_dp),
                                 _counts("sets of the coupling DP", high=64, below=None)),
-    "delta_search.u_cap_steps": (lambda v: delta_search(0.05, u_cap_steps=v),
-                                 _counts("u_cap_steps") + [(10**12, _cells(u_cap_steps=10**12))]),
+    "delta_search.delta_steps": (lambda v: delta_search(0.05, delta_steps=v),
+                                 _counts("delta_steps") + [(10**12, _cells(delta_steps=10**12))]),
     "delta_search.v_steps": (lambda v: delta_search(0.05, v_steps=v),
                              _counts("v_steps", low=0) + [(10**9, _cells(v_steps=10**9))]),
     "delta_search.mean_steps": (lambda v: delta_search(0.05, mean_steps=v),
@@ -740,24 +742,25 @@ REFUSALS = {
                            _counts("n", high=MAX_N, below=(), more=[10**330])),
     "counterexample --trunc": (["counterexample", "--trunc"],
                                _counts("trunc", high=MAX_TRUNC, below=(), more=[10**11])),
-    "coupling --alpha": (["coupling", "--alpha"],
-                         _finite("alpha") + [(x, f"alpha must lie in [0, 1], got {x}")
-                                             for x in (-5e-324, _PAST_ONE)]),
-    "coupling --delta-max": (["coupling", "--delta-max"],
-                             _finite(_STEP) + [(0.0, f"{_STEP} must be above 0, got 0.0")]
-                             + _past_delta_max(1.0)),
-    "coupling --delta-steps": (["coupling", "--delta-steps"],
-                               _counts("u_cap_steps", below=())
-                               + [(10**12, _cells(u_cap_steps=10**12))]),
-    "coupling --v-steps": (["coupling", "--v-steps"],
-                           _counts("v_steps", low=0, below=())
-                           + [(10**12, _cells(v_steps=10**12))]),
-    "coupling --mean-steps": (["coupling", "--mean-steps"],
-                              _counts("mean_steps", low=0, below=())
-                              + [(10**12, _cells(mean_steps=10**12))]),
-    **{f"coupling {flag}": (["coupling", flag],
-                            _counts(flag[2:].replace("-", "_"), high=MAX_SEARCH_RESTARTS, below=(),
-                                    more=[10**12]))
+    "coupling delta-search --alpha": (
+        ["coupling", "delta-search", "--alpha"],
+        _finite("alpha")
+        + [(x, f"alpha must lie in [0, 1], got {x}") for x in (-5e-324, _PAST_ONE)]),
+    "coupling delta-search --delta-max": (
+        ["coupling", "delta-search", "--delta-max"],
+        _finite(_STEP) + [(0.0, f"{_STEP} must be above 0, got 0.0")] + _past_delta_max(1.0)),
+    "coupling delta-search --delta-steps": (
+        ["coupling", "delta-search", "--delta-steps"],
+        _counts("delta_steps", below=()) + [(10**12, _cells(delta_steps=10**12))]),
+    "coupling delta-search --v-steps": (
+        ["coupling", "delta-search", "--v-steps"],
+        _counts("v_steps", low=0, below=()) + [(10**12, _cells(v_steps=10**12))]),
+    "coupling delta-search --mean-steps": (
+        ["coupling", "delta-search", "--mean-steps"],
+        _counts("mean_steps", low=0, below=()) + [(10**12, _cells(mean_steps=10**12))]),
+    **{f"coupling delta-search {flag}": (
+        ["coupling", "delta-search", flag],
+        _counts(flag[2:].replace("-", "_"), high=MAX_SEARCH_RESTARTS, below=(), more=[10**12]))
        for flag in ("--search-points", "--search-restarts")},
 }
 
@@ -825,21 +828,21 @@ _ACCEPTED = {
     "counterexample --n": ([], [1, MAX_N]),
     # trunc = 1 leaves tail mass theta**2, below 1e-12 only at a tiny theta
     "counterexample --trunc": (["--theta=1e-7"], [1, MAX_TRUNC]),
-    "coupling --alpha": ([], [0.0, 1.0]),
-    "coupling --delta-max": ([], [1e-300, _down(1.0 - GOLDEN_THRESHOLD)]),
-    "coupling --delta-steps": ([], [1, _GRID_ROWS - 96 - 1]),
-    "coupling --v-steps": ([], [0, _GRID_COLUMNS - 1]),
-    "coupling --mean-steps": ([], [0, _GRID_ROWS - 200 - 1]),
-    "coupling --search-points": ([], [1, MAX_SEARCH_RESTARTS]),
-    "coupling --search-restarts": ([], [1, MAX_SEARCH_RESTARTS]),
+    "coupling delta-search --alpha": ([], [0.0, 1.0]),
+    "coupling delta-search --delta-max": ([], [1e-300, _down(1.0 - GOLDEN_THRESHOLD)]),
+    "coupling delta-search --delta-steps": ([], [1, _GRID_ROWS - 96 - 1]),
+    "coupling delta-search --v-steps": ([], [0, _GRID_COLUMNS - 1]),
+    "coupling delta-search --mean-steps": ([], [0, _GRID_ROWS - 200 - 1]),
+    "coupling delta-search --search-points": ([], [1, MAX_SEARCH_RESTARTS]),
+    "coupling delta-search --search-restarts": ([], [1, MAX_SEARCH_RESTARTS]),
 }
 
 
 def _accepted():
     for label, (prefix, values) in _ACCEPTED.items():
-        command, flag = label.split()
+        *command, flag = label.split()
         for value in values:
-            yield pytest.param([command, *prefix, f"{flag}={value!r}"], id=f"{label}={value!r}")
+            yield pytest.param([*command, *prefix, f"{flag}={value!r}"], id=f"{label}={value!r}")
 
 
 class TestRangeRules:
