@@ -5,7 +5,7 @@ import sys
 # `all`, `lemma` and `coupling delta-search` each leave the same ~540
 # unreachable objects, all from imports and argparse, while with it on
 # `all` makes 34 automatic passes over the growing heap.  So the process
-# runs without it, turned off before uclab.cli loads numpy; the memory
+# runs without it, turned off before uclab.cli and numpy load; the memory
 # goes back when the process ends.
 gc.disable()
 

@@ -25,17 +25,17 @@ import time
 # Every BLAS call uclab makes is small (matrix-vector products of at most
 # 200 rows), so OpenBLAS's worker threads never speed one up; at numpy's
 # import they start anyway and spin on a second core (about 0.1 s of CPU
-# per process).  Set before numpy is loaded, here or through reportio, so
-# it takes effect; a value the user set still wins.
+# per process).  Set here, before any handler loads numpy, so it takes
+# effect; a value the user set still wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import numpy as np  # noqa: E402
 
 from . import DEFAULT_SEED, __version__  # noqa: E402
 from .reportio import emit_report  # noqa: E402
 
-# Each handler imports the modules it uses, so a command loads only those:
-# `coupling delta-search` never imports setdist, families or counterexample.
+# Each handler imports the modules it uses, numpy among them, so a command
+# loads only those: `coupling delta-search` never imports setdist, families
+# or counterexample, and --help, --version and an argument argparse refuses
+# load no numpy at all.
 
 MAX_SCALAR_GRID = 1_000_000
 # theorem2 draws tables on up to 2^max_n masks; a full table at n = 16
@@ -57,6 +57,17 @@ RESTARTS_HELP = ("local-search restarts, divided evenly over the search points, 
 
 class _Parser(argparse.ArgumentParser):
     """Parse errors raise ValueError, so main() exits 2 with one line."""
+
+    # set on coupling's parser, whose flags all belong to its actions: a flag
+    # before the action is refused by name, where argparse would take its
+    # value for the action
+    first = None
+
+    def parse_known_args(self, args=None, namespace=None):
+        flag = args[0].split("=")[0] if self.first and args else ""
+        if flag.startswith("-") and flag not in ("-h", "--help"):
+            raise ValueError(f"argument {flag}: {self.first} comes first")
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         raise ValueError(message)
@@ -124,6 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("coupling", help="worst-coupling search and the coupling process")
+    p.first = "the action (delta-search or dp)"
     actions = p.add_subparsers(dest="action", required=True)
     p = actions.add_parser("delta-search", help="margin above the threshold over scanned measures")
     p.add_argument("--alpha", type=float, default=0.05)
@@ -156,6 +168,8 @@ def _tol(args, default: float) -> float:
 
 
 def cmd_scalar(args, seed: int):
+    import numpy as np
+
     from .numdiff import scaled_step, third_derivative
     from .scalars import (
         GOLDEN_THRESHOLD,
@@ -277,6 +291,8 @@ def cmd_families(args, seed: int):
 
 
 def cmd_theorem2(args, seed: int):
+    import numpy as np
+
     from .scalars import GOLDEN_THRESHOLD, _check_count
     from .setdist import (
         expand_mixture,
@@ -353,6 +369,8 @@ def _check_random_tables(drawn, worst_case):
     far: the smallest slack, ties to the earliest trial, or None while every
     table was skipped for a 0/1 marginal (union_entropy_rows leaves their
     slack NaN)."""
+    import numpy as np
+
     from .setdist import union_entropy_rows
 
     for n in sorted({n for _, n, _, _ in drawn}):
@@ -479,11 +497,11 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    from .scalars import _check_count
-
     t0 = time.perf_counter()
     try:
         args = build_parser().parse_args(argv)
+        from .scalars import _check_count
+
         # numpy's generators take only non-negative seeds
         seed = _check_count(args.seed, "--seed", low=0)
         results, failures = _HANDLERS[args.command](args, seed)

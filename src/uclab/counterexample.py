@@ -5,7 +5,7 @@ every element independently with probability 1 - (1 - ubar)^(k+1).  The
 union of two independent such sets is again a mixture of the same products,
 at level k' = k_A + k_B + 1 with probabilities (1-theta)^2 k' theta^(k'-1).
 For small theta the entropy ratio of union to original approaches
-H(2 ubar - ubar^2) / H(ubar) from above while the KL divergence of the
+H(2 ubar - ubar^2) / H(ubar) from below while the KL divergence of the
 union from the original stays bounded by a fixed constant independent of
 the ground-set size - so a bounded divergence adds no leverage over the
 entropy ratio itself.

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 import sys
 
-import numpy as np
-
 
 def format_float(x: float) -> str:
     if math.isnan(x):
@@ -35,15 +33,22 @@ def _fields(obj):
     return None
 
 
+def _plain(obj):
+    """The Python value or list a numpy scalar or array holds, else obj.  numpy
+    is looked up, not imported: its objects exist only once it is loaded."""
+    np = sys.modules.get("numpy")
+    return obj.tolist() if np and isinstance(obj, (np.generic, np.ndarray)) else obj
+
+
 def _scalar(obj) -> str | None:
-    """The JSON text of None, a bool, an int or a float (numpy's too), else None."""
+    """The JSON text of None, a bool, an int or a float, else None."""
     if obj is None:
         return "null"
-    if isinstance(obj, (bool, np.bool_)):
+    if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         return format_float(float(obj))
     return None
 
@@ -65,13 +70,12 @@ def _escape(s: str) -> str:
 
 
 def dumps_json(obj, indent: int = 0) -> str:
+    obj = _plain(obj)
     if isinstance(obj, str):
         return f'"{_escape(obj)}"'
     text = _scalar(obj)
     if text is not None:
         return text
-    if isinstance(obj, np.ndarray):
-        return dumps_json(obj.tolist(), indent)
     inner = " " * (indent + 2)
     fields = _fields(obj)
     if fields is not None:
@@ -88,6 +92,7 @@ def dumps_json(obj, indent: int = 0) -> str:
 
 
 def _csv_cell(v) -> str:
+    v = _plain(v)
     if v is None:
         return ""
     if not isinstance(v, str):
@@ -107,7 +112,7 @@ def dumps_csv(results) -> str:
     rows = [dict(_fields(row)) for row in fields.get("rows") or ()]
     if not rows:
         rows = [{k: v for k, v in fields.items()
-                 if _fields(v) is None and not isinstance(v, (list, tuple, np.ndarray))}]
+                 if _fields(v) is None and not isinstance(_plain(v), (list, tuple))}]
     header = list(rows[0])
     lines = [",".join(header)]
     lines += [",".join(_csv_cell(row.get(k)) for k in header) for row in rows]

@@ -28,7 +28,7 @@ from helpers import reference_report_text, theorem2_loop, third_derivative_worst
 from test_scalars import REFUSALS
 from uclab.cli import MAX_RANDOM_TABLE_N, THEOREM2_TOL, build_parser, main
 from uclab.counterexample import MAX_N
-from uclab.reportio import dumps_json
+from uclab.reportio import dumps_csv, dumps_json
 from uclab.measures import SCAN_TOL
 from uclab.families import Family, count_union_closed, save_family
 from uclab.setdist import golden_threshold_mixture, product_bernoulli, save_distribution, save_mixture
@@ -67,6 +67,9 @@ def _parser_options(kind):
             for action in parser._actions if action.type is kind]
 
 
+# the refusal of a flag given before the coupling action
+_ACTION_FIRST = "argument {}: the action (delta-search or dp) comes first"
+
 # coupling dp at a family file; a run that exits 2 never reads it
 _DP = ["coupling", "dp", "--family=fam.txt"]
 
@@ -104,10 +107,12 @@ class TestExitCodes:
         (["scalar", "--bogus"], "unrecognized arguments: --bogus"),
         (["lemma", "--tol"], "argument --tol: expected one argument"),
         (["coupling"], "the following arguments are required: action"),
-        (["coupling", "--seed", "3", "delta-search"], "argument action: invalid choice: '3' ("),
+        (["coupling", "--seed", "3", "delta-search"], _ACTION_FIRST.format("--seed")),
+        (["coupling", "--alpha=0.05", "delta-search"], _ACTION_FIRST.format("--alpha")),
+        (["coupling", "--out", "r.json"], _ACTION_FIRST.format("--out")),
         (["coupling", "dp"], "the following arguments are required: --family"),
     ], ids=["command", "no-command", "int", "flag", "no-value", "no-action", "flag-before-action",
-            "dp-no-family"])
+            "flag-value-before-action", "out-without-action", "dp-no-family"])
     def test_bad_arguments_exit_two(self, argv, message, capsys, no_handler_work):
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -737,6 +742,14 @@ class TestTheorem2Command:
         assert first is not rows[0]
         assert _theorem2_report(80, 6, 11)["worst_case"] == {**first, "slack": floor}
 
+    def test_zero_slack_tie_across_stacks_goes_to_the_first_trial(self):
+        # at this seed three drawn tables reach slack exactly 0, with no
+        # rounding to tell them apart; the n = 2 stack is checked first
+        rows, _ = theorem2_loop(200, 6, 7)
+        tied = [row for row in rows if row["slack"] == 0.0]
+        assert [(row["trial"], row["n"]) for row in tied] == [(49, 3), (85, 2), (163, 3)]
+        assert _theorem2_report(200, 6, 7)["worst_case"] == tied[0]
+
     @pytest.mark.parametrize(
         "cap, flags",
         [(1 << 16, ["--max-n", "16", "--trials", "40"]),
@@ -967,19 +980,55 @@ def test_delta_search_loads_only_the_modules_it_needs(tmp_path):
 import json, sys
 from uclab.cli import main
 loaded = sorted(name for name in sys.modules if name.startswith("uclab"))
-has_dataclasses = "dataclasses" in sys.modules
+has_dataclasses, has_numpy = "dataclasses" in sys.modules, "numpy" in sys.modules
 assert main(["coupling", "delta-search", "--delta-steps", "100", "--v-steps", "32",
              "--mean-steps", "24", "--search-points", "3", "--search-restarts", "12",
              "--out", {str(tmp_path / "delta.json")!r}]) == 0
-print(json.dumps([loaded, has_dataclasses, sorted(sys.modules)]))
+print(json.dumps([loaded, has_dataclasses, has_numpy, sorted(sys.modules)]))
 """
-    at_import, dataclasses_at_import, after = json.loads(_fresh_python("-c", script))
+    at_import, dataclasses_at_import, numpy_at_import, after = json.loads(
+        _fresh_python("-c", script))
     assert at_import == ["uclab", "uclab.cli", "uclab.reportio"]
-    # the report writer takes dicts and NamedTuples, so it needs no dataclasses
-    assert not dataclasses_at_import
+    # the report writer takes dicts and NamedTuples, so it needs no dataclasses;
+    # numpy loads when a handler starts work
+    assert not dataclasses_at_import and not numpy_at_import
     for name in ("numpy.ma", "uclab.setdist", "uclab.families", "uclab.counterexample"):
         assert name not in after
     assert json.loads((tmp_path / "delta.json").read_text())["results"]["lp_solves"] > 0
+
+
+def test_runs_that_end_before_any_handler_load_no_numpy(tmp_path):
+    # a fresh interpreter, as above: --help, --version and every refusal of
+    # the arguments end before a handler imports numpy, and writing a report
+    # of plain Python values loads none either
+    report = ('{"results": {"x": [1.5, float("nan"), -2, None], "s": "\\u00e9", '
+              '"rows": [{"ok": True}]}}')
+    script = f"""
+import contextlib, io, json, sys
+from uclab.cli import main
+from uclab.reportio import emit_report
+codes = []
+for argv in (["--version"], ["--help"], ["lemma", "--u-steps", "x"], ["coupling"],
+             ["coupling", "--alpha", "0.05", "delta-search"], ["coupling", "--out", "r.json"]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            codes.append(main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+report = {report}
+emit_report(report, path={str(tmp_path / "plain.json")!r})
+emit_report(report, fmt="csv", path={str(tmp_path / "plain.csv")!r})
+print(json.dumps([codes, "numpy" in sys.modules]))
+"""
+    assert json.loads(_fresh_python("-c", script)) == [[0, 0, 2, 2, 2, 2], False]
+    # the bytes the writer gave before, which the report's numpy twin gives
+    # here, where numpy is loaded
+    twin = {"results": {"x": [np.float64(1.5), np.array(np.nan), np.int64(-2), None],
+                        "s": np.str_("\u00e9"), "rows": [{"ok": np.bool_(True)}]}}
+    assert (tmp_path / "plain.json").read_text() == dumps_json(twin) + "\n" == (
+        '{\n  "results": {\n    "x": [\n      1.5,\n      NaN,\n      -2,\n      null\n    ],\n'
+        '    "s": "\\u00e9",\n    "rows": [\n      {\n        "ok": true\n      }\n    ]\n  }\n}\n')
+    assert (tmp_path / "plain.csv").read_text() == dumps_csv(twin["results"]) == "ok\ntrue\n"
 
 
 def test_module_entry_point_writes_the_in_process_report(tmp_path):

@@ -426,6 +426,24 @@ class TestDeltaSearch:
         plain = delta_search(0.0, **kw)
         assert (plain.closed_form_couplings, plain.lp_solves) == (0, 0)
 
+    def test_lp_solves_are_the_transport_solves_run(self, monkeypatch):
+        # at this seed the last search point's best measure has two atoms,
+        # which the closed form couples: it is no LP solve
+        sizes, solves = [], []
+        real_value, real_lp = uclab.coupling.worst_coupling_value, uclab.coupling.linprog
+
+        def value(mu):
+            sizes.append(mu.size())
+            return real_value(mu)
+
+        monkeypatch.setattr(uclab.coupling, "worst_coupling_value", value)
+        monkeypatch.setattr(uclab.coupling, "linprog",
+                            lambda cost, w: solves.append(w.size) or real_lp(cost, w))
+        rep = delta_search(0.05, delta_steps=10, v_steps=8, mean_steps=8, search_points=7,
+                           search_restarts=14, seed=1)
+        assert 2 in sizes and len(solves) > 0
+        assert rep.lp_solves == len(solves)
+
 
 class TestGreedyCouplingDP:
     def test_single_full_set(self):
