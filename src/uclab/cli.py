@@ -58,14 +58,17 @@ RESTARTS_HELP = ("local-search restarts, divided evenly over the search points, 
 class _Parser(argparse.ArgumentParser):
     """Parse errors raise ValueError, so main() exits 2 with one line."""
 
-    # set on coupling's parser, whose flags all belong to its actions: a flag
-    # before the action is refused by name, where argparse would take its
-    # value for the action
+    # set on the top-level parser and on coupling's, whose other flags belong
+    # to the command or action that follows: one given before it is refused
+    # by name, where argparse would take its value for the command or action;
+    # the parser's own flags (-h, --help, --version) pass, abbreviated too
     first = None
 
     def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else args
         flag = args[0].split("=")[0] if self.first and args else ""
-        if flag.startswith("-") and flag not in ("-h", "--help"):
+        own = any(option.startswith(flag) for option in self._option_string_actions)
+        if flag.startswith("-") and not own:
             raise ValueError(f"argument {flag}: {self.first} comes first")
         return super().parse_known_args(args, namespace)
 
@@ -93,6 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical checks for union-closed families, entropy "
         "inequalities, and worst-case couplings.",
     )
+    ap.first = "the command"
     ap.add_argument("--version", action="version", version=f"uclab {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -107,7 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=1000, help=RESTARTS_HELP)
     p.add_argument("--atom-grid", type=int, default=1000)
     p.add_argument("--search-points", type=int, default=21)
-    p.add_argument("--inflate-bound", type=float, default=1.0, help=argparse.SUPPRESS)
     _add_tol(p)
     _add_common(p)
 
@@ -254,7 +257,6 @@ def cmd_lemma(args, seed: int):
         atom_grid=args.atom_grid,
         search_points=args.search_points,
         seed=seed,
-        lam_scale=args.inflate_bound,
         scan_tol=tol,
     )
     failures = []
@@ -401,10 +403,8 @@ def cmd_counterexample(args, seed: int):
         exact_small_n_check,
     )
 
-    params = CounterexampleParams.with_defaults(
-        ubar=args.ubar, u=args.u, d=args.d, theta=args.theta, n=args.n,
-        trunc=args.trunc,
-    )
+    params = CounterexampleParams(ubar=args.ubar, u=args.u, d=args.d, theta=args.theta,
+                                  n=args.n, trunc=args.trunc)
     small = params.n <= EXACT_MAX_N and params.trunc <= EXACT_MAX_TRUNC
     rep = exact_small_n_check(params) if small else bounds_report(params)
     report = {"params": asdict(params), **rep._asdict()}

@@ -58,18 +58,21 @@ class CounterexampleParams:
 
     ubar is the base inclusion level, u the admissible marginal ceiling,
     d the entropy-ratio budget (must exceed H(2 ubar - ubar^2)/H(ubar)),
-    theta the geometric parameter, n the ground-set size, and trunc the
-    level at which the geometric tail is folded into the last component.
+    theta the geometric parameter, n the ground-set size, and trunc (by
+    default default_truncation(theta)) the level at which the geometric
+    tail is folded into the last component.
     """
 
-    ubar: float
-    u: float
-    d: float
-    theta: float
-    n: int
-    trunc: int
+    ubar: float = 0.2
+    u: float = 0.25
+    d: float = 1.35
+    theta: float = 0.01
+    n: int = 1_000_000
+    trunc: int | None = None
 
     def __post_init__(self):
+        if self.trunc is None:
+            object.__setattr__(self, "trunc", default_truncation(self.theta))
         ubar = _check_open_unit_interval(self.ubar, "ubar")
         # where 1 - ubar rounds to 1 the entropy bound is 0, and the ratio divides by it
         _check_float(ubar, "ubar", low=2.0**-54, strict=True,
@@ -86,20 +89,6 @@ class CounterexampleParams:
             raise ValueError(
                 f"trunc={self.trunc} leaves geometric tail mass >= {TAIL_TOL}"
             )
-
-    @classmethod
-    def with_defaults(
-        cls,
-        ubar: float = 0.2,
-        u: float = 0.25,
-        d: float = 1.35,
-        theta: float = 0.01,
-        n: int = 1_000_000,
-        trunc: int | None = None,
-    ) -> "CounterexampleParams":
-        if trunc is None:
-            trunc = default_truncation(theta)
-        return cls(ubar=ubar, u=u, d=d, theta=theta, n=n, trunc=trunc)
 
 
 def build_counterexample(params: CounterexampleParams) -> ProductMixture:

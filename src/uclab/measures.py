@@ -10,6 +10,12 @@ supported on at most two atoms, one of them at 1, so certification splits
 into (a) an exact scan of that two-atom family and (b) an independent local
 search over measures on a location grid that must not find anything
 materially below the scan.
+
+With s = 1 - v and w = (1 - u)/s the two-atom slack is w H(s) times
+(1 - u) F(s) - lam, for F(s) = H(s^2)/(s H(s)) (scalars.entropy_square_ratio),
+and lam/(1 - u) is F(1 - u) up to the golden threshold and PHI above it.  So
+`lemma`'s scan and `scalar`'s square_ratio_shape check (F falls to its minimum
+PHI at 1/PHI, then rises) test the same fact in two parametrisations.
 """
 
 from __future__ import annotations
@@ -54,9 +60,6 @@ MAX_LEMMA_U_STEPS = 100_000
 MAX_LEMMA_V_STEPS = 100_000
 MAX_SEARCH_RESTARTS = 100_000
 MAX_ATOM_GRID = 1_000_000
-# the bound factor is below 2 on (0, 1), so up to this lam_scale every
-# scaled factor stays finite: twice it is the largest float
-MAX_LAM_SCALE = float(np.finfo(float).max) / 2.0
 
 
 def sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -221,7 +224,7 @@ def _two_atom_scan_rows(us: np.ndarray, lams: np.ndarray, v_steps: int):
         vs = np.linspace(0.0, u[:, 0], v_steps, axis=1)
         golden = u > GOLDEN_THRESHOLD
         # the threshold column is evaluated only where it lies below u: at
-        # the other rows its weight exceeds 1, and a huge lam would overflow
+        # the other rows its weight exceeds 1
         gold = np.full_like(u, np.inf)
         gold[golden] = _two_atom_slack(u[golden], GOLDEN_THRESHOLD, lam[golden])
         slack = np.hstack([_two_atom_slack(u, vs, lam), gold])
@@ -364,8 +367,6 @@ def _random_feasible_start(rng, x: np.ndarray, u: float) -> np.ndarray:
     for a in range(m - 1, 0, -1):
         if mean <= u:
             break
-        if xs[a] <= 0.0 or ws[a] <= 0.0:
-            continue
         delta = min(ws[a], (mean - u) / (xs[a] - xs[0]))
         ws[a] -= delta
         ws[0] += delta
@@ -475,7 +476,6 @@ class LemmaCertificate(NamedTuple):
     worst_search_margin: float
     search_ok: bool
     seed: int
-    lam_scale: float
     rows: tuple
 
 
@@ -486,7 +486,6 @@ def lemma_certificate(
     atom_grid: int = 1000,
     search_points: int = 21,
     seed: int = DEFAULT_SEED,
-    lam_scale: float = 1.0,
     scan_tol: float = SCAN_TOL,
 ) -> LemmaCertificate:
     """Certify min J >= 0 over a u-grid by scan plus independent search.
@@ -494,11 +493,8 @@ def lemma_certificate(
     For every u in an interior grid (the golden threshold is injected
     exactly) the two-atom scan must stay above -scan_tol, and on a coarser
     sub-grid the local search - restarts split evenly across the sub-grid -
-    must not beat the scan minimum by more than SEARCH_TOL.  lam_scale
-    multiplies the bound factor and exists so a deliberately inflated
-    factor can be seen to fail; it is at most MAX_LAM_SCALE, so every
-    scaled factor is finite.  All search points' restarts go to one
-    local_search_rows call.
+    must not beat the scan minimum by more than SEARCH_TOL.  All search
+    points' restarts go to one local_search_rows call.
     """
     _check_count(u_steps, "u_steps", high=MAX_LEMMA_U_STEPS)
     _check_count(v_steps, "v_steps", low=2, high=MAX_LEMMA_V_STEPS)
@@ -506,12 +502,9 @@ def lemma_certificate(
     _check_count(atom_grid, "atom_grid", high=MAX_ATOM_GRID)
     _check_count(search_points, "search_points")
     scan_tol = _check_float(scan_tol, "scan_tol", low=0)
-    lam_scale = _check_float(lam_scale, "lam_scale", low=0, strict=True)
-    if lam_scale > MAX_LAM_SCALE:
-        raise ValueError(f"lam_scale must be at most {MAX_LAM_SCALE}, got {lam_scale}")
     us = np.arange(1, u_steps + 1) / (u_steps + 1.0)
     us = sorted_unique(np.append(us, GOLDEN_THRESHOLD))
-    lams = entropy_ratio_bound_array(us) * lam_scale
+    lams = entropy_ratio_bound_array(us)
 
     slacks, argmins = _two_atom_scan_rows(us, lams, v_steps)
     worst_idx = int(np.argmin(slacks))
@@ -539,7 +532,6 @@ def lemma_certificate(
         worst_search_margin=worst_margin,
         search_ok=bool(worst_margin <= SEARCH_TOL),
         seed=seed,
-        lam_scale=lam_scale,
         rows=rows,
     )
 

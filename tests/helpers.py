@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+import uclab.measures
 from uclab.coupling import DeltaSearchReport, _measure_summary, coupled_union_prob, linprog
 from uclab.families import Family, is_union_closed
 from uclab.measures import (
@@ -368,6 +369,14 @@ def improved_slack_loop(mu, alpha):
     else:
         coupling = linprog(cost, w)
     return (1.0 - alpha) * quad + alpha * float((coupling * cost).sum()) - lin
+
+
+def scale_bound_factor(monkeypatch, scale=1.05):
+    """Patch the bound factor lemma_certificate reads, and so `uclab lemma`,
+    to scale times the real one: at 1.05 the two-atom scan fails."""
+    real = uclab.measures.entropy_ratio_bound_array
+    monkeypatch.setattr(uclab.measures, "entropy_ratio_bound_array",
+                        lambda us: scale * real(us))
 
 
 def two_atom_scan_loop(u, v_steps, lam):

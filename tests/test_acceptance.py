@@ -169,13 +169,13 @@ def test_08_mixture_asymptotics():
 def test_09_counterexample_bounds():
     with criterion(9, 5.0, "geometric mixture: admissible, ratio below budget, KL flat in n"):
         base = dict(ubar=0.2, u=0.25, d=1.35, theta=0.01)
-        assert marginal_inclusion(CounterexampleParams.with_defaults(**base, n=100)) <= 0.25
+        assert marginal_inclusion(CounterexampleParams(**base, n=100)) <= 0.25
         for n in (10**5, 10**6):
-            assert ratio_bound(CounterexampleParams.with_defaults(**base, n=n)) < 1.35
-        kls = [kl_upper_bound(CounterexampleParams.with_defaults(**base, n=n))
+            assert ratio_bound(CounterexampleParams(**base, n=n)) < 1.35
+        kls = [kl_upper_bound(CounterexampleParams(**base, n=n))
                for n in (10**2, 10**4, 10**6)]
         assert max(kls) - min(kls) <= 1e-12
-        exact = exact_small_n_check(CounterexampleParams.with_defaults(**base, n=10))
+        exact = exact_small_n_check(CounterexampleParams(**base, n=10))
         assert exact.exact_within_bounds
 
 

@@ -24,7 +24,12 @@ import uclab.coupling
 import uclab.families
 import uclab.measures
 import uclab.setdist
-from helpers import reference_report_text, theorem2_loop, third_derivative_worst_loop
+from helpers import (
+    reference_report_text,
+    scale_bound_factor,
+    theorem2_loop,
+    third_derivative_worst_loop,
+)
 from test_scalars import REFUSALS
 from uclab.cli import MAX_RANDOM_TABLE_N, THEOREM2_TOL, build_parser, main
 from uclab.counterexample import MAX_N
@@ -67,7 +72,8 @@ def _parser_options(kind):
             for action in parser._actions if action.type is kind]
 
 
-# the refusal of a flag given before the coupling action
+# the refusals of a flag given before the command and before the coupling action
+_COMMAND_FIRST = "argument {}: the command comes first"
 _ACTION_FIRST = "argument {}: the action (delta-search or dp) comes first"
 
 # coupling dp at a family file; a run that exits 2 never reads it
@@ -91,8 +97,9 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out.read_text())["passed"] is True
 
-    def test_verification_failure_is_one_with_named_item(self, tmp_path):
-        code, out = run(FAST_LEMMA + ["--inflate-bound", "1.05"], tmp_path)
+    def test_verification_failure_is_one_with_named_item(self, tmp_path, monkeypatch):
+        scale_bound_factor(monkeypatch)
+        code, out = run(FAST_LEMMA, tmp_path)
         assert code == 1
         report = json.loads(out.read_text())
         assert report["passed"] is False
@@ -111,8 +118,14 @@ class TestExitCodes:
         (["coupling", "--alpha=0.05", "delta-search"], _ACTION_FIRST.format("--alpha")),
         (["coupling", "--out", "r.json"], _ACTION_FIRST.format("--out")),
         (["coupling", "dp"], "the following arguments are required: --family"),
+        (["--seed", "3", "scalar"], _COMMAND_FIRST.format("--seed")),
+        (["--out=r.json", "lemma"], _COMMAND_FIRST.format("--out")),
+        (["--bogus"], _COMMAND_FIRST.format("--bogus")),
+        (["--alpha", "0.05", "coupling", "delta-search"], _COMMAND_FIRST.format("--alpha")),
     ], ids=["command", "no-command", "int", "flag", "no-value", "no-action", "flag-before-action",
-            "flag-value-before-action", "out-without-action", "dp-no-family"])
+            "flag-value-before-action", "out-without-action", "dp-no-family",
+            "flag-before-command", "flag-value-before-command", "unknown-flag-before-command",
+            "action-flag-before-command"])
     def test_bad_arguments_exit_two(self, argv, message, capsys, no_handler_work):
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -120,7 +133,16 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith(f"uclab: error: {message}"), lines
         assert captured.out == ""
 
-    @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["coupling", "--help"]])
+    def test_flag_before_the_command_is_refused_from_the_command_line(self, capsys, monkeypatch,
+                                                                        no_handler_work):
+        # main() with no argv, as the uclab script calls it, reads sys.argv
+        monkeypatch.setattr(sys, "argv", ["uclab", "--seed", "3", "scalar"])
+        assert main() == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "uclab: error: " + _COMMAND_FIRST.format("--seed")]
+
+    @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["-h"], ["lemma", "--help"],
+                                      ["coupling", "--help"], ["--vers"], ["coupling", "--he"]])
     def test_help_and_version_still_exit_zero(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -300,8 +322,8 @@ class TestFailureItems:
                             lambda **kw: seen.append(kw["scan_tol"]) or real(**kw))
         assert run(FAST_LEMMA, tmp_path)[0] == 0
         monkeypatch.setattr(uclab.measures, "SCAN_TOL", 2e-9)
-        failures = _failing_run([*FAST_LEMMA, "--inflate-bound", "1.05"], "lemma.two_atom_scan",
-                                tmp_path)
+        scale_bound_factor(monkeypatch)
+        failures = _failing_run(FAST_LEMMA, "lemma.two_atom_scan", tmp_path)
         assert seen == [default, 2e-9]
         assert " < -2e-09 at u=" in failures[0]
 
@@ -368,31 +390,6 @@ class TestDeterminism:
         from uclab.reportio import dumps_json
 
         assert json.loads(dumps_json(report)) == report
-
-
-class TestLemmaCommand:
-    def test_largest_inflate_bound_writes_finite_numbers(self, tmp_path):
-        # twice the largest accepted scale is the largest float, so every
-        # scaled factor, slack and margin stays finite and the scan fails
-        scale = repr(uclab.measures.MAX_LAM_SCALE)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code, out = run(FAST_LEMMA + ["--inflate-bound", scale], tmp_path)
-        assert code == 1
-        assert not caught
-
-        def numbers(obj):
-            if isinstance(obj, dict):
-                obj = list(obj.values())
-            if isinstance(obj, list):
-                return [x for v in obj for x in numbers(v)]
-            return [obj] if isinstance(obj, float) else []
-
-        report = json.loads(out.read_text())
-        values = numbers(report["results"])
-        assert len(values) > 100 and all(np.isfinite(values))
-        assert report["results"]["lam_scale"] == uclab.measures.MAX_LAM_SCALE
-        assert not report["results"]["scan_ok"]
 
 
 class TestTolerance:
@@ -914,11 +911,11 @@ def _fresh_python(*args, env_vars=None):
 
 @pytest.mark.parametrize("argv, fn, shared", [
     (["lemma"], "measures.lemma_certificate",
-     ["atom_grid", "lam_scale", "restarts", "search_points", "seed", "u_steps", "v_steps"]),
+     ["atom_grid", "restarts", "search_points", "seed", "u_steps", "v_steps"]),
     (["coupling", "delta-search"], "coupling.delta_search",
      ["delta_max", "delta_steps", "mean_steps", "search_points", "search_restarts", "seed",
       "v_steps"]),
-    (["counterexample"], "counterexample.CounterexampleParams.with_defaults",
+    (["counterexample"], "counterexample.CounterexampleParams",
      ["d", "n", "theta", "trunc", "u", "ubar"]),
 ])
 def test_cli_defaults_are_the_library_defaults(argv, fn, shared):
@@ -931,10 +928,20 @@ def test_cli_defaults_are_the_library_defaults(argv, fn, shared):
         target = getattr(target, attr)
     lib = {name: p.default for name, p in inspect.signature(target).parameters.items()
            if p.default is not p.empty}
-    renames = {"inflate_bound": "lam_scale"}
-    cli = {renames.get(k, k): v for k, v in vars(build_parser().parse_args(argv)).items()}
+    cli = vars(build_parser().parse_args(argv))
     assert sorted(lib.keys() & cli.keys()) == shared
     assert {k: cli[k] for k in shared} == {k: lib[k] for k in shared}
+
+
+def test_no_option_is_hidden():
+    # an option hidden from --help would be one that only tests pass
+    def parsers(parser):
+        sub = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return [parser, *(p for a in sub for child in a.choices.values() for p in parsers(child))]
+
+    hidden = [(parser.prog, action.dest) for parser in parsers(build_parser())
+              for action in parser._actions if action.help is argparse.SUPPRESS]
+    assert hidden == []
 
 
 def test_single_threaded_blas_is_set_before_numpy_loads():
@@ -1009,7 +1016,8 @@ from uclab.cli import main
 from uclab.reportio import emit_report
 codes = []
 for argv in (["--version"], ["--help"], ["lemma", "--u-steps", "x"], ["coupling"],
-             ["coupling", "--alpha", "0.05", "delta-search"], ["coupling", "--out", "r.json"]):
+             ["coupling", "--alpha", "0.05", "delta-search"], ["coupling", "--out", "r.json"],
+             ["--seed", "3", "scalar"], ["--out=r.json", "lemma"]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             codes.append(main(argv))
@@ -1020,7 +1028,7 @@ emit_report(report, path={str(tmp_path / "plain.json")!r})
 emit_report(report, fmt="csv", path={str(tmp_path / "plain.csv")!r})
 print(json.dumps([codes, "numpy" in sys.modules]))
 """
-    assert json.loads(_fresh_python("-c", script)) == [[0, 0, 2, 2, 2, 2], False]
+    assert json.loads(_fresh_python("-c", script)) == [[0, 0, 2, 2, 2, 2, 2, 2], False]
     # the bytes the writer gave before, which the report's numpy twin gives
     # here, where numpy is loaded
     twin = {"results": {"x": [np.float64(1.5), np.array(np.nan), np.int64(-2), None],
@@ -1177,7 +1185,6 @@ _TOL_DEFAULTS = {"lemma": SCAN_TOL, "theorem2": THEOREM2_TOL}
 # value that bites only beside another flag's non-default gets drawn (a
 # tiny --ubar beside a large --d)
 _OTHER_FLOATS = {
-    ("lemma", "--inflate-bound"): "1.5",
     ("lemma", "--tol"): "1e-06",
     ("theorem2", "--tol"): "1e-06",
     ("counterexample", "--ubar"): "0.1",
@@ -1213,7 +1220,7 @@ def _float_cases(command):
 
 # a command drawn in proportion to its float flags, with one valid value
 # drawn per float flag, run with each flag in turn at each bad value: one
-# draw in about 4.5 (--d=3 on counterexample) puts a bad --ubar beside a
+# draw in 4 (--d=3 on counterexample) puts a bad --ubar beside a
 # large --d
 _FUZZ_FLOAT_CASES = st.sampled_from([command for command, _, _ in
                                      _parser_options(float)]).flatmap(_float_cases)

@@ -23,8 +23,7 @@ from uclab.setdist import expand_mixture, kl_divergence, union_of_independent
 RATIO_TARGET_02 = 1.3057854320000842  # H(0.36)/H(0.2), the theta -> 0 limit
 
 
-def params(**kw):
-    return CounterexampleParams.with_defaults(**kw)
+params = CounterexampleParams
 
 
 class TestParams:
@@ -35,6 +34,22 @@ class TestParams:
 
     def test_largest_truncation_is_accepted(self):
         assert params(trunc=MAX_TRUNC).trunc == MAX_TRUNC
+
+    @pytest.mark.parametrize("theta", [0.01, 0.1, 0.5])
+    def test_trunc_defaults_to_the_default_truncation(self, theta):
+        assert params(theta=theta).trunc == default_truncation(theta)
+
+    def test_explicit_trunc_is_kept(self):
+        assert params(theta=0.1, trunc=40).trunc == 40
+
+    # the default truncation is drawn from theta before any check, so a bad
+    # theta is refused ahead of a bad ubar
+    @pytest.mark.parametrize("kw", [{"theta": 2.0}, {"ubar": 0.0, "theta": 2.0}],
+                             ids=["theta", "ubar-and-theta"])
+    def test_bad_theta_is_refused_first(self, kw):
+        with pytest.raises(ValueError) as exc:
+            params(**kw)
+        assert str(exc.value) == "theta must lie strictly inside (0, 1), got 2.0"
 
     def test_rejects_insufficient_truncation(self):
         with pytest.raises(ValueError):

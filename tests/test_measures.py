@@ -12,6 +12,7 @@ from helpers import (
     linearized_objective,
     local_search_loop,
     random_feasible_start_loop,
+    scale_bound_factor,
     second_derivative,
     two_atom_scan_loop,
 )
@@ -24,6 +25,7 @@ from uclab.measures import (
     _exchange_descent,
     _random_feasible_start,
     _two_atom_scan_rows,
+    _two_atom_slack,
     lemma_certificate,
     local_search_min,
     local_search_rows,
@@ -32,7 +34,15 @@ from uclab.measures import (
     sorted_unique,
     two_atom_min_scan,
 )
-from uclab.scalars import GOLDEN_THRESHOLD, PHI, binary_entropy, entropy_ratio_bound, union_prob
+from uclab.scalars import (
+    GOLDEN_THRESHOLD,
+    PHI,
+    binary_entropy,
+    entropy_kernel,
+    entropy_ratio_bound,
+    entropy_ratio_bound_array,
+    union_prob,
+)
 
 # mpmath reference: 0.25 H(0.36) - 0.5 H(0.2)
 TWO_ATOM_02_05 = -0.08684666307066849
@@ -226,6 +236,51 @@ class TestTwoAtomScan:
         assert GOLDEN_THRESHOLD not in np.linspace(0.0, 0.5, 7)
         assert two_atom_min_scan(0.5, 7).v_steps == 8
         assert two_atom_min_scan(0.3, 7).v_steps == 7
+
+
+class TestTwoAtomReduction:
+    """The two-atom scan in the variable of `scalar`'s square_ratio_shape
+    check: with s = 1 - v, w = (1 - u)/s and F(s) = H(s^2)/(s H(s)), the
+    slack is w H(s) [(1 - u) F(s) - lam(u)], and lam(u)/(1 - u) is
+    F(1 - u) up to the golden threshold and PHI above it."""
+
+    EPS = float(np.finfo(float).eps)
+
+    @staticmethod
+    def square_ratio(s):
+        return entropy_kernel(s * s) / (s * entropy_kernel(s))
+
+    @pytest.fixture
+    def draws(self):
+        rng = np.random.default_rng(2022)
+        u = rng.uniform(0.0, 1.0, 20_000)
+        return u, u * rng.uniform(0.0, 1.0, u.size)
+
+    def test_slack_factors_through_the_square_ratio(self, draws):
+        u, v = draws
+        lam = entropy_ratio_bound_array(u)
+        s = 1.0 - v
+        w = (1.0 - u) / s
+        factored = w * entropy_kernel(s) * ((1.0 - u) * self.square_ratio(s) - lam)
+        # both sides round a few terms below ln 2 in size: at most 2.4 eps
+        # apart in these draws
+        assert np.abs(_two_atom_slack(u, v, lam) - factored).max() <= 8 * self.EPS
+
+    def test_bound_factor_is_the_square_ratio_at_one_minus_u(self, draws):
+        u, _ = draws
+        ratio = entropy_ratio_bound_array(u) / (1.0 - u)
+        low = u <= GOLDEN_THRESHOLD
+        # rounding 1 - u moves u by up to eps / 2, a relative eps / (2u),
+        # which H((1 - u)^2) carries: at most 1.5 eps / u in these draws
+        gap = np.abs(ratio[low] - self.square_ratio(1.0 - u[low]))
+        assert np.all(gap <= 8 * self.EPS / u[low])
+        # (1 - u) PHI / (1 - u) is PHI up to two roundings
+        assert np.abs(ratio[~low] - PHI).max() <= 2 * self.EPS
+
+    def test_the_two_pieces_meet_at_the_golden_threshold(self):
+        # s = 1/PHI = 1 - GOLDEN_THRESHOLD solves s^2 = 1 - s, so
+        # F(s) = H(1 - s)/(s H(s)) = 1/s = PHI: one eps apart here
+        assert abs(self.square_ratio(1.0 - GOLDEN_THRESHOLD) - PHI) <= 8 * self.EPS
 
 
 class TestFMu:
@@ -517,11 +572,12 @@ class TestLemmaCertificate:
         assert len(at_star) == 1
         assert abs(at_star[0]["min_slack"]) < 1e-9
 
-    @pytest.mark.parametrize("lam_scale", [1.0, 1.05])
-    def test_rows_match_per_u_loop(self, lam_scale):
+    @pytest.mark.parametrize("scale", [1.0, 1.05])
+    def test_rows_match_per_u_loop(self, scale, monkeypatch):
+        scale_bound_factor(monkeypatch, scale)
         cert = lemma_certificate(
             u_steps=45, v_steps=90, restarts=4, atom_grid=200,
-            search_points=2, seed=3, lam_scale=lam_scale,
+            search_points=2, seed=3,
         )
         assert len(cert.rows) == 46
         for row in cert.rows:
@@ -542,10 +598,11 @@ class TestLemmaCertificate:
             lemma_certificate(u_steps=MAX_LEMMA_U_STEPS, v_steps=MAX_LEMMA_V_STEPS,
                               restarts=MAX_SEARCH_RESTARTS, atom_grid=MAX_ATOM_GRID)
 
-    def test_inflated_factor_fails(self):
+    def test_inflated_factor_fails(self, monkeypatch):
+        scale_bound_factor(monkeypatch)
         cert = lemma_certificate(
             u_steps=40, v_steps=80, restarts=8, atom_grid=200,
-            search_points=3, seed=37, lam_scale=1.05,
+            search_points=3, seed=37,
         )
         assert not cert.scan_ok
         assert cert.worst_slack < -1e-3

@@ -45,7 +45,7 @@ SEEDS = (1729, 7)
 BOTH, JSON = ("json", "csv"), ("json",)
 # every subcommand at its defaults, delta-search at both ends of alpha,
 # the file inputs, a small exact counterexample, the coupling DP both ways,
-# and two failing runs, each in every format it allows; the input names
+# and a failing run, each in every format it allows; the input names
 # are relative, because reports echo the paths they were given
 CASES = (
     (["scalar"], BOTH),
@@ -61,7 +61,6 @@ CASES = (
     (["counterexample", "--n", "10"], BOTH),
     (["coupling", "dp", "--family", "fam.txt"], BOTH),
     (["coupling", "dp", "--family", "fam.txt", "--literal-rates"], BOTH),
-    (["lemma", "--inflate-bound", "1.05"], BOTH),
     (["scalar", "--grid", "1"], BOTH),
 )
 RUNS = [

@@ -31,7 +31,6 @@ from uclab.coupling import (
 from uclab.families import MAX_ENUMERATION_N, Family, verify_frequency_threshold
 from uclab.measures import (
     MAX_ATOM_GRID,
-    MAX_LAM_SCALE,
     MAX_LEMMA_U_STEPS,
     MAX_LEMMA_V_STEPS,
     MAX_SEARCH_RESTARTS,
@@ -196,7 +195,7 @@ class TestKernels:
 _MU = DiscreteMeasure(np.array([0.0, 0.2, GOLDEN_THRESHOLD, 0.7, 1.0]),
                       np.array([0.1, 0.3, 0.2, 0.25, 0.15]))
 _MIXTURE = golden_threshold_mixture(0.5, 8)
-_PARAMS = CounterexampleParams.with_defaults()
+_PARAMS = CounterexampleParams()
 
 
 class TestCheckOnce:
@@ -212,7 +211,7 @@ class TestCheckOnce:
         (lambda: mixture_entropy_bounds(_MIXTURE), set()),
         (lambda: entropy_lower_bound(_PARAMS), set()),
         (lambda: union_entropy_upper_bound(_PARAMS), set()),
-        (CounterexampleParams.with_defaults, {"ubar", "u", "theta"}),
+        (CounterexampleParams, {"ubar", "u", "theta"}),
         (lambda: worst_coupling_value(_MU), set()),
         (lambda: _two_atom_class(np.array([0.1, GOLDEN_THRESHOLD]), np.array([0.9, 0.6]), 0.05),
          set()),
@@ -568,7 +567,6 @@ def _uniform_measure(m):
 
 # the counterexample's d must exceed H(2 ubar - ubar^2)/H(ubar) at the default ubar
 _BASE_RATIO = binary_entropy(2.0 * 0.2 - 0.2 * 0.2) / binary_entropy(0.2)
-_PAST_MAX_LAM_SCALE = float(np.nextafter(MAX_LAM_SCALE, np.inf))
 _PAST_ONE = float(np.nextafter(1.0, 2.0))
 _TABLE_N = "n of an explicit table"
 _STEP = "delta_max / delta_steps"
@@ -642,11 +640,6 @@ REFUSALS = {
         lambda v: lemma_certificate(scan_tol=v),
         _finite("scan_tol") + [(v, f"scan_tol must be at least 0, got {v}")
                                for v in (-5e-324, -1e-9)]),
-    "lemma_certificate.lam_scale": (
-        lambda v: lemma_certificate(lam_scale=v),
-        _finite("lam_scale") + [(v, f"lam_scale must be above 0, got {v}") for v in (0.0, -1.0)]
-        + [(_PAST_MAX_LAM_SCALE,
-            f"lam_scale must be at most {MAX_LAM_SCALE}, got {_PAST_MAX_LAM_SCALE}")]),
     "worst_coupling_value.atoms": ((_uniform_measure, worst_coupling_value),
                                    _counts("atoms of the worst-coupling LP", high=MAX_LP_ATOMS,
                                            below=None)),
@@ -672,22 +665,22 @@ REFUSALS = {
         + _past_delta_max(1.0 - GOLDEN_THRESHOLD, 0.7, 1.0)),
     "default_truncation": (default_truncation, _open("theta", 0.0, 1.0, -0.5)),
     "CounterexampleParams.theta": (
-        lambda x: CounterexampleParams.with_defaults(theta=x, trunc=10),
+        lambda x: CounterexampleParams(theta=x, trunc=10),
         _open("theta", 0.0, 1.0, -0.5)),
-    "CounterexampleParams.ubar": (lambda v: CounterexampleParams.with_defaults(ubar=v),
+    "CounterexampleParams.ubar": (lambda v: CounterexampleParams(ubar=v),
                                   _open("ubar", 0.0) + _ubar(0.25, 1e-17, 2.0**-54, 0.25, 0.3)),
-    "CounterexampleParams.u": (lambda v: CounterexampleParams.with_defaults(u=v),
+    "CounterexampleParams.u": (lambda v: CounterexampleParams(u=v),
                                _finite("u") + _ubar(0.2, 0.2) + _inside("u", 1.0)),
-    "CounterexampleParams.d": (lambda v: CounterexampleParams.with_defaults(d=v),
+    "CounterexampleParams.d": (lambda v: CounterexampleParams(d=v),
                                _finite("d") + _d(_BASE_RATIO, 1.3)),
-    "CounterexampleParams.n": (lambda v: CounterexampleParams.with_defaults(n=v),
+    "CounterexampleParams.n": (lambda v: CounterexampleParams(n=v),
                                _counts("n", high=MAX_N)),
-    "CounterexampleParams.trunc": (lambda v: CounterexampleParams.with_defaults(trunc=v),
+    "CounterexampleParams.trunc": (lambda v: CounterexampleParams(trunc=v),
                                    _counts("trunc", high=MAX_TRUNC)),
-    "exact_small_n_check.n": ((lambda v: CounterexampleParams.with_defaults(n=v, trunc=10),
+    "exact_small_n_check.n": ((lambda v: CounterexampleParams(n=v, trunc=10),
                                exact_small_n_check),
                               _counts("n of the exact check", high=12, below=None)),
-    "exact_small_n_check.trunc": ((lambda v: CounterexampleParams.with_defaults(n=5, trunc=v),
+    "exact_small_n_check.trunc": ((lambda v: CounterexampleParams(n=5, trunc=v),
                                    exact_small_n_check),
                                   _counts("trunc of the exact check", high=20, below=None)),
     "Family.n": (lambda v: Family(v, (0,)), _counts("n")),
@@ -713,11 +706,6 @@ REFUSALS = {
                                      ("--restarts", "restarts", 1, MAX_SEARCH_RESTARTS),
                                      ("--atom-grid", "atom_grid", 1, MAX_ATOM_GRID))},
     "lemma --search-points": (["lemma", "--search-points"], _counts("search_points", below=())),
-    "lemma --inflate-bound": (
-        ["lemma", "--inflate-bound"],
-        _finite("lam_scale") + [(v, f"lam_scale must be above 0, got {v}") for v in (0.0, -1.0)]
-        # finite, but the bound factor (up to 2) times it is not
-        + [(1e308, f"lam_scale must be at most {MAX_LAM_SCALE}, got 1e+308")]),
     "lemma --tol": (["lemma", "--tol"], _TOL),
     "families --n": (["families", "--n"],
                      _counts("n of the exhaustive enumeration", high=MAX_ENUMERATION_N, below=(),
@@ -815,8 +803,7 @@ _ACCEPTED = {
     **{f"lemma {flag}": ([], values) for flag, values in (
         ("--u-steps", [1, MAX_LEMMA_U_STEPS]), ("--v-steps", [2, MAX_LEMMA_V_STEPS]),
         ("--restarts", [1, MAX_SEARCH_RESTARTS]), ("--atom-grid", [1, MAX_ATOM_GRID]),
-        ("--search-points", [1]), ("--inflate-bound", [5e-324, MAX_LAM_SCALE]),
-        ("--tol", [0.0, 1e308]))},
+        ("--search-points", [1]), ("--tol", [0.0, 1e308]))},
     "families --n": ([], [1, MAX_ENUMERATION_N]),
     "theorem2 --trials": ([], [1, MAX_THEOREM2_TRIALS]),
     "theorem2 --max-n": ([], [2, MAX_RANDOM_TABLE_N]),
