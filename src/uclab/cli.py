@@ -49,26 +49,30 @@ TABLE_STACK_CELLS = 1 << 16
 # 2-CPU x86 machine 1000 trials take about 0.05 s at the default --max-n 8
 # and 2 s at --max-n 16
 MAX_THEOREM2_TRIALS = 100_000
-# theorem2's default --tol, and the bound on the |slack| of its product tables
+# how far below 0 theorem2's slacks may go, and the bound on the |slack| of
+# its product tables
 THEOREM2_TOL = 1e-10
 RESTARTS_HELP = ("local-search restarts, divided evenly over the search points, at least one "
                  "per point, so the restarts run (search_restarts) can exceed or fall short of it")
 
 
 class _Parser(argparse.ArgumentParser):
-    """Parse errors raise ValueError, so main() exits 2 with one line."""
+    """Parse errors raise ValueError, so main() exits 2 with one line; no
+    flag is abbreviated, so each has one spelling."""
 
     # set on the top-level parser and on coupling's, whose other flags belong
     # to the command or action that follows: one given before it is refused
     # by name, where argparse would take its value for the command or action;
-    # the parser's own flags (-h, --help, --version) pass, abbreviated too
+    # the parser's own flags (-h, --help, --version) pass
     first = None
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def parse_known_args(self, args=None, namespace=None):
         args = sys.argv[1:] if args is None else args
         flag = args[0].split("=")[0] if self.first and args else ""
-        own = any(option.startswith(flag) for option in self._option_string_actions)
-        if flag.startswith("-") and not own:
+        if flag.startswith("-") and flag not in self._option_string_actions:
             raise ValueError(f"argument {flag}: {self.first} comes first")
         return super().parse_known_args(args, namespace)
 
@@ -80,11 +84,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed (default %(default)s)")
-
-
-def _add_tol(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=None,
-                   help="override the subcommand's main failure tolerance")
 
 
 @functools.cache
@@ -111,7 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=1000, help=RESTARTS_HELP)
     p.add_argument("--atom-grid", type=int, default=1000)
     p.add_argument("--search-points", type=int, default=21)
-    _add_tol(p)
     _add_common(p)
 
     p = sub.add_parser("families", help="exhaustive union-closed family verification")
@@ -125,7 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"largest ground set of the random tables, 2..{MAX_RANDOM_TABLE_N}")
     p.add_argument("--dist-file", help="also check the distribution in this file")
     p.add_argument("--mixture-file", help="also check the expanded mixture in this file")
-    _add_tol(p)
     _add_common(p)
 
     p = sub.add_parser("counterexample", help="geometric mixture with bounded KL divergence")
@@ -134,7 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=float, default=1.35)
     p.add_argument("--theta", type=float, default=0.01)
     p.add_argument("--n", type=int, default=1_000_000)
-    p.add_argument("--trunc", type=int, default=None)
     _add_common(p)
 
     p = sub.add_parser("coupling", help="worst-coupling search and the coupling process")
@@ -158,16 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("all", help="run a compact version of every suite")
     _add_common(p)
     return ap
-
-
-def _tol(args, default: float) -> float:
-    """--tol, or the subcommand's default; a NaN tolerance would make every
-    `slack < -tol` test false, so it must be finite and at least 0."""
-    if args.tol is None:
-        return default
-    from .scalars import _check_float
-
-    return _check_float(args.tol, "--tol", low=0)
 
 
 def cmd_scalar(args, seed: int):
@@ -249,7 +235,6 @@ def cmd_scalar(args, seed: int):
 def cmd_lemma(args, seed: int):
     from .measures import SCAN_TOL, SEARCH_TOL, lemma_certificate
 
-    tol = _tol(args, SCAN_TOL)
     cert = lemma_certificate(
         u_steps=args.u_steps,
         v_steps=args.v_steps,
@@ -257,12 +242,11 @@ def cmd_lemma(args, seed: int):
         atom_grid=args.atom_grid,
         search_points=args.search_points,
         seed=seed,
-        scan_tol=tol,
     )
     failures = []
     if not cert.scan_ok:
         failures.append(
-            f"lemma.two_atom_scan: worst slack {cert.worst_slack:.3e} < -{tol:.0e} "
+            f"lemma.two_atom_scan: worst slack {cert.worst_slack:.3e} < -{SCAN_TOL:.0e} "
             f"at u={cert.worst_u:.6f}"
         )
     if not cert.search_ok:
@@ -311,7 +295,6 @@ def cmd_theorem2(args, seed: int):
                          "drop --format csv to see the file checks")
     _check_count(args.trials, "--trials", high=MAX_THEOREM2_TRIALS)
     _check_count(args.max_n, "--max-n", low=2, high=MAX_RANDOM_TABLE_N)
-    tol = _tol(args, THEOREM2_TOL)
     # the input files are read and checked first, so a bad one exits 2
     # before any random table is drawn
     file_checks = {}
@@ -344,8 +327,10 @@ def cmd_theorem2(args, seed: int):
     failures = []
     if worst_case is None:
         failures.append("theorem2.random_tables: no table checked")
-    elif worst_case["slack"] < -tol:
-        failures.append(f"theorem2.random_tables: slack {worst_case['slack']:.3e} < -{tol:.0e}")
+    elif worst_case["slack"] < -THEOREM2_TOL:
+        failures.append(
+            f"theorem2.random_tables: slack {worst_case['slack']:.3e} < -{THEOREM2_TOL:.0e}"
+        )
     if sharp_worst > THEOREM2_TOL:
         failures.append(
             f"theorem2.product_sharpness: |slack| {sharp_worst:.3e} > {THEOREM2_TOL:.0e}"
@@ -360,8 +345,8 @@ def cmd_theorem2(args, seed: int):
     }
     for label, (path, rep) in file_checks.items():
         report[label] = {"path": path, **rep._asdict()}
-        if rep.slack < -tol:
-            failures.append(f"theorem2.{label}: slack {rep.slack:.3e} < -{tol:.0e}")
+        if rep.slack < -THEOREM2_TOL:
+            failures.append(f"theorem2.{label}: slack {rep.slack:.3e} < -{THEOREM2_TOL:.0e}")
     return report, failures
 
 
@@ -404,7 +389,7 @@ def cmd_counterexample(args, seed: int):
     )
 
     params = CounterexampleParams(ubar=args.ubar, u=args.u, d=args.d, theta=args.theta,
-                                  n=args.n, trunc=args.trunc)
+                                  n=args.n)
     small = params.n <= EXACT_MAX_N and params.trunc <= EXACT_MAX_TRUNC
     rep = exact_small_n_check(params) if small else bounds_report(params)
     report = {"params": asdict(params), **rep._asdict()}

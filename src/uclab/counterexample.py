@@ -18,7 +18,7 @@ and confirms the exact entropies and divergence sit inside every bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -33,8 +33,7 @@ from .setdist import (
     union_of_independent,
 )
 
-TAIL_TOL = 1e-12
-PMF_TAIL_TOL = 1e-14
+PMF_TAIL_CUTOFF = 1e-14
 # the level arrays hold trunc + 1 entries and the union's level pmf about
 # 1.2 (trunc + 1), so a few MB at this cap
 MAX_TRUNC = 1_000_000
@@ -58,9 +57,9 @@ class CounterexampleParams:
 
     ubar is the base inclusion level, u the admissible marginal ceiling,
     d the entropy-ratio budget (must exceed H(2 ubar - ubar^2)/H(ubar)),
-    theta the geometric parameter, n the ground-set size, and trunc (by
-    default default_truncation(theta)) the level at which the geometric
-    tail is folded into the last component.
+    theta the geometric parameter, n the ground-set size, and trunc, always
+    default_truncation(theta), the level at which the geometric tail is
+    folded into the last component.
     """
 
     ubar: float = 0.2
@@ -68,27 +67,22 @@ class CounterexampleParams:
     d: float = 1.35
     theta: float = 0.01
     n: int = 1_000_000
-    trunc: int | None = None
+    trunc: int = field(init=False)
 
     def __post_init__(self):
-        if self.trunc is None:
-            object.__setattr__(self, "trunc", default_truncation(self.theta))
+        # first, so a bad theta is refused ahead of every other input
+        object.__setattr__(self, "trunc", default_truncation(self.theta))
         ubar = _check_open_unit_interval(self.ubar, "ubar")
         # where 1 - ubar rounds to 1 the entropy bound is 0, and the ratio divides by it
         _check_float(ubar, "ubar", low=2.0**-54, strict=True,
                      low_text="2**-54 (1 - ubar rounds to 1 at or below it)")
         if not ubar < _check_open_unit_interval(self.u, "u"):
             raise ValueError(f"ubar must be below u = {self.u}, got {self.ubar}")
-        _check_open_unit_interval(self.theta, "theta")
         base_ratio = float(entropy_kernel(2.0 * ubar - ubar * ubar) / entropy_kernel(ubar))
         _check_float(self.d, "d", low=base_ratio, strict=True,
                      low_text=f"the base entropy ratio {base_ratio:.6f} at ubar")
         _check_count(self.n, "n", high=MAX_N)
         _check_count(self.trunc, "trunc", high=MAX_TRUNC)
-        if self.theta ** (self.trunc + 1) >= TAIL_TOL:
-            raise ValueError(
-                f"trunc={self.trunc} leaves geometric tail mass >= {TAIL_TOL}"
-            )
 
 
 def build_counterexample(params: CounterexampleParams) -> ProductMixture:
@@ -124,9 +118,9 @@ def entropy_lower_bound(params: CounterexampleParams) -> float:
 
 def _union_level_pmf(params: CounterexampleParams) -> tuple:
     """pmf of the union's level k' = k_A + k_B + 1 >= 1, truncated where the
-    tail drops below PMF_TAIL_TOL and renormalized."""
+    tail drops below PMF_TAIL_CUTOFF and renormalized."""
     theta = params.theta
-    kmax = max(3, math.ceil(math.log(PMF_TAIL_TOL) / math.log(theta)) + 2)
+    kmax = max(3, math.ceil(math.log(PMF_TAIL_CUTOFF) / math.log(theta)) + 2)
     kp = np.arange(1, kmax + 1)
     pmf = (1.0 - theta) ** 2 * kp * theta ** (kp - 1)
     return kp, pmf / pmf.sum()

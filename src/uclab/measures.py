@@ -50,8 +50,8 @@ SEARCH_POOL_SIZE = 24
 SEARCH_MAX_ROUNDS = 200
 # grid points per block of the two-atom scan's u rows
 SCAN_BLOCK_CELLS = 1 << 14
-# how far below 0 lemma_certificate's two-atom scan may go (also the
-# default of `lemma --tol`), and how far its search may beat the scan minimum
+# how far below 0 lemma_certificate's two-atom scan may go, and how far its
+# search may beat the scan minimum
 SCAN_TOL = 1e-9
 SEARCH_TOL = 1e-6
 # lemma_certificate bounds, checked before any work: the u grid becomes one
@@ -486,12 +486,11 @@ def lemma_certificate(
     atom_grid: int = 1000,
     search_points: int = 21,
     seed: int = DEFAULT_SEED,
-    scan_tol: float = SCAN_TOL,
 ) -> LemmaCertificate:
     """Certify min J >= 0 over a u-grid by scan plus independent search.
 
     For every u in an interior grid (the golden threshold is injected
-    exactly) the two-atom scan must stay above -scan_tol, and on a coarser
+    exactly) the two-atom scan must stay above -SCAN_TOL, and on a coarser
     sub-grid the local search - restarts split evenly across the sub-grid -
     must not beat the scan minimum by more than SEARCH_TOL.  All search
     points' restarts go to one local_search_rows call.
@@ -501,7 +500,6 @@ def lemma_certificate(
     _check_count(restarts, "restarts", high=MAX_SEARCH_RESTARTS)
     _check_count(atom_grid, "atom_grid", high=MAX_ATOM_GRID)
     _check_count(search_points, "search_points")
-    scan_tol = _check_float(scan_tol, "scan_tol", low=0)
     us = np.arange(1, u_steps + 1) / (u_steps + 1.0)
     us = sorted_unique(np.append(us, GOLDEN_THRESHOLD))
     lams = entropy_ratio_bound_array(us)
@@ -526,7 +524,7 @@ def lemma_certificate(
         worst_slack=float(slacks[worst_idx]),
         worst_u=float(us[worst_idx]),
         argmin_v_at_worst=float(argmins[worst_idx]),
-        scan_ok=bool(slacks[worst_idx] >= -scan_tol),
+        scan_ok=bool(slacks[worst_idx] >= -SCAN_TOL),
         search_points=int(pick.size),
         search_restarts=per * int(pick.size),
         worst_search_margin=worst_margin,

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 import uclab.measures
+from uclab.counterexample import MAX_TRUNC, default_truncation
 from uclab.coupling import DeltaSearchReport, _measure_summary, coupled_union_prob, linprog
 from uclab.families import Family, is_union_closed
 from uclab.measures import (
@@ -369,6 +370,17 @@ def improved_slack_loop(mu, alpha):
     else:
         coupling = linprog(cost, w)
     return (1.0 - alpha) * quad + alpha * float((coupling * cost).sum()) - lin
+
+
+def largest_theta_within_max_trunc():
+    """The largest theta whose truncation, ceil(30 / -log theta), is within
+    MAX_TRUNC: the float next to exp(-30 / MAX_TRUNC) on the side that is."""
+    theta = math.exp(-30.0 / MAX_TRUNC)
+    while default_truncation(theta) > MAX_TRUNC:
+        theta = float(np.nextafter(theta, 0.0))
+    while default_truncation(float(np.nextafter(theta, 1.0))) <= MAX_TRUNC:
+        theta = float(np.nextafter(theta, 1.0))
+    return theta
 
 
 def scale_bound_factor(monkeypatch, scale=1.05):

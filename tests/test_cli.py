@@ -31,10 +31,9 @@ from helpers import (
     third_derivative_worst_loop,
 )
 from test_scalars import REFUSALS
-from uclab.cli import MAX_RANDOM_TABLE_N, THEOREM2_TOL, build_parser, main
+from uclab.cli import MAX_RANDOM_TABLE_N, build_parser, main
 from uclab.counterexample import MAX_N
 from uclab.reportio import dumps_csv, dumps_json
-from uclab.measures import SCAN_TOL
 from uclab.families import Family, count_union_closed, save_family
 from uclab.setdist import golden_threshold_mixture, product_bernoulli, save_distribution, save_mixture
 
@@ -112,7 +111,7 @@ class TestExitCodes:
         ([], "the following arguments are required: command"),
         (["scalar", "--grid", "abc"], "argument --grid: invalid int value: 'abc'"),
         (["scalar", "--bogus"], "unrecognized arguments: --bogus"),
-        (["lemma", "--tol"], "argument --tol: expected one argument"),
+        (["lemma", "--u-steps"], "argument --u-steps: expected one argument"),
         (["coupling"], "the following arguments are required: action"),
         (["coupling", "--seed", "3", "delta-search"], _ACTION_FIRST.format("--seed")),
         (["coupling", "--alpha=0.05", "delta-search"], _ACTION_FIRST.format("--alpha")),
@@ -122,10 +121,18 @@ class TestExitCodes:
         (["--out=r.json", "lemma"], _COMMAND_FIRST.format("--out")),
         (["--bogus"], _COMMAND_FIRST.format("--bogus")),
         (["--alpha", "0.05", "coupling", "delta-search"], _COMMAND_FIRST.format("--alpha")),
+        # no flag is abbreviated: a prefix of a flag is an unknown flag
+        (["lemma", "--u=5"], "unrecognized arguments: --u=5"),
+        (["counterexample", "--t=0.5"], "unrecognized arguments: --t=0.5"),
+        (["coupling", "delta-search", "--delta=0.01"], "unrecognized arguments: --delta=0.01"),
+        (["--he"], _COMMAND_FIRST.format("--he")),
+        (["--vers"], _COMMAND_FIRST.format("--vers")),
+        (["coupling", "--he"], _ACTION_FIRST.format("--he")),
     ], ids=["command", "no-command", "int", "flag", "no-value", "no-action", "flag-before-action",
             "flag-value-before-action", "out-without-action", "dp-no-family",
             "flag-before-command", "flag-value-before-command", "unknown-flag-before-command",
-            "action-flag-before-command"])
+            "action-flag-before-command", "abbrev-u-steps", "abbrev-theta", "abbrev-delta",
+            "abbrev-help", "abbrev-version", "abbrev-help-before-action"])
     def test_bad_arguments_exit_two(self, argv, message, capsys, no_handler_work):
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -142,12 +149,26 @@ class TestExitCodes:
             "uclab: error: " + _COMMAND_FIRST.format("--seed")]
 
     @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["-h"], ["lemma", "--help"],
-                                      ["coupling", "--help"], ["--vers"], ["coupling", "--he"]])
+                                      ["coupling", "--help"]])
     def test_help_and_version_still_exit_zero(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 0
         assert capsys.readouterr().err == ""
+
+    # an unknown flag with its value apart, a value that argparse may take
+    # for the command's action (`lemma --u 5`), is refused in one line too
+    @pytest.mark.parametrize("argv", [
+        ["lemma", "--tol", "0"], ["theorem2", "--tol", "0"], ["counterexample", "--trunc", "30"],
+        ["lemma", "--u", "5"], ["counterexample", "--t", "0.5"],
+        ["coupling", "delta-search", "--delta", "0.01"],
+    ], ids=" ".join)
+    def test_unknown_flag_with_a_value_exits_two(self, argv, tmp_path, capsys, no_handler_work):
+        out = tmp_path / "x.json"
+        assert main([*argv, "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("uclab: error: "), lines
+        assert not out.exists()
 
     def test_oversized_table_file_exits_two_before_allocating(self, tmp_path, capsys):
         path = tmp_path / "huge.txt"
@@ -274,8 +295,8 @@ class TestFailureItems:
         real = uclab.counterexample.exact_small_n_check
         monkeypatch.setattr(uclab.counterexample, "exact_small_n_check",
                             lambda params: real(params)._replace(exact_within_bounds=False))
-        failures = _failing_run(["counterexample", "--n", "8", "--theta", "0.1", "--trunc", "18",
-                                 "--d", "1.5"], "counterexample.exact", tmp_path)
+        failures = _failing_run(["counterexample", "--n", "8", "--theta", "0.1", "--d", "1.5"],
+                                "counterexample.exact", tmp_path)
         assert failures == ["counterexample.exact: exact values escape the bounds"]
 
     def test_coupling_dp_marginal_deviation(self, tmp_path, monkeypatch):
@@ -310,22 +331,54 @@ class TestFailureItems:
         assert failure.endswith(" > -5e-01")
 
     def test_lemma_scan_tolerance_is_one_constant(self, tmp_path, monkeypatch):
-        # `lemma` without --tol scans at lemma_certificate's own default,
-        # and the failure text spells the constant the CLI read
-        import inspect
-
-        real = uclab.measures.lemma_certificate
-        default = inspect.signature(real).parameters["scan_tol"].default
-        assert default == uclab.measures.SCAN_TOL
-        seen = []
-        monkeypatch.setattr(uclab.measures, "lemma_certificate",
-                            lambda **kw: seen.append(kw["scan_tol"]) or real(**kw))
-        assert run(FAST_LEMMA, tmp_path)[0] == 0
+        # the failure text spells the SCAN_TOL that lemma_certificate compared with
         monkeypatch.setattr(uclab.measures, "SCAN_TOL", 2e-9)
         scale_bound_factor(monkeypatch)
         failures = _failing_run(FAST_LEMMA, "lemma.two_atom_scan", tmp_path)
-        assert seen == [default, 2e-9]
         assert " < -2e-09 at u=" in failures[0]
+
+
+def _slack_items(argv, tmp_path, monkeypatch, module, name, tol):
+    """The failure items of argv, run with module.name patched to tol."""
+    monkeypatch.setattr(getattr(uclab, module), name, tol)
+    code, out = run(argv, tmp_path)
+    assert code in (0, 1)
+    return [f.split(":")[0] for f in json.loads(out.read_text())["failures"]]
+
+
+class TestToleranceBoundary:
+    """Each slack check passes with its tolerance at exactly minus the
+    worst slack of the run, and fails one ulp tighter: a check that uses
+    the other of `<` and `<=` fails one of the two."""
+
+    @staticmethod
+    def _one_ulp_tighter(worst):
+        return float(np.nextafter(-worst, -np.inf))
+
+    def test_lemma_scan(self, tmp_path, monkeypatch):
+        _, out = run(FAST_LEMMA, tmp_path, "base.json")
+        worst = json.loads(out.read_text())["results"]["worst_slack"]
+        item = "lemma.two_atom_scan"
+        assert item not in _slack_items(FAST_LEMMA, tmp_path, monkeypatch, "measures",
+                                        "SCAN_TOL", -worst)
+        assert item in _slack_items(FAST_LEMMA, tmp_path, monkeypatch, "measures", "SCAN_TOL",
+                                    self._one_ulp_tighter(worst))
+
+    # THEOREM2_TOL also bounds the product tables' |slack|, which a negative
+    # tolerance fails, so only the item of the slack at hand is asserted on
+    @pytest.mark.parametrize("label", ["random_tables", "dist_file"])
+    def test_theorem2(self, label, tmp_path, monkeypatch):
+        path = tmp_path / "dist.txt"
+        save_distribution(product_bernoulli(3, 0.3), path)
+        argv = ["theorem2", "--trials", "5", "--max-n", "4", "--dist-file", str(path)]
+        _, out = run(argv, tmp_path, "base.json")
+        results = json.loads(out.read_text())["results"]
+        worst = results["worst_slack"] if label == "random_tables" else results[label]["slack"]
+        item = f"theorem2.{label}"
+        assert item not in _slack_items(argv, tmp_path, monkeypatch, "cli", "THEOREM2_TOL",
+                                        -worst)
+        assert item in _slack_items(argv, tmp_path, monkeypatch, "cli", "THEOREM2_TOL",
+                                    self._one_ulp_tighter(worst))
 
 
 class TestDeterminism:
@@ -392,25 +445,22 @@ class TestDeterminism:
         assert json.loads(dumps_json(report)) == report
 
 
-class TestTolerance:
-    def test_zero_tol_is_allowed(self, tmp_path):
-        code, out = run(["theorem2", "--trials", "5", "--max-n", "4", "--tol", "0"], tmp_path)
-        assert code in (0, 1)
-        assert json.loads(out.read_text())["config"]["tol"] == 0.0
-
-
 # (flag, default) of each number flag of coupling delta-search but --seed,
 # the flags coupling dp does not take
 _DELTA_SEARCH_ONLY = [(flag, default) for command, flag, default in
                       _parser_options(int) + _parser_options(float)
                       if command == "coupling delta-search" and flag != "--seed"]
 
-# --tol where a command reads no tolerance, --jobs, which no command reads
-# since the process pool went, and each coupling action given a flag of the
-# other, a delta-search flag at its default value too
+# --tol, which no command reads since every tolerance became a constant,
+# --trunc, which counterexample no longer reads since it always derives its
+# truncation from theta, --jobs, which no command reads since the process
+# pool went, and each coupling action given a flag of the other, a
+# delta-search flag at its default value too
 _UNREAD_FLAGS = [
-    *[(command, "--tol=1e-9") for command in (["scalar"], ["families"], ["counterexample"],
-                                              ["coupling", "delta-search"], _DP, ["all"])],
+    *[(command, "--tol=1e-9") for command in (["scalar"], ["lemma"], ["families"], ["theorem2"],
+                                              ["counterexample"], ["coupling", "delta-search"],
+                                              _DP, ["all"])],
+    (["counterexample"], "--trunc=30"),
     *[(command, "--jobs=1") for command in (["scalar"], ["families"], ["theorem2"],
                                             ["counterexample"], ["coupling", "delta-search"], _DP,
                                             ["all"], ["lemma"])],
@@ -793,24 +843,22 @@ class TestCounterexampleCommand:
     def test_exact_small_n(self, tmp_path):
         # at n = 8 the level-entropy overhead is still large relative to
         # n, so the ratio budget must be looser than the large-n default
-        code, out = run(
-            ["counterexample", "--n", "8", "--theta", "0.1", "--trunc", "18",
-             "--d", "1.5"],
-            tmp_path,
-        )
+        code, out = run(["counterexample", "--n", "8", "--theta", "0.1", "--d", "1.5"],
+                        tmp_path)
         assert code == 0
         res = json.loads(out.read_text())["results"]
         assert res["exact_within_bounds"] is True
 
-    # theta = 0.5 derives trunc = 44; the exact check takes n and trunc up
-    # to EXACT_MAX_N = 12 and EXACT_MAX_TRUNC = 20, and a run past either
-    # cap gets the bounds alone, whichever flag took it there
+    # theta derives trunc = ceil(30 / -log theta): 44 at 0.5, 21 at 0.235
+    # and 20 at 0.22; the exact check takes n and trunc up to EXACT_MAX_N =
+    # 12 and EXACT_MAX_TRUNC = 20, and a run past either cap gets the bounds
+    # alone
     @pytest.mark.parametrize("flags, failed, exact", [
         (["--n", "5", "--theta", "0.5"], ["marginal", "ratio"], False),
-        (["--n", "5", "--trunc", "25"], [], False),
+        (["--n", "5", "--theta", "0.235", "--d", "3"], [], False),
         (["--n", "13", "--theta", "0.5"], ["marginal"], False),
-        (["--n", "12", "--trunc", "20", "--d", "1.5"], [], True),
-    ], ids=["derived-trunc", "trunc", "n", "at-both-caps"])
+        (["--n", "12", "--theta", "0.22", "--d", "3"], [], True),
+    ], ids=["trunc-44", "trunc-21", "n", "at-both-caps"])
     def test_exact_check_runs_within_both_caps(self, flags, failed, exact, tmp_path):
         code, out = run(["counterexample", *flags], tmp_path)
         assert code == (1 if failed else 0)
@@ -916,7 +964,7 @@ def _fresh_python(*args, env_vars=None):
      ["delta_max", "delta_steps", "mean_steps", "search_points", "search_restarts", "seed",
       "v_steps"]),
     (["counterexample"], "counterexample.CounterexampleParams",
-     ["d", "n", "theta", "trunc", "u", "ubar"]),
+     ["d", "n", "theta", "u", "ubar"]),
 ])
 def test_cli_defaults_are_the_library_defaults(argv, fn, shared):
     import importlib
@@ -933,15 +981,59 @@ def test_cli_defaults_are_the_library_defaults(argv, fn, shared):
     assert {k: cli[k] for k in shared} == {k: lib[k] for k in shared}
 
 
+def _all_parsers(parser):
+    """parser and every sub-parser under it, at any depth."""
+    sub = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return [parser, *(p for a in sub for child in a.choices.values() for p in _all_parsers(child))]
+
+
 def test_no_option_is_hidden():
     # an option hidden from --help would be one that only tests pass
-    def parsers(parser):
-        sub = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        return [parser, *(p for a in sub for child in a.choices.values() for p in parsers(child))]
-
-    hidden = [(parser.prog, action.dest) for parser in parsers(build_parser())
+    hidden = [(parser.prog, action.dest) for parser in _all_parsers(build_parser())
               for action in parser._actions if action.help is argparse.SUPPRESS]
     assert hidden == []
+
+
+def test_readme_names_exactly_the_parser_flags():
+    # a flag README still advertises after it went, or one it never names,
+    # fails here; --write and --no-build-isolation belong to other programs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
+    defined = {flag for parser in _all_parsers(build_parser()) for action in parser._actions
+               for flag in action.option_strings if flag.startswith("--")}
+    assert named - {"--write", "--no-build-isolation"} == defined
+
+
+def _abbreviations(parser):
+    """(token, flag) for each long flag of parser that has a strict prefix
+    no other of its flags starts with: the shortest such prefix, which
+    argparse took for the flag where abbreviations were allowed, given a
+    value if the flag takes one."""
+    flags = [flag for flag in parser._option_string_actions if flag.startswith("--")]
+    for flag in flags:
+        prefix = next((flag[:end] for end in range(3, len(flag))
+                       if sum(f.startswith(flag[:end]) for f in flags) == 1), None)
+        if prefix:
+            takes_value = parser._option_string_actions[flag].nargs != 0
+            yield (f"{prefix}=1" if takes_value else prefix), flag
+
+
+@pytest.mark.parametrize("parser", _all_parsers(build_parser()), ids=lambda p: p.prog)
+def test_no_flag_is_abbreviated(parser, capsys, no_handler_work):
+    # each flag's shortest unique prefix is refused as an unknown flag, by
+    # name where the parser wants its command or action first; a required
+    # flag (dp's --family) is given so that the prefix is what is refused
+    path = parser.prog.split()[1:]
+    path += [f"{action.option_strings[-1]}=x" for action in parser._actions
+             if action.required and action.option_strings]
+    seen, expected = [], []
+    for token, flag in _abbreviations(parser):
+        code = main([*path, token])
+        seen.append((flag, code, capsys.readouterr().err.splitlines()))
+        text = (f"argument {token.split('=')[0]}: {parser.first} comes first" if parser.first
+                else f"unrecognized arguments: {token}")
+        expected.append((flag, 2, [f"uclab: error: {text}"]))
+    assert seen and seen == expected
 
 
 def test_single_threaded_blas_is_set_before_numpy_loads():
@@ -1139,7 +1231,6 @@ _SMALL_RANGES = {
     ("lemma", "--atom-grid"): (-1, 20),
     ("coupling delta-search", "--search-points"): (-1, 2),
     ("counterexample", "--n"): (-1, 8),
-    ("counterexample", "--trunc"): (-1, 12),
 }
 _INT_FLAGS = [(command, flag) for command, flag, _ in _parser_options(int)]
 
@@ -1172,21 +1263,13 @@ def _finite_only(name):
 _BAD_FLOATS = ["nan", "inf", "-inf", "0", "-1", "1e-300"]
 # the small sizes a command with a float flag runs at, so each run is quick
 _FLOAT_SIZES = {
-    "lemma": ["--u-steps=3", "--v-steps=4", "--restarts=2", "--atom-grid=10",
-              "--search-points=2"],
-    "theorem2": ["--trials=2", "--max-n=3"],
     "coupling delta-search": ["--delta-steps=4", "--v-steps=4", "--mean-steps=4",
                               "--search-points=1", "--search-restarts=1"],
 }
-# --tol defaults to None, which stands for the command's own tolerance
-_TOL_DEFAULTS = {"lemma": SCAN_TOL, "theorem2": THEOREM2_TOL}
-
 # a second valid value of every float flag, off its default, so that a bad
 # value that bites only beside another flag's non-default gets drawn (a
 # tiny --ubar beside a large --d)
 _OTHER_FLOATS = {
-    ("lemma", "--tol"): "1e-06",
-    ("theorem2", "--tol"): "1e-06",
     ("counterexample", "--ubar"): "0.1",
     ("counterexample", "--u"): "0.5",
     ("counterexample", "--d"): "3",
@@ -1199,8 +1282,7 @@ _OTHER_FLOATS = {
 # {command: [(flag, valid values)]}: each float flag at its default and at
 # its other valid value
 _FLOAT_FLAGS = _by_command(
-    (command, (flag, [repr(_TOL_DEFAULTS[command] if default is None else default),
-                      _OTHER_FLOATS.get((command, flag), "nan")]))
+    (command, (flag, [repr(default), _OTHER_FLOATS.get((command, flag), "nan")]))
     for command, flag, default in _parser_options(float))
 
 

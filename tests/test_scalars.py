@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import binary_entropy_gather, third_deriv_numerator
+from helpers import binary_entropy_gather, largest_theta_within_max_trunc, third_deriv_numerator
 import uclab.counterexample
 import uclab.coupling
 from uclab import scalars
@@ -572,7 +572,6 @@ _TABLE_N = "n of an explicit table"
 _STEP = "delta_max / delta_steps"
 # two table cells, made here: the sentinel refuses np.ones
 _PAIR = np.ones(2)
-_TOL = _finite("--tol") + [(v, f"--tol must be at least 0, got {v}") for v in (-5e-324, -1e-9)]
 
 
 def _d(*values):
@@ -636,10 +635,6 @@ REFUSALS = {
                                      ("restarts", 1, MAX_SEARCH_RESTARTS, ()),
                                      ("atom_grid", 1, MAX_ATOM_GRID, [-1]),
                                      ("search_points", 1, None, ()))},
-    "lemma_certificate.scan_tol": (
-        lambda v: lemma_certificate(scan_tol=v),
-        _finite("scan_tol") + [(v, f"scan_tol must be at least 0, got {v}")
-                               for v in (-5e-324, -1e-9)]),
     "worst_coupling_value.atoms": ((_uniform_measure, worst_coupling_value),
                                    _counts("atoms of the worst-coupling LP", high=MAX_LP_ATOMS,
                                            below=None)),
@@ -664,9 +659,11 @@ REFUSALS = {
                           (-0.01, f"{_STEP} must be above 0, got -5e-05")]
         + _past_delta_max(1.0 - GOLDEN_THRESHOLD, 0.7, 1.0)),
     "default_truncation": (default_truncation, _open("theta", 0.0, 1.0, -0.5)),
+    # theta = 0.99999 derives trunc = ceil(30 / -log theta) = 2,999,985
     "CounterexampleParams.theta": (
-        lambda x: CounterexampleParams(theta=x, trunc=10),
-        _open("theta", 0.0, 1.0, -0.5)),
+        lambda x: CounterexampleParams(theta=x),
+        _open("theta", 0.0, 1.0, -0.5) + [(0.99999, f"trunc must be at most {MAX_TRUNC}, "
+                                                    f"got 2999985")]),
     "CounterexampleParams.ubar": (lambda v: CounterexampleParams(ubar=v),
                                   _open("ubar", 0.0) + _ubar(0.25, 1e-17, 2.0**-54, 0.25, 0.3)),
     "CounterexampleParams.u": (lambda v: CounterexampleParams(u=v),
@@ -675,14 +672,13 @@ REFUSALS = {
                                _finite("d") + _d(_BASE_RATIO, 1.3)),
     "CounterexampleParams.n": (lambda v: CounterexampleParams(n=v),
                                _counts("n", high=MAX_N)),
-    "CounterexampleParams.trunc": (lambda v: CounterexampleParams(trunc=v),
-                                   _counts("trunc", high=MAX_TRUNC)),
-    "exact_small_n_check.n": ((lambda v: CounterexampleParams(n=v, trunc=10),
-                               exact_small_n_check),
+    "exact_small_n_check.n": ((lambda v: CounterexampleParams(n=v), exact_small_n_check),
                               _counts("n of the exact check", high=12, below=None)),
-    "exact_small_n_check.trunc": ((lambda v: CounterexampleParams(n=5, trunc=v),
-                                   exact_small_n_check),
-                                  _counts("trunc of the exact check", high=20, below=None)),
+    # the truncation a theta derives, ceil(30 / -log theta), is v at this theta
+    "exact_small_n_check.trunc": (
+        (lambda v: CounterexampleParams(n=5, theta=math.exp(-30 / (v - 0.5))),
+         exact_small_n_check),
+        _counts("trunc of the exact check", high=20, below=None)),
     "Family.n": (lambda v: Family(v, (0,)), _counts("n")),
     "verify_frequency_threshold.n": (verify_frequency_threshold,
                                      _counts("n of the exhaustive enumeration",
@@ -706,7 +702,6 @@ REFUSALS = {
                                      ("--restarts", "restarts", 1, MAX_SEARCH_RESTARTS),
                                      ("--atom-grid", "atom_grid", 1, MAX_ATOM_GRID))},
     "lemma --search-points": (["lemma", "--search-points"], _counts("search_points", below=())),
-    "lemma --tol": (["lemma", "--tol"], _TOL),
     "families --n": (["families", "--n"],
                      _counts("n of the exhaustive enumeration", high=MAX_ENUMERATION_N, below=(),
                              more=[-2])),
@@ -715,7 +710,6 @@ REFUSALS = {
                           _counts("--trials", high=MAX_THEOREM2_TRIALS, below=(), more=[-1])),
     "theorem2 --max-n": (["theorem2", "--max-n"],
                          _counts("--max-n", low=2, high=MAX_RANDOM_TABLE_N, below=())),
-    "theorem2 --tol": (["theorem2", "--tol"], _TOL),
     # at these flags, ubar = 1e-17 let through would divide by a zero entropy bound
     "counterexample --ubar": (["counterexample", "--u=0.5", "--d=3", "--n=5", "--ubar"],
                               _open("ubar", 0.0) + _ubar(0.5, 1e-17, 0.5, 0.6)),
@@ -728,8 +722,6 @@ REFUSALS = {
                                                     f"got 2999985")]),
     "counterexample --n": (["counterexample", "--n"],
                            _counts("n", high=MAX_N, below=(), more=[10**330])),
-    "counterexample --trunc": (["counterexample", "--trunc"],
-                               _counts("trunc", high=MAX_TRUNC, below=(), more=[10**11])),
     "coupling delta-search --alpha": (
         ["coupling", "delta-search", "--alpha"],
         _finite("alpha")
@@ -803,18 +795,16 @@ _ACCEPTED = {
     **{f"lemma {flag}": ([], values) for flag, values in (
         ("--u-steps", [1, MAX_LEMMA_U_STEPS]), ("--v-steps", [2, MAX_LEMMA_V_STEPS]),
         ("--restarts", [1, MAX_SEARCH_RESTARTS]), ("--atom-grid", [1, MAX_ATOM_GRID]),
-        ("--search-points", [1]), ("--tol", [0.0, 1e308]))},
+        ("--search-points", [1]))},
     "families --n": ([], [1, MAX_ENUMERATION_N]),
     "theorem2 --trials": ([], [1, MAX_THEOREM2_TRIALS]),
     "theorem2 --max-n": ([], [2, MAX_RANDOM_TABLE_N]),
-    "theorem2 --tol": ([], [0.0, 1e308]),
     "counterexample --ubar": (["--u=0.5", "--d=3", "--n=5"], [_up(2.0**-54), _down(0.5)]),
     "counterexample --u": ([], [_up(0.2), _down(1.0)]),
     "counterexample --d": ([], [_up(_BASE_RATIO), 1e308]),
-    "counterexample --theta": ([], [5e-324, 0.9999]),
+    # the largest theta the MAX_TRUNC refusal lets through
+    "counterexample --theta": ([], [5e-324, 0.9999, largest_theta_within_max_trunc()]),
     "counterexample --n": ([], [1, MAX_N]),
-    # trunc = 1 leaves tail mass theta**2, below 1e-12 only at a tiny theta
-    "counterexample --trunc": (["--theta=1e-7"], [1, MAX_TRUNC]),
     "coupling delta-search --alpha": ([], [0.0, 1.0]),
     "coupling delta-search --delta-max": ([], [1e-300, _down(1.0 - GOLDEN_THRESHOLD)]),
     "coupling delta-search --delta-steps": ([], [1, _GRID_ROWS - 96 - 1]),
