@@ -8,8 +8,8 @@ check tripped (the failing item is named in the report), and 2 on bad
 arguments or inputs.
 
 Reports are byte-stable for a fixed configuration and seed: floats are
-printed with 17 significant digits and nothing run-dependent (such as wall
-time, which is only logged to stderr) enters the file.  The seed is
+printed as Python's shortest round-trip repr and nothing run-dependent (such
+as wall time, which is only logged to stderr) enters the file.  The seed is
 --seed, which defaults to the documented constant 1729.
 """
 
@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import itertools
 import os
 import sys
 import time
@@ -65,15 +66,33 @@ class _Parser(argparse.ArgumentParser):
     # by name, where argparse would take its value for the command or action;
     # the parser's own flags (-h, --help, --version) pass
     first = None
+    # set on lemma's and families', whose optional action would take the
+    # value of an unknown flag given apart (`lemma --tol 0`) and refuse it
+    # by that value: every unknown flag before a `--` is refused by name
+    # instead (a negative number is a value: `--n -3`)
+    strict = False
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
 
+    def _unknown(self, arg: str) -> bool:
+        return arg.startswith("-") and arg.split("=")[0] not in self._option_string_actions
+
     def parse_known_args(self, args=None, namespace=None):
         args = sys.argv[1:] if args is None else args
-        flag = args[0].split("=")[0] if self.first and args else ""
-        if flag.startswith("-") and flag not in self._option_string_actions:
-            raise ValueError(f"argument {flag}: {self.first} comes first")
+        if self.first and args and self._unknown(args[0]):
+            raise ValueError(f"argument {args[0].split('=')[0]}: {self.first} comes first")
+        # argparse (Python 3.11) drops a `--` value and stores [] unconverted,
+        # which a later `--seed 0` overrode: `--seed=--` has no value
+        bare = next((arg for arg in args if arg.startswith("-") and arg.endswith("=--")), None)
+        if bare:
+            raise ValueError(f"argument {bare[:-3]}: expected one argument")
+        if self.strict:
+            flags = itertools.takewhile(lambda arg: arg != "--", args)
+            unknown = next((arg for arg in flags if self._unknown(arg) and not arg[1:2].isdigit()),
+                           None)
+            if unknown:
+                raise ValueError(f"unrecognized arguments: {unknown}")
         return super().parse_known_args(args, namespace)
 
     def error(self, message):
@@ -104,6 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("lemma", help="certify the variational inequality over measures")
+    p.strict = True
     p.add_argument("action", nargs="?", choices=["certify"], default="certify")
     p.add_argument("--u-steps", type=int, default=1000)
     p.add_argument("--v-steps", type=int, default=1000)
@@ -113,6 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("families", help="exhaustive union-closed family verification")
+    p.strict = True
     p.add_argument("action", nargs="?", choices=["enumerate"], default="enumerate")
     p.add_argument("--n", type=int, default=4)
     _add_common(p)

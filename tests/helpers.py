@@ -12,7 +12,7 @@ search recomputes every term each round, the third-derivative check runs
 one point at a time, the theorem2 random tables are checked one dict-built
 table at a time, the union-closed families are filtered out of every
 membership code, and a report is written in two stages: the whole tree is
-coerced to plain values, then those are written.
+coerced to plain values, then json.dumps or a plain cell writer writes them.
 Anything the library computes cleverly is checked against these.
 
 The last part holds checks of statements of the paper that no CLI command
@@ -22,6 +22,7 @@ numerator, and the per-element chain-rule step of Gilmer's argument on
 uniform union-closed families.
 """
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -39,7 +40,6 @@ from uclab.measures import (
     local_search_min,
 )
 from uclab.numdiff import third_derivative
-from uclab.reportio import _escape, format_float
 from uclab.scalars import (
     GOLDEN_THRESHOLD,
     _float_or_array,
@@ -522,8 +522,7 @@ def third_derivative_worst_loop(points=181):
 def to_jsonable(obj):
     """Coerce report records (NamedTuple classes), numpy scalars/arrays,
     and containers to plain JSON-able Python values; a record becomes a
-    dict in field order.  The first stage of the two-stage reference
-    writer."""
+    dict in field order.  The coercion stage of the reference writer."""
     if isinstance(obj, tuple) and hasattr(obj, "_asdict"):
         return {k: to_jsonable(v) for k, v in obj._asdict().items()}
     if isinstance(obj, dict):
@@ -543,41 +542,15 @@ def to_jsonable(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def reference_dumps_json(obj, indent=0):
-    """JSON text of a plain value tree (the output of to_jsonable)."""
-    pad = " " * indent
-    inner = " " * (indent + 2)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return format_float(obj)
-    if isinstance(obj, str):
-        return f'"{_escape(obj)}"'
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f'{inner}"{_escape(str(k))}": {reference_dumps_json(v, indent + 2)}'
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, list):
-        if not obj:
-            return "[]"
-        items = [f"{inner}{reference_dumps_json(v, indent + 2)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def _reference_csv_cell(v):
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return format_float(v)
+        if math.isnan(v):
+            return "NaN"
+        if math.isinf(v):
+            return "Infinity" if v > 0 else "-Infinity"
+        return repr(v)
     if v is None:
         return ""
     s = str(v)
@@ -603,10 +576,11 @@ def reference_dumps_csv(report):
 
 
 def reference_report_text(report, fmt):
-    """The text uclab.reportio.emit_report writes for `report`, by the
-    two-stage writer: coerce the whole tree to plain values, then write."""
+    """The text uclab.reportio.emit_report writes for `report`, in two
+    stages: coerce the whole tree to plain values, then write them with
+    json.dumps (JSON) or the cell writer above (CSV)."""
     plain = to_jsonable(report)
-    return reference_dumps_json(plain) + "\n" if fmt == "json" else reference_dumps_csv(plain)
+    return json.dumps(plain, indent=2) + "\n" if fmt == "json" else reference_dumps_csv(plain)
 
 
 def f_mu(mu, lam, q):

@@ -37,7 +37,8 @@ from uclab.reportio import dumps_csv, dumps_json
 from uclab.families import Family, count_union_closed, save_family
 from uclab.setdist import golden_threshold_mixture, product_bernoulli, save_distribution, save_mixture
 
-FAST_LEMMA = ["lemma", "--u-steps", "30", "--v-steps", "60", "--restarts", "8",
+# the action is named, as bench/workloads.py names it, so that it is parsed
+FAST_LEMMA = ["lemma", "certify", "--u-steps", "30", "--v-steps", "60", "--restarts", "8",
               "--atom-grid", "200", "--search-points", "3"]
 
 
@@ -112,6 +113,7 @@ class TestExitCodes:
         (["scalar", "--grid", "abc"], "argument --grid: invalid int value: 'abc'"),
         (["scalar", "--bogus"], "unrecognized arguments: --bogus"),
         (["lemma", "--u-steps"], "argument --u-steps: expected one argument"),
+        (["scalar", "--seed=--", "--seed", "0"], "argument --seed: expected one argument"),
         (["coupling"], "the following arguments are required: action"),
         (["coupling", "--seed", "3", "delta-search"], _ACTION_FIRST.format("--seed")),
         (["coupling", "--alpha=0.05", "delta-search"], _ACTION_FIRST.format("--alpha")),
@@ -128,11 +130,14 @@ class TestExitCodes:
         (["--he"], _COMMAND_FIRST.format("--he")),
         (["--vers"], _COMMAND_FIRST.format("--vers")),
         (["coupling", "--he"], _ACTION_FIRST.format("--he")),
-    ], ids=["command", "no-command", "int", "flag", "no-value", "no-action", "flag-before-action",
-            "flag-value-before-action", "out-without-action", "dp-no-family",
+        (["lemma", "bogus"], "argument action: invalid choice: 'bogus' (choose from "),
+        (["families", "bogus"], "argument action: invalid choice: 'bogus' (choose from "),
+    ], ids=["command", "no-command", "int", "flag", "no-value", "dashes-value", "no-action",
+            "flag-before-action", "flag-value-before-action", "out-without-action", "dp-no-family",
             "flag-before-command", "flag-value-before-command", "unknown-flag-before-command",
             "action-flag-before-command", "abbrev-u-steps", "abbrev-theta", "abbrev-delta",
-            "abbrev-help", "abbrev-version", "abbrev-help-before-action"])
+            "abbrev-help", "abbrev-version", "abbrev-help-before-action", "lemma-action",
+            "families-action"])
     def test_bad_arguments_exit_two(self, argv, message, capsys, no_handler_work):
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -157,17 +162,20 @@ class TestExitCodes:
         assert capsys.readouterr().err == ""
 
     # an unknown flag with its value apart, a value that argparse may take
-    # for the command's action (`lemma --u 5`), is refused in one line too
+    # for the command's action (`lemma --u 5`, `families --bogus 3`), is
+    # refused in one line that names the flag, not the value
     @pytest.mark.parametrize("argv", [
         ["lemma", "--tol", "0"], ["theorem2", "--tol", "0"], ["counterexample", "--trunc", "30"],
         ["lemma", "--u", "5"], ["counterexample", "--t", "0.5"],
-        ["coupling", "delta-search", "--delta", "0.01"],
+        ["coupling", "delta-search", "--delta", "0.01"], ["families", "--bogus", "3"],
+        ["lemma", "-x", "3"],
     ], ids=" ".join)
     def test_unknown_flag_with_a_value_exits_two(self, argv, tmp_path, capsys, no_handler_work):
         out = tmp_path / "x.json"
         assert main([*argv, "--out", str(out)]) == 2
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("uclab: error: "), lines
+        assert len(lines) == 1, lines
+        assert lines[0].startswith(f"uclab: error: unrecognized arguments: {argv[-2]}"), lines
         assert not out.exists()
 
     def test_oversized_table_file_exits_two_before_allocating(self, tmp_path, capsys):
@@ -1076,21 +1084,23 @@ print(json.dumps(sorted(name for name in sys.modules
 def test_delta_search_loads_only_the_modules_it_needs(tmp_path):
     # a fresh interpreter, as above; numpy.ma is what np.unique pulls in
     script = f"""
-import json, sys
+import sys
 from uclab.cli import main
 loaded = sorted(name for name in sys.modules if name.startswith("uclab"))
 has_dataclasses, has_numpy = "dataclasses" in sys.modules, "numpy" in sys.modules
+has_json = "json" in sys.modules
+import json
 assert main(["coupling", "delta-search", "--delta-steps", "100", "--v-steps", "32",
              "--mean-steps", "24", "--search-points", "3", "--search-restarts", "12",
              "--out", {str(tmp_path / "delta.json")!r}]) == 0
-print(json.dumps([loaded, has_dataclasses, has_numpy, sorted(sys.modules)]))
+print(json.dumps([loaded, has_dataclasses, has_numpy, has_json, sorted(sys.modules)]))
 """
-    at_import, dataclasses_at_import, numpy_at_import, after = json.loads(
+    at_import, dataclasses_at_import, numpy_at_import, json_at_import, after = json.loads(
         _fresh_python("-c", script))
     assert at_import == ["uclab", "uclab.cli", "uclab.reportio"]
     # the report writer takes dicts and NamedTuples, so it needs no dataclasses;
-    # numpy loads when a handler starts work
-    assert not dataclasses_at_import and not numpy_at_import
+    # numpy loads when a handler starts work, and json when a report is written
+    assert not dataclasses_at_import and not numpy_at_import and not json_at_import
     for name in ("numpy.ma", "uclab.setdist", "uclab.families", "uclab.counterexample"):
         assert name not in after
     assert json.loads((tmp_path / "delta.json").read_text())["results"]["lp_solves"] > 0

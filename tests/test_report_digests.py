@@ -6,13 +6,23 @@ diff of that file.  Regenerate it with
 
     python tests/test_report_digests.py --write
 
-which prints one line per run whose exit code or digest moved, and per
-run added or removed, against the file it replaces.
+which prints, per block, one line per run whose exit code or digest moved,
+and per run added or removed, against the file it replaces.
 
-The bits of numpy's log and exp depend on the numpy version and on the CPU
-kernels numpy dispatches to, so the file records both.  On a host where
-either differs, each run still checks its exit code, and the digest
-comparison is skipped with a message naming the mismatch.
+The bits depend on the numpy version and on the CPU kernels numpy
+dispatches to.  On x86 the X86_V4 (AVX-512) group moves them: disabling
+it changes the bytes of 16 runs, disabling AVX512_ICL or AVX512_SPR alone
+changes none, and disabling X86_V3 too changes no more.  Of its
+kernels, the float64 `log1p` of `scalars.entropy_kernel` moves `lemma`,
+`coupling delta-search` and `all`, and the float64 `power` of
+`counterexample`'s `theta ** k` moves `counterexample` (each found by
+swapping the kernel for its `math` twin on both dispatch paths).  So the
+file holds one block per dispatch key, the numpy version and the enabled
+dispatch targets as host() gives them.  --write records this host's block
+in-process and the block with the AVX-512 groups disabled (DISABLED, read
+by numpy at its import) in one subprocess.  On a host whose key no block
+holds, each run still checks its exit code, and the digest comparison is
+skipped with a message naming the key.
 """
 
 import contextlib
@@ -20,6 +30,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -41,6 +52,8 @@ from uclab.setdist import (  # noqa: E402
 )
 
 DIGESTS = Path(__file__).resolve().with_name("report_digests.json")
+# the groups whose kernels move report bits on x86 (see above)
+DISABLED = "X86_V4 AVX512_ICL AVX512_SPR"
 SEEDS = (1729, 7)
 BOTH, JSON = ("json", "csv"), ("json",)
 # every subcommand at its defaults, delta-search at both ends of alpha,
@@ -72,13 +85,18 @@ RUNS = [
 
 
 def host() -> dict:
-    """The numpy version and the CPU dispatch targets numpy enabled here."""
+    """The dispatch key: the numpy version and the CPU dispatch targets
+    numpy enabled here."""
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
     return {
         "numpy": np.__version__,
         "cpu_dispatch": sorted(f for f in __cpu_dispatch__ if __cpu_features__.get(f)),
     }
+
+
+def _key(block: dict) -> str:
+    return f"numpy {block['numpy']}, cpu_dispatch {' '.join(block['cpu_dispatch']) or '-'}"
 
 
 def write_inputs(directory: Path) -> None:
@@ -101,27 +119,42 @@ def run(argv) -> tuple:
 
 
 @pytest.fixture(scope="module")
-def recorded():
-    return json.loads(DIGESTS.read_text())
+def blocks():
+    return json.loads(DIGESTS.read_text())["blocks"]
 
 
-def test_the_file_lists_every_run(recorded):
-    assert [entry["argv"] for entry in recorded["runs"]] == RUNS
+def test_each_block_is_one_dispatch_key_and_lists_every_run(blocks):
+    assert len({_key(block) for block in blocks}) == len(blocks)
+    for block in blocks:
+        assert [entry["argv"] for entry in block["runs"]] == RUNS
 
 
 @pytest.mark.parametrize("argv", RUNS, ids="_".join)
-def test_report_matches_its_recorded_digest(argv, recorded, tmp_path, monkeypatch):
+def test_report_matches_its_recorded_digest(argv, blocks, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     write_inputs(tmp_path)
-    entry = next(e for e in recorded["runs"] if e["argv"] == argv)
+    key = _key(host())
+    block = next((b for b in blocks if _key(b) == key), None)
+    entry = next(e for e in (block or blocks[0])["runs"] if e["argv"] == argv)
     code, digest = run(argv)
     assert code == entry["exit"]
-    here = host()
-    moved = [f"{key} {recorded[key]} there, {value} here"
-             for key, value in here.items() if recorded[key] != value]
-    if moved:
-        pytest.skip("digests were recorded on another host: " + "; ".join(moved))
+    if block is None:
+        pytest.skip(f"no block recorded for {key}; recorded: "
+                    + "; ".join(_key(b) for b in blocks))
     assert digest == entry["sha256"]
+
+
+def test_the_block_with_avx512_disabled_matches_in_a_fresh_interpreter(blocks):
+    # checks the other x86 block on an AVX-512 host too, for about 2 s of
+    # Tier-1 time; where numpy dispatches to none of DISABLED, the
+    # in-process runs above already give that block
+    if not set(DISABLED.split()) & set(host()["cpu_dispatch"]):
+        pytest.skip(f"numpy dispatches to none of {DISABLED} here")
+    block = _record_disabled()
+    recorded = {_key(b): b["runs"] for b in blocks}
+    if _key(block) not in recorded:
+        pytest.skip(f"no block recorded for {_key(block)}")
+    assert _changes(recorded[_key(block)], block["runs"]) == []
 
 
 def _changes(old: list, new: list) -> list:
@@ -155,9 +188,9 @@ def test_changes_name_each_moved_added_and_removed_run():
     assert _changes(new, new) == []
 
 
-def write() -> None:
-    """Rewrite the file, and print what moved against the one it replaces."""
-    old = json.loads(DIGESTS.read_text())["runs"] if DIGESTS.exists() else []
+def record() -> dict:
+    """This host's block: its dispatch key and every run's exit code and
+    digest, run in a temporary directory."""
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
         os.chdir(tmp)
@@ -166,11 +199,40 @@ def write() -> None:
             runs = [dict(zip(("argv", "exit", "sha256"), (argv, *run(argv)))) for argv in RUNS]
         finally:
             os.chdir(cwd)
-    head = json.dumps(host())[:-1]
-    lines = ",\n".join(f"  {json.dumps(entry)}" for entry in runs)
-    DIGESTS.write_text(f'{head}, "runs": [\n{lines}\n]}}\n')
-    for line in _changes(old, runs):
-        print(line)
+    return {**host(), "runs": runs}
+
+
+def _record_disabled() -> dict:
+    """The block record() gives in a fresh interpreter with DISABLED off."""
+    here = Path(__file__).resolve()
+    script = (f"import json, sys; sys.path[:0] = [{str(here.parents[1] / 'src')!r}, "
+              f"{str(here.parent)!r}]; import {here.stem}; print(json.dumps({here.stem}.record()))")
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": DISABLED}
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def write() -> None:
+    """Rewrite the file with this host's block and the DISABLED one, and
+    print what moved, per block, against the file it replaces."""
+    old = {}
+    if DIGESTS.exists():
+        old = {_key(b): b["runs"] for b in json.loads(DIGESTS.read_text())["blocks"]}
+    new = {}
+    for block in (record(), _record_disabled()):
+        new.setdefault(_key(block), block)
+    text = []
+    for key, block in new.items():
+        runs = ",\n".join(f"    {json.dumps(entry)}" for entry in block["runs"])
+        head = json.dumps({"numpy": block["numpy"], "cpu_dispatch": block["cpu_dispatch"]})
+        text.append(f'  {head[:-1]}, "runs": [\n{runs}\n  ]}}')
+        print(f"block {key}:" if key in old else f"block {key} (new):")
+        for line in _changes(old.get(key, []), block["runs"]):
+            print(f"  {line}")
+    for key in old.keys() - new.keys():
+        print(f"block {key}: removed")
+    DIGESTS.write_text('{"blocks": [\n' + ",\n".join(text) + "\n]}\n")
 
 
 if __name__ == "__main__":

@@ -4,20 +4,44 @@ import math
 import numpy as np
 import pytest
 
-from uclab.reportio import dumps_csv, dumps_json, emit_report, format_float
+from uclab.reportio import dumps_csv, dumps_json, emit_report
+
+# 500 doubles over every binade, sign and mantissa (drawn as raw bits), and
+# the ones that need care: signed zeros, the smallest subnormal, the largest
+# double, the infinities and NaN
+_RAW = np.random.default_rng(0).integers(0, 2**64, size=500, dtype=np.uint64)
+_DOUBLES = [x for x in _RAW.view(np.float64).tolist() if not math.isnan(x)] + [
+    0.0, -0.0, 5e-324, 1.7976931348623157e308, math.inf, -math.inf, math.nan]
 
 
-class TestFormatFloat:
-    def test_seventeen_digits_round_trip(self):
-        rng = np.random.default_rng(0)
-        for _ in range(500):
-            x = float(rng.standard_normal() * 10.0 ** rng.integers(-12, 12))
-            assert float(format_float(x)) == x
+def _same_double(x, y):
+    """x and y are the same double: NaN is NaN, and -0.0 is not 0.0."""
+    return isinstance(y, float) and (math.isnan(x) and math.isnan(y)
+                                     or x == y and math.copysign(1, x) == math.copysign(1, y))
 
-    def test_special_values(self):
-        assert format_float(float("inf")) == "Infinity"
-        assert format_float(float("-inf")) == "-Infinity"
-        assert format_float(float("nan")) == "NaN"
+
+class TestWriterRoundTrip:
+    def test_every_double_round_trips_through_json(self):
+        for x in _DOUBLES:
+            assert _same_double(x, json.loads(dumps_json(x))), x
+
+    def test_every_double_round_trips_through_its_csv_cell(self):
+        text = dumps_csv({"rows": [{"x": x} for x in _DOUBLES]})
+        cells = text.split("\n")[1:-1]
+        assert len(cells) == len(_DOUBLES)
+        for x, cell in zip(_DOUBLES, cells):
+            assert _same_double(x, float(cell)), (x, cell)
+
+    def test_shortest_repr_not_seventeen_digits(self):
+        assert dumps_json([0.1, 1.0, 1e-16]) == "[\n  0.1,\n  1.0,\n  1e-16\n]"
+        assert dumps_csv({"x": 0.1, "y": 1.0}) == "x,y\n0.1,1.0\n"
+
+    @pytest.mark.parametrize("text", ['"', "\\", "\n", "\x7f", "\u00e9", "\U0001d4b3",
+                                      'a "b" \\ c\n\x7f\u00e9\U0001d4b3'])
+    def test_strings_round_trip_as_ascii(self, text):
+        written = dumps_json({text: [text]})
+        assert written.isascii()
+        assert json.loads(written) == {text: [text]}
 
 
 class TestJson:
@@ -72,12 +96,8 @@ class TestJson:
         # records are NamedTuples; a dataclass goes in as a dict
         from uclab.measures import DiscreteMeasure
 
-        with pytest.raises(TypeError, match="cannot serialize DiscreteMeasure"):
+        with pytest.raises(TypeError, match="DiscreteMeasure is not JSON serializable"):
             dumps_json({"mu": DiscreteMeasure.point(0.5)})
-
-    def test_string_escaping(self):
-        text = dumps_json({"msg": 'say "hi"\n'})
-        assert json.loads(text) == {"msg": 'say "hi"\n'}
 
     def test_non_ascii_escaped_as_utf16_units(self):
         # a path from argv may hold any code point, a lone surrogate included
@@ -93,8 +113,7 @@ class TestCsv:
         results = {"grid": 7, "rows": [{"u": 0.25, "slack": 1e-16, "ok": True},
                                        {"u": 0.5, "slack": 2e-16, "ok": False}]}
         lines = dumps_csv(results).strip().split("\n")
-        assert lines == ["u,slack,ok", "0.25,9.9999999999999998e-17,true",
-                         "0.5,2e-16,false"]
+        assert lines == ["u,slack,ok", "0.25,1e-16,true", "0.5,2e-16,false"]
 
     def test_nested_results_rows_found(self, tmp_path):
         report = {"version": "x", "results": {"rows": [{"a": 1, "ok": True}]}}
