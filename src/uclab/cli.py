@@ -43,8 +43,8 @@ MAX_SCALAR_GRID = 1_000_000
 # takes about 0.06 s to draw, one at n = 24 about 20 s and GBs
 MAX_RANDOM_TABLE_N = 16
 # theorem2 checks its random tables in stacks of at most this many table
-# cells in all, so its memory does not grow with --trials; a table larger
-# than the cap is checked on its own
+# cells in all, so its memory does not grow with --trials; a table at
+# MAX_RANDOM_TABLE_N has exactly the cap and always gets a stack to itself
 TABLE_STACK_CELLS = 1 << 16
 # theorem2's memory stays flat in --trials but its time does not: on a
 # 2-CPU x86 machine 1000 trials take about 0.05 s at the default --max-n 8

@@ -11,7 +11,8 @@ measure, the two-atom lemma scan is one grid per u, the exchange-move
 search recomputes every term each round, the third-derivative check runs
 one point at a time, the theorem2 random tables are checked one dict-built
 table at a time, the union-closed families are filtered out of every
-membership code, and a report is written in two stages: the whole tree is
+membership code, the coupling DP runs in exact fractions with each mass an
+interval overlap, and a report is written in two stages: the whole tree is
 coerced to plain values, then json.dumps or a plain cell writer writes them.
 Anything the library computes cleverly is checked against these.
 
@@ -22,16 +23,18 @@ numerator, and the per-element chain-rule step of Gilmer's argument on
 uniform union-closed families.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 import uclab.measures
 from uclab.counterexample import MAX_TRUNC, default_truncation
 from uclab.coupling import DeltaSearchReport, _measure_summary, coupled_union_prob, linprog
-from uclab.families import Family, is_union_closed
+from uclab.families import Family, is_union_closed, save_family
 from uclab.measures import (
     MEAN_SLACK,
     DiscreteMeasure,
@@ -54,7 +57,10 @@ from uclab.setdist import (
     ExplicitSetDistribution,
     UnionBoundReport,
     _split,
+    golden_threshold_mixture,
     product_bernoulli,
+    save_distribution,
+    save_mixture,
     union_of_independent,
 )
 
@@ -372,6 +378,36 @@ def improved_slack_loop(mu, alpha):
     return (1.0 - alpha) * quad + alpha * float((coupling * cost).sum()) - lin
 
 
+def coupling_dp_exact(f, literal_rates=False):
+    """The joint law {(a, c): mass} of greedy_coupling_dp in fractions, from
+    its rule read as intervals: one uniform U per element i, side a takes i
+    when U is in [0, pa), and side c when U is in [0, pc) if either rate is
+    at least 1/2, else in [1/2 - pc, 1/2); each mass is an overlap of those
+    intervals.  A side's rate is recounted from the members that share its
+    prefix (the other side's prefix under literal_rates), 0 when none does."""
+    half = Fraction(1, 2)
+    law = {(0, 0): Fraction(1)}
+    for i in range(f.n):
+        bit = 1 << i
+
+        @functools.cache
+        def rate(prefix):
+            members = [s for s in f.sets if s & (bit - 1) == prefix]
+            return Fraction(sum(s >> i & 1 for s in members), max(len(members), 1))
+
+        step = {}
+        for (a, c), mass in law.items():
+            pa, pc = (rate(c), rate(a)) if literal_rates else (rate(a), rate(c))
+            lo = 0 if max(pa, pc) >= half else half - pc
+            both = max(Fraction(0), min(pa, lo + pc) - lo)
+            for pair, p in (((a | bit, c | bit), both), ((a | bit, c), pa - both),
+                            ((a, c | bit), pc - both), ((a, c), 1 - pa - pc + both)):
+                if p:
+                    step[pair] = step.get(pair, 0) + mass * p
+        law = step
+    return law
+
+
 def largest_theta_within_max_trunc():
     """The largest theta whose truncation, ceil(30 / -log theta), is within
     MAX_TRUNC: the float next to exp(-30 / MAX_TRUNC) on the side that is."""
@@ -389,6 +425,18 @@ def scale_bound_factor(monkeypatch, scale=1.05):
     real = uclab.measures.entropy_ratio_bound_array
     monkeypatch.setattr(uclab.measures, "entropy_ratio_bound_array",
                         lambda us: scale * real(us))
+
+
+def write_input_files(directory):
+    """Write the distribution, mixture and family files that the CLI tests
+    and the recorded report digests read into directory, and return their
+    paths by the names {dist}, {mix} and {fam}; a report echoes each path it
+    was given, so the file names are part of the digests."""
+    paths = {name: directory / f"{name}.txt" for name in ("dist", "mix", "fam")}
+    save_distribution(product_bernoulli(5, 0.3), paths["dist"])
+    save_mixture(golden_threshold_mixture(0.5, 8), paths["mix"])
+    save_family(Family.of(3, [2, 3, 4, 6, 7]), paths["fam"])
+    return paths
 
 
 def two_atom_scan_loop(u, v_steps, lam):

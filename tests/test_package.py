@@ -1,7 +1,9 @@
 import ast
 import dataclasses
+import functools
 import importlib
 import importlib.util
+import re
 import sys
 import types
 from pathlib import Path
@@ -11,6 +13,7 @@ import pytest
 import uclab
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+SOURCES = sorted(Path(uclab.__file__).parent.glob("*.py"))
 
 # (module, class, field) that the tracer's counter hooks read from results
 # and arguments of the functions it wraps
@@ -23,39 +26,81 @@ HOOK_FIELDS = (
 )
 
 
-# every name `uclab` exported when its __init__ imported all modules eagerly,
-# after its defining "module:", less those deleted or moved to tests/helpers.py
-OLD_EXPORTS = """
-scalars: GOLDEN_THRESHOLD PHI binary_entropy d3_entropy_of_square d3_s_entropy
-    entropy_ratio_bound entropy_square_gap entropy_square_ratio union_prob
-setdist: ExplicitSetDistribution ProductMixture UnionBoundReport expand_mixture
-    golden_threshold_mixture kl_divergence load_distribution load_mixture
-    mixture_entropy_bounds product_bernoulli save_distribution save_mixture
-    union_entropy_check union_of_independent
-families: Family FrequencyReport is_union_closed load_family max_element_frequency
-    save_family verify_frequency_threshold
-measures: DEFAULT_SEED DiscreteMeasure ObjectiveReport lemma_certificate local_search_min
-    objective two_atom_min_scan
-coupling: coupled_union_prob delta_search greedy_coupling_dp improved_slack
-    worst_coupling_value
-counterexample: CounterexampleParams bounds_report build_counterexample entropy_lower_bound
-    exact_small_n_check kl_upper_bound marginal_inclusion ratio_bound
-    union_entropy_upper_bound
-"""
-CASES = []
-for token in OLD_EXPORTS.split():
-    if token.endswith(":"):
-        module = token[:-1]
-    else:
-        CASES.append((module, token))
+# the top-level names of src/uclab that main does not reach, each with a
+# reason the guard checks; a name that one of them reaches needs no entry
+LIBRARY = {
+    **dict.fromkeys(["coupling.coupled_union_prob", "counterexample.ratio_bound",
+                     "families.max_element_frequency", "setdist.golden_threshold_mixture",
+                     "setdist.product_bernoulli"], "acceptance import"),
+    **dict.fromkeys(["families.save_family", "setdist.save_distribution",
+                     "setdist.save_mixture"], "writer of a CLI input format"),
+    **dict.fromkeys(["families.count_union_closed", "measures.local_search_min",
+                     "measures.parallel_map", "measures.two_atom_min_scan"],
+                    "tracer target, until ROADMAP item 4"),
+}
 
 
-@pytest.mark.parametrize("module, name", CASES)
-def test_old_exports_resolve_to_their_defining_objects(module, name):
-    # callers import each name from its defining module; the package
-    # itself carries none of them but DEFAULT_SEED
-    assert hasattr(importlib.import_module(f"uclab.{module}"), name)
-    assert name == "DEFAULT_SEED" or not hasattr(uclab, name)
+@functools.cache
+def _graph():
+    """{"module.name": (path, node, loads)} of each top-level def, class and assignment
+    of src/uclab, and the loads of its other top-level statements: the names read in a
+    node, resolved by its module's names and `from .m import x` at any depth."""
+    defs, roots = {}, set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names = {a.asname or a.name: f"{n.module or '__init__'}.{a.name}" for n in ast.walk(tree)
+                 if isinstance(n, ast.ImportFrom) and n.level for a in n.names}
+        tops = [(stmt, [stmt.name] if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                 else [t.id for t in stmt.targets] if isinstance(stmt, ast.Assign)
+                 else [stmt.target.id] if isinstance(stmt, ast.AnnAssign) else [])
+                for stmt in tree.body]
+        names.update((name, f"{path.stem}.{name}") for _, own in tops for name in own)
+        for stmt, own in tops:
+            loads = {names[n.id] for n in ast.walk(stmt)
+                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id in names}
+            defs.update((f"{path.stem}.{name}", (path, stmt, loads)) for name in own)
+            roots |= set() if own else loads
+    return defs, roots
+
+
+def _reached(defs, keys):
+    seen, fresh = set(), set(keys) & defs.keys()
+    while fresh:
+        seen |= fresh
+        fresh = {load for key in fresh for load in defs[key][2]} & defs.keys() - seen
+    return seen
+
+
+def _reason_holds(key, reason, main):
+    module, name = key.split(".")
+    return {
+        "acceptance import": vars(importlib.import_module("test_acceptance")).get(name)
+        is getattr(importlib.import_module(f"uclab.{module}"), name),
+        # its load_ twin reads the format, and main reaches that
+        "writer of a CLI input format": key.replace(".save_", ".load_") in main,
+        # bench/tracer.py is only read here, never run
+        "tracer target, until ROADMAP item 4": re.search(rf"\b{name}\b", TRACER.read_text()),
+    }.get(reason)
+
+
+def test_src_holds_what_main_reaches_or_library_declares():
+    # ROADMAP item 12: the roots are main's entry points and the non-definition statements
+    defs, roots = _graph()
+    main = _reached(defs, {"cli.main", "cli.console_main", "cli.build_parser", *roots})
+    at = {k: f"{p.parent.name}/{p.name}:{node.lineno} {k}" for k, (p, node, _) in defs.items()}
+    at.update((key, f"tests/test_package.py:{i} {key}")
+              for i, text in enumerate(Path(__file__).read_text().splitlines(), 1)
+              for key in LIBRARY.keys() - defs.keys() if f'"{key}"' in text)
+    problems = {
+        "main does not reach it, and LIBRARY gives no reason":
+            defs.keys() - main - _reached(defs, LIBRARY),
+        "main reaches it, so LIBRARY needs no entry": LIBRARY.keys() & main,
+        "src/uclab defines no such name": LIBRARY.keys() - defs.keys(),
+        "its reason in LIBRARY does not hold": {key for key in LIBRARY.keys() & defs.keys() - main
+                                                if not _reason_holds(key, LIBRARY[key], main)},
+    }
+    found = sorted(f"{at[key]}: {text}" for text, keys in problems.items() for key in keys)
+    assert found == [], "\n".join(found)
 
 
 def test_version_and_default_seed():
@@ -73,19 +118,14 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(uclab, "__getattr__")
 
 
-def _load_tracer(monkeypatch):
+def test_every_tracer_target_resolves(monkeypatch):
+    # bench/tracer.py wraps these attributes from outside; a rename or a
+    # deletion here would silently break every `bench/run.py --trace 1` run
     spec = importlib.util.spec_from_file_location("uclab_bench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up in sys.modules
     monkeypatch.setitem(sys.modules, spec.name, tracer)
     spec.loader.exec_module(tracer)
-    return tracer
-
-
-def test_every_tracer_target_resolves(monkeypatch):
-    # bench/tracer.py wraps these attributes from outside; a rename or a
-    # deletion here would silently break every `bench/run.py --trace 1` run
-    tracer = _load_tracer(monkeypatch)
     assert tracer.TARGETS
     for module_name, attr, _, _ in tracer.TARGETS:
         owner = importlib.import_module(module_name)
@@ -96,68 +136,29 @@ def test_every_tracer_target_resolves(monkeypatch):
             assert callable(getattr(owner, attr, None)), f"{module_name}.{attr}"
     cli = importlib.import_module("uclab.cli")
     assert set(tracer.HANDLERS) == set(cli._HANDLERS)
-    assert callable(importlib.import_module("uclab.measures").parallel_map)
     assert importlib.import_module("uclab.families").np.arange is not None
     for module_name, cls_name, field in HOOK_FIELDS:
         cls = getattr(importlib.import_module(module_name), cls_name)
-        # report records are NamedTuple classes; validating ones stay dataclasses
-        if issubclass(cls, tuple):
-            names = cls._fields
-        else:
-            names = {f.name for f in dataclasses.fields(cls)}
+        names = cls._fields if issubclass(cls, tuple) else [f.name for f in dataclasses.fields(cls)]
         assert field in names, f"{cls_name}.{field}"
 
 
-# plain report records are NamedTuple classes, which cost about a fifth
-# of a frozen dataclass to define at import; the classes that validate in
-# __post_init__ stay dataclasses
-RECORDS = """
-measures: ObjectiveReport TwoAtomScanReport LocalSearchReport LemmaCertificate
-coupling: WorstCouplingReport DeltaSearchReport CouplingProcessReport
-setdist: UnionBoundReport
-families: FrequencyReport FrequencyScanReport
-counterexample: CounterexampleReport
-"""
-VALIDATED = """
-measures: DiscreteMeasure
-setdist: ExplicitSetDistribution ProductMixture
-families: Family
-counterexample: CounterexampleParams
-"""
-
-
-def _classes(table):
-    for line in table.strip().splitlines():
-        module, names = line.split(":")
-        for name in names.split():
-            yield getattr(importlib.import_module(f"uclab.{module}"), name)
-
-
-def test_report_records_are_named_tuples():
-    for cls in _classes(RECORDS):
-        assert issubclass(cls, tuple) and hasattr(cls, "_fields"), cls.__name__
-        assert not dataclasses.is_dataclass(cls), cls.__name__
-    for cls in _classes(VALIDATED):
-        assert dataclasses.is_dataclass(cls) and "__post_init__" in vars(cls), cls.__name__
-
-
-def test_array_classes_compare_and_hash_by_identity():
-    # a generated __eq__ would compare the array fields, whose truth value is
-    # ambiguous, and a frozen generated __eq__ would hash them
-    import numpy as np
-
-    from uclab.measures import DiscreteMeasure
-    from uclab.setdist import ExplicitSetDistribution
-
-    for make in (lambda: DiscreteMeasure(np.array([0.2, 0.7]), np.array([0.5, 0.5])),
-                 lambda: ExplicitSetDistribution(1, np.array([0.5, 0.5]))):
-        a, b = make(), make()
-        assert a == a and a != b
-        assert a in {a} and b not in {a}
-        assert hash(a) == hash(a)
-
-
-SOURCES = sorted((Path(uclab.__file__).parent).glob("*.py"))
+def test_each_class_is_a_record_or_validates():
+    # a report record is a NamedTuple class, a fifth of a frozen dataclass's cost
+    # to define at import; a class that validates in __post_init__ is a dataclass
+    classes = {key: getattr(importlib.import_module(f"uclab.{path.stem}"), node.name)
+               for key, (path, node, _) in _graph()[0].items()
+               if isinstance(node, ast.ClassDef) and key != "cli._Parser"}
+    wrong = [key for key, cls in classes.items() if not (
+        issubclass(cls, tuple) and hasattr(cls, "_fields") and not dataclasses.is_dataclass(cls)
+        or dataclasses.is_dataclass(cls) and "__post_init__" in vars(cls))]
+    # a generated __eq__ would compare array fields, whose truth value is
+    # ambiguous, and a frozen one would hash them
+    arrays = {key: cls for key, cls in classes.items() if dataclasses.is_dataclass(cls)
+              and any("ndarray" in str(f.type) for f in dataclasses.fields(cls))}
+    wrong += [key for key, cls in arrays.items()
+              if (cls.__eq__, cls.__hash__) != (object.__eq__, object.__hash__)]
+    assert arrays and wrong == []
 
 
 @pytest.mark.parametrize("text, home", [
@@ -197,12 +198,10 @@ def _unread_imports(path):
     return sorted((line, name) for name, line in imported.items() if name not in read)
 
 
-MODULES = SOURCES + sorted(Path(__file__).resolve().parent.glob("*.py"))
-
-
 def test_every_imported_name_is_read():
     # an import that nothing reads is dead code that hides which module
     # still uses a name
-    assert len(MODULES) > len(SOURCES)
-    unread = {p.name: names for p in MODULES if (names := _unread_imports(p))}
+    modules = SOURCES + sorted(Path(__file__).resolve().parent.glob("*.py"))
+    assert len(modules) > len(SOURCES)
+    unread = {p.name: names for p in modules if (names := _unread_imports(p))}
     assert unread == {}

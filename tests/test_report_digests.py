@@ -42,14 +42,8 @@ if __name__ == "__main__":
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from helpers import write_input_files  # noqa: E402
 from uclab.cli import main  # noqa: E402
-from uclab.families import Family, save_family  # noqa: E402
-from uclab.setdist import (  # noqa: E402
-    golden_threshold_mixture,
-    product_bernoulli,
-    save_distribution,
-    save_mixture,
-)
 
 DIGESTS = Path(__file__).resolve().with_name("report_digests.json")
 # the groups whose kernels move report bits on x86 (see above)
@@ -99,12 +93,6 @@ def _key(block: dict) -> str:
     return f"numpy {block['numpy']}, cpu_dispatch {' '.join(block['cpu_dispatch']) or '-'}"
 
 
-def write_inputs(directory: Path) -> None:
-    save_distribution(product_bernoulli(5, 0.3), directory / "dist.txt")
-    save_mixture(golden_threshold_mixture(0.5, 8), directory / "mix.txt")
-    save_family(Family.of(3, [2, 3, 4, 6, 7]), directory / "fam.txt")
-
-
 def run(argv) -> tuple:
     """Exit code and report SHA-256 (None without a report) of argv, run
     in-process in the working directory."""
@@ -132,7 +120,7 @@ def test_each_block_is_one_dispatch_key_and_lists_every_run(blocks):
 @pytest.mark.parametrize("argv", RUNS, ids="_".join)
 def test_report_matches_its_recorded_digest(argv, blocks, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    write_inputs(tmp_path)
+    write_input_files(tmp_path)
     key = _key(host())
     block = next((b for b in blocks if _key(b) == key), None)
     entry = next(e for e in (block or blocks[0])["runs"] if e["argv"] == argv)
@@ -195,7 +183,7 @@ def record() -> dict:
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
-            write_inputs(Path(tmp))
+            write_input_files(Path(tmp))
             runs = [dict(zip(("argv", "exit", "sha256"), (argv, *run(argv)))) for argv in RUNS]
         finally:
             os.chdir(cwd)
