@@ -83,24 +83,39 @@ def _reason_holds(key, reason, main):
     }.get(reason)
 
 
-def test_src_holds_what_main_reaches_or_library_declares():
-    # ROADMAP item 12: the roots are main's entry points and the non-definition statements
+@functools.cache
+def _main():
+    """ROADMAP item 12: the names that main's entry points and the module-level
+    statements that are not definitions reach."""
     defs, roots = _graph()
-    main = _reached(defs, {"cli.main", "cli.console_main", "cli.build_parser", *roots})
-    at = {k: f"{p.parent.name}/{p.name}:{node.lineno} {k}" for k, (p, node, _) in defs.items()}
-    at.update((key, f"tests/test_package.py:{i} {key}")
-              for i, text in enumerate(Path(__file__).read_text().splitlines(), 1)
-              for key in LIBRARY.keys() - defs.keys() if f'"{key}"' in text)
-    problems = {
-        "main does not reach it, and LIBRARY gives no reason":
-            defs.keys() - main - _reached(defs, LIBRARY),
-        "main reaches it, so LIBRARY needs no entry": LIBRARY.keys() & main,
-        "src/uclab defines no such name": LIBRARY.keys() - defs.keys(),
-        "its reason in LIBRARY does not hold": {key for key in LIBRARY.keys() & defs.keys() - main
-                                                if not _reason_holds(key, LIBRARY[key], main)},
-    }
-    found = sorted(f"{at[key]}: {text}" for text, keys in problems.items() for key in keys)
-    assert found == [], "\n".join(found)
+    return _reached(defs, {"cli.main", "cli.console_main", "cli.build_parser", *roots})
+
+
+def _where(key):
+    """The file:line that defines key in src/uclab, else the one that names it
+    in LIBRARY, and key."""
+    defs = _graph()[0]
+    if key in defs:
+        path, node, _ = defs[key]
+        return f"{path.parent.name}/{path.name}:{node.lineno} {key}"
+    lines = Path(__file__).read_text().splitlines()
+    line = next(i for i, text in enumerate(lines, 1) if f'"{key}"' in text)
+    return f"tests/test_package.py:{line} {key}"
+
+
+@pytest.mark.parametrize("key", sorted(_graph()[0]))
+def test_each_name_is_reached_by_main_or_from_library(key):
+    reached = key in _main() | _reached(_graph()[0], LIBRARY)
+    assert reached, f"{_where(key)}: main does not reach it, and LIBRARY gives no reason"
+
+
+@pytest.mark.parametrize("key", sorted(LIBRARY))
+def test_each_library_entry_is_an_unreached_name_whose_reason_holds(key):
+    problem = ("src/uclab defines no such name" if key not in _graph()[0]
+               else "main reaches it, so LIBRARY needs no entry" if key in _main()
+               else None if _reason_holds(key, LIBRARY[key], _main())
+               else "its reason in LIBRARY does not hold")
+    assert problem is None, f"{_where(key)}: {problem}"
 
 
 def test_version_and_default_seed():
