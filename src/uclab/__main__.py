@@ -9,6 +9,13 @@ import sys
 # goes back when the process ends.
 gc.disable()
 
+# numpy.random imports secrets, which imports hmac, which imports _hashlib
+# and so maps OpenSSL's libcrypto: 3.4 MiB of resident memory and about
+# 3 ms, for OS entropy that no seeded generator draws.  Blocked here, hmac
+# and hashlib fall back to CPython's builtin hashes; setdefault leaves a
+# _hashlib that is already loaded alone, and library callers keep theirs.
+sys.modules.setdefault("_hashlib", None)
+
 from .cli import console_main  # noqa: E402
 
 if __name__ == "__main__":

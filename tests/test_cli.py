@@ -1,6 +1,8 @@
 import argparse
 import contextlib
 import gc
+import hashlib
+import importlib.util
 import io
 import itertools
 import json
@@ -31,6 +33,7 @@ from helpers import (
     third_derivative_worst_loop,
     write_input_files,
 )
+from test_report_digests import DIGESTS, _key, host
 from test_scalars import REFUSALS
 from uclab.cli import MAX_RANDOM_TABLE_N, build_parser, main
 from uclab.counterexample import MAX_N
@@ -899,6 +902,23 @@ class TestCouplingCommand:
         res = json.loads(out.read_text())["results"]
         assert res["delta"] > 0.0
 
+    def test_delta_search_with_no_two_atom_candidate_keeps_its_report(self, tmp_path):
+        # the grid holds only the threshold, where v < mean never holds, so
+        # the scan is the point at the threshold and the search's measures.
+        # The digest was recorded before the scan ran in blocks, on both x86
+        # dispatch paths of report_digests.json, which give the same bytes
+        code, out = run(["coupling", "delta-search", "--delta-steps", "1", "--v-steps", "0",
+                         "--mean-steps", "0", "--seed", "1729"], tmp_path)
+        report = json.loads(out.read_text())
+        assert code == 1
+        assert report["failures"] == ["coupling.delta_search: no positive margin certified"]
+        assert (report["results"]["measures_scanned"], report["results"]["violations"]) == (5, 4)
+        key = _key(host())
+        if key not in {_key(block) for block in json.loads(DIGESTS.read_text())["blocks"]}:
+            pytest.skip(f"no block recorded for {key}")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "4ff63777200f1855a14b1c657e3a3000d21d0d6bbc768757872a386f45a07055")
+
     def test_stdout_when_no_out(self, capsys):
         code = main(["families", "--n", "2"])
         assert code == 0
@@ -1130,8 +1150,17 @@ print(json.dumps([codes, "numpy" in sys.modules]))
     assert (tmp_path / "plain.csv").read_text() == dumps_csv(twin["results"]) == "ok\ntrue\n"
 
 
-def test_module_entry_point_writes_the_in_process_report(tmp_path):
-    argv = ["families", "--n", "2", "--seed", "3"]
+# the commands that draw random numbers run through uclab.__main__, where
+# _hashlib is blocked, as well as through main() in this process, where
+# hashlib is loaded
+@pytest.mark.parametrize("argv", [
+    ["families", "--n", "2", "--seed", "3"],
+    ["coupling", "delta-search", "--delta-steps", "100", "--v-steps", "32", "--mean-steps", "24",
+     "--search-points", "3", "--search-restarts", "12"],
+    ["theorem2", "--trials", "20", "--max-n", "4"],
+    FAST_LEMMA,
+], ids=lambda argv: argv[0])
+def test_module_entry_point_writes_the_in_process_report(argv, tmp_path):
     _fresh_python("-m", "uclab", *argv, "--out", str(tmp_path / "fresh.json"))
     assert main([*argv, "--out", str(tmp_path / "here.json")]) == 0
     assert (tmp_path / "fresh.json").read_bytes() == (tmp_path / "here.json").read_bytes()
@@ -1185,6 +1214,43 @@ print(json.dumps([gc.isenabled(), gc.get_stats()[0]["collections"] - passes,
                   target is uclab.__main__.console_main]))
 """
     assert json.loads(_fresh_python("-c", script)) == [False, 0, True]
+
+
+# prints whether _hashlib is loaded and, where /proc/self/maps lists this
+# process's mappings, whether OpenSSL's libcrypto is mapped (else None)
+_OPENSSL_LOADED = """
+import os, sys
+maps = "/proc/self/maps"
+mapped = (any("libcrypto" in line for line in open(maps)) if os.path.exists(maps) else None)
+print(json.dumps([sys.modules.get("_hashlib") is not None, mapped]))
+"""
+
+
+def test_cli_processes_load_no_openssl(tmp_path):
+    # numpy.random imports secrets, hmac and _hashlib, which maps libcrypto;
+    # importing uclab.__main__ blocks _hashlib, and hashlib still works on
+    # CPython's builtin hashes
+    script = f"""
+import json
+import uclab.__main__
+from uclab.cli import main
+code = main(["coupling", "delta-search", "--delta-steps", "100", "--v-steps", "32",
+             "--mean-steps", "24", "--search-points", "3", "--search-restarts", "12",
+             "--out", {str(tmp_path / "delta.json")!r}])
+import hashlib
+print(json.dumps([code, hashlib.sha256(b"").hexdigest()]))
+""" + _OPENSSL_LOADED
+    ran, loaded = _fresh_python("-c", script).splitlines()
+    assert json.loads(ran) == [
+        0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"]
+    assert json.loads(loaded)[0] is False and json.loads(loaded)[1] in (False, None)
+
+
+def test_library_callers_keep_openssl():
+    if importlib.util.find_spec("_hashlib") is None:
+        pytest.skip("this Python has no _hashlib")
+    script = "import json, hashlib, uclab.cli\n" + _OPENSSL_LOADED
+    assert json.loads(_fresh_python("-c", script))[0] is True
 
 
 def _small(lo=-1, hi=4):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -422,6 +423,62 @@ class TestDeltaSearch:
         kw = dict(delta_steps=60, delta_max=0.02, v_steps=24, mean_steps=16,
                   search_points=3, search_restarts=12, seed=seed)
         assert delta_search(alpha, **kw) == delta_search_loop(alpha, **kw)
+
+    # v_steps=2 gives three v columns, so a block of 7 cells holds two mean
+    # rows; the grid has an odd number of rows, so the last block holds one
+    BLOCK_KW = dict(delta_steps=40, delta_max=0.02, v_steps=2, mean_steps=14,
+                    search_points=3, search_restarts=12, seed=61)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_blocks_give_the_bits_of_one_pass(self, alpha, monkeypatch):
+        # the same report, and the same candidates in the same order: with
+        # no tied slack in this grid, only the second shows the order
+        calls = []
+        real_class = uclab.coupling._two_atom_class
+        monkeypatch.setattr(uclab.coupling, "_two_atom_class",
+                            lambda v, w, a: calls.append((v, w)) or real_class(v, w, a))
+        one_pass = delta_search(alpha, **self.BLOCK_KW)._asdict()
+        assert len(calls) == 1
+        (v, w), = calls
+        rows = None
+        for block in (1, 7, None):
+            # None: one cell more than the grid holds, so one block again
+            monkeypatch.setattr(uclab.coupling, "DELTA_BLOCK_CELLS", block or 3 * rows + 1)
+            calls.clear()
+            assert delta_search(alpha, **self.BLOCK_KW)._asdict() == one_pass
+            for got, want in zip(map(np.concatenate, zip(*calls)), (v, w)):
+                assert got.tobytes() == want.tobytes()
+            if block == 1:
+                rows = len(calls)
+                assert rows % 2 == 1
+            else:
+                assert len(calls) == ((rows + 1) // 2 if block == 7 else 1)
+
+    def test_empty_two_atom_class_is_scanned_as_no_candidate(self, monkeypatch):
+        # the grid holds only the threshold, where v < mean never holds: the
+        # scan is the point at the threshold and the search's measures
+        kw = dict(delta_steps=1, v_steps=0, mean_steps=0, search_points=3,
+                  search_restarts=12, seed=67)
+        for block in (1, uclab.coupling.DELTA_BLOCK_CELLS):
+            monkeypatch.setattr(uclab.coupling, "DELTA_BLOCK_CELLS", block)
+            rep = delta_search(0.05, **kw)
+            assert rep == delta_search_loop(0.05, **kw)
+            assert rep.measures_scanned <= 1 + kw["search_points"] and rep.delta == 0.0
+
+    def test_scan_never_holds_the_whole_grid(self):
+        # 160,801 cells and 39,597 candidates with one search restart: the
+        # one-pass scan peaked at 14.6 MiB here, the blocked one at 3.4 MiB,
+        # most of it the four kept floats of each candidate, twice while
+        # they are joined
+        tracemalloc.start()
+        try:
+            rep = delta_search(0.05, v_steps=400, mean_steps=200, search_points=1,
+                               search_restarts=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.measures_scanned == 39_597
+        assert peak < 6 * 2**20
 
     def test_work_counters(self):
         kw = dict(delta_steps=10, v_steps=8, mean_steps=8, search_points=3,
