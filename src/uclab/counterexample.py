@@ -74,12 +74,12 @@ class CounterexampleParams:
         object.__setattr__(self, "trunc", default_truncation(self.theta))
         ubar = _check_open_unit_interval(self.ubar, "ubar")
         # where 1 - ubar rounds to 1 the entropy bound is 0, and the ratio divides by it
-        _check_float(ubar, "ubar", low=2.0**-54, strict=True,
+        _check_float(ubar, "ubar", low=2.0**-54,
                      low_text="2**-54 (1 - ubar rounds to 1 at or below it)")
         if not ubar < _check_open_unit_interval(self.u, "u"):
             raise ValueError(f"ubar must be below u = {self.u}, got {self.ubar}")
         base_ratio = float(entropy_kernel(2.0 * ubar - ubar * ubar) / entropy_kernel(ubar))
-        _check_float(self.d, "d", low=base_ratio, strict=True,
+        _check_float(self.d, "d", low=base_ratio,
                      low_text=f"the base entropy ratio {base_ratio:.6f} at ubar")
         _check_count(self.n, "n", high=MAX_N)
         _check_count(self.trunc, "trunc", high=MAX_TRUNC)

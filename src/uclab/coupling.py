@@ -154,7 +154,8 @@ def linprog(cost: np.ndarray, w: np.ndarray) -> np.ndarray:
     row_res, col_res = w.tolist(), w.tolist()
     i = j = 0
     while True:
-        f = max(min(row_res[i], col_res[j]), 0.0)
+        # one residual drops to exactly 0 and the other stays nonnegative
+        f = min(row_res[i], col_res[j])
         basis.append((i, j))
         flow.append(f)
         row_res[i] -= f
@@ -351,7 +352,7 @@ def delta_search(
     # the band just above the threshold holds at most delta_steps + 1 means
     cells = (mean_steps + delta_steps + 1) * (v_steps + 1)
     _check_count(cells, "cells of the delta-search grid", high=MAX_DELTA_GRID_CELLS)
-    step = _check_float(delta_max / delta_steps, "delta_max / delta_steps", low=0, strict=True)
+    step = _check_float(delta_max / delta_steps, "delta_max / delta_steps", low=0)
     u_star = GOLDEN_THRESHOLD
     # the local search runs at mean caps up to u_star + delta_max, which
     # must stay below 1
@@ -379,7 +380,8 @@ def delta_search(
     for lo in range(0, means.size, rows):
         v_grid, mean_grid = np.meshgrid(vs, means[lo : lo + rows])
         w_grid = (1.0 - mean_grid) / (1.0 - v_grid)
-        on = (v_grid < mean_grid) & (0.0 < w_grid) & (w_grid <= 1.0)
+        # every mean is below 1, so v < mean gives 0 < w <= 1
+        on = v_grid < mean_grid
         v, w = v_grid[on], w_grid[on]
         two_means, two_lin, two_slacks = _two_atom_class(v, w, alpha)
         scanned = two_lin > 1e-12
@@ -408,18 +410,15 @@ def delta_search(
     cutoff = 1e-12
     violating = np.flatnonzero(slacks <= cutoff)
     min_idx = int(np.argmin(slacks))
-    failure = bool(np.any(scanned_means[violating] <= u_star + cutoff))
-    if failure:
-        delta = 0.0
-    elif violating.size:
-        excess = np.min(scanned_means[violating] - u_star)
-        delta = max(0.0, step * int(np.floor((excess - 1e-15) / step)))
-    else:
-        delta = delta_max
-    binding = None
+    failure, delta, binding = False, delta_max, None
     if violating.size:
+        # the violation of least mean decides the verdict: rounding is
+        # monotone, so its mean is the least of the means compared
         first = int(violating[np.argmin(scanned_means[violating])])
         binding = _measure_summary(measure(first), slacks[first])
+        failure = bool(scanned_means[first] <= u_star + cutoff)
+        excess = scanned_means[first] - u_star
+        delta = 0.0 if failure else step * int(np.floor((excess - 1e-15) / step))
     return DeltaSearchReport(
         alpha=alpha,
         delta=float(delta),

@@ -315,8 +315,7 @@ def local_search_rows(
     def descend(stack):
         points, rs, pools, starts = (list(part) for part in zip(*stack))
         w = np.stack(starts)
-        vals = _exchange_descent(np.stack(pools), w, lam_rows[points], u_rows[points],
-                                  SEARCH_MAX_ROUNDS)
+        vals = _exchange_descent(np.stack(pools), w, lam_rows[points], u_rows[points])
         for k, r, x, row, val in zip(points, rs, pools, w, vals):
             b = best[k]
             if b is None or val < b[0] or (val == b[0] and r < b[1]):
@@ -374,7 +373,7 @@ def _random_feasible_start(rng, x: np.ndarray, u: float) -> np.ndarray:
     return np.array(ws)
 
 
-def _exchange_descent(x, w, lam, u, max_rounds):
+def _exchange_descent(x, w, lam, u):
     """Exchange-move descent of local_search_rows on a stack of restarts.
 
     x and w are (R, m): each row is one restart's sorted pool and start
@@ -416,7 +415,7 @@ def _exchange_descent(x, w, lam, u, max_rounds):
     # the full and the half move run together on a leading axis of length 2
     fracs = np.array([1.0, 0.5])[:, None, None, None]
     active = np.arange(stack)
-    for _ in range(max_rounds):
+    for _ in range(SEARCH_MAX_ROUNDS):
         wa, xa = w[active], x[active]
         mw = (big_h[active] @ wa[:, :, None])[:, :, 0]
         mean = (xa[:, None, :] @ wa[:, :, None])[:, 0, 0]

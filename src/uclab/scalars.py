@@ -80,15 +80,14 @@ def _check_count(value, name, low=1, high=None):
     return value
 
 
-def _check_float(value, name, low=-math.inf, strict=False, low_text=None):
-    """float(value), once it is finite and at least low (above low, when
-    strict); low_text, when given, names the bound in the refusal."""
+def _check_float(value, name, low=-math.inf, low_text=None):
+    """float(value), once it is finite and above low; low_text, when given,
+    names the bound in the refusal."""
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
-    if value < low or (strict and value == low):
-        raise ValueError(f"{name} must be {'above' if strict else 'at least'} "
-                         f"{low_text or low}, got {value}")
+    if value <= low:
+        raise ValueError(f"{name} must be above {low_text or low}, got {value}")
     return value
 
 

@@ -26,8 +26,12 @@ uniform union-closed families.
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -437,6 +441,21 @@ def write_input_files(directory):
     save_mixture(golden_threshold_mixture(0.5, 8), paths["mix"])
     save_family(Family.of(3, [2, 3, 4, 6, 7]), paths["fam"])
     return paths
+
+
+def fresh_python(*args, env_vars=None):
+    """stdout of `python *args` in a fresh interpreter with this checkout's
+    uclab, which must exit 0; OPENBLAS_NUM_THREADS is unset unless env_vars
+    sets it (importing uclab.cli in this process sets it)."""
+    env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.update(env_vars or {})
+    src = str(Path(uclab.measures.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def two_atom_scan_loop(u, v_steps, lam):

@@ -8,7 +8,6 @@ import itertools
 import json
 import os
 import re
-import subprocess
 import sys
 import tempfile
 import warnings
@@ -27,6 +26,7 @@ import uclab.families
 import uclab.measures
 import uclab.setdist
 from helpers import (
+    fresh_python,
     reference_report_text,
     scale_bound_factor,
     theorem2_loop,
@@ -737,6 +737,16 @@ class TestTheorem2Command:
         ]
         assert not out.exists()
 
+    def test_mask_one_past_the_table_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "dist.txt"
+        path.write_text("n=2\n4 1.0\n", encoding="ascii")
+        out = tmp_path / "x.json"
+        assert main(["theorem2", "--dist-file", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "uclab: error: mask 0x4 out of range for n=2"
+        ]
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "seed, max_n, trials",
         [(1729, 2, 60), (1, 3, 60), (2, 4, 60), (3, 5, 50), (4, 6, 50), (5, 7, 40),
@@ -946,19 +956,26 @@ def test_reported_restarts_are_the_restarts_run(argv, flag, restarts, tmp_path, 
     assert json.loads(out.read_text())["results"]["search_restarts"] == len(seeds)
 
 
-def _fresh_python(*args, env_vars=None):
-    """Run `python *args` in a fresh interpreter with this checkout's uclab,
-    with OPENBLAS_NUM_THREADS unset unless env_vars sets it (importing
-    uclab.cli in this process sets it)."""
-    env = dict(os.environ)
-    env.pop("OPENBLAS_NUM_THREADS", None)
-    env.update(env_vars or {})
-    src = str(Path(uclab.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+@pytest.mark.parametrize("argv, calls, restarts", [
+    (["coupling", "delta-search"], 8, 112), (["all"], 10, 160), (["lemma"], 51, 990)],
+    ids=["delta-search", "all", "lemma"])
+def test_search_stacks_stay_within_their_cap(argv, calls, restarts, tmp_path, monkeypatch):
+    # each stack of pool size m holds at most SEARCH_STACK_CELLS // m^2
+    # restarts (at least one); at the defaults the full stacks hold exactly
+    # that many, so one row more would show
+    stacks, real = [], uclab.measures._exchange_descent
+
+    def spy(x, w, lam, u):
+        rows, m = x.shape
+        stacks.append((rows, max(1, uclab.measures.SEARCH_STACK_CELLS // (m * m))))
+        return real(x, w, lam, u)
+
+    monkeypatch.setattr(uclab.measures, "_exchange_descent", spy)
+    code, _ = run(argv, tmp_path)
+    assert code == 0
+    assert all(rows <= cap for rows, cap in stacks)
+    assert any(rows == cap for rows, cap in stacks)
+    assert (len(stacks), sum(rows for rows, _ in stacks)) == (calls, restarts)
 
 
 @pytest.mark.parametrize("argv, fn, shared", [
@@ -1053,76 +1070,32 @@ def test_no_flag_is_abbreviated(parser, capsys, no_handler_work):
     assert seen and seen == expected
 
 
-def test_single_threaded_blas_is_set_before_numpy_loads():
-    # OpenBLAS reads the variable once, when numpy loads it: `import uclab`
-    # must not load numpy, and uclab.cli sets it before its own numpy import
-    script = """
-import json, os, sys
+# One fresh CLI process, probed in stages.  Each stage records the loaded
+# modules, OPENBLAS_NUM_THREADS, whether _hashlib is loaded and, where
+# /proc/self/maps lists this process's mappings, whether OpenSSL's libcrypto
+# is mapped (else None).  json is imported only to print the stages at the
+# end, because whether uclab loads it is one of the things probed.
+_CLI_PROBE = """
+import gc, importlib, os, sys
+stages = []
+
+def stage(name, **seen):
+    maps = "/proc/self/maps"
+    mapped = any("libcrypto" in line for line in open(maps)) if os.path.exists(maps) else None
+    stages.append(dict(name=name, modules=sorted(sys.modules),
+                       blas=os.environ.get("OPENBLAS_NUM_THREADS"),
+                       hashlib=sys.modules.get("_hashlib") is not None, libcrypto=mapped, **seen))
+
 import uclab
-numpy_at_import = "numpy" in sys.modules
-import uclab.cli
-print(json.dumps([numpy_at_import, os.environ.get("OPENBLAS_NUM_THREADS")]))
-"""
-    assert json.loads(_fresh_python("-c", script)) == [False, "1"]
-    preset = _fresh_python("-c", script, env_vars={"OPENBLAS_NUM_THREADS": "3"})
-    assert json.loads(preset) == [False, "3"]
+stage("import uclab")
+gc.collect()
+passes = gc.get_stats()[0]["collections"]
+import uclab.__main__
+target = getattr(importlib.import_module(MODULE), FUNC)
+stage("import uclab.__main__", gc=[gc.isenabled(), gc.get_stats()[0]["collections"] - passes,
+                                   target is uclab.__main__.console_main])
 
-
-def test_runtime_never_imports_scipy(tmp_path):
-    # a fresh interpreter: scipy may already sit in this one's sys.modules
-    script = f"""
-import json, sys
-from uclab.cli import main
-assert main(["coupling", "delta-search", "--delta-steps", "100", "--v-steps", "32",
-             "--mean-steps", "24", "--search-points", "3", "--search-restarts", "12",
-             "--out", {str(tmp_path / "delta.json")!r}]) == 0
-assert main(["all", "--out", {str(tmp_path / "all.json")!r}]) == 0
-# a lemma search over four points starts no process pool either
-assert main(["lemma", "--u-steps", "20", "--v-steps", "20", "--restarts", "8",
-             "--atom-grid", "50", "--search-points", "4",
-             "--out", {str(tmp_path / "lemma.json")!r}]) == 0
-print(json.dumps(sorted(name for name in sys.modules
-                        if name.split(".")[0] in ("scipy", "concurrent", "multiprocessing"))))
-"""
-    assert json.loads(_fresh_python("-c", script)) == []
-    delta = json.loads((tmp_path / "delta.json").read_text())["results"]
-    suite = json.loads((tmp_path / "all.json").read_text())["results"]["suites"]["coupling"]
-    assert delta["lp_solves"] > 0 and suite["lp_solves"] > 0
-
-
-def test_delta_search_loads_only_the_modules_it_needs(tmp_path):
-    # a fresh interpreter, as above; numpy.ma is what np.unique pulls in
-    script = f"""
-import sys
-from uclab.cli import main
-loaded = sorted(name for name in sys.modules if name.startswith("uclab"))
-has_dataclasses, has_numpy = "dataclasses" in sys.modules, "numpy" in sys.modules
-has_json = "json" in sys.modules
-import json
-assert main(["coupling", "delta-search", "--delta-steps", "100", "--v-steps", "32",
-             "--mean-steps", "24", "--search-points", "3", "--search-restarts", "12",
-             "--out", {str(tmp_path / "delta.json")!r}]) == 0
-print(json.dumps([loaded, has_dataclasses, has_numpy, has_json, sorted(sys.modules)]))
-"""
-    at_import, dataclasses_at_import, numpy_at_import, json_at_import, after = json.loads(
-        _fresh_python("-c", script))
-    assert at_import == ["uclab", "uclab.cli", "uclab.reportio"]
-    # the report writer takes dicts and NamedTuples, so it needs no dataclasses;
-    # numpy loads when a handler starts work, and json when a report is written
-    assert not dataclasses_at_import and not numpy_at_import and not json_at_import
-    for name in ("numpy.ma", "uclab.setdist", "uclab.families", "uclab.counterexample"):
-        assert name not in after
-    assert json.loads((tmp_path / "delta.json").read_text())["results"]["lp_solves"] > 0
-
-
-def test_runs_that_end_before_any_handler_load_no_numpy(tmp_path):
-    # a fresh interpreter, as above: --help, --version and every refusal of
-    # the arguments end before a handler imports numpy, and writing a report
-    # of plain Python values loads none either
-    report = ('{"results": {"x": [1.5, float("nan"), -2, None], "s": "\\u00e9", '
-              '"rows": [{"ok": True}]}}')
-    script = f"""
-import contextlib, io, json, sys
+import contextlib, io
 from uclab.cli import main
 from uclab.reportio import emit_report
 codes = []
@@ -1134,35 +1107,124 @@ for argv in (["--version"], ["--help"], ["lemma", "--u-steps", "x"], ["coupling"
             codes.append(main(argv))
         except SystemExit as exc:
             codes.append(exc.code)
-report = {report}
-emit_report(report, path={str(tmp_path / "plain.json")!r})
-emit_report(report, fmt="csv", path={str(tmp_path / "plain.csv")!r})
-print(json.dumps([codes, "numpy" in sys.modules]))
+emit_report(REPORT, path=os.path.join(OUT, "plain.json"))
+emit_report(REPORT, fmt="csv", path=os.path.join(OUT, "plain.csv"))
+stage("refusals and a plain report", codes=codes)
+
+code = main(["coupling", "delta-search", "--delta-steps", "100", "--v-steps", "32",
+             "--mean-steps", "24", "--search-points", "3", "--search-restarts", "12",
+             "--out", os.path.join(OUT, "delta.json")])
+stage("delta-search", code=code)
+
+# a lemma search over four points starts no process pool either
+codes = [main(["all", "--out", os.path.join(OUT, "all.json")]),
+         main(["lemma", "--u-steps", "20", "--v-steps", "20", "--restarts", "8",
+               "--atom-grid", "50", "--search-points", "4",
+               "--out", os.path.join(OUT, "lemma.json")])]
+import hashlib
+stage("all, lemma and hashlib", codes=codes, sha256=hashlib.sha256(b"").hexdigest())
+
+import json
+print(json.dumps(stages))
 """
-    assert json.loads(_fresh_python("-c", script)) == [[0, 0, 2, 2, 2, 2, 2, 2], False]
+# a report of plain Python values, which the probe writes before any
+# handler has loaded numpy
+_PLAIN_REPORT = ('{"results": {"x": [1.5, float("nan"), -2, None], "s": "\\u00e9", '
+                 '"rows": [{"ok": True}]}}')
+
+
+@pytest.fixture(scope="module")
+def cli_probe(tmp_path_factory):
+    """The stages of _CLI_PROBE by name, and the directory of its reports.
+    The target of the `uclab` script is read from pyproject.toml by regex,
+    because tomllib is missing on Python 3.10."""
+    out = tmp_path_factory.mktemp("cli_probe")
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    scripts = pyproject.split("[project.scripts]")[1]
+    module, func = re.search(r'^uclab\s*=\s*"([\w.]+):(\w+)"', scripts, re.M).groups()
+    script = (_CLI_PROBE.replace("MODULE", repr(module)).replace("FUNC", repr(func))
+              .replace("REPORT", _PLAIN_REPORT).replace("OUT", repr(str(out))))
+    return {s.pop("name"): s for s in json.loads(fresh_python("-c", script))}, out
+
+
+@pytest.fixture(scope="module")
+def library_probe():
+    """[numpy loaded by `import uclab`, OPENBLAS_NUM_THREADS after `import
+    uclab.cli`, _hashlib loaded] in a fresh library caller that set the
+    variable to 3 and imported hashlib."""
+    script = """
+import json, os, sys
+import uclab
+numpy_at_import = "numpy" in sys.modules
+import hashlib, uclab.cli
+print(json.dumps([numpy_at_import, os.environ.get("OPENBLAS_NUM_THREADS"),
+                  sys.modules.get("_hashlib") is not None]))
+"""
+    return json.loads(fresh_python("-c", script, env_vars={"OPENBLAS_NUM_THREADS": "3"}))
+
+
+def test_single_threaded_blas_is_set_before_numpy_loads(cli_probe, library_probe):
+    # OpenBLAS reads the variable once, when numpy loads it: `import uclab`
+    # must not load numpy, and uclab.cli sets it before its own numpy import;
+    # a value the caller set wins
+    stages, _ = cli_probe
+    assert "numpy" not in stages["import uclab"]["modules"]
+    assert stages["import uclab.__main__"]["blas"] == "1"
+    assert library_probe[:2] == [False, "3"]
+
+
+def test_runtime_never_imports_scipy(cli_probe):
+    # a fresh interpreter: scipy may already sit in this one's sys.modules
+    stages, out = cli_probe
+    assert stages["delta-search"]["code"] == 0
+    assert stages["all, lemma and hashlib"]["codes"] == [0, 0]
+    assert [name for name in stages["all, lemma and hashlib"]["modules"]
+            if name.split(".")[0] in ("scipy", "concurrent", "multiprocessing")] == []
+    delta = json.loads((out / "delta.json").read_text())["results"]
+    suite = json.loads((out / "all.json").read_text())["results"]["suites"]["coupling"]
+    assert delta["lp_solves"] > 0 and suite["lp_solves"] > 0
+
+
+def test_delta_search_loads_only_the_modules_it_needs(cli_probe):
+    # numpy.ma is what np.unique pulls in
+    stages, out = cli_probe
+    at_import = stages["import uclab.__main__"]["modules"]
+    assert [name for name in at_import if name.startswith("uclab")] == [
+        "uclab", "uclab.__main__", "uclab.cli", "uclab.reportio"]
+    # the report writer takes dicts and NamedTuples, so it needs no dataclasses;
+    # numpy loads when a handler starts work, and json when a report is written
+    assert not {"dataclasses", "numpy", "json"} & set(at_import)
+    assert stages["delta-search"]["code"] == 0
+    after = stages["delta-search"]["modules"]
+    for name in ("numpy.ma", "uclab.setdist", "uclab.families", "uclab.counterexample"):
+        assert name not in after
+    assert json.loads((out / "delta.json").read_text())["results"]["lp_solves"] > 0
+
+
+def test_runs_that_end_before_any_handler_load_no_numpy(cli_probe):
+    # --help, --version and every refusal of the arguments end before a
+    # handler imports numpy, and writing a report of plain Python values
+    # loads none either
+    stages, out = cli_probe
+    probed = stages["refusals and a plain report"]
+    assert probed["codes"] == [0, 0, 2, 2, 2, 2, 2, 2]
+    assert "numpy" not in probed["modules"]
     # the bytes the writer gave before, which the report's numpy twin gives
     # here, where numpy is loaded
     twin = {"results": {"x": [np.float64(1.5), np.array(np.nan), np.int64(-2), None],
                         "s": np.str_("\u00e9"), "rows": [{"ok": np.bool_(True)}]}}
-    assert (tmp_path / "plain.json").read_text() == dumps_json(twin) + "\n" == (
+    assert (out / "plain.json").read_text() == dumps_json(twin) + "\n" == (
         '{\n  "results": {\n    "x": [\n      1.5,\n      NaN,\n      -2,\n      null\n    ],\n'
         '    "s": "\\u00e9",\n    "rows": [\n      {\n        "ok": true\n      }\n    ]\n  }\n}\n')
-    assert (tmp_path / "plain.csv").read_text() == dumps_csv(twin["results"]) == "ok\ntrue\n"
+    assert (out / "plain.csv").read_text() == dumps_csv(twin["results"]) == "ok\ntrue\n"
 
 
 # the commands that draw random numbers run through uclab.__main__, where
 # _hashlib is blocked, as well as through main() in this process, where
-# hashlib is loaded
-@pytest.mark.parametrize("argv", [
-    ["families", "--n", "2", "--seed", "3"],
-    ["coupling", "delta-search", "--delta-steps", "100", "--v-steps", "32", "--mean-steps", "24",
-     "--search-points", "3", "--search-restarts", "12"],
-    ["theorem2", "--trials", "20", "--max-n", "4"],
-    FAST_LEMMA,
-], ids=lambda argv: argv[0])
-def test_module_entry_point_writes_the_in_process_report(argv, tmp_path):
-    _fresh_python("-m", "uclab", *argv, "--out", str(tmp_path / "fresh.json"))
-    assert main([*argv, "--out", str(tmp_path / "here.json")]) == 0
+# hashlib is loaded; `all` runs each of them
+def test_module_entry_point_writes_the_in_process_report(tmp_path):
+    fresh_python("-m", "uclab", "all", "--out", str(tmp_path / "fresh.json"))
+    assert main(["all", "--out", str(tmp_path / "here.json")]) == 0
     assert (tmp_path / "fresh.json").read_bytes() == (tmp_path / "here.json").read_bytes()
 
 
@@ -1196,61 +1258,27 @@ def test_console_main_freezes_the_heap_after_main_only(tmp_path, monkeypatch):
         gc.enable() if enabled else gc.disable()
 
 
-def test_cli_processes_run_without_the_cyclic_collector():
+def test_cli_processes_run_without_the_cyclic_collector(cli_probe):
     # the `uclab` script and `python -m uclab` run console_main of
     # uclab.__main__, whose import turns automatic collection off before
-    # numpy loads: after an explicit collect, importing it runs no pass.
-    # tomllib is missing on Python 3.10, so the script entry is read by regex
-    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
-    scripts = pyproject.split("[project.scripts]")[1]
-    module, func = re.search(r'^uclab\s*=\s*"([\w.]+):(\w+)"', scripts, re.M).groups()
-    script = f"""
-import gc, importlib, json
-gc.collect()
-passes = gc.get_stats()[0]["collections"]
-import uclab.__main__
-target = getattr(importlib.import_module({module!r}), {func!r})
-print(json.dumps([gc.isenabled(), gc.get_stats()[0]["collections"] - passes,
-                  target is uclab.__main__.console_main]))
-"""
-    assert json.loads(_fresh_python("-c", script)) == [False, 0, True]
+    # numpy loads: after an explicit collect, importing it runs no pass
+    stages, _ = cli_probe
+    assert stages["import uclab.__main__"]["gc"] == [False, 0, True]
 
 
-# prints whether _hashlib is loaded and, where /proc/self/maps lists this
-# process's mappings, whether OpenSSL's libcrypto is mapped (else None)
-_OPENSSL_LOADED = """
-import os, sys
-maps = "/proc/self/maps"
-mapped = (any("libcrypto" in line for line in open(maps)) if os.path.exists(maps) else None)
-print(json.dumps([sys.modules.get("_hashlib") is not None, mapped]))
-"""
-
-
-def test_cli_processes_load_no_openssl(tmp_path):
+def test_cli_processes_load_no_openssl(cli_probe):
     # numpy.random imports secrets, hmac and _hashlib, which maps libcrypto;
     # importing uclab.__main__ blocks _hashlib, and hashlib still works on
     # CPython's builtin hashes
-    script = f"""
-import json
-import uclab.__main__
-from uclab.cli import main
-code = main(["coupling", "delta-search", "--delta-steps", "100", "--v-steps", "32",
-             "--mean-steps", "24", "--search-points", "3", "--search-restarts", "12",
-             "--out", {str(tmp_path / "delta.json")!r}])
-import hashlib
-print(json.dumps([code, hashlib.sha256(b"").hexdigest()]))
-""" + _OPENSSL_LOADED
-    ran, loaded = _fresh_python("-c", script).splitlines()
-    assert json.loads(ran) == [
-        0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"]
-    assert json.loads(loaded)[0] is False and json.loads(loaded)[1] in (False, None)
+    probed = cli_probe[0]["all, lemma and hashlib"]
+    assert probed["sha256"] == "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+    assert probed["hashlib"] is False and probed["libcrypto"] in (False, None)
 
 
-def test_library_callers_keep_openssl():
+def test_library_callers_keep_openssl(library_probe):
     if importlib.util.find_spec("_hashlib") is None:
         pytest.skip("this Python has no _hashlib")
-    script = "import json, hashlib, uclab.cli\n" + _OPENSSL_LOADED
-    assert json.loads(_fresh_python("-c", script))[0] is True
+    assert library_probe[2] is True
 
 
 def _small(lo=-1, hi=4):

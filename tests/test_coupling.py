@@ -27,7 +27,7 @@ from uclab.coupling import (
     worst_coupling_value,
 )
 from uclab.families import Family
-from uclab.measures import DiscreteMeasure, objective
+from uclab.measures import DiscreteMeasure, LocalSearchReport, objective
 from uclab.scalars import GOLDEN_THRESHOLD, binary_entropy
 
 H_GOLDEN = 0.6650183864440036
@@ -464,6 +464,46 @@ class TestDeltaSearch:
             rep = delta_search(0.05, **kw)
             assert rep == delta_search_loop(0.05, **kw)
             assert rep.measures_scanned <= 1 + kw["search_points"] and rep.delta == 0.0
+
+    def test_candidates_of_no_entropy_are_not_scanned(self):
+        # delta_max just below its cap puts the top mean about 1e-13 below 1,
+        # where every two-atom candidate's linear part w H(v) is below 1e-12:
+        # its slack is a rounding residue, and the scan drops it as the loop
+        # does (with them, 54 candidates and 47 violations)
+        kw = dict(delta_max=0.6180339887498, v_steps=8, mean_steps=8, delta_steps=10,
+                  search_points=1, search_restarts=1)
+        rep = delta_search(0.05, **kw)
+        assert (rep.measures_scanned, rep.violations) == (45, 38)
+        assert rep == delta_search_loop(0.05, **kw)
+
+    AT_CUTOFF = GOLDEN_THRESHOLD + 1e-12
+
+    @pytest.mark.parametrize("mean, slack, violations, failure, steps", [
+        (GOLDEN_THRESHOLD + 0.01, 1e-12, 1, False, 4),
+        (GOLDEN_THRESHOLD + 0.01, math.nextafter(1e-12, 1.0), 0, False, 10),
+        (AT_CUTOFF, 0.0, 1, True, 0),
+        (math.nextafter(AT_CUTOFF, 1.0), 0.0, 1, False, 0),
+    ])
+    def test_cutoff_holds_at_its_bound(self, mean, slack, violations, failure, steps,
+                                       monkeypatch):
+        # a slack of exactly the 1e-12 cutoff is a violation, and a violation
+        # at a mean of exactly the threshold plus the cutoff is a failure:
+        # one two-atom candidate gets this mean and slack, every other one
+        # slack 1, and the search's measure is a point at 1, which has no
+        # entropy and is not scanned; delta is that many steps of 0.002
+        def two_atom_class(v, w, alpha):
+            means, slacks = np.full(v.size, GOLDEN_THRESHOLD + 0.01), np.ones(v.size)
+            means[0], slacks[0] = mean, slack
+            return means, np.ones(v.size), slacks
+
+        monkeypatch.setattr(uclab.coupling, "_two_atom_class", two_atom_class)
+        monkeypatch.setattr(uclab.coupling, "local_search_rows", lambda *args: [
+            LocalSearchReport(0.0, DiscreteMeasure.point(1.0), 0.5, True, 1, 0)])
+        rep = delta_search(0.05, delta_steps=10, delta_max=0.02, v_steps=2, mean_steps=2,
+                           search_points=1, search_restarts=1)
+        assert (rep.violations, rep.failure_at_threshold) == (violations, failure)
+        assert (rep.binding_measure is None) == (violations == 0)
+        assert rep.delta == 0.02 / 10 * steps
 
     def test_scan_never_holds_the_whole_grid(self):
         # 160,801 cells and 39,597 candidates with one search restart: the

@@ -460,7 +460,8 @@ class TestLocalSearch:
             assert np.array_equal(fast.best_measure.weights, slow.best_measure.weights)
 
     @pytest.mark.parametrize("rounds", [1, 2, 3, 200])
-    def test_descent_matches_loop_on_exact_ties(self, rounds):
+    def test_descent_matches_loop_on_exact_ties(self, rounds, monkeypatch):
+        monkeypatch.setattr(uclab.measures, "SEARCH_MAX_ROUNDS", rounds)
         # each pool alone, then the two pools of six locations as one stack,
         # at one (lam, u) and with each row's own
         for group, lam, u in (([0], [1.0], [0.62]), ([1], [1.0], [0.62]), ([2], [1.0], [0.62]),
@@ -468,7 +469,7 @@ class TestLocalSearch:
                               ([0, 2], [0.9, 1.0], [0.62, 0.7])):
             x = np.array([_TIE_CASES[k][0] for k in group])
             w = np.array([_TIE_CASES[k][1] for k in group])
-            got = _exchange_descent(x, w, np.array(lam), np.array(u), rounds)
+            got = _exchange_descent(x, w, np.array(lam), np.array(u))
             for row, k in enumerate(group):
                 want = np.array(_TIE_CASES[k][1])
                 assert got[row] == exchange_descent_loop(x[row], want, lam[row], u[row], rounds)
@@ -507,7 +508,7 @@ class TestLocalSearch:
         # restarts (another pool size) descends before restart 0's stack
         stacks = []
 
-        def flat(x, w, lam, u, max_rounds):
+        def flat(x, w, lam, u):
             stacks.append(x.tolist())
             return np.zeros(len(x))
 

@@ -30,7 +30,6 @@ import hashlib
 import io
 import json
 import os
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -42,7 +41,7 @@ if __name__ == "__main__":
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from helpers import write_input_files  # noqa: E402
+from helpers import fresh_python, write_input_files  # noqa: E402
 from uclab.cli import main  # noqa: E402
 
 DIGESTS = Path(__file__).resolve().with_name("report_digests.json")
@@ -193,12 +192,10 @@ def record() -> dict:
 def _record_disabled() -> dict:
     """The block record() gives in a fresh interpreter with DISABLED off."""
     here = Path(__file__).resolve()
-    script = (f"import json, sys; sys.path[:0] = [{str(here.parents[1] / 'src')!r}, "
-              f"{str(here.parent)!r}]; import {here.stem}; print(json.dumps({here.stem}.record()))")
-    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": DISABLED}
-    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    return json.loads(out)
+    script = (f"import json, sys; sys.path.insert(0, {str(here.parent)!r}); "
+              f"import {here.stem}; print(json.dumps({here.stem}.record()))")
+    return json.loads(fresh_python("-c", script, env_vars={
+        "NPY_DISABLE_CPU_FEATURES": DISABLED, "OPENBLAS_NUM_THREADS": "1"}))
 
 
 def write() -> None:

@@ -44,9 +44,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ExplicitSetDistribution(1, np.array([-0.1, 1.1]))
 
-    def test_from_mapping_rejects_out_of_range_mask(self):
-        with pytest.raises(ValueError):
-            ExplicitSetDistribution.from_mapping(2, {5: 1.0})
+    @pytest.mark.parametrize("mask", [-1, 4, 5])
+    def test_from_mapping_rejects_out_of_range_mask(self, mask):
+        with pytest.raises(ValueError, match=f"^mask {mask:#x} out of range for n=2$"):
+            ExplicitSetDistribution.from_mapping(2, {mask: 1.0})
 
     def test_probs_are_read_only(self):
         d = product_bernoulli(3, 0.4)
