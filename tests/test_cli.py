@@ -1070,7 +1070,9 @@ def test_no_flag_is_abbreviated(parser, capsys, no_handler_work):
     assert seen and seen == expected
 
 
-# One fresh CLI process, probed in stages.  Each stage records the loaded
+# One fresh CLI process, probed in stages.  It starts with
+# OPENBLAS_NUM_THREADS unset and sets it to 3, as a user would, before it
+# imports uclab.__main__.  Each stage records the loaded
 # modules, OPENBLAS_NUM_THREADS, whether _hashlib is loaded and, where
 # /proc/self/maps lists this process's mappings, whether OpenSSL's libcrypto
 # is mapped (else None).  json is imported only to print the stages at the
@@ -1090,8 +1092,9 @@ import uclab
 stage("import uclab")
 gc.collect()
 passes = gc.get_stats()[0]["collections"]
+os.environ["OPENBLAS_NUM_THREADS"] = "3"
 import uclab.__main__
-target = getattr(importlib.import_module(MODULE), FUNC)
+target = getattr(importlib.import_module({module!r}), {func!r})
 stage("import uclab.__main__", gc=[gc.isenabled(), gc.get_stats()[0]["collections"] - passes,
                                    target is uclab.__main__.console_main])
 
@@ -1107,20 +1110,20 @@ for argv in (["--version"], ["--help"], ["lemma", "--u-steps", "x"], ["coupling"
             codes.append(main(argv))
         except SystemExit as exc:
             codes.append(exc.code)
-emit_report(REPORT, path=os.path.join(OUT, "plain.json"))
-emit_report(REPORT, fmt="csv", path=os.path.join(OUT, "plain.csv"))
+emit_report({report}, path=os.path.join({out!r}, "plain.json"))
+emit_report({report}, fmt="csv", path=os.path.join({out!r}, "plain.csv"))
 stage("refusals and a plain report", codes=codes)
 
 code = main(["coupling", "delta-search", "--delta-steps", "100", "--v-steps", "32",
              "--mean-steps", "24", "--search-points", "3", "--search-restarts", "12",
-             "--out", os.path.join(OUT, "delta.json")])
+             "--out", os.path.join({out!r}, "delta.json")])
 stage("delta-search", code=code)
 
 # a lemma search over four points starts no process pool either
-codes = [main(["all", "--out", os.path.join(OUT, "all.json")]),
+codes = [main(["all", "--out", os.path.join({out!r}, "all.json")]),
          main(["lemma", "--u-steps", "20", "--v-steps", "20", "--restarts", "8",
                "--atom-grid", "50", "--search-points", "4",
-               "--out", os.path.join(OUT, "lemma.json")])]
+               "--out", os.path.join({out!r}, "lemma.json")])]
 import hashlib
 stage("all, lemma and hashlib", codes=codes, sha256=hashlib.sha256(b"").hexdigest())
 
@@ -1142,16 +1145,15 @@ def cli_probe(tmp_path_factory):
     pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
     scripts = pyproject.split("[project.scripts]")[1]
     module, func = re.search(r'^uclab\s*=\s*"([\w.]+):(\w+)"', scripts, re.M).groups()
-    script = (_CLI_PROBE.replace("MODULE", repr(module)).replace("FUNC", repr(func))
-              .replace("REPORT", _PLAIN_REPORT).replace("OUT", repr(str(out))))
+    script = _CLI_PROBE.format(module=module, func=func, report=_PLAIN_REPORT, out=str(out))
     return {s.pop("name"): s for s in json.loads(fresh_python("-c", script))}, out
 
 
 @pytest.fixture(scope="module")
 def library_probe():
     """[numpy loaded by `import uclab`, OPENBLAS_NUM_THREADS after `import
-    uclab.cli`, _hashlib loaded] in a fresh library caller that set the
-    variable to 3 and imported hashlib."""
+    uclab.cli`, _hashlib loaded] in a fresh library caller that left the
+    variable unset and imported hashlib."""
     script = """
 import json, os, sys
 import uclab
@@ -1160,17 +1162,18 @@ import hashlib, uclab.cli
 print(json.dumps([numpy_at_import, os.environ.get("OPENBLAS_NUM_THREADS"),
                   sys.modules.get("_hashlib") is not None]))
 """
-    return json.loads(fresh_python("-c", script, env_vars={"OPENBLAS_NUM_THREADS": "3"}))
+    return json.loads(fresh_python("-c", script))
 
 
 def test_single_threaded_blas_is_set_before_numpy_loads(cli_probe, library_probe):
     # OpenBLAS reads the variable once, when numpy loads it: `import uclab`
-    # must not load numpy, and uclab.cli sets it before its own numpy import;
-    # a value the caller set wins
+    # must not load numpy, and importing uclab.cli, not only uclab.__main__,
+    # sets it before its own numpy import; a value the caller set wins
+    assert library_probe[:2] == [False, "1"]
     stages, _ = cli_probe
     assert "numpy" not in stages["import uclab"]["modules"]
-    assert stages["import uclab.__main__"]["blas"] == "1"
-    assert library_probe[:2] == [False, "3"]
+    assert stages["import uclab"]["blas"] is None
+    assert stages["import uclab.__main__"]["blas"] == "3"
 
 
 def test_runtime_never_imports_scipy(cli_probe):
