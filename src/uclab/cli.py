@@ -1,16 +1,16 @@
 """Command-line entry point: verification suites and machine-readable reports.
 
 Subcommands: scalar, lemma, families, theorem2, counterexample, coupling,
-all.  Each run emits one JSON (default) or CSV report to --out or stdout;
-progress and the pass/fail summary go to stderr.  Exit status is 0 when
-every asserted inequality held, 1 when a verification failed or an internal
-check tripped (the failing item is named in the report), and 2 on bad
-arguments or inputs.
+all.  Each run emits one JSON (default) or CSV report to --out or stdout
+(`all` takes no --format: JSON only); progress and the pass/fail summary go
+to stderr.  Exit status is 0 when every asserted inequality held, 1 when a
+verification failed or an internal check tripped (the failing item is named
+in the report), and 2 on bad arguments or inputs.
 
 Reports are byte-stable for a fixed configuration and seed: floats are
 printed as Python's shortest round-trip repr and nothing run-dependent (such
-as wall time, which is only logged to stderr) enters the file.  The seed is
---seed, which defaults to the documented constant 1729.
+as wall time, which is only logged to stderr) enters the file.  Only lemma,
+theorem2, coupling delta-search and all draw, and take --seed (default 1729).
 """
 
 from __future__ import annotations
@@ -99,10 +99,13 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, seed=False, fmt=True) -> None:
     p.add_argument("--out", help="write the report here instead of stdout")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed (default %(default)s)")
+    if fmt:
+        p.add_argument("--format", choices=["json", "csv"], default="json")
+    if seed:
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed of the random draws "
+                       "of lemma, theorem2, coupling delta-search and all (default %(default)s)")
 
 
 @functools.cache
@@ -130,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=1000, help=RESTARTS_HELP)
     p.add_argument("--atom-grid", type=int, default=1000)
     p.add_argument("--search-points", type=int, default=21)
-    _add_common(p)
+    _add_common(p, seed=True)
 
     p = sub.add_parser("families", help="exhaustive union-closed family verification")
     p.strict = True
@@ -144,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"largest ground set of the random tables, 2..{MAX_RANDOM_TABLE_N}")
     p.add_argument("--dist-file", help="also check the distribution in this file")
     p.add_argument("--mixture-file", help="also check the expanded mixture in this file")
-    _add_common(p)
+    _add_common(p, seed=True)
 
     p = sub.add_parser("counterexample", help="geometric mixture with bounded KL divergence")
     p.add_argument("--ubar", type=float, default=0.2)
@@ -165,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mean-steps", type=int, default=96)
     p.add_argument("--search-points", type=int, default=7)
     p.add_argument("--search-restarts", type=int, default=112, help=RESTARTS_HELP)
-    _add_common(p)
+    _add_common(p, seed=True)
     p = actions.add_parser("dp", help="the shared-uniform coupling process on a family file")
     p.add_argument("--family", required=True, help="family file")
     p.add_argument("--literal-rates", action="store_true",
@@ -173,11 +176,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("all", help="run a compact version of every suite")
-    _add_common(p)
+    _add_common(p, seed=True, fmt=False)
+    p.set_defaults(format="json")  # one CSV table cannot hold all's suites, one per command
     return ap
 
 
-def cmd_scalar(args, seed: int):
+def cmd_scalar(args):
     import numpy as np
 
     from .numdiff import scaled_step, third_derivative
@@ -253,7 +257,7 @@ def cmd_scalar(args, seed: int):
     return {"grid": grid, "rows": rows}, failures
 
 
-def cmd_lemma(args, seed: int):
+def cmd_lemma(args):
     from .measures import SCAN_TOL, SEARCH_TOL, lemma_certificate
 
     cert = lemma_certificate(
@@ -262,7 +266,7 @@ def cmd_lemma(args, seed: int):
         restarts=args.restarts,
         atom_grid=args.atom_grid,
         search_points=args.search_points,
-        seed=seed,
+        seed=args.seed,
     )
     failures = []
     if not cert.scan_ok:
@@ -278,7 +282,7 @@ def cmd_lemma(args, seed: int):
     return cert, failures
 
 
-def cmd_families(args, seed: int):
+def cmd_families(args):
     from .families import verify_frequency_threshold
 
     rep = verify_frequency_threshold(args.n)
@@ -297,7 +301,7 @@ def cmd_families(args, seed: int):
     return report, failures
 
 
-def cmd_theorem2(args, seed: int):
+def cmd_theorem2(args):
     import numpy as np
 
     from .scalars import GOLDEN_THRESHOLD, _check_count
@@ -326,7 +330,7 @@ def cmd_theorem2(args, seed: int):
         if path:
             file_checks[label] = (path, union_entropy_check(load(path)))
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     # the tables drawn since the last check, as (trial, n, masks, probs);
     # they are checked before a draw would take them past TABLE_STACK_CELLS
     # table cells in all
@@ -362,7 +366,7 @@ def cmd_theorem2(args, seed: int):
         "worst_slack": None if worst_case is None else worst_case["slack"],
         "worst_case": worst_case,
         "product_sharpness_worst": sharp_worst,
-        "seed": seed,
+        "seed": args.seed,
     }
     for label, (path, rep) in file_checks.items():
         report[label] = {"path": path, **rep._asdict()}
@@ -398,7 +402,7 @@ def _check_random_tables(drawn, worst_case):
     return worst_case
 
 
-def cmd_counterexample(args, seed: int):
+def cmd_counterexample(args):
     from dataclasses import asdict
 
     from .counterexample import (
@@ -428,7 +432,7 @@ def cmd_counterexample(args, seed: int):
     return report, failures
 
 
-def cmd_coupling(args, seed: int):
+def cmd_coupling(args):
     from .coupling import MARGINAL_TOL, delta_search, greedy_coupling_dp
 
     if args.action == "dp":
@@ -451,7 +455,7 @@ def cmd_coupling(args, seed: int):
         mean_steps=args.mean_steps,
         search_points=args.search_points,
         search_restarts=args.search_restarts,
-        seed=seed,
+        seed=args.seed,
     )
     failures = []
     if rep.failure_at_threshold:
@@ -477,16 +481,14 @@ _COMPACT_SUITE = {
 }
 
 
-def cmd_all(args, seed: int):
-    if args.format == "csv":
-        # a CSV report holds one table, and all's results nest one per suite
-        raise ValueError("all writes JSON only; run a single subcommand for CSV")
+def cmd_all(args):
     parser = build_parser()
-    suites = {}
-    failures = []
+    suites, failures = {}, []
     for command, flags in _COMPACT_SUITE.items():
         sub_args = parser.parse_args([command, *flags])
-        suites[command], f = _HANDLERS[command](sub_args, seed)
+        if "seed" in sub_args:
+            sub_args.seed = args.seed
+        suites[command], f = _HANDLERS[command](sub_args)
         failures += f
     return {"suites": suites}, failures
 
@@ -506,11 +508,12 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         args = build_parser().parse_args(argv)
-        from .scalars import _check_count
+        if "seed" in args:
+            from .scalars import _check_count
 
-        # numpy's generators take only non-negative seeds
-        seed = _check_count(args.seed, "--seed", low=0)
-        results, failures = _HANDLERS[args.command](args, seed)
+            # numpy's generators take only non-negative seeds
+            _check_count(args.seed, "--seed", low=0)
+        results, failures = _HANDLERS[args.command](args)
     except (ValueError, OSError, MemoryError) as exc:
         # a bare MemoryError has no message, so name the type instead
         print(f"uclab: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
@@ -519,11 +522,8 @@ def main(argv=None) -> int:
         # an internal guard tripped: still write a report that names it
         results, failures = {}, [f"{args.command}.internal: {exc}"]
     # the output routing stays out of the config echo
-    config = {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k not in ("out", "format") and v is not None
-    }
+    config = {k: v for k, v in sorted(vars(args).items())
+              if k not in ("out", "format") and v is not None}
     report = {
         "version": __version__,
         "command": args.command,

@@ -23,6 +23,7 @@ numerator, and the per-element chain-rule step of Gilmer's argument on
 uniform union-closed families.
 """
 
+import argparse
 import functools
 import json
 import math
@@ -36,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 import uclab.measures
+from uclab.cli import build_parser
 from uclab.counterexample import MAX_TRUNC, default_truncation
 from uclab.coupling import DeltaSearchReport, _measure_summary, coupled_union_prob, linprog
 from uclab.families import Family, is_union_closed, save_family
@@ -441,6 +443,23 @@ def write_input_files(directory):
     save_mixture(golden_threshold_mixture(0.5, 8), paths["mix"])
     save_family(Family.of(3, [2, 3, 4, 6, 7]), paths["fam"])
     return paths
+
+
+def command_parser(argv):
+    """The parser of build_parser() that reads argv's flags: that of the
+    command, and of the action, that argv names first."""
+    parser = build_parser()
+    for word in argv:
+        sub = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not sub or word not in sub[0].choices:
+            break
+        parser = sub[0].choices[word]
+    return parser
+
+
+def takes(argv, flag):
+    """Whether the command that argv names defines flag."""
+    return flag in command_parser(argv)._option_string_actions
 
 
 def fresh_python(*args, env_vars=None):

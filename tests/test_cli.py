@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import gc
 import hashlib
@@ -29,6 +30,7 @@ from helpers import (
     fresh_python,
     reference_report_text,
     scale_bound_factor,
+    takes,
     theorem2_loop,
     third_derivative_worst_loop,
     write_input_files,
@@ -94,8 +96,8 @@ _DP = ["coupling", "dp", "--family=fam.txt"]
 def no_handler_work(monkeypatch):
     """Every handler raises, so a run that exits 2 under this fixture
     refused before any handler work."""
-    def no_work(args, seed):
-        raise AssertionError(f"{args.command} ran with seed {seed}")
+    def no_work(args):
+        raise AssertionError(f"{args.command} ran")
 
     for name in uclab.cli._HANDLERS:
         monkeypatch.setitem(uclab.cli._HANDLERS, name, no_work)
@@ -123,13 +125,13 @@ class TestExitCodes:
         (["scalar", "--grid", "abc"], "argument --grid: invalid int value: 'abc'"),
         (["scalar", "--bogus"], "unrecognized arguments: --bogus"),
         (["lemma", "--u-steps"], "argument --u-steps: expected one argument"),
-        (["scalar", "--seed=--", "--seed", "0"], "argument --seed: expected one argument"),
+        (["theorem2", "--seed=--", "--seed", "0"], "argument --seed: expected one argument"),
         (["coupling"], "the following arguments are required: action"),
         (["coupling", "--seed", "3", "delta-search"], _ACTION_FIRST.format("--seed")),
         (["coupling", "--alpha=0.05", "delta-search"], _ACTION_FIRST.format("--alpha")),
         (["coupling", "--out", "r.json"], _ACTION_FIRST.format("--out")),
         (["coupling", "dp"], "the following arguments are required: --family"),
-        (["--seed", "3", "scalar"], _COMMAND_FIRST.format("--seed")),
+        (["--seed", "3", "lemma"], _COMMAND_FIRST.format("--seed")),
         (["--out=r.json", "lemma"], _COMMAND_FIRST.format("--out")),
         (["--bogus"], _COMMAND_FIRST.format("--bogus")),
         (["--alpha", "0.05", "coupling", "delta-search"], _COMMAND_FIRST.format("--alpha")),
@@ -158,7 +160,7 @@ class TestExitCodes:
     def test_flag_before_the_command_is_refused_from_the_command_line(self, capsys, monkeypatch,
                                                                         no_handler_work):
         # main() with no argv, as the uclab script calls it, reads sys.argv
-        monkeypatch.setattr(sys, "argv", ["uclab", "--seed", "3", "scalar"])
+        monkeypatch.setattr(sys, "argv", ["uclab", "--seed", "3", "lemma"])
         assert main() == 2
         assert capsys.readouterr().err.splitlines() == [
             "uclab: error: " + _COMMAND_FIRST.format("--seed")]
@@ -200,7 +202,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("error", [MemoryError(), MemoryError("Unable to allocate 128. MiB")])
     def test_out_of_memory_exits_two_with_one_line(self, error, tmp_path, monkeypatch, capsys):
-        def exhausted(args, seed):
+        def exhausted(args):
             raise error
 
         monkeypatch.setitem(uclab.cli._HANDLERS, "theorem2", exhausted)
@@ -360,9 +362,11 @@ def _slack_items(argv, tmp_path, monkeypatch, module, name, tol):
 
 
 class TestToleranceBoundary:
-    """Each slack check passes with its tolerance at exactly minus the
-    worst slack of the run, and fails one ulp tighter: a check that uses
-    the other of `<` and `<=` fails one of the two."""
+    """Each check of a reported value against its bound, run with the bound
+    at exactly the value and one ulp to the other side: a check that uses
+    the other of `<` and `<=`, or of `>` and `>=`, fails one of the two.
+    Each slack check passes with its tolerance at exactly minus the worst
+    slack of the run, and fails one ulp tighter."""
 
     @staticmethod
     def _one_ulp_tighter(worst):
@@ -392,6 +396,54 @@ class TestToleranceBoundary:
         assert item in _slack_items(argv, tmp_path, monkeypatch, "cli", "THEOREM2_TOL",
                                     self._one_ulp_tighter(worst))
 
+    # (argv, reported value, module and name of its bound, failure item, the
+    # side of the value where the bound fails the check)
+    @pytest.mark.parametrize("argv, key, module, name, item, fails", [
+        (["families", "--n", "3"], "min_best_proportion", "families", "GOLDEN_THRESHOLD",
+         "families.min_best_proportion", np.inf),
+        ([*_DP[:2], "--family", "{fam}"], "max_marginal_deviation", "coupling", "MARGINAL_TOL",
+         "coupling.dp", -np.inf),
+        (FAST_LEMMA, "worst_search_margin", "measures", "SEARCH_TOL", "lemma.local_search",
+         -np.inf),
+        (["theorem2", "--trials", "5", "--max-n", "4"], "product_sharpness_worst", "cli",
+         "THEOREM2_TOL", "theorem2.product_sharpness", -np.inf),
+    ], ids=["families", "coupling-dp", "lemma-search", "theorem2-sharpness"])
+    def test_bound_at_the_reported_value(self, argv, key, module, name, item, fails, tmp_path,
+                                         monkeypatch):
+        argv = [a.format(fam=write_input_files(tmp_path)["fam"]) for a in argv]
+        _, out = run(argv, tmp_path, "base.json")
+        value = json.loads(out.read_text())["results"][key]
+        assert item not in _slack_items(argv, tmp_path, monkeypatch, module, name, value)
+        assert item in _slack_items(argv, tmp_path, monkeypatch, module, name,
+                                    float(np.nextafter(value, fails)))
+
+    def test_counterexample_marginal(self, tmp_path):
+        # --u reaches the marginal, which does not depend on it
+        _, out = run(["counterexample"], tmp_path, "base.json")
+        marginal = json.loads(out.read_text())["results"]["marginal"]
+        items = []
+        for u in (marginal, float(np.nextafter(marginal, -np.inf))):
+            _, out = run(["counterexample", "--u", repr(u)], tmp_path)
+            items.append([f.split(":")[0] for f in json.loads(out.read_text())["failures"]])
+        assert items == [[], ["counterexample.marginal"]]
+
+    def test_counterexample_ratio(self, tmp_path, monkeypatch):
+        # --d must exceed the base ratio, and the ratio bound stays below
+        # that, so no flag reaches it: with a lower bound of 1 the ratio is
+        # the stand-in upper bound itself
+        import uclab.counterexample
+
+        monkeypatch.setattr(uclab.counterexample, "entropy_lower_bound", lambda params: 1.0)
+        items = []
+        for upper in (1.35, float(np.nextafter(1.35, -np.inf))):
+            monkeypatch.setattr(uclab.counterexample, "union_entropy_upper_bound",
+                                lambda params: upper)
+            _, out = run(["counterexample", "--d", "1.35"], tmp_path)
+            report = json.loads(out.read_text())
+            assert report["results"]["ratio_upper"] == upper
+            items.append([f.split(":")[0] for f in report["failures"]])
+        assert items == [["counterexample.ratio"], []]
+
 
 class TestDeterminism:
     def test_same_config_same_bytes(self, tmp_path):
@@ -410,8 +462,9 @@ class TestDeterminism:
         _, other = run(argv + ["--seed", "5"], tmp_path, "other.json")
         assert json.loads(other.read_text())["config"]["seed"] == 5
 
-    @pytest.mark.parametrize("command", [_DP if c == "coupling dp" else c.split()
-                                         for c in _subparsers()], ids=" ".join)
+    @pytest.mark.parametrize("command", [c.split() for c, parser in _subparsers().items()
+                                         if "--seed" in parser._option_string_actions],
+                             ids=" ".join)
     def test_negative_seed_exits_two_before_any_work(self, command, tmp_path, capsys,
                                                      no_handler_work):
         out = tmp_path / "x.json"
@@ -436,19 +489,6 @@ class TestDeterminism:
         lemma = json.loads(out.read_text())["results"]["suites"]["lemma"]
         assert calls == [(os.getpid(), lemma["search_points"])]
 
-    def test_all_rejects_csv_before_any_suite(self, tmp_path, monkeypatch, capsys):
-        def no_work(args, seed):
-            raise AssertionError("all ran a suite before rejecting --format csv")
-
-        for name in uclab.cli._COMPACT_SUITE:
-            monkeypatch.setitem(uclab.cli._HANDLERS, name, no_work)
-        out = tmp_path / "all.csv"
-        assert main(["all", "--format", "csv", "--out", str(out)]) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            "uclab: error: all writes JSON only; run a single subcommand for CSV"
-        ]
-        assert not out.exists()
-
     def test_report_round_trips(self, tmp_path):
         _, out = run(FAST_LEMMA, tmp_path)
         report = json.loads(out.read_text())
@@ -457,30 +497,78 @@ class TestDeterminism:
         assert json.loads(dumps_json(report)) == report
 
 
-# (flag, default) of each number flag of coupling delta-search but --seed,
-# the flags coupling dp does not take
+# (flag, default) of each number flag of coupling delta-search that coupling
+# dp does not define, --seed among them
 _DELTA_SEARCH_ONLY = [(flag, default) for command, flag, default in
                       _parser_options(int) + _parser_options(float)
-                      if command == "coupling delta-search" and flag != "--seed"]
+                      if command == "coupling delta-search" and not takes(_DP, flag)]
 
-# each coupling action given a flag of the other, a delta-search flag at its
-# default value too
-_UNREAD_FLAGS = [
-    (["coupling", "delta-search"], "--literal-rates"),
-    (["coupling", "delta-search"], "--family=fam.txt"),
-    *[(_DP, f"{flag}={value}") for flag, default in _DELTA_SEARCH_ONLY for value in (default, 0)],
-]
+
+# each command path with each flag that another command or action defines
+# and it does not: `scalar --seed` (only lemma, theorem2, coupling
+# delta-search and all draw), `all --format` (all writes JSON only),
+# `coupling dp --alpha`
+_UNREAD_FLAGS = [(command, flag) for command, parser in _subparsers().items()
+                 for flag in sorted({f for p in _subparsers().values()
+                                     for f in p._option_string_actions
+                                     if f not in parser._option_string_actions})]
 
 
 @pytest.mark.parametrize("command, flag", _UNREAD_FLAGS,
-                         ids=[f"{' '.join(command)} {flag}" for command, flag in _UNREAD_FLAGS])
+                         ids=[f"{command} {flag}" for command, flag in _UNREAD_FLAGS])
 def test_flag_is_not_accepted_where_it_is_not_read(command, flag, tmp_path, capsys,
                                                    no_handler_work):
+    # the value joined to the flag and apart from it; the parsers with a
+    # one-choice action (lemma, families) name the flag without its value
+    path = [*command.split(), *_required_flags(_subparsers()[command])]
     out = tmp_path / "x.json"
-    assert main([*command, flag, "--out", str(out)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert err == [f"uclab: error: unrecognized arguments: {flag}"]
-    assert not out.exists()
+    for given in ([f"{flag}=1"], [flag, "1"]):
+        assert main([*path, *given, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"uclab: error: unrecognized arguments: {flag}")
+        assert not out.exists()
+
+
+_CLI_FUNCTIONS = {node.name: node for node in ast.parse(Path(uclab.cli.__file__).read_text()).body
+                  if isinstance(node, ast.FunctionDef)}
+
+
+def _args_read(statements):
+    """The attributes of `args` that statements read."""
+    return {node.attr for stmt in statements for node in ast.walk(stmt)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "args"}
+
+
+def _handler_statements(command):
+    """The statements of cli.py's cmd_<name> that run for command: for an
+    action, a branch `if args.action == "<action>":` that returns, and the
+    statements outside every such branch for the other actions."""
+    name, *action = command.split()
+    statements = []
+    for stmt in _CLI_FUNCTIONS[f"cmd_{name}"].body:
+        branch = (isinstance(stmt, ast.If) and isinstance(stmt.body[-1], ast.Return)
+                  and re.fullmatch(r"args\.action == '([\w-]+)'", ast.unparse(stmt.test)))
+        if not branch:
+            statements.append(stmt)
+        elif [branch[1]] == action:
+            return statements + stmt.body
+    return statements
+
+
+# the one-choice positional actions of lemma and families, which select
+# nothing; bench/workloads.py runs `lemma certify` (ROADMAP, small residues)
+_UNREAD_ACTIONS = {"lemma": ["action"], "families": ["action"]}
+
+
+@pytest.mark.parametrize("command", list(_subparsers()))
+def test_each_argument_is_read_by_the_code_that_runs_it(command):
+    # an argument that its handler never reads is one that a run accepts and
+    # ignores; main reads --out and --format for every command
+    read = _args_read(_handler_statements(command)) | (
+        {"out", "format"} & _args_read(_CLI_FUNCTIONS["main"].body))
+    defined = [action.dest for action in _subparsers()[command]._actions if action.dest != "help"]
+    assert [dest for dest in defined if dest not in read] == _UNREAD_ACTIONS.get(command, [])
 
 
 class TestReportWrite:
@@ -572,7 +660,7 @@ def test_writer_failure_leaves_out_alone(fmt, tmp_path, monkeypatch):
     out = tmp_path / "kept.txt"
     out.write_bytes(b"an earlier report\n")
     monkeypatch.setitem(uclab.cli._HANDLERS, "families",
-                        lambda args, seed: ({"rows": [{"x": object()}]}, []))
+                        lambda args: ({"rows": [{"x": object()}]}, []))
     with pytest.raises(TypeError):
         main(["families", "--format", fmt, "--out", str(out)])
     assert out.read_bytes() == b"an earlier report\n"
@@ -825,9 +913,9 @@ class TestTheorem2Command:
 
 def _theorem2_report(trials, max_n, seed):
     args = uclab.cli.build_parser().parse_args(
-        ["theorem2", "--trials", str(trials), "--max-n", str(max_n)]
+        ["theorem2", "--trials", str(trials), "--max-n", str(max_n), "--seed", str(seed)]
     )
-    report, _ = uclab.cli.cmd_theorem2(args, seed)
+    report, _ = uclab.cli.cmd_theorem2(args)
     return report
 
 
@@ -1104,7 +1192,7 @@ from uclab.reportio import emit_report
 codes = []
 for argv in (["--version"], ["--help"], ["lemma", "--u-steps", "x"], ["coupling"],
              ["coupling", "--alpha", "0.05", "delta-search"], ["coupling", "--out", "r.json"],
-             ["--seed", "3", "scalar"], ["--out=r.json", "lemma"]):
+             ["--seed", "3", "lemma"], ["--out=r.json", "lemma"]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             codes.append(main(argv))
@@ -1427,12 +1515,14 @@ def _assert_clean_exit(argv, seed):
     """The exit contract: 0, 1 or 2; exit 2 prints exactly one
     `uclab: error:` line and leaves --out absent; exits 0 and 1 write a
     report to --out that parses, with every float finite and every
-    failure named `<command>.<item>`.  Returns the exit code."""
+    failure named `<command>.<item>`.  The seed is given where the command
+    takes --seed.  Returns the exit code."""
     out, err = io.StringIO(), io.StringIO()
+    seeded = ["--seed", str(seed)] if takes(argv, "--seed") else []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "report.json"
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([*argv, "--seed", str(seed), "--out", str(path)])
+            code = main([*argv, *seeded, "--out", str(path)])
         assert code in (0, 1, 2)
         assert out.getvalue() == ""
         if code == 2:
