@@ -7,10 +7,13 @@ to stderr.  Exit status is 0 when every asserted inequality held, 1 when a
 verification failed or an internal check tripped (the failing item is named
 in the report), and 2 on bad arguments or inputs.
 
-Reports are byte-stable for a fixed configuration and seed: floats are
-printed as Python's shortest round-trip repr and nothing run-dependent (such
-as wall time, which is only logged to stderr) enters the file.  Only lemma,
-theorem2, coupling delta-search and all draw, and take --seed (default 1729).
+A report states each input once, in `config`: the parsed flags but --out
+and --format (`all` runs each suite with its flags in _COMPACT_SUITE).
+`results` hold only what the run computed.  Reports are byte-stable for a
+fixed configuration and seed: floats are printed as Python's shortest
+round-trip repr and nothing run-dependent (such as wall time, which is only
+logged to stderr) enters the file.  Only lemma, theorem2, coupling
+delta-search and all draw, and take --seed (default 1729).
 """
 
 from __future__ import annotations
@@ -254,7 +257,7 @@ def cmd_scalar(args):
     gap_min = float(entropy_square_gap(ss).min())
     check("square_gap_positive", gap_min > 0.0, gap_min, "2sH(s) - H(s^2) > 0 on grid")
 
-    return {"grid": grid, "rows": rows}, failures
+    return {"rows": rows}, failures
 
 
 def cmd_lemma(args):
@@ -283,20 +286,17 @@ def cmd_lemma(args):
 
 
 def cmd_families(args):
-    from .families import verify_frequency_threshold
+    from .families import GOLDEN_THRESHOLD, verify_frequency_threshold
 
     rep = verify_frequency_threshold(args.n)
     report = rep._asdict()
-    report["witness"] = {
-        "n": rep.witness.n,
-        "sets": [f"{s:x}" for s in rep.witness.sets],
-    }
+    report["witness"] = {"sets": [f"{s:x}" for s in rep.witness.sets]}
     report["union_closed_count"] = rep.families_checked + rep.degenerate_excluded
     failures = []
     if not rep.passed:
         failures.append(
             f"families.min_best_proportion: {rep.min_best_proportion:.6f} "
-            f"< {rep.threshold:.6f}"
+            f"< {GOLDEN_THRESHOLD:.6f}"
         )
     return report, failures
 
@@ -328,7 +328,7 @@ def cmd_theorem2(args):
         ("mixture_file", args.mixture_file, lambda p: expand_mixture(load_mixture(p))),
     ):
         if path:
-            file_checks[label] = (path, union_entropy_check(load(path)))
+            file_checks[label] = union_entropy_check(load(path))
 
     rng = np.random.default_rng(args.seed)
     # the tables drawn since the last check, as (trial, n, masks, probs);
@@ -361,15 +361,12 @@ def cmd_theorem2(args):
             f"theorem2.product_sharpness: |slack| {sharp_worst:.3e} > {THEOREM2_TOL:.0e}"
         )
     report = {
-        "trials": args.trials,
-        "max_n": args.max_n,
         "worst_slack": None if worst_case is None else worst_case["slack"],
         "worst_case": worst_case,
         "product_sharpness_worst": sharp_worst,
-        "seed": args.seed,
+        **file_checks,
     }
-    for label, (path, rep) in file_checks.items():
-        report[label] = {"path": path, **rep._asdict()}
+    for label, rep in file_checks.items():
         if rep.slack < -THEOREM2_TOL:
             failures.append(f"theorem2.{label}: slack {rep.slack:.3e} < -{THEOREM2_TOL:.0e}")
     return report, failures
@@ -403,8 +400,6 @@ def _check_random_tables(drawn, worst_case):
 
 
 def cmd_counterexample(args):
-    from dataclasses import asdict
-
     from .counterexample import (
         EXACT_MAX_N,
         EXACT_MAX_TRUNC,
@@ -417,7 +412,7 @@ def cmd_counterexample(args):
                                   n=args.n)
     small = params.n <= EXACT_MAX_N and params.trunc <= EXACT_MAX_TRUNC
     rep = exact_small_n_check(params) if small else bounds_report(params)
-    report = {"params": asdict(params), **rep._asdict()}
+    report = {"trunc": params.trunc, **rep._asdict()}
     failures = []
     if not rep.marginal_admissible:
         failures.append(
@@ -521,9 +516,9 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         # an internal guard tripped: still write a report that names it
         results, failures = {}, [f"{args.command}.internal: {exc}"]
-    # the output routing stays out of the config echo
+    # config holds the parsed flags, the command and output routing aside
     config = {k: v for k, v in sorted(vars(args).items())
-              if k not in ("out", "format") and v is not None}
+              if k not in ("command", "out", "format") and v is not None}
     report = {
         "version": __version__,
         "command": args.command,

@@ -117,8 +117,10 @@ def entropy_lower_bound(params: CounterexampleParams) -> float:
 
 
 def _union_level_pmf(params: CounterexampleParams) -> tuple:
-    """pmf of the union's level k' = k_A + k_B + 1 >= 1, truncated where the
-    tail drops below PMF_TAIL_CUTOFF and renormalized."""
+    """pmf of the union's level k' = k_A + k_B + 1 >= 1: the exact law
+    (1-theta)^2 k' theta^(k'-1), which carries the (1-theta)^2 factor and
+    sums to 1, truncated where the tail drops below PMF_TAIL_CUTOFF and
+    renormalized."""
     theta = params.theta
     kmax = max(3, math.ceil(math.log(PMF_TAIL_CUTOFF) / math.log(theta)) + 2)
     kp = np.arange(1, kmax + 1)
@@ -157,12 +159,7 @@ def kl_upper_bound(params: CounterexampleParams) -> float:
 
 
 class CounterexampleReport(NamedTuple):
-    """Bounds, admissibility flags, and (at small n) exact cross-checks.
-
-    union_level_pmf records the convention used for the union's level law:
-    the exact pmf of k_A + k_B + 1, which carries a (1-theta)^2 factor and
-    sums to 1, truncated and renormalized.
-    """
+    """Bounds, admissibility flags, and (at small n) exact cross-checks."""
 
     marginal: float
     marginal_admissible: bool
@@ -171,7 +168,6 @@ class CounterexampleReport(NamedTuple):
     ratio_upper: float
     ratio_below_d: bool
     kl_upper: float
-    union_level_pmf: str = "(1-theta)^2 * k * theta^(k-1), truncated and renormalized"
     exact_entropy: float | None = None
     exact_union_entropy: float | None = None
     exact_kl: float | None = None

@@ -284,10 +284,7 @@ class DeltaSearchReport(NamedTuple):
     search_points, at least 1, at each of the search_points points.
     """
 
-    alpha: float
     delta: float
-    delta_max: float
-    delta_steps: int
     measures_scanned: int
     closed_form_couplings: int
     lp_solves: int
@@ -297,7 +294,6 @@ class DeltaSearchReport(NamedTuple):
     binding_measure: dict | None
     min_slack: float
     min_slack_measure: dict
-    seed: int
 
 
 def _measure_summary(mu: DiscreteMeasure, slack: float) -> dict:
@@ -420,10 +416,7 @@ def delta_search(
         excess = scanned_means[first] - u_star
         delta = 0.0 if failure else step * int(np.floor((excess - 1e-15) / step))
     return DeltaSearchReport(
-        alpha=alpha,
         delta=float(delta),
-        delta_max=float(delta_max),
-        delta_steps=int(delta_steps),
         measures_scanned=int(slacks.size),
         closed_form_couplings=closed_form,
         lp_solves=lp_solves,
@@ -433,7 +426,6 @@ def delta_search(
         binding_measure=binding,
         min_slack=float(slacks[min_idx]),
         min_slack_measure=_measure_summary(measure(min_idx), slacks[min_idx]),
-        seed=seed,
     )
 
 
@@ -446,7 +438,6 @@ class CouplingProcessReport(NamedTuple):
     marginals_uniform: bool
     union_entropy: float
     independent_union_entropy: float
-    literal_rates: bool
     joint: tuple
 
 
@@ -538,6 +529,5 @@ def greedy_coupling_dp(f: Family, literal_rates: bool = False) -> CouplingProces
         marginals_uniform=bool(dev <= MARGINAL_TOL),
         union_entropy=h_union,
         independent_union_entropy=float(h_indep),
-        literal_rates=literal_rates,
         joint=joint,
     )

@@ -120,12 +120,10 @@ class FrequencyScanReport(NamedTuple):
     nonempty union-closed families on [n] (the all-{empty-set} family is
     excluded and counted separately)."""
 
-    n: int
     families_checked: int
     degenerate_excluded: int
     min_best_proportion: float
     witness: Family
-    threshold: float
     passed: bool
 
 
@@ -151,12 +149,10 @@ def verify_frequency_threshold(n: int) -> FrequencyScanReport:
     witness = Family(n, tuple(s for s in range(p) if (witness_code >> s) & 1))
     min_prop = float(props[idx])
     return FrequencyScanReport(
-        n=n,
         families_checked=int(keep.sum()),
         degenerate_excluded=int(degenerate.sum()),
         min_best_proportion=min_prop,
         witness=witness,
-        threshold=GOLDEN_THRESHOLD,
         passed=min_prop >= GOLDEN_THRESHOLD,
     )
 

@@ -465,7 +465,6 @@ class LemmaCertificate(NamedTuple):
     """Grid certificate that J stays nonnegative along the bound factor."""
 
     u_steps: int
-    v_steps: int
     worst_slack: float
     worst_u: float
     argmin_v_at_worst: float
@@ -474,7 +473,6 @@ class LemmaCertificate(NamedTuple):
     search_restarts: int
     worst_search_margin: float
     search_ok: bool
-    seed: int
     rows: tuple
 
 
@@ -519,7 +517,6 @@ def lemma_certificate(
                   "argmin_v": float(v)} for u, lam, slack, v in zip(us, lams, slacks, argmins))
     return LemmaCertificate(
         u_steps=int(us.size),
-        v_steps=v_steps,
         worst_slack=float(slacks[worst_idx]),
         worst_u=float(us[worst_idx]),
         argmin_v_at_worst=float(argmins[worst_idx]),
@@ -528,7 +525,6 @@ def lemma_certificate(
         search_restarts=per * int(pick.size),
         worst_search_margin=worst_margin,
         search_ok=bool(worst_margin <= SEARCH_TOL),
-        seed=seed,
         rows=rows,
     )
 

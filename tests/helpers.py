@@ -347,10 +347,7 @@ def delta_search_loop(alpha, delta_steps=200, delta_max=0.02, v_steps=96, mean_s
     if violating:
         binding = _measure_summary(*min(violating, key=lambda t: t[0].mean()))
     return DeltaSearchReport(
-        alpha=float(alpha),
         delta=float(delta),
-        delta_max=float(delta_max),
-        delta_steps=int(delta_steps),
         measures_scanned=len(candidates),
         closed_form_couplings=len(candidates) - len(lp) if alpha > 0.0 else 0,
         lp_solves=len(lp),
@@ -360,7 +357,6 @@ def delta_search_loop(alpha, delta_steps=200, delta_max=0.02, v_steps=96, mean_s
         binding_measure=binding,
         min_slack=float(slacks[min_idx]),
         min_slack_measure=_measure_summary(candidates[min_idx], slacks[min_idx]),
-        seed=seed,
     )
 
 

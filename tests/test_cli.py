@@ -444,6 +444,51 @@ class TestToleranceBoundary:
             items.append([f.split(":")[0] for f in report["failures"]])
         assert items == [["counterexample.ratio"], []]
 
+    # each bracket test of exact_small_n_check: the value on its left and
+    # its bound from the other values
+    _BRACKETS = {
+        "entropy_lower": lambda v: v["entropy"] + 1e-10,
+        "mix_lower": lambda v: v["entropy"] + 1e-10,
+        "entropy": lambda v: v["mix_upper"] + 1e-10,
+        "union_entropy": lambda v: v["union_entropy_upper"] + 1e-10,
+        "kl": lambda v: v["kl_upper"] + 1e-10,
+        "table_marginal": lambda v: 0.25 + 1e-12,  # --u at its default
+    }
+
+    @pytest.mark.parametrize("name", list(_BRACKETS))
+    def test_counterexample_exact_bracket(self, name, tmp_path, monkeypatch):
+        # no flag puts one exact value on its bound alone, so the check runs
+        # on stand-in values, inside every other bracket
+        import types
+
+        import uclab.counterexample as ce
+
+        values = {"entropy_lower": 4.0, "mix_lower": 4.0, "entropy": 5.0, "mix_upper": 6.0,
+                  "union_entropy": 7.0, "union_entropy_upper": 8.0, "kl": 1.0, "kl_upper": 2.0,
+                  "table_marginal": 0.2}
+
+        def table(entropy, marginal=None):
+            return types.SimpleNamespace(entropy=lambda: entropy, marginals=lambda: [marginal])
+
+        real_bounds = ce.bounds_report
+        monkeypatch.setattr(ce, "bounds_report", lambda params: real_bounds(params)._replace(
+            entropy_lower=values["entropy_lower"], kl_upper=values["kl_upper"],
+            union_entropy_upper=values["union_entropy_upper"]))
+        monkeypatch.setattr(ce, "expand_mixture",
+                            lambda mixture: table(values["entropy"], values["table_marginal"]))
+        monkeypatch.setattr(ce, "union_of_independent",
+                            lambda d1, d2: table(values["union_entropy"]))
+        monkeypatch.setattr(ce, "kl_divergence", lambda d1, d2: values["kl"])
+        monkeypatch.setattr(ce, "mixture_entropy_bounds",
+                            lambda mixture: (values["mix_lower"], values["mix_upper"]))
+        bound = self._BRACKETS[name](values)
+        items = []
+        for value in (bound, float(np.nextafter(bound, np.inf))):
+            values[name] = value
+            _, out = run(["counterexample", "--n", "10"], tmp_path)
+            items.append([f.split(":")[0] for f in json.loads(out.read_text())["failures"]])
+        assert items == [[], ["counterexample.exact"]]
+
 
 class TestDeterminism:
     def test_same_config_same_bytes(self, tmp_path):
@@ -456,9 +501,7 @@ class TestDeterminism:
         _, default = run(argv, tmp_path, "default.json")
         _, flag = run(argv + ["--seed", "1729"], tmp_path, "flag.json")
         assert default.read_bytes() == flag.read_bytes()
-        assert list(json.loads(default.read_text())["config"]) == [
-            "command", "max_n", "seed", "trials"
-        ]
+        assert list(json.loads(default.read_text())["config"]) == ["max_n", "seed", "trials"]
         _, other = run(argv + ["--seed", "5"], tmp_path, "other.json")
         assert json.loads(other.read_text())["config"]["seed"] == 5
 
@@ -588,7 +631,7 @@ class TestReportWrite:
         text = out.read_bytes().decode("ascii")
         assert "\\u00e9-\\ud835\\udcb3" in text
         report = json.loads(text)
-        assert report["config"]["dist_file"] == report["results"]["dist_file"]["path"] == str(path)
+        assert report["config"]["dist_file"] == str(path)
 
 
 def _captured_report(argv, tmp_path, monkeypatch):
@@ -1003,8 +1046,10 @@ class TestCouplingCommand:
     def test_delta_search_with_no_two_atom_candidate_keeps_its_report(self, tmp_path):
         # the grid holds only the threshold, where v < mean never holds, so
         # the scan is the point at the threshold and the search's measures.
-        # The digest was recorded before the scan ran in blocks, on both x86
-        # dispatch paths of report_digests.json, which give the same bytes
+        # The digest is of the report recorded before the scan ran in blocks,
+        # less the inputs its results repeated (alpha, delta_max, delta_steps
+        # and seed) and config's command; both x86 dispatch paths of
+        # report_digests.json give these bytes
         code, out = run(["coupling", "delta-search", "--delta-steps", "1", "--v-steps", "0",
                          "--mean-steps", "0", "--seed", "1729"], tmp_path)
         report = json.loads(out.read_text())
@@ -1015,7 +1060,7 @@ class TestCouplingCommand:
         if key not in {_key(block) for block in json.loads(DIGESTS.read_text())["blocks"]}:
             pytest.skip(f"no block recorded for {key}")
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "4ff63777200f1855a14b1c657e3a3000d21d0d6bbc768757872a386f45a07055")
+            "c49c6abda81c1d8a0d635ae9a31e15780568d53524397b7f63456d92fe1cb4c2")
 
     def test_stdout_when_no_out(self, capsys):
         code = main(["families", "--n", "2"])
@@ -1042,6 +1087,68 @@ def test_reported_restarts_are_the_restarts_run(argv, flag, restarts, tmp_path, 
     code, out = run([*argv, flag, restarts], tmp_path)
     assert code in (0, 1)
     assert json.loads(out.read_text())["results"]["search_restarts"] == len(seeds)
+
+
+# every command path at small flags, its input files named {dist}, {mix} and {fam}
+_SMALL_RUNS = {
+    "scalar": ["scalar", "--grid", "50"],
+    "lemma": FAST_LEMMA,
+    "families": ["families", "--n", "2"],
+    "theorem2": ["theorem2", "--trials", "3", "--max-n", "3", "--dist-file", "{dist}",
+                 "--mixture-file", "{mix}"],
+    "counterexample": ["counterexample", "--n", "10"],
+    "coupling delta-search": _SMALL_DELTA,
+    "coupling dp": [*_DP[:2], "--family", "{fam}", "--literal-rates"],
+    "all": ["all"],
+}
+# the results keys that share a flag's name, each with a run where its value
+# is not the flag's: a work count is the count that ran (the lemma grid gains
+# the threshold and the search a point there; 8 restarts over 3 points run
+# 6), and a file check is the check of the file, not its path
+_SHARED_KEYS = {
+    "u_steps": FAST_LEMMA,
+    "search_points": FAST_LEMMA,
+    "search_restarts": [*_SMALL_DELTA, "--search-restarts", "8"],
+    "dist_file": _SMALL_RUNS["theorem2"],
+    "mixture_file": _SMALL_RUNS["theorem2"],
+}
+
+
+def _report(argv, tmp_path):
+    paths = write_input_files(tmp_path)
+    code, out = run([arg.format(**paths) for arg in argv], tmp_path)
+    assert code in (0, 1)
+    return json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("command", list(_subparsers()))
+def test_no_report_states_an_input_twice(command, tmp_path):
+    # config holds the parsed flags and results what the run computed; each
+    # suite of `all` is checked against the flags it was parsed from
+    report = _report(_SMALL_RUNS[command], tmp_path)
+    config = report["config"]
+    assert not config.keys() & {"command", "out", "format"}
+    pairs = [(config, report["results"])]
+    if command == "all":
+        parser = build_parser()
+        for name, flags in uclab.cli._COMPACT_SUITE.items():
+            suite = vars(parser.parse_args([name, *flags]))
+            suite = {k: config.get(k, v) for k, v in suite.items()
+                     if k not in ("command", "out", "format")}
+            pairs.append((suite, report["results"]["suites"][name]))
+    for flags, results in pairs:
+        assert sorted(flags.keys() & results.keys() - _SHARED_KEYS.keys()) == []
+        # no input path is written again in results
+        text = json.dumps(results)
+        assert [v for v in flags.values() if isinstance(v, str) and os.sep in v
+                and json.dumps(v)[1:-1] in text] == []
+
+
+@pytest.mark.parametrize("key", sorted(_SHARED_KEYS))
+def test_each_shared_key_differs_from_its_flag(key, tmp_path):
+    report = _report(_SHARED_KEYS[key], tmp_path)
+    assert key in report["config"]
+    assert report["results"][key] != report["config"][key]
 
 
 @pytest.mark.parametrize("argv, calls, restarts", [
@@ -1119,6 +1226,13 @@ def test_readme_names_exactly_the_parser_flags():
     defined = {flag for parser in _all_parsers(build_parser()) for action in parser._actions
                for flag in action.option_strings if flag.startswith("--")}
     assert named - {"--write", "--no-build-isolation"} == defined
+
+
+def test_readme_lists_the_compact_suites():
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    missing = [command for command, flags in uclab.cli._COMPACT_SUITE.items()
+               if f"`{' '.join([command, *flags])}`" not in readme]
+    assert missing == []
 
 
 def _abbreviations(parser):

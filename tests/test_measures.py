@@ -23,6 +23,7 @@ from uclab.measures import (
     MAX_SEARCH_RESTARTS,
     DiscreteMeasure,
     _exchange_descent,
+    _is_two_point_with_top,
     _random_feasible_start,
     _two_atom_scan_rows,
     _two_atom_slack,
@@ -551,6 +552,28 @@ class TestLocalSearch:
         assert a.best_value == b.best_value
         assert np.array_equal(a.best_measure.locations, b.best_measure.locations)
         assert np.array_equal(a.best_measure.weights, b.best_measure.weights)
+
+
+class TestTwoPointWithTopBoundary:
+    """The flag's two tolerance tests, each with a measure at exactly its
+    bound and one a ulp past it: a test that uses the other of `<` and `<=`
+    gives the other answer at the bound."""
+
+    @pytest.mark.parametrize("covered, flag", [
+        (1.0 - 1e-3, True), (float(np.nextafter(1.0 - 1e-3, 0.0)), False)])
+    def test_mass_of_the_top_two_atoms(self, covered, flag):
+        # 1 is among the top two atoms, so only the mass they cover decides;
+        # covered - 0.5 is exact, so the two weights sum to covered exactly
+        mu = DiscreteMeasure(np.array([0.2, 0.5, 1.0]),
+                             np.array([covered - 0.5, 1.0 - covered, 0.5]))
+        assert float(mu.weights[[0, 2]].sum()) == covered
+        assert _is_two_point_with_top(mu) is flag
+
+    @pytest.mark.parametrize("light, flag", [(1e-3, True), (float(np.nextafter(1e-3, 1.0)), False)])
+    def test_weight_of_the_second_atom(self, light, flag):
+        # neither atom is at 1, so the lighter one passes only as negligible
+        mu = DiscreteMeasure(np.array([0.3, 0.6]), np.array([1.0 - light, light]))
+        assert _is_two_point_with_top(mu) is flag
 
 
 class TestLemmaCertificate:
