@@ -412,7 +412,7 @@ def cmd_counterexample(args):
                                   n=args.n)
     small = params.n <= EXACT_MAX_N and params.trunc <= EXACT_MAX_TRUNC
     rep = exact_small_n_check(params) if small else bounds_report(params)
-    report = {"trunc": params.trunc, **rep._asdict()}
+    report = {**rep._asdict(), "trunc": params.trunc}
     failures = []
     if not rep.marginal_admissible:
         failures.append(

@@ -1101,16 +1101,16 @@ _SMALL_RUNS = {
     "coupling dp": [*_DP[:2], "--family", "{fam}", "--literal-rates"],
     "all": ["all"],
 }
-# the results keys that share a flag's name, each with a run where its value
-# is not the flag's: a work count is the count that ran (the lemma grid gains
-# the threshold and the search a point there; 8 restarts over 3 points run
-# 6), and a file check is the check of the file, not its path
+# the results keys of each command path that share a flag's name, each with
+# a run where its value is not the flag's: a work count is the count that
+# ran (the lemma grid gains the threshold and the search a point there; 8
+# restarts over 3 points run 6), and a file check is the check of the file,
+# not its path
 _SHARED_KEYS = {
-    "u_steps": FAST_LEMMA,
-    "search_points": FAST_LEMMA,
-    "search_restarts": [*_SMALL_DELTA, "--search-restarts", "8"],
-    "dist_file": _SMALL_RUNS["theorem2"],
-    "mixture_file": _SMALL_RUNS["theorem2"],
+    "lemma": {"u_steps": FAST_LEMMA, "search_points": FAST_LEMMA},
+    "coupling delta-search": {"search_restarts": [*_SMALL_DELTA, "--search-restarts", "8"]},
+    "theorem2": {"dist_file": _SMALL_RUNS["theorem2"],
+                 "mixture_file": _SMALL_RUNS["theorem2"]},
 }
 
 
@@ -1128,25 +1128,30 @@ def test_no_report_states_an_input_twice(command, tmp_path):
     report = _report(_SMALL_RUNS[command], tmp_path)
     config = report["config"]
     assert not config.keys() & {"command", "out", "format"}
-    pairs = [(config, report["results"])]
+    pairs = [(command, config, report["results"])]
     if command == "all":
         parser = build_parser()
         for name, flags in uclab.cli._COMPACT_SUITE.items():
             suite = vars(parser.parse_args([name, *flags]))
             suite = {k: config.get(k, v) for k, v in suite.items()
                      if k not in ("command", "out", "format")}
-            pairs.append((suite, report["results"]["suites"][name]))
-    for flags, results in pairs:
-        assert sorted(flags.keys() & results.keys() - _SHARED_KEYS.keys()) == []
+            path = name if name in _SMALL_RUNS else f"{name} {flags[0]}"
+            pairs.append((path, suite, report["results"]["suites"][name]))
+    for path, flags, results in pairs:
+        shared = _SHARED_KEYS.get(path, {}).keys()
+        assert sorted(flags.keys() & results.keys() - shared) == []
         # no input path is written again in results
         text = json.dumps(results)
         assert [v for v in flags.values() if isinstance(v, str) and os.sep in v
                 and json.dumps(v)[1:-1] in text] == []
 
 
-@pytest.mark.parametrize("key", sorted(_SHARED_KEYS))
-def test_each_shared_key_differs_from_its_flag(key, tmp_path):
-    report = _report(_SHARED_KEYS[key], tmp_path)
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command, keys in _SHARED_KEYS.items() for key in keys])
+def test_each_shared_key_differs_from_its_flag(command, key, tmp_path):
+    argv = _SHARED_KEYS[command][key]
+    assert argv[:len(command.split())] == command.split()
+    report = _report(argv, tmp_path)
     assert key in report["config"]
     assert report["results"][key] != report["config"][key]
 
@@ -1220,19 +1225,41 @@ def test_no_option_is_hidden():
 
 def test_readme_names_exactly_the_parser_flags():
     # a flag README still advertises after it went, or one it never names,
-    # fails here; --write and --no-build-isolation belong to other programs
+    # fails here; --write and --no-build-isolation belong to other programs.
+    # README lists each compact suite of `all` as it runs
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
     defined = {flag for parser in _all_parsers(build_parser()) for action in parser._actions
                for flag in action.option_strings if flag.startswith("--")}
     assert named - {"--write", "--no-build-isolation"} == defined
+    words = " ".join(readme.split())
+    assert [command for command, flags in uclab.cli._COMPACT_SUITE.items()
+            if f"`{' '.join([command, *flags])}`" not in words] == []
 
 
-def test_readme_lists_the_compact_suites():
-    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
-    missing = [command for command, flags in uclab.cli._COMPACT_SUITE.items()
-               if f"`{' '.join([command, *flags])}`" not in readme]
-    assert missing == []
+def _readme_sweeps():
+    """The shell blocks under README's Experiment scripts, backslash line
+    continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Experiment scripts\n")[1].split("\n## ")[0]
+    return [block.replace("\\\n", " ") for block in re.findall(r"```sh\n(.*?)```", section, re.S)]
+
+
+@pytest.mark.parametrize("block", _readme_sweeps(),
+                         ids=lambda block: block.split()[1].split(",")[0])
+def test_readme_sweeps_print_the_columns_they_name(block, tmp_path):
+    # a sweep echoes its header, loops over the flag of its first label and
+    # prints the loop's value, then the CSV fields the other labels name
+    labels = re.search(r"^\s*echo (\S+)$", block, re.M).group(1).split(",")
+    var, first = re.search(r"for (\w+) in (\S+)", block).groups()
+    argv = re.search(r"uclab (.*?)\|", block, re.S).group(1).split()
+    printed = re.search(r"NR == 2 \{print (\w+) (.*)\}", block).groups()
+    assert (argv[argv.index(f"--{labels[0]}") + 1], printed[0]) == (f"${var}", var)
+    code, out = run([first if arg == f"${var}" else arg for arg in argv], tmp_path)
+    assert code == 0
+    header, _ = out.read_text().splitlines()
+    assert [header.split(",")[int(k) - 1] for k in re.findall(r"\$(\d+)", printed[1])] \
+        == labels[1:]
 
 
 def _abbreviations(parser):
